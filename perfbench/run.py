@@ -11,6 +11,10 @@ length; at least one pass always runs.  Every job's output is
 checked.  The last line of standard output is one JSON object; the lines
 before it are a readable table.
 
+Every time is in reference seconds (perfbench/speed.py): raw time scaled
+by the host's speed, sampled through the run, relative to a fixed
+reference speed, so that the shared host's speed changes cancel.
+
 With ``--trace 0`` the metrics are the end-to-end ones, as medians over
 the run's passes.  With ``--trace 1`` each pass runs twice, untraced and
 then traced with the same inputs, and the metrics are the per-layer
@@ -30,8 +34,12 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
+sys.path.insert(0, str(HERE))
+
+from speed import REFERENCE_PROBE_S, probe_seconds  # noqa: E402
+
 WORKLOADS = ("std-ideal", "std-module", "modular", "cli-scan")
-SETUP_SAMPLES = 9
+SETUP_SAMPLES = 11
 
 END_TO_END_UNITS = {
     "wall_s": "s",
@@ -43,8 +51,8 @@ END_TO_END_UNITS = {
 }
 
 
-def run_worker(workload: str, seed: int, pass_index: int, mode: str) -> dict:
-    """Start a worker, time it until it reports ready, and collect its result."""
+def run_worker(workload: str, seed: int, pass_index: int, mode: str) -> tuple[dict, float]:
+    """Start a worker; return its result and the raw seconds until it was ready."""
     argv = [sys.executable, str(HERE / "worker.py"), workload, str(seed), str(pass_index), mode]
     start = time.perf_counter()
     proc = subprocess.Popen(argv, cwd=ROOT, stdout=subprocess.PIPE, text=True)
@@ -55,9 +63,23 @@ def run_worker(workload: str, seed: int, pass_index: int, mode: str) -> dict:
     code = proc.wait()
     if first.strip() != "ready" or code != 0:
         raise RuntimeError(f"worker for {workload} pass {pass_index} exited with code {code}")
-    result = json.loads(rest.splitlines()[-1]) if mode != "setup" else {}
-    result["setup_s"] = ready - start
-    return result
+    return (json.loads(rest.splitlines()[-1]) if mode != "setup" else {}), ready - start
+
+
+def setup_seconds(workload: str, seed: int, pass_index: int) -> float:
+    """Set-up time of one worker, in reference seconds.
+
+    The host speed is probed just before the worker starts and just after it
+    has exited, while nothing else of the benchmark runs.
+    """
+    before = reference_rate()
+    _, raw = run_worker(workload, seed, pass_index, "setup")
+    return raw * (before + reference_rate()) / 2
+
+
+def reference_rate() -> float:
+    """Reference seconds per raw second now: the median of five speed probes."""
+    return REFERENCE_PROBE_S / statistics.median(probe_seconds() for _ in range(5))
 
 
 def quantile(values: list[float], q: int) -> float:
@@ -70,7 +92,8 @@ def end_to_end(passes: list[dict], setups: list[float]) -> tuple[dict, dict]:
 
     A job's latency is its median over the passes (every pass runs the same
     ladder), and the job percentiles are taken over those medians: a single
-    sample of a one-second job moves by 20% with the host's noise alone.
+    sample of a half-second job moves by several percent even in reference
+    seconds, since only a few speed probes fall inside it.
     """
     per_job: dict[str, list[float]] = {}
     for p in passes:
@@ -83,11 +106,11 @@ def end_to_end(passes: list[dict], setups: list[float]) -> tuple[dict, dict]:
         "job_p90_s": quantile(jobs, 90),
         "cpu_s": statistics.median(p["cpu_s"] for p in passes),
         "peak_rss_mb": statistics.median(p["peak_rss_mb"] for p in passes),
-        "setup_s": statistics.median(setups + [p["setup_s"] for p in passes]),
+        "setup_s": statistics.median(setups),
     }
     samples = {name: len(passes) for name in values}
     n_jobs = sum(len(p["jobs"]) for p in passes)
-    samples.update(job_p50_s=n_jobs, job_p90_s=n_jobs, setup_s=len(setups) + len(passes))
+    samples.update(job_p50_s=n_jobs, job_p90_s=n_jobs, setup_s=len(setups))
     return values, samples
 
 
@@ -128,13 +151,13 @@ def main(argv=None) -> int:
 
     start = time.perf_counter()
     setups = [] if args.trace else [
-        run_worker(args.workload, args.seed, k, "setup")["setup_s"] for k in range(SETUP_SAMPLES)]
+        setup_seconds(args.workload, args.seed, k) for k in range(SETUP_SAMPLES)]
     plain: list[dict] = []
     traced: list[dict] = []
     while True:
-        plain.append(run_worker(args.workload, args.seed, len(plain), "0"))
+        plain.append(run_worker(args.workload, args.seed, len(plain), "0")[0])
         if args.trace:
-            traced.append(run_worker(args.workload, args.seed, len(traced), "1"))
+            traced.append(run_worker(args.workload, args.seed, len(traced), "1")[0])
         elapsed = time.perf_counter() - start
         if elapsed + elapsed / len(plain) > 1.25 * args.seconds:
             break
@@ -152,7 +175,8 @@ def main(argv=None) -> int:
     for label, problem in problems:
         print(f"FAILED {label}: {problem.strip()}")
     print(f"workload {args.workload}  seed {args.seed}  passes {len(plain)}  "
-          f"failed_frac {len(problems) / attempted:.4f} ({len(problems)}/{attempted})")
+          f"failed_frac {len(problems) / attempted:.4f} ({len(problems)}/{attempted})  "
+          f"raw wall_s {statistics.median(p['raw_wall_s'] for p in plain):.3f}")
     for name, value in metrics.items():
         print(f"  {name:48s} {value:14.6g} {units_of[name]:8s} n={samples[name]}")
     print(json.dumps({

@@ -51,6 +51,7 @@ class Tracer:
         self.spans: list[list] = []  # [name, start, end, parent index, job, kept]
         self.stack: list[int] = []
         self.job = -1
+        self.reruns: list[tuple[float, float, int]] = []  # start, end, calls stood for
 
     def install(self):
         """Wrap every public germcalc function in every module namespace."""
@@ -93,9 +94,33 @@ class Tracer:
             for name, start, end, parent, job, _ in self.spans:
                 out.write(json.dumps([name, start, end, parent, job]) + "\n")
 
-    def layer_metrics(self, wall: float) -> dict[str, float]:
-        """Per-layer numbers of one traced pass of ``wall`` seconds."""
-        spans = self.spans
+    def rerun_unverified(self):
+        """Re-run each distinct standard-basis input with the public ``verify=False``.
+
+        The certificate time is the traced time of the calls minus the time
+        of these re-runs, each standing for every call with its input.
+        """
+        calls = [s[5] for s in self.spans if s[0] == "groebner.standard_basis" and s[5]]
+        distinct: dict[tuple, int] = {}
+        for args, kwargs, _ in calls:
+            key = (tuple(args[0]), args[1] if len(args) > 1 else kwargs["order"])
+            distinct[key] = distinct.get(key, 0) + 1
+        standard_basis = importlib.import_module("germcalc.groebner").standard_basis.__wrapped__
+        traced = len(self.spans)
+        for (gens, order), count in distinct.items():
+            start = time.perf_counter()
+            standard_basis(list(gens), order, verify=False)
+            self.reruns.append((start, time.perf_counter(), count))
+        del self.spans[traced:]  # spans of the re-runs are not part of the pass
+
+    def layer_metrics(self, wall: float, at) -> dict[str, float]:
+        """Per-layer numbers of one traced pass of ``wall`` seconds.
+
+        ``at`` maps a raw ``time.perf_counter()`` reading to the clock that
+        ``wall`` is measured in; ``rerun_unverified`` has run.
+        """
+        spans = [[name, at(start), at(end), parent, job, kept]
+                 for name, start, end, parent, job, kept in self.spans]
         child = [0.0] * len(spans)
         for name, start, end, parent, _, _ in spans:
             if parent >= 0:
@@ -109,7 +134,8 @@ class Tracer:
                 top += end - start
         kept = {name: [s[5] for s in spans if s[0] == name and s[5]] for name in KEEP}
         out = {f"{name}.self_s": v for name, v in self_s.items()}
-        out.update(self._basis_counts(kept["groebner.standard_basis"], spans))
+        unverified = sum((at(end) - at(start)) * count for start, end, count in self.reruns)
+        out.update(self._basis_counts(kept["groebner.standard_basis"], spans, unverified))
         out["groebner.quotient_coordinates.calls"] = sum(
             s[0] == "groebner.quotient_coordinates" for s in spans)
         out["groebner.syzygies.count"] = sum(len(r) for _, _, r in kept["groebner.syzygies"])
@@ -123,12 +149,10 @@ class Tracer:
         out["trace.wall_s"] = wall
         return out
 
-    def _basis_counts(self, calls, spans) -> dict[str, float]:
+    def _basis_counts(self, calls, spans, unverified: float) -> dict[str, float]:
         """Size counts of each standard basis, and the certificate's cost.
 
-        The certificate time is the traced time of the calls minus the time
-        of the same inputs re-run with the public ``verify=False``; each
-        distinct input is re-run once.
+        ``unverified`` is the time of the same calls run with ``verify=False``.
         """
         sb = "groebner.standard_basis"
         out_gens = digits = terms = 0
@@ -139,23 +163,13 @@ class Tracer:
                 for c in g.terms.values():
                     digits = max(digits, len(str(abs(c.numerator))), len(str(c.denominator)))
         traced = sum(s[2] - s[1] for s in spans if s[0] == sb)
-        distinct: dict[tuple, int] = {}
-        for args, kwargs, _ in calls:
-            key = (tuple(args[0]), args[1] if len(args) > 1 else kwargs["order"])
-            distinct[key] = distinct.get(key, 0) + 1
-        unverified = 0.0
-        standard_basis = importlib.import_module("germcalc.groebner").standard_basis.__wrapped__
-        for (gens, order), count in distinct.items():
-            start = time.perf_counter()
-            standard_basis(list(gens), order, verify=False)
-            unverified += (time.perf_counter() - start) * count
         return {
             f"{sb}.calls": len(calls),
             f"{sb}.out_gens": out_gens,
             f"{sb}.max_coeff_digits": digits,
             f"{sb}.max_terms": terms,
             f"{sb}.certificate_s": traced - unverified,
-            f"{sb}.distinct_input_frac": len(distinct) / len(calls) if calls else 1.0,
+            f"{sb}.distinct_input_frac": len(self.reruns) / len(calls) if calls else 1.0,
         }
 
 

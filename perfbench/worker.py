@@ -7,7 +7,8 @@ parsed.  MODE ``setup`` stops there.  MODE ``0`` then runs every job of the
 pass back to back and prints one JSON line: per-job seconds and check
 results, the pass's wall and CPU seconds and peak RSS.  MODE ``1`` does the
 same with every public germcalc function traced, and adds the per-layer
-numbers.
+numbers.  Every time is in reference seconds of a ``speed.SpeedClock`` that
+runs through the pass; the pass's raw wall seconds are reported beside them.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
 from germcalc import GermInput, cli, singularity  # noqa: E402
 
 import workloads  # noqa: E402
+from speed import SpeedClock  # noqa: E402
 
 
 def run_job(job) -> str | None:
@@ -95,8 +97,10 @@ def main(argv: list[str]) -> int:
     if mode == "setup":
         return 0
 
-    results = []
-    wall0, cpu0 = time.perf_counter(), time.process_time()
+    clock = SpeedClock()
+    clock.start()
+    spans = []  # raw start and end of each job
+    problems = []
     for i, job in enumerate(jobs):
         if tracer:
             tracer.job = i
@@ -105,17 +109,24 @@ def main(argv: list[str]) -> int:
             problem = run_job(job)
         except Exception:  # a raising job is a failed job, not a crashed pass
             problem = traceback.format_exc(limit=3)
-        results.append([job.label, time.perf_counter() - start, problem])
-    wall, cpu = time.perf_counter() - wall0, time.process_time() - cpu0
+        spans.append((start, time.perf_counter()))
+        problems.append(problem)
+        clock.mark()
+    if tracer:
+        tracer.rerun_unverified()
+    clock.stop()
 
+    wall = clock.at(spans[-1][1]) - clock.at(spans[0][0])
     out = {
-        "jobs": results,
+        "jobs": [[job.label, clock.at(end) - clock.at(start), problem]
+                 for job, (start, end), problem in zip(jobs, spans, problems)],
         "wall_s": wall,
-        "cpu_s": cpu,
+        "raw_wall_s": spans[-1][1] - spans[0][0],
+        "cpu_s": clock.cpu_seconds(),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
     if tracer:
-        out["layers"] = tracer.layer_metrics(wall)
+        out["layers"] = tracer.layer_metrics(wall, clock.at)
         tracer.write(HERE.parent / ".perfbench_out" / f"spans-{workload}-{seed}-{pass_index}.jsonl")
     print(json.dumps(out))
     return 0

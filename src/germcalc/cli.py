@@ -153,8 +153,11 @@ def _expand_zero_list(text: str) -> list[str]:
             stem = lo.rstrip("0123456789")
             if not hi.startswith(stem):
                 raise CliError(f"bad range {chunk!r}")
-            start = int(lo[len(stem):])
-            end = int(hi[len(stem):])
+            try:
+                start = int(lo[len(stem):])
+                end = int(hi[len(stem):])
+            except ValueError:
+                raise CliError(f"bad range {chunk!r}") from None
             names.extend(f"{stem}{i}" for i in range(start, end + 1))
         else:
             names.append(chunk)

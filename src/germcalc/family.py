@@ -172,10 +172,6 @@ class ScanReport:
     modal_tau: int | None
     jump_indices: tuple[int, ...]  # rows where tau leaves the modal value
 
-    @property
-    def jump_points(self) -> tuple[ScanRow, ...]:
-        return tuple(self.rows[i] for i in self.jump_indices)
-
 
 def scan(
     spec: FamilySpec,

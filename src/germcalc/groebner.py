@@ -28,15 +28,19 @@ syzygy in input coordinates.  Every returned syzygy is re-checked exactly
 against the inputs.
 
 ``quotient_coordinates`` produces the unique representative of a residue
-class supported on the standard monomials; for the degree-compatible local
-orderings every monomial of degree beyond the staircase lies in the ideal,
-so reduction runs modulo that degree and terminates canonically.
+class supported on the standard monomials.  For the degree-compatible local
+orderings every term of (weighted) degree beyond the staircase lies in the
+ideal, so the quotient map is linear on the finitely many terms below that
+cut: a ``ResidueTable`` writes it down once, term by term from the smallest
+up, and coordinates are a sparse lookup in it (the FGLM view of a
+zero-dimensional quotient).  Global orderings use full reduction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import inf
 from typing import Callable, Iterable, Sequence
 
@@ -218,14 +222,6 @@ def _nf_mora(h: Terms, pool: Sequence[_Reducer], keyfn: KeyFn, split: int) -> Te
     return h
 
 
-def _nf_terms(h: Terms, pool: Sequence[_Reducer], keyfn: KeyFn, local: bool, split: int) -> Terms:
-    if not h or not pool:
-        return dict(h)
-    if local:
-        return _nf_mora(h, pool, keyfn, split)
-    return _nf_global(h, pool, keyfn)
-
-
 def _spoly_terms(f: _Reducer, g: _Reducer) -> Terms:
     lcm = tuple(max(a, b) for a, b in zip(f.lead[1], g.lead[1]))
     out: Terms = {}
@@ -260,10 +256,8 @@ def _pair_sort_key(leads: list[ModTerm]):
     return key
 
 
-def _std_engine(
-    seeds: Sequence[Terms], keyfn: KeyFn, local: bool, split: int
-) -> list[_Reducer]:
-    """Buchberger/Mora completion with deterministic pair selection."""
+def _std_engine(seeds: Sequence[Terms], keyfn: KeyFn, split: int) -> list[_Reducer]:
+    """Buchberger completion with deterministic pair selection."""
     basis = [_make_reducer(_monic_terms(t, keyfn), keyfn, split) for t in seeds if t]
     if not basis:
         raise ValueError("empty generator list")
@@ -300,7 +294,7 @@ def _std_engine(
         if skip:
             done.add((i, j))
             continue
-        h = _nf_terms(_spoly_terms(basis[i], basis[j]), basis, keyfn, local, split)
+        h = _nf_global(_spoly_terms(basis[i], basis[j]), basis, keyfn)
         done.add((i, j))
         if h:
             basis.append(_make_reducer(_monic_terms(h, keyfn), keyfn, split))
@@ -321,7 +315,7 @@ def _minimalize(basis: list[_Reducer], keyfn: KeyFn) -> list[_Reducer]:
     return kept
 
 
-def _verify_complete(basis: Sequence[_Reducer], keyfn: KeyFn, local: bool, split: int):
+def _verify_complete(basis: Sequence[_Reducer], keyfn: KeyFn):
     """Re-check the Buchberger criterion on the completed generator set.
 
     Pairs are reduced against the full completed set (the same pool the
@@ -332,7 +326,7 @@ def _verify_complete(basis: Sequence[_Reducer], keyfn: KeyFn, local: bool, split
         for i in range(j):
             if basis[i].lead[0] != basis[j].lead[0]:
                 continue
-            r = _nf_terms(_spoly_terms(basis[i], basis[j]), basis, keyfn, local, split)
+            r = _nf_global(_spoly_terms(basis[i], basis[j]), basis, keyfn)
             if r:
                 raise RuntimeError(
                     f"completion check failed: S-vector of generators {i},{j} "
@@ -396,9 +390,9 @@ def _local_completion(seeds: list[Terms], order: MonomialOrder, split: int, veri
         return (comp, sum(ext), loc_key(ext[1:]))
 
     hseeds = [_homogenize_terms(terms) for terms in seeds]
-    completed = _std_engine(hseeds, hkey, False, split)
+    completed = _std_engine(hseeds, hkey, split)
     if verify:
-        _verify_complete(completed, hkey, False, split)
+        _verify_complete(completed, hkey)
     out: list[_Reducer] = []
     for r in completed:
         dehom = {(comp, ext[1:]): c for (comp, ext), c in r.terms.items()}
@@ -424,9 +418,9 @@ def standard_basis(
     if order.is_local():
         completed = _local_completion(seeds, order, ncomp, verify)
     else:
-        completed = _std_engine(seeds, keyfn, False, ncomp)
+        completed = _std_engine(seeds, keyfn, ncomp)
         if verify:
-            _verify_complete(completed, keyfn, False, ncomp)
+            _verify_complete(completed, keyfn)
     basis = _minimalize(completed, keyfn)
     return StandardBasis(
         generators=tuple(VectorPoly(ring, ncomp, r.terms) for r in basis),
@@ -446,7 +440,10 @@ def normal_form(p: VectorPoly | Polynomial, basis: StandardBasis) -> VectorPoly:
         raise ValueError("ring or component mismatch with basis")
     keyfn = basis.order.module_key
     pool = [_make_reducer(dict(g.terms), keyfn, v.ncomp) for g in basis.generators]
-    out = _nf_terms(dict(v.terms), pool, keyfn, basis.order.is_local(), v.ncomp)
+    if basis.order.is_local():
+        out = _nf_mora(v.terms, pool, keyfn, v.ncomp)
+    else:
+        out = _nf_global(v.terms, pool, keyfn)
     return VectorPoly(v.ring, v.ncomp, out)
 
 
@@ -619,50 +616,72 @@ def _nf_global_real(h: Terms, pool: Sequence[_Reducer], keyfn: KeyFn, split: int
     return h
 
 
+class ResidueTable:
+    """Residue coordinates of every term below the cut of a finite local quotient.
+
+    ``basis`` is a standard basis for a local order with finite ``stair``.
+    Rows are filled smallest term first: a standard term maps to its unit
+    vector, any other term to minus the shifted tail of the first generator
+    whose lead divides it, over that lead's coefficient.
+    """
+
+    def __init__(self, basis: StandardBasis, stair: Staircase):
+        deg = basis.order.degree
+        keyfn = basis.order.module_key
+        cut = 1 + max((deg(e) for _, e in stair.standard_monomials), default=-1)
+        below = [e for e in product(range(cut), repeat=len(basis.ring)) if deg(e) < cut]
+        terms = sorted(((c, e) for c in range(basis.ncomp) for e in below), key=keyfn)
+        positions = {t: i for i, t in enumerate(stair.standard_monomials)}
+        pool = [_make_reducer(dict(g.terms), keyfn, basis.ncomp) for g in basis.generators]
+        rows: dict[ModTerm, dict[int, Fraction]] = {}
+        for comp, expo in terms:
+            if (comp, expo) in positions:
+                rows[(comp, expo)] = {positions[(comp, expo)]: _ONE}
+                continue
+            red = next(r for r in pool if r.lead[0] == comp and _divides(r.lead[1], expo))
+            shift = _quotient(expo, red.lead[1])
+            row: dict[int, Fraction] = {}
+            for (tcomp, texpo), c in red.terms.items():
+                if (tcomp, texpo) == red.lead:
+                    continue
+                # each tail term is smaller than the lead: its row is known,
+                # or it lies beyond the cut and is zero
+                factor = -c / red.coeff
+                for j, a in rows.get((tcomp, _shift(texpo, shift)), {}).items():
+                    row[j] = row.get(j, _ZERO) + factor * a
+            rows[(comp, expo)] = {j: a for j, a in row.items() if a}
+        self.size = len(positions)
+        self.rows = rows
+
+    def coordinates(self, terms: Terms) -> list[Fraction]:
+        """Coordinates over the standard monomials of the residue of a term map."""
+        out = [_ZERO] * self.size
+        for term, c in terms.items():
+            for j, a in self.rows.get(term, {}).items():
+                out[j] += c * a
+        return out
+
+
 def quotient_coordinates(
     p: VectorPoly | Polynomial, basis: StandardBasis, stair: Staircase
 ) -> list[Fraction]:
     """Coordinates of the residue class of p over the standard monomials.
 
     For a global ordering this is the fully reduced normal form.  For the
-    degree-compatible local orderings every monomial of (weighted) degree
-    beyond the staircase lies in the ideal, so reduction runs modulo that
-    degree and terminates with the canonical representative.
+    degree-compatible local orderings it is a lookup in the ``ResidueTable``
+    of the quotient, built for this call.
     """
     v = VectorPoly.from_poly(p) if isinstance(p, Polynomial) else p
     if v.ring != basis.ring or v.ncomp != basis.ncomp:
         raise ValueError("ring or component mismatch with basis")
     if not stair.finite:
         raise ValueError("quotient is not finite dimensional")
-    positions = {t: i for i, t in enumerate(stair.standard_monomials)}
-    keyfn = basis.order.module_key
-    pool = [_make_reducer(dict(g.terms), keyfn, v.ncomp) for g in basis.generators]
     if basis.order.is_global():
-        reduced = _nf_global(dict(v.terms), pool, keyfn)
+        keyfn = basis.order.module_key
+        pool = [_make_reducer(dict(g.terms), keyfn, v.ncomp) for g in basis.generators]
+        positions = {t: i for i, t in enumerate(stair.standard_monomials)}
         coords = [_ZERO] * len(positions)
-        for term, coeff in reduced.items():
+        for term, coeff in _nf_global(v.terms, pool, keyfn).items():
             coords[positions[term]] = coeff
         return coords
-
-    deg = basis.order.degree
-    cut = 1 + max((deg(e) for _, e in stair.standard_monomials), default=-1)
-
-    h = {t: c for t, c in v.terms.items() if deg(t[1]) < cut}
-    while True:
-        best = None
-        hit = None
-        for t in h:
-            for red in pool:
-                if red.lead[0] == t[0] and _divides(red.lead[1], t[1]):
-                    if best is None or keyfn(t) > keyfn(best):
-                        best, hit = t, red
-                    break
-        if best is None:
-            break
-        _sub_scaled(h, hit.terms, _quotient(best[1], hit.lead[1]), h[best] / hit.coeff)
-        for t in [t for t, c in h.items() if deg(t[1]) >= cut]:
-            del h[t]
-    coords = [_ZERO] * len(positions)
-    for term, coeff in h.items():
-        coords[positions[term]] = coeff
-    return coords
+    return ResidueTable(basis, stair).coordinates(v.terms)

@@ -21,12 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 from . import linalg
-from .groebner import quotient_coordinates, syzygies
+from .groebner import syzygies
 from .orders import NEGDEGREVLEX
-from .poly import Exponent, Polynomial
+from .poly import Polynomial
 from .singularity import (
     GermInput,
     GradedT1,
@@ -87,9 +88,11 @@ class ModularTangent:
 def derivation_module(f: Polynomial) -> list[Derivation]:
     """Module generators of all derivations tangent to {f = 0}.
 
-    Requires an isolated singularity.  The syzygy generators are augmented
-    with every Hamiltonian pair (d_j f) d_i - (d_i f) d_j (cofactor 0) and,
-    when weights exist, the Euler field sum w_i x_i d_i (cofactor d).
+    Requires an isolated singularity.  The syzygies of the nonzero entries
+    of (df, f), plus the coordinate field d_i (cofactor 0) for each partial
+    d_i f that vanishes identically, are augmented with every Hamiltonian
+    pair (d_j f) d_i - (d_i f) d_j (cofactor 0) and, when weights exist,
+    the Euler field sum w_i x_i d_i (cofactor d).
     """
     _, t1 = tjurina_number(GermInput((f,)))
     if t1 is None:
@@ -97,11 +100,19 @@ def derivation_module(f: Polynomial) -> list[Derivation]:
     ring = f.ring
     n = len(ring)
     partials = [f.partial_derivative(v) for v in ring]
-    out: list[Derivation] = []
-    for s in syzygies(partials + [f], NEGDEGREVLEX):
-        parts = s.to_polys()
-        out.append(tangent_derivation(f, parts[:n], -parts[n]))
+    entries = partials + [f]
+    nonzero = [i for i, p in enumerate(entries) if not p.is_zero()]
     zero = Polynomial.zero(ring)
+    out: list[Derivation] = []
+    for s in syzygies([entries[i] for i in nonzero], NEGDEGREVLEX):
+        parts = [zero] * (n + 1)
+        for i, part in zip(nonzero, s.to_polys()):
+            parts[i] = part
+        out.append(tangent_derivation(f, parts[:n], -parts[n]))
+    for i in range(n):
+        if partials[i].is_zero():
+            unit = [Polynomial.constant(ring, int(j == i)) for j in range(n)]
+            out.append(tangent_derivation(f, unit, zero))
     for i in range(n):
         for j in range(i + 1, n):
             if partials[i].is_zero() and partials[j].is_zero():
@@ -123,27 +134,22 @@ def derivation_module(f: Polynomial) -> list[Derivation]:
     return unique
 
 
+def _matrix_rows(t1: GradedT1, image) -> list[list[Fraction]]:
+    """Rows of the matrix whose column j is the residue of image(g_j)."""
+    columns = [t1.coordinates(image(Polynomial.monomial(t1.ring, e))) for e in t1.monomials]
+    return [list(row) for row in zip(*columns)]
+
+
 def action_matrix(v: Derivation, t1: GradedT1, f: Polynomial) -> ActionMatrix:
     """Matrix of [g] -> [v(g) - h_v g] on the Tjurina algebra basis."""
     if t1.ring != f.ring:
         raise ValueError("basis and polynomial from different rings")
-    tau = t1.tau
-    columns = []
-    for expo in t1.monomials:
-        g = Polynomial.monomial(t1.ring, expo)
-        image = v.apply(g) - v.cofactor * g
-        columns.append(quotient_coordinates(image, t1.basis, t1.stair))
-    rows = tuple(tuple(columns[j][i] for j in range(tau)) for i in range(tau))
-    return ActionMatrix(entries=rows, basis=t1)
+    rows = _matrix_rows(t1, lambda g: v.apply(g) - v.cofactor * g)
+    return ActionMatrix(entries=tuple(tuple(r) for r in rows), basis=t1)
 
 
 def _untwisted_matrix(v: Derivation, t1: GradedT1) -> list[list[Fraction]]:
-    tau = t1.tau
-    columns = []
-    for expo in t1.monomials:
-        g = Polynomial.monomial(t1.ring, expo)
-        columns.append(quotient_coordinates(v.apply(g), t1.basis, t1.stair))
-    return [[columns[j][i] for j in range(tau)] for i in range(tau)]
+    return _matrix_rows(t1, v.apply)
 
 
 def modular_tangent_space(f: Polynomial) -> ModularTangent:
@@ -173,24 +179,6 @@ def modular_tangent_space(f: Polynomial) -> ModularTangent:
     )
 
 
-def _monomials_of_degree(nvars: int, degree: int) -> list[Exponent]:
-    out: list[Exponent] = []
-
-    def rec(prefix: list[int], remaining: int, k: int):
-        if k == nvars - 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for e in range(remaining + 1):
-            prefix.append(e)
-            rec(prefix, remaining - e, k + 1)
-            prefix.pop()
-
-    if nvars == 0:
-        return [()] if degree == 0 else []
-    rec([], degree, 0)
-    return out
-
-
 def homogeneous_degree(f: Polynomial) -> int:
     """Common total degree of all terms; ValueError if not homogeneous."""
     if f.is_zero():
@@ -212,7 +200,7 @@ def projective_t1_dimension(f: Polynomial) -> int:
     if milnor_number(GermInput((f,))) == float("inf"):
         raise ValueError("projective hypersurface V(f) is singular")
     ring = f.ring
-    monos = _monomials_of_degree(len(ring), m)
+    monos = [e for e in product(range(m + 1), repeat=len(ring)) if sum(e) == m]
     index = {e: i for i, e in enumerate(monos)}
     rows = []
     for zi in ring:

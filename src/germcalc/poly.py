@@ -80,31 +80,14 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
-
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * len(self.ring), _ZERO)
-
-    def total_degree(self) -> int:
-        """Max total degree of a term; 0 for the zero polynomial."""
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
 
     def order_at_origin(self) -> int:
         """Min total degree of a term; 0 for the zero polynomial."""
         if not self.terms:
             return 0
         return min(sum(e) for e in self.terms)
-
-    def variables_used(self) -> set[str]:
-        used: set[str] = set()
-        for expo in self.terms:
-            for name, e in zip(self.ring, expo):
-                if e:
-                    used.add(name)
-        return used
 
     def iter_terms(self) -> Iterator[tuple[Exponent, Fraction]]:
         return iter(self.terms.items())
@@ -174,16 +157,6 @@ class Polynomial:
             base = base * base if n > 1 else base
             n >>= 1
         return result
-
-    def term_multiple(self, expo: Exponent, coeff) -> Polynomial:
-        """Multiply by the single term coeff * x^expo."""
-        coeff = _as_fraction(coeff)
-        if coeff == 0:
-            return Polynomial(self.ring)
-        return Polynomial(
-            self.ring,
-            {tuple(a + b for a, b in zip(e, expo)): c * coeff for e, c in self.terms.items()},
-        )
 
     # -- calculus and substitution ------------------------------------------
 

@@ -15,10 +15,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, inf
 
 from . import linalg
-from .groebner import StandardBasis, Staircase, VectorPoly, staircase, standard_basis
+from .groebner import (
+    ResidueTable,
+    StandardBasis,
+    Staircase,
+    VectorPoly,
+    staircase,
+    standard_basis,
+)
 from .orders import NEGDEGREVLEX
 from .poly import Exponent, Polynomial
 
@@ -78,6 +86,17 @@ class GradedT1:
 
     def is_graded(self) -> bool:
         return self.weights is not None
+
+    @cached_property
+    def _residues(self) -> ResidueTable:
+        """The residue table of the algebra, built on first use."""
+        return ResidueTable(self.basis, self.stair)
+
+    def coordinates(self, p: Polynomial) -> list[Fraction]:
+        """Coordinates of the residue class of p over ``monomials``."""
+        if p.ring != self.ring:
+            raise ValueError("polynomial from a different ring")
+        return self._residues.coordinates({(0, e): c for e, c in p.terms.items()})
 
 
 def _jacobian(f: Polynomial) -> list[Polynomial]:

@@ -103,10 +103,28 @@ def test_non_isolated_exit_code_two_with_report(capsys):
     assert "non-isolated" in out
 
 
+@pytest.mark.parametrize("poly", ["x", "y+x^2"])
+def test_smooth_germ_omitting_a_variable(poly, capsys):
+    # a partial derivative that vanishes identically must not reach syzygies
+    code, out, _ = run_cli(["invariants", "--poly", poly, "--format", "json"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["milnor_number"] == payload["tjurina_number"] == 0
+    assert payload["modular_tangent_dimension"] == 0
+
+
 def test_unknown_family_exit_one(capsys):
     code, _, err = run_cli(["scan", "--family", "nope", "--param", "t=1"], capsys)
     assert code == 1
     assert "unknown family" in err
+
+
+def test_scan_bad_zero_range_exit_one(capsys):
+    code, _, err = run_cli(
+        ["scan", "--family", "example7-martin", "--param", "t=1", "--zero", "s..s6"], capsys
+    )
+    assert code == 1
+    assert "bad range 's..s6'" in err
 
 
 def test_scan_table_shows_jumps(capsys):

@@ -1,6 +1,8 @@
 """Normal forms, standard bases, staircases, syzygies, and the
 brute-force oracle cross-check."""
 
+import random
+from fractions import Fraction
 from math import inf
 
 import pytest
@@ -19,6 +21,7 @@ from germcalc import (
     truncated_quotient_dimension,
     weighted_local,
 )
+from germcalc.groebner import _make_reducer, _verify_complete
 from conftest import CATALOG, cached_poly, cached_tjurina
 
 V1 = ("x",)
@@ -92,6 +95,15 @@ def test_determinism_same_input_same_basis():
     a = standard_basis(jacobian(f), NEGDEGREVLEX)
     b = standard_basis(jacobian(f), NEGDEGREVLEX)
     assert a.generators == b.generators
+
+
+def test_completion_certificate_rejects_incomplete_set():
+    # the S-polynomial y*(x^2-y) - x*(x*y) = -y^2 has no divisor among the leads
+    keyfn = DEGREVLEX.module_key
+    gens = [parse_poly("x^2-y", V2), parse_poly("x*y", V2)]
+    pool = [_make_reducer(VectorPoly.from_poly(g).terms, keyfn, 1) for g in gens]
+    with pytest.raises(RuntimeError):
+        _verify_complete(pool, keyfn)
 
 
 def test_empty_generator_list_rejected():
@@ -267,3 +279,59 @@ def test_quotient_coordinates_infinite_rejected():
     sb = standard_basis([parse_poly("x^2*y", V2)], NEGDEGREVLEX)
     with pytest.raises(ValueError):
         quotient_coordinates(parse_poly("x", V2), sb, staircase(sb))
+
+
+# -- residue table against Mora's weak normal form ----------------------------
+
+
+def random_vector(rng, ring, ncomp, top):
+    """Sparse random element of O^ncomp with terms of total degree up to ``top``."""
+    terms = {}
+    for _ in range(12):
+        expo = [0] * len(ring)
+        for _ in range(rng.randint(0, top)):
+            expo[rng.randrange(len(ring))] += 1
+        terms[(rng.randrange(ncomp), tuple(expo))] = Fraction(
+            rng.randint(-9, 9), rng.randint(1, 4)
+        )
+    return VectorPoly(ring, ncomp, terms)
+
+
+def assert_coordinates_match_mora(sb, st, rng, rounds=6):
+    """p minus its coordinate representative must lie in the ideal/submodule."""
+    # most terms fall below the cut, some at or past it
+    top = 2 + max(sum(e) for _, e in st.standard_monomials)
+    for _ in range(rounds):
+        p = random_vector(rng, sb.ring, sb.ncomp, top)
+        coords = quotient_coordinates(p, sb, st)
+        rest = dict(p.terms)
+        for term, c in zip(st.standard_monomials, coords):
+            rest[term] = rest.get(term, 0) - c
+        assert normal_form(VectorPoly(sb.ring, sb.ncomp, rest), sb).is_zero()
+
+
+@pytest.mark.parametrize(
+    "germ", [g for g in CATALOG if g.tau <= 16], ids=lambda g: g.name
+)
+def test_residue_table_against_mora_normal_form(germ):
+    tau, t1 = cached_tjurina(germ.text, germ.vars)
+    rng = random.Random(germ.name)
+    assert_coordinates_match_mora(t1.basis, t1.stair, rng)
+    for _ in range(3):
+        p = random_vector(rng, t1.ring, 1, 6).component(0)
+        assert t1.coordinates(p) == quotient_coordinates(p, t1.basis, t1.stair)
+
+
+def test_residue_table_weighted_order_and_module():
+    rng = random.Random(11)
+    f = parse_poly("x^6+y^3+z^2+x*y*z", V3)
+    sb = standard_basis([f] + jacobian(f), weighted_local((1, 2, 3)))
+    assert_coordinates_match_mora(sb, staircase(sb), rng)
+    # ICIS module: Jacobian columns and equation multiples in O^2
+    eqs = [parse_poly("x^4+y^4+2*z^2", V3), parse_poly("2*z-x*y", V3)]
+    zero = parse_poly("0", V3)
+    gens = [VectorPoly.from_polys([g.partial_derivative(v) for g in eqs]) for v in V3]
+    gens += [VectorPoly.from_polys([g, zero]) for g in eqs]
+    gens += [VectorPoly.from_polys([zero, g]) for g in eqs]
+    sb = standard_basis(gens, NEGDEGREVLEX)
+    assert_coordinates_match_mora(sb, staircase(sb), rng)

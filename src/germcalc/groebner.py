@@ -9,13 +9,17 @@ case.  The machinery is shared:
   reduction strategy, allowing intermediate results as reducers, for
   normal-form queries;
 * basis completion is Buchberger's loop under the normal pair-selection
-  strategy (smallest lcm degree first, ties by the lcm exponent tuple),
-  with the product criterion (ideals only) and the chain criterion; for
-  local orderings the completion runs on the degree-homogenized input
-  under the induced global order (Lazard's method) and is dehomogenized
-  afterwards, which keeps tails division-reduced throughout;
-* every completed basis is re-verified: each S-vector of the final
-  generator set must have normal form zero, otherwise RuntimeError.
+  strategy (smallest lcm degree first, ties by the lcm exponent tuple,
+  then by the pair's indices), with the product criterion (ideals only)
+  and the chain criterion; pending pairs sit in a heap of these keys,
+  each computed once when its pair is formed; for local orderings the
+  completion runs on the degree-homogenized input under the induced
+  global order (Lazard's method) and is dehomogenized afterwards, which
+  keeps tails division-reduced throughout;
+* every completed basis is re-verified from its final generator set
+  alone (``_verify_complete``): each pair that neither the product
+  criterion nor the chain criterion over pairs already checked covers
+  must have an S-vector of normal form zero, otherwise RuntimeError.
 
 The staircase of a completed basis detects finite codimension exactly via
 the pure-power criterion and enumerates the standard monomials.
@@ -40,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import product
 from math import inf
 from typing import Callable, Iterable, Sequence
@@ -247,13 +252,30 @@ def _monic_terms(terms: Terms, keyfn: KeyFn) -> Terms:
     return {k: v / c for k, v in terms.items()}
 
 
-def _pair_sort_key(leads: list[ModTerm]):
-    def key(ij: tuple[int, int]):
-        i, j = ij
-        lcm = tuple(max(a, b) for a, b in zip(leads[i][1], leads[j][1]))
-        return (sum(lcm), lcm, i, j)
+PairKey = tuple[int, Exponent, int, int]  # (degree of the lcm, lcm, i, j)
 
-    return key
+
+def _pair_key(leads: Sequence[ModTerm], i: int, j: int) -> PairKey:
+    """Selection key of the pair (i, j): smallest lcm degree, then lcm, then indices.
+
+    The indices make every key unique, so a heap of keys pops pairs in one
+    fixed order.
+    """
+    lcm = tuple(max(a, b) for a, b in zip(leads[i][1], leads[j][1]))
+    return (sum(lcm), lcm, i, j)
+
+
+def _chain_covered(
+    leads: Sequence[ModTerm], i: int, j: int, lcm: Exponent, walked: set[tuple[int, int]]
+) -> bool:
+    """Does another lead of the same component divide lcm, with both pairs through it walked?"""
+    comp = leads[i][0]
+    for k, (kcomp, kexpo) in enumerate(leads):
+        if k in (i, j) or kcomp != comp or not _divides(kexpo, lcm):
+            continue
+        if (min(i, k), max(i, k)) in walked and (min(j, k), max(j, k)) in walked:
+            return True
+    return False
 
 
 def _std_engine(seeds: Sequence[Terms], keyfn: KeyFn, split: int) -> list[_Reducer]:
@@ -264,42 +286,27 @@ def _std_engine(seeds: Sequence[Terms], keyfn: KeyFn, split: int) -> list[_Reduc
     leads = [r.lead for r in basis]
     ncomp = split  # product criterion only applies to honest ideals
 
-    pending: set[tuple[int, int]] = set()
+    pending: list[PairKey] = []
 
     def add_pairs(j: int):
         for i in range(j):
             if leads[i][0] == leads[j][0]:
-                pending.add((i, j))
+                heappush(pending, _pair_key(leads, i, j))
 
     for j in range(len(basis)):
         add_pairs(j)
 
     done: set[tuple[int, int]] = set()
-    sort_key = _pair_sort_key(leads)
     while pending:
-        i, j = min(pending, key=sort_key)
-        pending.discard((i, j))
-        lcm = tuple(max(a, b) for a, b in zip(leads[i][1], leads[j][1]))
-        if ncomp == 1 and lcm == _shift(leads[i][1], leads[j][1]):
-            done.add((i, j))
-            continue
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j) or leads[k][0] != leads[i][0]:
-                continue
-            if _divides(leads[k][1], lcm):
-                if (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done:
-                    skip = True
-                    break
-        if skip:
-            done.add((i, j))
-            continue
-        h = _nf_global(_spoly_terms(basis[i], basis[j]), basis, keyfn)
+        _, lcm, i, j = heappop(pending)
+        coprime = ncomp == 1 and lcm == _shift(leads[i][1], leads[j][1])
+        if not coprime and not _chain_covered(leads, i, j, lcm, done):
+            h = _nf_global(_spoly_terms(basis[i], basis[j]), basis, keyfn)
+            if h:
+                basis.append(_make_reducer(_monic_terms(h, keyfn), keyfn, split))
+                leads.append(basis[-1].lead)
+                add_pairs(len(basis) - 1)
         done.add((i, j))
-        if h:
-            basis.append(_make_reducer(_monic_terms(h, keyfn), keyfn, split))
-            leads.append(basis[-1].lead)
-            add_pairs(len(basis) - 1)
     return basis
 
 
@@ -318,20 +325,40 @@ def _minimalize(basis: list[_Reducer], keyfn: KeyFn) -> list[_Reducer]:
 def _verify_complete(basis: Sequence[_Reducer], keyfn: KeyFn):
     """Re-check the Buchberger criterion on the completed generator set.
 
-    Pairs are reduced against the full completed set (the same pool the
-    completion loop used), which certifies the standard-basis property; a
-    minimal subset with the same leading terms inherits it.
+    The pairs of the final set are walked smallest lcm first.  A pair is
+    left out when its leads are coprime and every generator lies in
+    component 0 (the product criterion, which fails for modules), or when a
+    third lead of the same component divides its lcm and both pairs through
+    that lead were walked before it (the chain criterion).  Every other
+    S-vector is reduced against the full set and must vanish.
+
+    Soundness, by induction along the walk (Buchberger's second criterion
+    applied sequentially, Cox-Little-O'Shea section 2.9): a pair that
+    reduces to zero, or has coprime leads, has a representation
+    sum a_l g_l with every a_l lead(g_l) below its lcm; if lead(g_k) divides
+    lcm(i, j), then S(i, j) is a monomial combination of S(i, k) and S(j, k)
+    whose multipliers carry their representations below lcm(i, j).  So
+    every pair has such a representation, which is the standard-basis
+    property; a minimal subset with the same leading terms inherits it.
     """
-    for j in range(len(basis)):
-        for i in range(j):
-            if basis[i].lead[0] != basis[j].lead[0]:
-                continue
-            r = _nf_global(_spoly_terms(basis[i], basis[j]), basis, keyfn)
-            if r:
+    leads = [r.lead for r in basis]
+    ideal = all(comp == 0 for r in basis for comp, _ in r.terms)
+    pairs = sorted(
+        _pair_key(leads, i, j)
+        for j in range(len(basis))
+        for i in range(j)
+        if leads[i][0] == leads[j][0]
+    )
+    walked: set[tuple[int, int]] = set()
+    for _, lcm, i, j in pairs:
+        coprime = ideal and lcm == _shift(leads[i][1], leads[j][1])
+        if not coprime and not _chain_covered(leads, i, j, lcm, walked):
+            if _nf_global(_spoly_terms(basis[i], basis[j]), basis, keyfn):
                 raise RuntimeError(
                     f"completion check failed: S-vector of generators {i},{j} "
                     "has nonzero normal form"
                 )
+        walked.add((i, j))
 
 
 @dataclass(frozen=True)
@@ -556,11 +583,13 @@ def syzygies(gens: Sequence[VectorPoly | Polynomial], order: MonomialOrder) -> l
         basis.append(_make_reducer(_monic_terms(extended, elim_key), elim_key, r))
     collected: list[Terms] = []
 
-    pending = {(i, j) for j in range(k) for i in range(j) if basis[i].lead[0] == basis[j].lead[0]}
+    leads = [b.lead for b in basis]
+    pending = [
+        _pair_key(leads, i, j) for j in range(k) for i in range(j) if leads[i][0] == leads[j][0]
+    ]
+    heapify(pending)
     while pending:
-        leads = [b.lead for b in basis]
-        i, j = min(pending, key=_pair_sort_key(leads))
-        pending.discard((i, j))
+        _, _, i, j = heappop(pending)
         h = _nf_global_real(_spoly_terms(basis[i], basis[j]), basis, elim_key, r)
         if not h:
             continue
@@ -569,10 +598,11 @@ def syzygies(gens: Sequence[VectorPoly | Polynomial], order: MonomialOrder) -> l
             collected.append(h)
             continue
         basis.append(_make_reducer(_monic_terms(h, elim_key), elim_key, r))
+        leads.append(basis[-1].lead)
         jn = len(basis) - 1
         for i2 in range(jn):
-            if basis[i2].lead[0] == lead[0]:
-                pending.add((i2, jn))
+            if leads[i2][0] == lead[0]:
+                heappush(pending, _pair_key(leads, i2, jn))
 
     out: list[VectorPoly] = []
     for h in collected:
@@ -587,13 +617,18 @@ def syzygies(gens: Sequence[VectorPoly | Polynomial], order: MonomialOrder) -> l
         syz = VectorPoly(ring, k, merged)
         if not syz.is_zero() and syz not in out:
             out.append(syz)
-    for syz in out:
+    _check_syzygies(vecs, out)
+    return out
+
+
+def _check_syzygies(vecs: Sequence[VectorPoly], syzs: Iterable[VectorPoly]):
+    """Raise unless sum_i s_i * vecs[i] is exactly zero for every s in syzs."""
+    for syz in syzs:
         total: Terms = {}
         for (slot, expo), c in syz.terms.items():
             _sub_scaled(total, vecs[slot].terms, expo, -c)
         if any(v != 0 for v in total.values()):
             raise RuntimeError("syzygy verification failed")
-    return out
 
 
 def _nf_global_real(h: Terms, pool: Sequence[_Reducer], keyfn: KeyFn, split: int) -> Terms:

@@ -134,22 +134,32 @@ def derivation_module(f: Polynomial) -> list[Derivation]:
     return unique
 
 
-def _matrix_rows(t1: GradedT1, image) -> list[list[Fraction]]:
-    """Rows of the matrix whose column j is the residue of image(g_j)."""
-    columns = [t1.coordinates(image(Polynomial.monomial(t1.ring, e))) for e in t1.monomials]
-    return [list(row) for row in zip(*columns)]
+def _action_rows(v: Derivation, t1: GradedT1) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
+    """Rows of the twisted and of the untwisted action of v on the T1 basis.
+
+    v is applied once per basis monomial g; the twisted column is the
+    residue of v(g) - h_v g, the untwisted one that of v(g).
+    """
+    twisted: list[list[Fraction]] = []
+    untwisted: list[list[Fraction]] = []
+    for e in t1.monomials:
+        g = Polynomial.monomial(t1.ring, e)
+        image = v.apply(g)
+        twisted.append(t1.coordinates(image - v.cofactor * g))
+        untwisted.append(t1.coordinates(image))
+    return [list(row) for row in zip(*twisted)], [list(row) for row in zip(*untwisted)]
 
 
 def action_matrix(v: Derivation, t1: GradedT1, f: Polynomial) -> ActionMatrix:
     """Matrix of [g] -> [v(g) - h_v g] on the Tjurina algebra basis."""
     if t1.ring != f.ring:
         raise ValueError("basis and polynomial from different rings")
-    rows = _matrix_rows(t1, lambda g: v.apply(g) - v.cofactor * g)
+    rows, _ = _action_rows(v, t1)
     return ActionMatrix(entries=tuple(tuple(r) for r in rows), basis=t1)
 
 
 def _untwisted_matrix(v: Derivation, t1: GradedT1) -> list[list[Fraction]]:
-    return _matrix_rows(t1, v.apply)
+    return _action_rows(v, t1)[1]
 
 
 def modular_tangent_space(f: Polynomial) -> ModularTangent:
@@ -167,8 +177,9 @@ def modular_tangent_space(f: Polynomial) -> ModularTangent:
     stacked: list[list[Fraction]] = []
     stacked_untwisted: list[list[Fraction]] = []
     for v in gens:
-        stacked.extend(action_matrix(v, t1, f).rows())
-        stacked_untwisted.extend(_untwisted_matrix(v, t1))
+        twisted, untwisted = _action_rows(v, t1)
+        stacked.extend(twisted)
+        stacked_untwisted.extend(untwisted)
     kernel = linalg.kernel_basis(stacked, ncols=t1.tau)
     alt_dim = len(linalg.kernel_basis(stacked_untwisted, ncols=t1.tau))
     return ModularTangent(

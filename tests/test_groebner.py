@@ -21,7 +21,15 @@ from germcalc import (
     truncated_quotient_dimension,
     weighted_local,
 )
-from germcalc.groebner import _make_reducer, _verify_complete
+from germcalc.groebner import (
+    _check_syzygies,
+    _homogenize_terms,
+    _make_reducer,
+    _nf_global,
+    _spoly_terms,
+    _std_engine,
+    _verify_complete,
+)
 from conftest import CATALOG, cached_poly, cached_tjurina
 
 V1 = ("x",)
@@ -104,6 +112,80 @@ def test_completion_certificate_rejects_incomplete_set():
     pool = [_make_reducer(VectorPoly.from_poly(g).terms, keyfn, 1) for g in gens]
     with pytest.raises(RuntimeError):
         _verify_complete(pool, keyfn)
+
+
+def test_completion_certificate_applies_no_product_criterion_to_modules():
+    # leads x*e1 and y*e1 are coprime, yet the S-vector
+    # y*(1, x) - x*(0, y) = y*e0 has no divisor among the leads
+    keyfn = DEGREVLEX.module_key
+    gens = [
+        VectorPoly.from_polys([parse_poly("1", V2), parse_poly("x", V2)]),
+        VectorPoly.from_polys([parse_poly("0", V2), parse_poly("y", V2)]),
+    ]
+    pool = [_make_reducer(g.terms, keyfn, 2) for g in gens]
+    assert [r.lead for r in pool] == [(1, (1, 0)), (1, (0, 1))]
+    with pytest.raises(RuntimeError):
+        _verify_complete(pool, keyfn)
+
+
+def all_pairs_complete(pool, keyfn):
+    """Reference certificate without criteria: every S-vector reduces to zero."""
+    return not any(
+        _nf_global(_spoly_terms(pool[i], pool[j]), pool, keyfn)
+        for j in range(len(pool))
+        for i in range(j)
+        if pool[i].lead[0] == pool[j].lead[0]
+    )
+
+
+def homogenized_key(order):
+    """Degree-then-local order on slack-padded terms, as in local completion."""
+
+    def key(term):
+        comp, ext = term
+        return (comp, sum(ext), order.sort_key(ext[1:]))
+
+    return key
+
+
+def completed_sets():
+    """(label, completed reducer set, key) under local, global and module orders."""
+    hkey = homogenized_key(NEGDEGREVLEX)
+    for germ in [g for g in CATALOG if g.tau <= 10]:
+        f = cached_poly(germ.text, germ.vars)
+        seeds = [_homogenize_terms(dict(VectorPoly.from_poly(g).terms)) for g in [f] + jacobian(f)]
+        yield germ.name, _std_engine(seeds, hkey, 1), hkey
+    f = parse_poly("x^3+y^3+z^3+x*y*z", V3)
+    seeds = [dict(VectorPoly.from_poly(g).terms) for g in jacobian(f)]
+    yield "degrevlex", _std_engine(seeds, DEGREVLEX.module_key, 1), DEGREVLEX.module_key
+    eqs = [parse_poly("x^4+y^4+2*z^2", V3), parse_poly("2*z-x*y", V3)]
+    zero = parse_poly("0", V3)
+    gens = [VectorPoly.from_polys([g.partial_derivative(v) for g in eqs]) for v in V3]
+    gens += [VectorPoly.from_polys([g, zero]) for g in eqs]
+    gens += [VectorPoly.from_polys([zero, g]) for g in eqs]
+    seeds = [_homogenize_terms(dict(g.terms)) for g in gens]
+    yield "icis", _std_engine(seeds, hkey, 2), hkey
+
+
+def test_completion_certificate_agrees_with_all_pairs_check():
+    # deleting generators from completed sets gives complete and incomplete
+    # sets alike; the certificate must raise exactly on the incomplete ones
+    rng = random.Random(4)
+    raised = 0
+    for label, completed, keyfn in completed_sets():
+        assert all_pairs_complete(completed, keyfn), label
+        _verify_complete(completed, keyfn)
+        for _ in range(6):
+            gone = set(rng.sample(range(len(completed)), rng.randint(1, 3)))
+            pool = [r for n, r in enumerate(completed) if n not in gone]
+            try:
+                _verify_complete(pool, keyfn)
+            except RuntimeError:
+                raised += 1
+                assert not all_pairs_complete(pool, keyfn), (label, gone)
+            else:
+                assert all_pairs_complete(pool, keyfn), (label, gone)
+    assert raised
 
 
 def test_empty_generator_list_rejected():
@@ -196,6 +278,19 @@ def test_syzygies_of_duplicate_generators():
     syz = syzygies([x, x], DEGREVLEX)
     diff = VectorPoly.from_polys([parse_poly("1", V2), parse_poly("-1", V2)])
     assert any(s == diff or s == diff.scale(-1) for s in syz)
+
+
+def test_syzygy_certificate_rejects_a_wrong_vector():
+    f = parse_poly("x^3+y^3+z^3+x*y*z", V3)
+    gens = [VectorPoly.from_poly(g) for g in jacobian(f) + [f]]
+    syz = syzygies(gens, NEGDEGREVLEX)
+    _check_syzygies(gens, syz)
+    # a true syzygy plus e_0 multiplies out to the nonzero first generator
+    terms = dict(syz[0].terms)
+    terms[(0, (0, 0, 0))] = terms.get((0, (0, 0, 0)), 0) + 1
+    wrong = VectorPoly(f.ring, len(gens), terms)
+    with pytest.raises(RuntimeError, match="syzygy verification failed"):
+        _check_syzygies(gens, [wrong])
 
 
 def test_spoly_requires_matching_components():

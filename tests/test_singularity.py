@@ -61,6 +61,14 @@ def test_spec_examples_for_milnor():
     assert milnor_number(germ("x^2*y", V2)) == inf
 
 
+def test_mu_87_germ():
+    # took minutes while pairs were selected by a linear scan and the
+    # certificate reduced every pair; a return of either shows as a slow suite
+    g = germ("x^10+y^9+z^7+x^2*y*z+x*y^3*z^2")
+    assert milnor_number(g) == 87
+    assert tjurina_number(g)[0] == 71
+
+
 def test_non_isolated_tjurina():
     tau, t1 = tjurina_number(germ("x^3+y^3+z^3-3*x*y*z"))
     assert tau == inf and t1 is None

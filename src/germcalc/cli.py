@@ -173,6 +173,8 @@ def _scan_points(spec, args) -> list[dict[str, Fraction]]:
         name = name.strip()
         if name not in spec.parameters:
             raise CliError(f"unknown parameter {name!r} for family {spec.name}")
+        if name in assignments:
+            raise CliError(f"parameter {name!r} given more than once")
         try:
             assignments[name] = [Fraction(v.strip()) for v in values.split(",") if v.strip()]
         except (ValueError, ZeroDivisionError) as exc:
@@ -183,7 +185,9 @@ def _scan_points(spec, args) -> list[dict[str, Fraction]]:
     for name in zeros:
         if name not in spec.parameters:
             raise CliError(f"unknown parameter {name!r} in --zero")
-        assignments.setdefault(name, [Fraction(0)])
+        if name in assignments:
+            raise CliError(f"parameter {name!r} given more than once")
+        assignments[name] = [Fraction(0)]
     for name in spec.parameters:
         if name not in assignments:
             assignments[name] = [spec.defaults.get(name, Fraction(0))]

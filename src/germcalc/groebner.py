@@ -688,12 +688,22 @@ class ResidueTable:
         self.size = len(positions)
         self.rows = rows
 
+    def residue(self, terms: Terms) -> dict[int, Fraction]:
+        """Nonzero coordinates of the residue of a term map, by standard-monomial index.
+
+        A term past the cut lies in the ideal and contributes nothing.
+        """
+        out: dict[int, Fraction] = {}
+        for term, c in terms.items():
+            for j, a in self.rows.get(term, {}).items():
+                out[j] = out.get(j, _ZERO) + c * a
+        return {j: a for j, a in out.items() if a}
+
     def coordinates(self, terms: Terms) -> list[Fraction]:
         """Coordinates over the standard monomials of the residue of a term map."""
         out = [_ZERO] * self.size
-        for term, c in terms.items():
-            for j, a in self.rows.get(term, {}).items():
-                out[j] += c * a
+        for j, a in self.residue(terms).items():
+            out[j] = a
         return out
 
 

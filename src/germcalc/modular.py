@@ -11,6 +11,15 @@ module generators is the Zariski tangent space of the maximal modular
 stratum, returned with an explicit kernel basis in T1 coordinates.  Since
 the action is O-linear in v, module generators suffice.
 
+The action matrices are read off the residue table of the Tjurina algebra
+(the FGLM view of the quotient): the column of v on a basis monomial x^b is
+the term map sum_i b_i a_i x^(b - e_i), minus h_v x^b for the twisted
+action, and its residue is a table lookup in which terms past the cut
+vanish.  Most rows of these matrices are zero, and most tangent fields act
+as zero on T1; the kernel is computed from the nonzero rows only, which
+span the same row space as the full stack and so give the same reduced row
+echelon form, kernel basis and dimension.
+
 For homogeneous f the module also computes the first-order deformation
 count of the projective hypersurface (degree-m forms modulo the span of
 z_i df/dz_j) and compares it with the weight-m graded piece of the cone
@@ -23,11 +32,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb
+from operator import add
 
 from . import linalg
 from .groebner import syzygies
 from .orders import NEGDEGREVLEX
-from .poly import Polynomial
+from .poly import Exponent, Polynomial
 from .singularity import (
     GermInput,
     GradedT1,
@@ -36,6 +46,8 @@ from .singularity import (
     milnor_number,
     tjurina_number,
 )
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -134,20 +146,48 @@ def derivation_module(f: Polynomial) -> list[Derivation]:
     return unique
 
 
-def _action_rows(v: Derivation, t1: GradedT1) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
-    """Rows of the twisted and of the untwisted action of v on the T1 basis.
+SparseRows = dict[int, dict[int, Fraction]]  # row index -> {column index: nonzero entry}
 
-    v is applied once per basis monomial g; the twisted column is the
-    residue of v(g) - h_v g, the untwisted one that of v(g).
+
+def _action_rows(v: Derivation, t1: GradedT1) -> tuple[SparseRows, SparseRows]:
+    """Nonzero rows of the twisted and of the untwisted action of v on the T1 basis.
+
+    Column j belongs to the basis monomial x^b.  Its untwisted entries are the
+    residue of the term map v(x^b) = sum_i sum b_i c x^(a + b - e_i), the
+    inner sum over the terms c x^a of the coefficient a_i of v; the twisted
+    column subtracts the residue of h_v x^b.  Both residues are lookups in
+    the residue table of ``t1``, where a term past the cut has residue zero,
+    so no polynomial is formed.  Only rows with a nonzero entry are kept: a
+    zero row adds nothing to the row space, so the kernel is unchanged.
     """
-    twisted: list[list[Fraction]] = []
-    untwisted: list[list[Fraction]] = []
-    for e in t1.monomials:
-        g = Polynomial.monomial(t1.ring, e)
-        image = v.apply(g)
-        twisted.append(t1.coordinates(image - v.cofactor * g))
-        untwisted.append(t1.coordinates(image))
-    return [list(row) for row in zip(*twisted)], [list(row) for row in zip(*untwisted)]
+    fields = [(i, tuple(a.terms.items())) for i, a in enumerate(v.coefficients) if a.terms]
+    cofactor = tuple(v.cofactor.terms.items())
+    twisted: SparseRows = {}
+    untwisted: SparseRows = {}
+    for j, b in enumerate(t1.monomials):
+        image: dict[Exponent, Fraction] = {}
+        for i, terms in fields:
+            bi = b[i]
+            if not bi:
+                continue
+            shift = b[:i] + (bi - 1,) + b[i + 1 :]
+            for a, c in terms:
+                e = tuple(map(add, a, shift))
+                image[e] = image.get(e, _ZERO) + bi * c
+        plain = t1.residue(image)
+        twist = dict(plain)
+        for k, c in t1.residue({tuple(map(add, g, b)): c for g, c in cofactor}).items():
+            twist[k] = twist.get(k, _ZERO) - c
+        for k, a in plain.items():
+            untwisted.setdefault(k, {})[j] = a
+        for k, a in twist.items():
+            if a:
+                twisted.setdefault(k, {})[j] = a
+    return twisted, untwisted
+
+
+def _dense(row: dict[int, Fraction], ncols: int) -> list[Fraction]:
+    return [row.get(j, _ZERO) for j in range(ncols)]
 
 
 def action_matrix(v: Derivation, t1: GradedT1, f: Polynomial) -> ActionMatrix:
@@ -155,11 +195,13 @@ def action_matrix(v: Derivation, t1: GradedT1, f: Polynomial) -> ActionMatrix:
     if t1.ring != f.ring:
         raise ValueError("basis and polynomial from different rings")
     rows, _ = _action_rows(v, t1)
-    return ActionMatrix(entries=tuple(tuple(r) for r in rows), basis=t1)
+    entries = tuple(tuple(_dense(rows.get(k, {}), t1.tau)) for k in range(t1.tau))
+    return ActionMatrix(entries=entries, basis=t1)
 
 
 def _untwisted_matrix(v: Derivation, t1: GradedT1) -> list[list[Fraction]]:
-    return _action_rows(v, t1)[1]
+    _, rows = _action_rows(v, t1)
+    return [_dense(rows.get(k, {}), t1.tau) for k in range(t1.tau)]
 
 
 def modular_tangent_space(f: Polynomial) -> ModularTangent:
@@ -168,7 +210,9 @@ def modular_tangent_space(f: Polynomial) -> ModularTangent:
     The kernel is computed in T1 coordinates (for a miniversal deformation
     the Kodaira-Spencer identification of the base tangent space with T1 is
     the identity).  ``convention_sensitive`` reports whether the untwisted
-    action (no cofactor correction) would give a different dimension.
+    action (no cofactor correction) would give a different dimension.  Only
+    the nonzero rows of each action are stacked: zero rows leave the row
+    space, hence the reduced row echelon form and the kernel, unchanged.
     """
     tau, t1 = tjurina_number(GermInput((f,)))
     if t1 is None:
@@ -178,8 +222,8 @@ def modular_tangent_space(f: Polynomial) -> ModularTangent:
     stacked_untwisted: list[list[Fraction]] = []
     for v in gens:
         twisted, untwisted = _action_rows(v, t1)
-        stacked.extend(twisted)
-        stacked_untwisted.extend(untwisted)
+        stacked.extend(_dense(row, t1.tau) for row in twisted.values())
+        stacked_untwisted.extend(_dense(row, t1.tau) for row in untwisted.values())
     kernel = linalg.kernel_basis(stacked, ncols=t1.tau)
     alt_dim = len(linalg.kernel_basis(stacked_untwisted, ncols=t1.tau))
     return ModularTangent(

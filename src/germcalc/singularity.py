@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, inf
+from typing import Mapping
 
 from . import linalg
 from .groebner import (
@@ -91,6 +92,10 @@ class GradedT1:
     def _residues(self) -> ResidueTable:
         """The residue table of the algebra, built on first use."""
         return ResidueTable(self.basis, self.stair)
+
+    def residue(self, terms: Mapping[Exponent, Fraction]) -> dict[int, Fraction]:
+        """Nonzero coordinates of the residue of a term map, by index in ``monomials``."""
+        return self._residues.residue({(0, e): c for e, c in terms.items()})
 
     def coordinates(self, p: Polynomial) -> list[Fraction]:
         """Coordinates of the residue class of p over ``monomials``."""

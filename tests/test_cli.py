@@ -187,3 +187,21 @@ def test_console_script_entry_point():
     assert result.returncode == 0
     payload = json.loads(result.stdout)
     assert payload["tjurina_number"] == 3
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--param", "lambda=1", "--param", "lambda=2"],
+        ["--zero", "lambda", "--param", "lambda=2"],
+        ["--param", "lambda=2", "--zero", "lambda"],
+        ["--zero", "lambda,lambda"],
+    ],
+    ids=["param-param", "zero-then-param", "param-then-zero", "zero-zero"],
+)
+def test_scan_parameter_given_twice_exit_one(extra, capsys):
+    code, out, err = run_cli(["scan", "--family", "tpqr:3,3,3", "--no-modular", *extra], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: parameter 'lambda' given more than once\n"
+

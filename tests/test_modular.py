@@ -22,6 +22,7 @@ from germcalc import (
     tjurina_number,
 )
 from germcalc.modular import _untwisted_matrix, homogeneous_degree
+from germcalc.poly import Polynomial
 from conftest import CATALOG, cached_derivations, cached_modular, cached_poly, cached_tjurina
 
 V2 = ("x", "y")
@@ -301,3 +302,57 @@ def test_untwisted_matrix_differs_from_twisted_by_cofactor_multiplication():
         for j in range(tau):
             shift = 3 if i == j else 0  # cofactor of the Euler field is d = 3
             assert untwisted[i][j] == twisted[i][j] + shift
+
+
+# -- column builder against polynomial arithmetic ---------------------------------
+
+
+def _reference_matrices(v, t1):
+    """Twisted and untwisted action matrices through Polynomial arithmetic."""
+    twisted, untwisted = [], []
+    for e in t1.monomials:
+        g = Polynomial.monomial(t1.ring, e)
+        image = v.apply(g)
+        twisted.append(t1.coordinates(image - v.cofactor * g))
+        untwisted.append(t1.coordinates(image))
+    return [list(r) for r in zip(*twisted)], [list(r) for r in zip(*untwisted)]
+
+
+def _multiple_past_the_cut(v, f, t1, rng):
+    """m * v for a seeded m with terms of every degree up to one past the cut."""
+    cut = 1 + max(sum(e) for e in t1.monomials)
+    terms = {}
+    for degree in range(cut + 2):
+        expo = [0] * len(t1.ring)
+        for _ in range(degree):
+            expo[rng.randrange(len(expo))] += 1
+        terms[tuple(expo)] = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2, 7]))
+    m = Polynomial(t1.ring, terms)
+    return tangent_derivation(f, [m * a for a in v.coefficients], m * v.cofactor)
+
+
+@pytest.mark.parametrize("entry", [g for g in CATALOG if g.tau <= 16], ids=lambda g: g.name)
+def test_column_builder_matches_polynomial_arithmetic(entry):
+    f = cached_poly(entry.text, entry.vars)
+    tau, t1 = cached_tjurina(entry.text, entry.vars)
+    rng = random.Random(f"columns-{entry.name}")
+    for v in cached_derivations(entry.text, entry.vars):
+        for field in (v, _multiple_past_the_cut(v, f, t1, rng)):
+            twisted, untwisted = _reference_matrices(field, t1)
+            assert action_matrix(field, t1, f).rows() == twisted
+            assert _untwisted_matrix(field, t1) == untwisted
+
+
+@pytest.mark.parametrize("entry", [g for g in CATALOG if g.tau <= 16], ids=lambda g: g.name)
+def test_modular_kernel_matches_kernel_of_full_dense_stack(entry):
+    tau, t1 = cached_tjurina(entry.text, entry.vars)
+    stacked, stacked_untwisted = [], []
+    for v in cached_derivations(entry.text, entry.vars):
+        twisted, untwisted = _reference_matrices(v, t1)
+        stacked.extend(twisted)
+        stacked_untwisted.extend(untwisted)
+    kernel = linalg.kernel_basis(stacked, ncols=tau)
+    untwisted_dim = len(linalg.kernel_basis(stacked_untwisted, ncols=tau))
+    mt = cached_modular(entry.text, entry.vars)
+    assert [list(vec) for vec in mt.kernel_basis] == kernel
+    assert mt.convention_sensitive == (untwisted_dim != len(kernel))

@@ -30,7 +30,7 @@ from .modular import (
 from .oracle import truncated_quotient_dimension
 from .parse import ParseError, parse_poly
 from .poly import Polynomial, format_monomial
-from .singularity import GermInput, find_weights, milnor_number, tjurina_number
+from .singularity import GermInput, find_weights, milnor_number, tjurina_algebra
 
 DEFAULT_VARS = ("x", "y", "z")
 
@@ -69,10 +69,9 @@ def _parse_input_poly(text: str, vars_opt: str | None) -> Polynomial:
 
 
 def invariants_report(f: Polynomial) -> dict:
-    germ = GermInput((f,))
-    mu = milnor_number(germ)
-    tau, t1 = tjurina_number(germ)
-    wdata = find_weights(f)
+    mu = milnor_number(GermInput((f,)))
+    tau, t1 = tjurina_algebra(f)
+    wdata = find_weights(f) if t1 is None else t1.weight_data
     report: dict = {
         "input": str(f),
         "variables": list(f.ring),
@@ -164,7 +163,7 @@ def _expand_zero_list(text: str) -> list[str]:
     return names
 
 
-def _scan_points(spec, args) -> list[dict[str, Fraction]]:
+def _scan_points(spec, args) -> tuple[list[dict[str, Fraction]], dict[str, Fraction]]:
     assignments: dict[str, list[Fraction]] = {}
     for item in args.param or []:
         if "=" not in item:
@@ -188,15 +187,16 @@ def _scan_points(spec, args) -> list[dict[str, Fraction]]:
         if name in assignments:
             raise CliError(f"parameter {name!r} given more than once")
         assignments[name] = [Fraction(0)]
-    for name in spec.parameters:
-        if name not in assignments:
-            assignments[name] = [spec.defaults.get(name, Fraction(0))]
+    defaults_applied = {
+        n: spec.defaults.get(n, Fraction(0)) for n in spec.parameters if n not in assignments
+    }
+    assignments.update((n, [v]) for n, v in defaults_applied.items())
     # cartesian product; with a single swept parameter the rows follow the
     # requested value order
     points: list[dict[str, Fraction]] = [{}]
     for name in spec.parameters:
         points = [dict(pt, **{name: v}) for v in assignments[name] for pt in points]
-    return points
+    return points, defaults_applied
 
 
 def scan_report_dict(spec, report, defaults_applied) -> dict:
@@ -232,15 +232,7 @@ def cmd_scan(args, out) -> int:
         spec = catalog(args.family)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    points = _scan_points(spec, args)
-    explicit = set()
-    for item in args.param or []:
-        explicit.add(item.partition("=")[0].strip())
-    if args.zero:
-        explicit.update(_expand_zero_list(args.zero))
-    defaults_applied = {
-        n: spec.defaults.get(n, Fraction(0)) for n in spec.parameters if n not in explicit
-    }
+    points, defaults_applied = _scan_points(spec, args)
     report = scan(spec, points, with_modular=not args.no_modular)
     payload = scan_report_dict(spec, report, defaults_applied)
     if args.format == "json":
@@ -300,7 +292,7 @@ def cmd_projective(args, out) -> int:
         "closed_form_applies": closed == dim,
     }
     if len(f.ring) >= 4:
-        _, t1 = tjurina_number(GermInput((f,)))
+        _, t1 = tjurina_algebra(f)
         payload["embedding_check"] = embedding_check(f, t1)
     if args.format == "json":
         json.dump(payload, out, indent=2)

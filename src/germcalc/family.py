@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 from .modular import modular_tangent_space
 from .parse import parse_poly
 from .poly import Polynomial
-from .singularity import GermInput, find_weights, icis_tjurina, milnor_number, tjurina_number
+from .singularity import GermInput, find_weights, icis_tjurina, milnor_number, tjurina_algebra
 
 
 @dataclass(frozen=True)
@@ -199,9 +199,9 @@ def scan(
         if germ.k == 1:
             f = germ.equations[0]
             mu = milnor_number(germ)
-            tau, t1 = tjurina_number(germ)
+            tau, t1 = tjurina_algebra(f)
             non_isolated = t1 is None
-            weights_found = find_weights(f) is not None
+            weights_found = (find_weights(f) if non_isolated else t1.weight_data) is not None
             modular_dim = None
             if with_modular and not non_isolated:
                 modular_dim = modular_tangent_space(f).dimension

@@ -614,9 +614,8 @@ def syzygies(gens: Sequence[VectorPoly | Polynomial], order: MonomialOrder) -> l
                 merged[key] = new
             else:
                 merged.pop(key, None)
-        syz = VectorPoly(ring, k, merged)
-        if not syz.is_zero() and syz not in out:
-            out.append(syz)
+        out.append(VectorPoly(ring, k, merged))
+    out = [syz for syz in dict.fromkeys(out) if not syz.is_zero()]
     _check_syzygies(vecs, out)
     return out
 

@@ -100,5 +100,8 @@ def char_poly(a: Matrix) -> list[Fraction]:
 
 
 def is_nilpotent(a: Matrix) -> bool:
-    """True iff the char polynomial is t^n, i.e. all non-leading coeffs are 0."""
-    return all(c == 0 for c in char_poly(a)[:-1])
+    """True iff A^n = 0 for n = len(a), found by squaring A until the exponent reaches n."""
+    power, exponent = a, 1
+    while exponent < len(a):
+        power, exponent = mat_mul(power, power), 2 * exponent
+    return not any(any(row) for row in power)

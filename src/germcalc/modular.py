@@ -3,7 +3,9 @@
 ``derivation_module`` returns generators of the vector fields tangent to
 {f = 0} (each v = sum a_i d_i with v(f) = h f, the cofactor h recorded),
 obtained from the syzygies of (df_1, ..., df_n, f) plus the Hamiltonian
-pairs and, for quasi-homogeneous f, the Euler field.
+pairs and, for quasi-homogeneous f, the Euler field of the weights kept on
+the germ's Tjurina algebra (``GradedT1.weight_data``).  That algebra is
+built once per germ: both functions read it from ``tjurina_algebra``.
 
 Every tangent field acts on the Tjurina algebra by the twisted action
 v.[g] = [v(g) - h g]; the common kernel of these endomorphisms over all
@@ -38,14 +40,7 @@ from . import linalg
 from .groebner import syzygies
 from .orders import NEGDEGREVLEX
 from .poly import Exponent, Polynomial
-from .singularity import (
-    GermInput,
-    GradedT1,
-    NonIsolatedError,
-    find_weights,
-    milnor_number,
-    tjurina_number,
-)
+from .singularity import GermInput, GradedT1, NonIsolatedError, milnor_number, tjurina_algebra
 
 _ZERO = Fraction(0)
 
@@ -97,6 +92,14 @@ class ModularTangent:
     convention_sensitive: bool  # True if dropping the cofactor twist changes the dim
 
 
+def _isolated_t1(f: Polynomial, what: str) -> GradedT1:
+    """The Tjurina algebra of f; NonIsolatedError naming ``what`` when it is infinite."""
+    _, t1 = tjurina_algebra(f)
+    if t1 is None:
+        raise NonIsolatedError(f"{what} needs an isolated singularity")
+    return t1
+
+
 def derivation_module(f: Polynomial) -> list[Derivation]:
     """Module generators of all derivations tangent to {f = 0}.
 
@@ -106,9 +109,7 @@ def derivation_module(f: Polynomial) -> list[Derivation]:
     pair (d_j f) d_i - (d_i f) d_j (cofactor 0) and, when weights exist,
     the Euler field sum w_i x_i d_i (cofactor d).
     """
-    _, t1 = tjurina_number(GermInput((f,)))
-    if t1 is None:
-        raise NonIsolatedError("derivation module needs an isolated singularity")
+    wdata = _isolated_t1(f, "derivation module").weight_data
     ring = f.ring
     n = len(ring)
     partials = [f.partial_derivative(v) for v in ring]
@@ -133,17 +134,12 @@ def derivation_module(f: Polynomial) -> list[Derivation]:
             coeffs[i] = partials[j]
             coeffs[j] = -partials[i]
             out.append(tangent_derivation(f, coeffs, zero))
-    wdata = find_weights(f)
     if wdata is not None:
         euler = [
             Polynomial.variable(ring, v).scale(w) for v, w in zip(ring, wdata.weights)
         ]
         out.append(tangent_derivation(f, euler, Polynomial.constant(ring, wdata.degree)))
-    unique: list[Derivation] = []
-    for d in out:
-        if d not in unique:
-            unique.append(d)
-    return unique
+    return list(dict.fromkeys(out))
 
 
 SparseRows = dict[int, dict[int, Fraction]]  # row index -> {column index: nonzero entry}
@@ -214,9 +210,7 @@ def modular_tangent_space(f: Polynomial) -> ModularTangent:
     the nonzero rows of each action are stacked: zero rows leave the row
     space, hence the reduced row echelon form and the kernel, unchanged.
     """
-    tau, t1 = tjurina_number(GermInput((f,)))
-    if t1 is None:
-        raise NonIsolatedError("modular tangent space needs an isolated singularity")
+    t1 = _isolated_t1(f, "modular tangent space")
     gens = derivation_module(f)
     stacked: list[list[Fraction]] = []
     stacked_untwisted: list[list[Fraction]] = []

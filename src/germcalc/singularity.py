@@ -6,6 +6,9 @@ weight detection, and weight grading.  Complete intersections (k >= 2
 equations) get the Tjurina number of the quotient of O^k by the Jacobian
 columns and the equation multiples.
 
+Each germ's Tjurina algebra is built once: ``tjurina_algebra`` keeps the
+last one asked for, and ``GradedT1.weight_data`` the weights found with it.
+
 Non-isolated singularities are reported with ``math.inf``, never with a
 degree cutoff: finiteness detection is the exact pure-power criterion of
 the staircase.
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, inf
 from typing import Mapping
 
@@ -81,6 +84,7 @@ class GradedT1:
     ring: tuple[str, ...]
     monomials: tuple[Exponent, ...]
     weights: tuple[int, ...] | None
+    weight_data: WeightData | None
     tau: int
     basis: StandardBasis
     stair: Staircase
@@ -147,8 +151,15 @@ def tjurina_number(germ: GermInput) -> tuple[int | float, GradedT1 | None]:
     wdata = find_weights(f)
     weights = tuple(wdata.monomial_weight(e) for e in monos) if wdata else None
     return dim, GradedT1(
-        ring=f.ring, monomials=monos, weights=weights, tau=int(dim), basis=sb, stair=st
+        ring=f.ring, monomials=monos, weights=weights, weight_data=wdata, tau=int(dim),
+        basis=sb, stair=st,
     )
+
+
+@lru_cache(maxsize=1)
+def tjurina_algebra(f: Polynomial) -> tuple[int | float, GradedT1 | None]:
+    """``tjurina_number`` of the hypersurface f, kept for the last f (one germ at a time)."""
+    return tjurina_number(GermInput((f,)))
 
 
 def find_weights(f: Polynomial) -> WeightData | None:

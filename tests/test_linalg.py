@@ -1,6 +1,9 @@
 """Exact linear algebra helpers."""
 
+import random
 from fractions import Fraction
+
+import pytest
 
 from germcalc import linalg
 
@@ -37,6 +40,44 @@ def test_nilpotency_detection():
     nil = [[F(0), F(1)], [F(0), F(0)]]
     assert linalg.is_nilpotent(nil)
     assert not linalg.is_nilpotent([[F(1), F(0)], [F(0), F(0)]])
+
+
+def _jordan_block(n):
+    return [[F(int(j == i + 1)) for j in range(n)] for i in range(n)]
+
+
+def _by_char_poly(a):
+    return all(c == 0 for c in linalg.char_poly(a)[:-1])
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_jordan_block_is_nilpotent_of_index_n(n):
+    # J^(n-1) != 0, so stopping one squaring short of n misses it
+    block = _jordan_block(n)
+    assert linalg.is_nilpotent(block)
+    assert _by_char_poly(block)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_cyclic_shift_is_not_nilpotent(n):
+    shift = [[F(int(j == (i + 1) % n)) for j in range(n)] for i in range(n)]
+    assert not linalg.is_nilpotent(shift)
+    assert not _by_char_poly(shift)
+
+
+def test_nilpotency_agrees_with_char_poly():
+    rng = random.Random(5)
+    cases = [[], [[F(0)]], [[F(3)]]]
+    for n in range(2, 7):
+        # u v^T with v . u = 0 squares to zero without being triangular
+        u = [F(rng.randint(-3, 3)) for _ in range(n - 1)] + [F(1)]
+        v = [F(rng.randint(1, 3)) for _ in range(n - 1)]
+        v.append(-sum(a * b for a, b in zip(u, v)))
+        cases.append([[a * b for b in v] for a in u])
+        cases.append([[F(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)])
+    verdicts = [linalg.is_nilpotent(a) for a in cases]
+    assert verdicts == [_by_char_poly(a) for a in cases]
+    assert verdicts.count(True) >= 7 and verdicts.count(False) >= 2
 
 
 def test_deterministic_pivoting():

@@ -1,0 +1,121 @@
+"""Each germ's Tjurina algebra and weights are computed once.
+
+The counting tests wrap ``standard_basis`` and ``find_weights`` under every
+name where a germcalc module looks them up, so a call from any module is
+seen; the cache of ``tjurina_algebra`` is cleared first so every count
+starts from nothing.  The cache tests check that the one cached algebra
+never leaks from one germ into another.
+"""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import germcalc
+from germcalc import (
+    GermInput,
+    NonIsolatedError,
+    catalog,
+    derivation_module,
+    find_weights,
+    modular_tangent_space,
+    parse_poly,
+    scan,
+    tjurina_number,
+)
+from germcalc.cli import invariants_report
+from germcalc.singularity import tjurina_algebra
+from conftest import CATALOG, cached_poly, cached_tjurina
+
+V2 = ("x", "y")
+V3 = ("x", "y", "z")
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """First arguments of every standard_basis and find_weights call, by name."""
+    namespaces = [germcalc] + [
+        importlib.import_module(f"germcalc.{m.name}") for m in pkgutil.iter_modules(germcalc.__path__)
+    ]
+    seen: dict[str, list] = {"standard_basis": [], "find_weights": []}
+    for name, log in seen.items():
+        original = getattr(germcalc, name)
+
+        def counted(*args, _fn=original, _log=log, **kwargs):
+            _log.append(args[0])
+            return _fn(*args, **kwargs)
+
+        for ns in namespaces:
+            if getattr(ns, name, None) is original:
+                monkeypatch.setattr(ns, name, counted)
+    tjurina_algebra.cache_clear()
+    yield seen
+    tjurina_algebra.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "text, vars",
+    [("x^4+y^3+z^3+x*y*z", V3), ("x^3+y^3+z^3+x*y*z", V3), ("x^2*y", V2)],
+    ids=["t433", "t333_l1", "non_isolated"],
+)
+def test_invariants_report_builds_one_algebra_per_germ(calls, text, vars):
+    invariants_report(parse_poly(text, vars))
+    assert len(calls["standard_basis"]) == 2  # mu and tau
+    assert len(calls["find_weights"]) == 1
+
+
+def test_each_scan_row_builds_one_algebra(calls):
+    report = scan(catalog("tpqr:3,3,3"), [{"lambda": v} for v in (0, 1, -3)])
+    assert [row.non_isolated for row in report.rows] == [False, False, True]
+    assert [row.modular_dim for row in report.rows] == [1, 1, None]
+    assert len(calls["standard_basis"]) == 2 * 3
+    assert len(calls["find_weights"]) == len(set(calls["find_weights"])) == 3
+
+
+def _modular_fields(f):
+    mt = modular_tangent_space(f)
+    return mt.dimension, mt.kernel_basis, mt.convention_sensitive, mt.t1.monomials
+
+
+def test_interleaved_germs_give_fresh_results():
+    polys = [
+        parse_poly("x^4+y^3+z^3+x*y*z", V3),
+        parse_poly("x^3+y^3+z^3+x*y*z", V3),
+        parse_poly("x^3+y^2", V2),
+        parse_poly("u^3+v^2", ("u", "v")),  # same terms as the one before, other ring
+    ]
+    fresh = {}
+    for f in polys:
+        tjurina_algebra.cache_clear()
+        fresh[f] = (derivation_module(f), _modular_fields(f))
+    for f in polys + polys[::-1] + polys:
+        tau, t1 = tjurina_algebra(f)
+        direct_tau, direct_t1 = tjurina_number(GermInput((f,)))
+        assert (tau, t1.ring, t1.monomials, t1.weights, t1.weight_data) == (
+            direct_tau, f.ring, direct_t1.monomials, direct_t1.weights, direct_t1.weight_data
+        )
+        assert derivation_module(f) == fresh[f][0]
+        assert _modular_fields(f) == fresh[f][1]
+
+
+def test_non_isolated_error_from_both_entry_points_even_after_a_cached_germ():
+    isolated, bad = parse_poly("x^3+y^2", V2), parse_poly("x^2*y", V2)
+    for warm in (False, True):
+        tjurina_algebra.cache_clear()
+        for entry_point in (derivation_module, modular_tangent_space):
+            if warm:
+                modular_tangent_space(isolated)
+            with pytest.raises(NonIsolatedError, match="needs an isolated singularity"):
+                entry_point(bad)
+    assert tjurina_algebra(bad) == tjurina_number(GermInput((bad,))) == (float("inf"), None)
+
+
+@pytest.mark.parametrize("entry", CATALOG, ids=lambda g: g.name)
+def test_weight_data_is_what_find_weights_gives(entry):
+    _, t1 = cached_tjurina(entry.text, entry.vars)
+    wdata = find_weights(cached_poly(entry.text, entry.vars))
+    assert t1.weight_data == wdata
+    assert (wdata is not None) == entry.quasi_homogeneous
+    if wdata is not None:
+        assert t1.weights == tuple(wdata.monomial_weight(e) for e in t1.monomials)

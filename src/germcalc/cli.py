@@ -157,6 +157,8 @@ def _expand_zero_list(text: str) -> list[str]:
                 end = int(hi[len(stem):])
             except ValueError:
                 raise CliError(f"bad range {chunk!r}") from None
+            if end < start:
+                raise CliError(f"bad range {chunk!r}")
             names.extend(f"{stem}{i}" for i in range(start, end + 1))
         else:
             names.append(chunk)

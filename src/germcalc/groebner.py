@@ -8,14 +8,18 @@ case.  The machinery is shared:
 * local orderings use Mora's weak normal form with the ecart-minimizing
   reduction strategy, allowing intermediate results as reducers, for
   normal-form queries;
-* basis completion is Buchberger's loop under the normal pair-selection
-  strategy (smallest lcm degree first, ties by the lcm exponent tuple,
-  then by the pair's indices), with the product criterion (ideals only)
-  and the chain criterion; pending pairs sit in a heap of these keys,
-  each computed once when its pair is formed; for local orderings the
-  completion runs on the degree-homogenized input under the induced
-  global order (Lazard's method) and is dehomogenized afterwards, which
-  keeps tails division-reduced throughout;
+* one completion loop, ``_std_engine``, serves standard bases and
+  syzygies: Buchberger's loop under the normal pair-selection strategy
+  (smallest lcm degree first, ties by the lcm exponent tuple, then by the
+  pair's indices), with the product criterion and the chain criterion;
+  pending pairs sit in a heap of these keys, each computed once when its
+  pair is formed; for local orderings the completion runs on the
+  degree-homogenized input under the induced global order (Lazard's
+  method) and is dehomogenized afterwards, which keeps tails
+  division-reduced throughout;
+* the product criterion applies only when every seed term lies in
+  component 0, decided from the data in ``_walk_pairs``, the pair walk
+  of the engine and the certificate alike;
 * every completed basis is re-verified from its final generator set
   alone (``_verify_complete``): each pair that neither the product
   criterion nor the chain criterion over pairs already checked covers
@@ -25,11 +29,10 @@ The staircase of a completed basis detects finite codimension exactly via
 the pure-power criterion and enumerates the standard monomials.
 
 Syzygies are collected the Schreyer way: the generators are embedded with
-bookkeeping components, only pairs with leading term in the real block are
-completed (no pair criteria there, since even a pair that reduces to zero
-contributes its relation), and a reduction whose real part dies yields a
-syzygy in input coordinates.  Every returned syzygy is re-checked exactly
-against the inputs.
+bookkeeping components under an elimination order and completed by the
+same engine, which returns apart every remainder whose real part died:
+each is one syzygy in input coordinates.  Every returned syzygy is
+re-checked exactly against the inputs.
 
 ``quotient_coordinates`` produces the unique representative of a residue
 class supported on the standard monomials.  For the degree-compatible local
@@ -44,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from itertools import product
 from math import inf
 from typing import Callable, Iterable, Sequence
@@ -278,14 +281,22 @@ def _chain_covered(
     return False
 
 
-def _std_engine(seeds: Sequence[Terms], keyfn: KeyFn, split: int) -> list[_Reducer]:
-    """Buchberger completion with deterministic pair selection."""
-    basis = [_make_reducer(_monic_terms(t, keyfn), keyfn, split) for t in seeds if t]
-    if not basis:
-        raise ValueError("empty generator list")
-    leads = [r.lead for r in basis]
-    ncomp = split  # product criterion only applies to honest ideals
+def _walk_pairs(
+    basis: Sequence[_Reducer], keyfn: KeyFn, on_remainder: Callable[[Terms, int, int], bool]
+):
+    """Reduce the S-vector of every pair of ``basis`` that no criterion covers.
 
+    Pairs pop smallest key first.  A pair is skipped when its leads are
+    coprime and every term of the starting set lies in component 0 (the
+    product criterion, decided here from the data: modules and syzygy seeds
+    need their coprime pairs), or when another lead of the same component
+    divides its lcm and both pairs through it were walked before (the chain
+    criterion).  Each nonzero remainder goes to ``on_remainder``, which
+    returns True when it appended a new element to ``basis``; the pairs of
+    that element join the walk.
+    """
+    leads = [r.lead for r in basis]
+    ideal = all(comp == 0 for r in basis for comp, _ in r.terms)
     pending: list[PairKey] = []
 
     def add_pairs(j: int):
@@ -296,18 +307,42 @@ def _std_engine(seeds: Sequence[Terms], keyfn: KeyFn, split: int) -> list[_Reduc
     for j in range(len(basis)):
         add_pairs(j)
 
-    done: set[tuple[int, int]] = set()
+    walked: set[tuple[int, int]] = set()
     while pending:
         _, lcm, i, j = heappop(pending)
-        coprime = ncomp == 1 and lcm == _shift(leads[i][1], leads[j][1])
-        if not coprime and not _chain_covered(leads, i, j, lcm, done):
+        coprime = ideal and lcm == _shift(leads[i][1], leads[j][1])
+        if not coprime and not _chain_covered(leads, i, j, lcm, walked):
             h = _nf_global(_spoly_terms(basis[i], basis[j]), basis, keyfn)
-            if h:
-                basis.append(_make_reducer(_monic_terms(h, keyfn), keyfn, split))
+            if h and on_remainder(h, i, j):
                 leads.append(basis[-1].lead)
                 add_pairs(len(basis) - 1)
-        done.add((i, j))
-    return basis
+        walked.add((i, j))
+
+
+def _std_engine(
+    seeds: Sequence[Terms], keyfn: KeyFn, split: int
+) -> tuple[list[_Reducer], list[Terms]]:
+    """Buchberger completion with deterministic pair selection.
+
+    Returns the completed basis and the relations: the nonzero remainders
+    whose lead lies in a component >= ``split``.  A relation never reduces
+    anything and forms no pairs.
+    """
+    basis = [_make_reducer(_monic_terms(t, keyfn), keyfn, split) for t in seeds if t]
+    if not basis:
+        raise ValueError("empty generator list")
+    relations: list[Terms] = []
+
+    def keep(h: Terms, i: int, j: int) -> bool:
+        red = _make_reducer(_monic_terms(h, keyfn), keyfn, split)
+        if red.lead[0] >= split:
+            relations.append(h)
+            return False
+        basis.append(red)
+        return True
+
+    _walk_pairs(basis, keyfn, keep)
+    return basis, relations
 
 
 def _minimalize(basis: list[_Reducer], keyfn: KeyFn) -> list[_Reducer]:
@@ -325,12 +360,9 @@ def _minimalize(basis: list[_Reducer], keyfn: KeyFn) -> list[_Reducer]:
 def _verify_complete(basis: Sequence[_Reducer], keyfn: KeyFn):
     """Re-check the Buchberger criterion on the completed generator set.
 
-    The pairs of the final set are walked smallest lcm first.  A pair is
-    left out when its leads are coprime and every generator lies in
-    component 0 (the product criterion, which fails for modules), or when a
-    third lead of the same component divides its lcm and both pairs through
-    that lead were walked before it (the chain criterion).  Every other
-    S-vector is reduced against the full set and must vanish.
+    The pairs of the final set are walked by ``_walk_pairs``, under the
+    same two criteria as the completion, and every S-vector it reduces
+    must vanish.
 
     Soundness, by induction along the walk (Buchberger's second criterion
     applied sequentially, Cox-Little-O'Shea section 2.9): a pair that
@@ -341,24 +373,13 @@ def _verify_complete(basis: Sequence[_Reducer], keyfn: KeyFn):
     every pair has such a representation, which is the standard-basis
     property; a minimal subset with the same leading terms inherits it.
     """
-    leads = [r.lead for r in basis]
-    ideal = all(comp == 0 for r in basis for comp, _ in r.terms)
-    pairs = sorted(
-        _pair_key(leads, i, j)
-        for j in range(len(basis))
-        for i in range(j)
-        if leads[i][0] == leads[j][0]
-    )
-    walked: set[tuple[int, int]] = set()
-    for _, lcm, i, j in pairs:
-        coprime = ideal and lcm == _shift(leads[i][1], leads[j][1])
-        if not coprime and not _chain_covered(leads, i, j, lcm, walked):
-            if _nf_global(_spoly_terms(basis[i], basis[j]), basis, keyfn):
-                raise RuntimeError(
-                    f"completion check failed: S-vector of generators {i},{j} "
-                    "has nonzero normal form"
-                )
-        walked.add((i, j))
+
+    def fail(h: Terms, i: int, j: int) -> bool:
+        raise RuntimeError(
+            f"completion check failed: S-vector of generators {i},{j} has nonzero normal form"
+        )
+
+    _walk_pairs(basis, keyfn, fail)
 
 
 @dataclass(frozen=True)
@@ -417,7 +438,7 @@ def _local_completion(seeds: list[Terms], order: MonomialOrder, split: int, veri
         return (comp, sum(ext), loc_key(ext[1:]))
 
     hseeds = [_homogenize_terms(terms) for terms in seeds]
-    completed = _std_engine(hseeds, hkey, split)
+    completed, _ = _std_engine(hseeds, hkey, split)
     if verify:
         _verify_complete(completed, hkey)
     out: list[_Reducer] = []
@@ -445,7 +466,7 @@ def standard_basis(
     if order.is_local():
         completed = _local_completion(seeds, order, ncomp, verify)
     else:
-        completed = _std_engine(seeds, keyfn, ncomp)
+        completed, _ = _std_engine(seeds, keyfn, ncomp)
         if verify:
             _verify_complete(completed, keyfn)
     basis = _minimalize(completed, keyfn)
@@ -532,11 +553,24 @@ def syzygies(gens: Sequence[VectorPoly | Polynomial], order: MonomialOrder) -> l
     """Generators of the syzygy module of the ordered tuple ``gens``.
 
     Schreyer collection: the generators g_1..g_k in O^r are embedded as
-    g_i + e_(r+i) in O^(r+k) under an order where real terms dominate and
-    bookkeeping terms compare through the leads they multiply.  Only pairs
-    leading in the real block are formed, without pair-skipping criteria
-    (a pair whose S-vector dies still contributes its relation); whenever a
-    reduction's real part vanishes, its bookkeeping part is one syzygy.
+    g_i + e_(r+i) in O^(r+k) under an elimination order where real terms
+    dominate and bookkeeping terms compare through the leads they multiply.
+    ``_std_engine`` completes these seeds with split r, so every remainder
+    whose real part vanishes comes back as a relation; its bookkeeping
+    part is one syzygy.  The engine skips pairs by the chain criterion over
+    pairs already walked; the product criterion stays off, since the seeds
+    have terms outside component 0.
+
+    Soundness: let B be the completed basis and R the relations.  Each pair
+    of B that is not skipped reduces to zero, to a new element of B, or to
+    an element of R, so it has a standard representation with respect to
+    B and R; by the same induction as in ``_verify_complete`` so does every
+    skipped pair.  Leads of B are real and leads of R bookkeeping, so no
+    pair mixes them, and B together with a standard basis of the submodule
+    generated by R is a standard basis of the submodule generated by the
+    seeds.  Under the elimination order, its part with bookkeeping leads
+    generates the elements without real terms, which are the syzygies; that
+    part lies in the submodule generated by R, so R generates the syzygies.
 
     For a local target order the collection itself runs on the
     degree-homogenized inputs under the induced global order; setting the
@@ -576,36 +610,11 @@ def syzygies(gens: Sequence[VectorPoly | Polynomial], order: MonomialOrder) -> l
         lead_c, lead_e = input_leads[comp - r]
         return (0, lead_c, scalar_key(_shift(expo, lead_e)), -comp)
 
-    basis: list[_Reducer] = []
-    for i, terms in enumerate(seeds):
-        extended = dict(terms)
-        extended[(r + i, zero_expo)] = _ONE
-        basis.append(_make_reducer(_monic_terms(extended, elim_key), elim_key, r))
-    collected: list[Terms] = []
-
-    leads = [b.lead for b in basis]
-    pending = [
-        _pair_key(leads, i, j) for j in range(k) for i in range(j) if leads[i][0] == leads[j][0]
-    ]
-    heapify(pending)
-    while pending:
-        _, _, i, j = heappop(pending)
-        h = _nf_global_real(_spoly_terms(basis[i], basis[j]), basis, elim_key, r)
-        if not h:
-            continue
-        lead = max(h, key=elim_key)
-        if lead[0] >= r:
-            collected.append(h)
-            continue
-        basis.append(_make_reducer(_monic_terms(h, elim_key), elim_key, r))
-        leads.append(basis[-1].lead)
-        jn = len(basis) - 1
-        for i2 in range(jn):
-            if leads[i2][0] == lead[0]:
-                heappush(pending, _pair_key(leads, i2, jn))
+    extended = [{**terms, (r + i, zero_expo): _ONE} for i, terms in enumerate(seeds)]
+    _, relations = _std_engine(extended, elim_key, r)
 
     out: list[VectorPoly] = []
-    for h in collected:
+    for h in relations:
         merged: Terms = {}
         for (comp, e), c in h.items():
             key = (comp - r, e[pad:])
@@ -628,26 +637,6 @@ def _check_syzygies(vecs: Sequence[VectorPoly], syzs: Iterable[VectorPoly]):
             _sub_scaled(total, vecs[slot].terms, expo, -c)
         if any(v != 0 for v in total.values()):
             raise RuntimeError("syzygy verification failed")
-
-
-def _nf_global_real(h: Terms, pool: Sequence[_Reducer], keyfn: KeyFn, split: int) -> Terms:
-    """Global-order reduction that stops once the lead leaves the real block."""
-    h = dict(h)
-    while h:
-        lt = max(h, key=keyfn)
-        if lt[0] >= split:
-            return h
-        c = h[lt]
-        hit = None
-        for red in pool:
-            if red.lead[0] == lt[0] and _divides(red.lead[1], lt[1]):
-                hit = red
-                break
-        if hit is None:
-            # irreducible real lead: caller promotes h to a new basis element
-            return h
-        _sub_scaled(h, hit.terms, _quotient(lt[1], hit.lead[1]), c / hit.coeff)
-    return h
 
 
 class ResidueTable:

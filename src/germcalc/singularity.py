@@ -203,14 +203,16 @@ def find_weights(f: Polynomial) -> WeightData | None:
 
 
 def graded_piece(t1: GradedT1, wdata: WeightData, target_weight: int) -> list[Exponent]:
-    """Basis monomials of the Tjurina algebra of exactly the target weight."""
+    """Basis monomials of the Tjurina algebra of exactly the target weight.
+
+    ``wdata`` must be the grading the algebra was built with,
+    ``t1.weight_data``; any other weights raise ValueError.
+    """
     if not t1.is_graded():
         raise ValueError("Tjurina algebra is not graded (no weights found)")
-    return [
-        e
-        for e in t1.monomials
-        if wdata.monomial_weight(e) == target_weight
-    ]
+    if wdata != t1.weight_data:
+        raise ValueError(f"weights {wdata} are not the grading {t1.weight_data} of the algebra")
+    return [e for e, w in zip(t1.monomials, t1.weights) if w == target_weight]
 
 
 def icis_tjurina(germ: GermInput) -> int | float:

@@ -119,12 +119,13 @@ def test_unknown_family_exit_one(capsys):
     assert "unknown family" in err
 
 
-def test_scan_bad_zero_range_exit_one(capsys):
+@pytest.mark.parametrize("zero", ["s..s6", "s6..s1"])
+def test_scan_bad_zero_range_exit_one(zero, capsys):
     code, _, err = run_cli(
-        ["scan", "--family", "example7-martin", "--param", "t=1", "--zero", "s..s6"], capsys
+        ["scan", "--family", "example7-martin", "--param", "t=1", "--zero", zero], capsys
     )
     assert code == 1
-    assert "bad range 's..s6'" in err
+    assert f"bad range {zero!r}" in err
 
 
 def test_scan_table_shows_jumps(capsys):

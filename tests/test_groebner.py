@@ -3,6 +3,7 @@ brute-force oracle cross-check."""
 
 import random
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import inf
 
 import pytest
@@ -23,10 +24,14 @@ from germcalc import (
 )
 from germcalc.groebner import (
     _check_syzygies,
+    _divides,
     _homogenize_terms,
     _make_reducer,
+    _monic_terms,
     _nf_global,
+    _pair_key,
     _spoly_terms,
+    _sub_scaled,
     _std_engine,
     _verify_complete,
 )
@@ -154,17 +159,17 @@ def completed_sets():
     for germ in [g for g in CATALOG if g.tau <= 10]:
         f = cached_poly(germ.text, germ.vars)
         seeds = [_homogenize_terms(dict(VectorPoly.from_poly(g).terms)) for g in [f] + jacobian(f)]
-        yield germ.name, _std_engine(seeds, hkey, 1), hkey
+        yield germ.name, _std_engine(seeds, hkey, 1)[0], hkey
     f = parse_poly("x^3+y^3+z^3+x*y*z", V3)
     seeds = [dict(VectorPoly.from_poly(g).terms) for g in jacobian(f)]
-    yield "degrevlex", _std_engine(seeds, DEGREVLEX.module_key, 1), DEGREVLEX.module_key
+    yield "degrevlex", _std_engine(seeds, DEGREVLEX.module_key, 1)[0], DEGREVLEX.module_key
     eqs = [parse_poly("x^4+y^4+2*z^2", V3), parse_poly("2*z-x*y", V3)]
     zero = parse_poly("0", V3)
     gens = [VectorPoly.from_polys([g.partial_derivative(v) for g in eqs]) for v in V3]
     gens += [VectorPoly.from_polys([g, zero]) for g in eqs]
     gens += [VectorPoly.from_polys([zero, g]) for g in eqs]
     seeds = [_homogenize_terms(dict(g.terms)) for g in gens]
-    yield "icis", _std_engine(seeds, hkey, 2), hkey
+    yield "icis", _std_engine(seeds, hkey, 2)[0], hkey
 
 
 def test_completion_certificate_agrees_with_all_pairs_check():
@@ -291,6 +296,102 @@ def test_syzygy_certificate_rejects_a_wrong_vector():
     wrong = VectorPoly(f.ring, len(gens), terms)
     with pytest.raises(RuntimeError, match="syzygy verification failed"):
         _check_syzygies(gens, [wrong])
+
+
+def _nf_real(h, pool, keyfn, split):
+    """Top reduction that stops once the lead leaves the real block."""
+    h = dict(h)
+    while h:
+        lt = max(h, key=keyfn)
+        if lt[0] >= split:
+            return h
+        hit = next((r for r in pool if r.lead[0] == lt[0] and _divides(r.lead[1], lt[1])), None)
+        if hit is None:
+            return h
+        _sub_scaled(h, hit.terms, tuple(b - a for a, b in zip(hit.lead[1], lt[1])),
+                    h[lt] / hit.coeff)
+    return h
+
+
+def all_pairs_syzygies(gens, order):
+    """Reference Schreyer collection with no pair criteria: every pair of
+    the real block is reduced, and each remainder whose real part dies is
+    one syzygy (homogenized for a local order, as in ``syzygies``)."""
+    ring, r, k = gens[0].ring, gens[0].ncomp, len(gens)
+    pad = 1 if order.is_local() else 0
+    if pad:
+        def scalar_key(ext):
+            return (sum(ext), order.sort_key(ext[1:]))
+
+        seeds = [_homogenize_terms(dict(g.terms)) for g in gens]
+    else:
+        scalar_key = order.sort_key
+        seeds = [dict(g.terms) for g in gens]
+    input_leads = [max(t, key=lambda m: (m[0], scalar_key(m[1]))) for t in seeds]
+
+    def elim_key(term):
+        comp, expo = term
+        if comp < r:
+            return (1, comp, scalar_key(expo))
+        lead_c, lead_e = input_leads[comp - r]
+        return (0, lead_c, scalar_key(tuple(a + b for a, b in zip(expo, lead_e))), -comp)
+
+    zero = (0,) * (len(ring) + pad)
+    basis = [_make_reducer(_monic_terms({**t, (r + i, zero): 1}, elim_key), elim_key, r)
+             for i, t in enumerate(seeds)]
+    leads = [b.lead for b in basis]
+    pending = [
+        _pair_key(leads, i, j) for j in range(k) for i in range(j) if leads[i][0] == leads[j][0]
+    ]
+    heapify(pending)
+    out = []
+    while pending:
+        _, _, i, j = heappop(pending)
+        h = _nf_real(_spoly_terms(basis[i], basis[j]), basis, elim_key, r)
+        if not h:
+            continue
+        if max(h, key=elim_key)[0] >= r:
+            merged = {}
+            for (comp, e), c in h.items():
+                merged[(comp - r, e[pad:])] = merged.get((comp - r, e[pad:]), 0) + c
+            out.append(VectorPoly(ring, k, merged))
+            continue
+        basis.append(_make_reducer(_monic_terms(h, elim_key), elim_key, r))
+        leads.append(basis[-1].lead)
+        for i in range(len(basis) - 1):
+            if leads[i][0] == leads[-1][0]:
+                heappush(pending, _pair_key(leads, i, len(basis) - 1))
+    return out
+
+
+def syzygy_inputs():
+    """(label, generators, order): (df, f) of small catalog germs, of one germ
+    under a global order, and the Jacobian columns and equation multiples of
+    an ICIS in O^2."""
+    for germ in [g for g in CATALOG if g.tau <= 16]:
+        f = cached_poly(germ.text, germ.vars)
+        yield germ.name, [VectorPoly.from_poly(g) for g in jacobian(f) + [f]], NEGDEGREVLEX
+    f = parse_poly("x^3+y^3+z^3+x*y*z", V3)
+    yield "degrevlex", [VectorPoly.from_poly(g) for g in jacobian(f) + [f]], DEGREVLEX
+    eqs = [parse_poly("x^4+y^4+2*z^2", V3), parse_poly("2*z-x*y", V3)]
+    zero = parse_poly("0", V3)
+    gens = [VectorPoly.from_polys([g.partial_derivative(v) for g in eqs]) for v in V3]
+    gens += [VectorPoly.from_polys([g, zero]) for g in eqs]
+    gens += [VectorPoly.from_polys([zero, g]) for g in eqs]
+    yield "icis", gens, NEGDEGREVLEX
+
+
+@pytest.mark.parametrize(
+    "gens,order", [pytest.param(g, o, id=label) for label, g, o in syzygy_inputs()]
+)
+def test_syzygies_generate_every_all_pairs_syzygy(gens, order):
+    # the engine skips chain-covered pairs; what it returns must still
+    # generate every relation the criterion-free collection finds
+    reference = all_pairs_syzygies(gens, order)
+    assert reference
+    sb = standard_basis(syzygies(gens, order), order)
+    for s in reference:
+        assert normal_form(s, sb).is_zero(), s
 
 
 def test_spoly_requires_matching_components():

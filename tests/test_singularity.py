@@ -143,6 +143,13 @@ def test_graded_piece_requires_grading():
         graded_piece(t1, WeightData((1, 1, 1), 3), 3)
 
 
+def test_graded_piece_rejects_other_weights():
+    tau, t1 = cached_tjurina("x^3+y^3+z^3", V3)
+    assert graded_piece(t1, t1.weight_data, 3) == [(1, 1, 1)]
+    with pytest.raises(ValueError, match="not the grading"):
+        graded_piece(t1, WeightData((1, 2, 3), 6), 3)
+
+
 @pytest.mark.parametrize(
     "entry", [g for g in CATALOG if g.quasi_homogeneous], ids=lambda g: g.name
 )

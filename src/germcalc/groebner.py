@@ -13,10 +13,12 @@ case.  The machinery is shared:
   (smallest lcm degree first, ties by the lcm exponent tuple, then by the
   pair's indices), with the product criterion and the chain criterion;
   pending pairs sit in a heap of these keys, each computed once when its
-  pair is formed; for local orderings the completion runs on the
-  degree-homogenized input under the induced global order (Lazard's
-  method) and is dehomogenized afterwards, which keeps tails
-  division-reduced throughout;
+  pair is formed;
+* both reach the loop through ``_engine_input``, the one place where the
+  completion tells local from global orders: for local orderings it
+  degree-homogenizes the input and keys it by the induced global order
+  (Lazard's method), which keeps tails division-reduced throughout; the
+  slack entry is dropped afterwards;
 * the product criterion applies only when every seed term lies in
   component 0, decided from the data in ``_walk_pairs``, the pair walk
   of the engine and the certificate alike;
@@ -159,29 +161,18 @@ def _sub_scaled(target: Terms, source: Terms, shift: Exponent, factor: Fraction)
             target.pop(key, None)
 
 
-def _real_max_degree(terms: Terms, split: int) -> int:
-    degs = [sum(e) for c, e in terms if c < split]
-    return max(degs) if degs else 0
-
-
 @dataclass(frozen=True)
 class _Reducer:
     """A frozen reducer with its cached lead data."""
 
     lead: ModTerm
     coeff: Fraction
-    ecart: int
     terms: Terms
 
 
-def _make_reducer(terms: Terms, keyfn: KeyFn, split: int) -> _Reducer:
+def _make_reducer(terms: Terms, keyfn: KeyFn) -> _Reducer:
     lead = max(terms, key=keyfn)
-    return _Reducer(
-        lead=lead,
-        coeff=terms[lead],
-        ecart=_real_max_degree(terms, split) - sum(lead[1]),
-        terms=terms,
-    )
+    return _Reducer(lead=lead, coeff=terms[lead], terms=terms)
 
 
 def _nf_global(h: Terms, pool: Sequence[_Reducer], keyfn: KeyFn) -> Terms:
@@ -204,29 +195,36 @@ def _nf_global(h: Terms, pool: Sequence[_Reducer], keyfn: KeyFn) -> Terms:
     return remainder
 
 
-def _nf_mora(h: Terms, pool: Sequence[_Reducer], keyfn: KeyFn, split: int) -> Terms:
+def _ecart(terms: Terms, lead: ModTerm) -> int:
+    return max(sum(e) for _, e in terms) - sum(lead[1])
+
+
+def _nf_mora(h: Terms, pool: Sequence[_Reducer], keyfn: KeyFn) -> Terms:
     """Mora weak normal form for local orderings.
 
-    Reduces the leading term only, choosing a divisor of minimal ecart;
-    when every divisor has larger ecart than the current remainder, the
-    remainder joins the reducer pool (the implicit local unit, and the
-    reason the loop terminates).
+    Reduces the leading term only, choosing the first divisor of minimal
+    ecart (largest total degree minus the degree of the lead), computed here
+    for the pool and for every remainder added to it; when every divisor
+    has larger ecart than the current remainder, the remainder joins the
+    pool (the implicit local unit, and the reason the loop terminates).
     """
-    pool = list(pool)
+    with_ecart = [(_ecart(red.terms, red.lead), red) for red in pool]
     h = dict(h)
     while h:
         lt = max(h, key=keyfn)
         c = h[lt]
         best = None
-        for red in pool:
+        for ecart, red in with_ecart:
             if red.lead[0] == lt[0] and _divides(red.lead[1], lt[1]):
-                if best is None or red.ecart < best.ecart:
-                    best = red
+                if best is None or ecart < best[0]:
+                    best = (ecart, red)
         if best is None:
             return h
-        if best.ecart > _real_max_degree(h, split) - sum(lt[1]):
-            pool.append(_make_reducer(dict(h), keyfn, split))
-        _sub_scaled(h, best.terms, _quotient(lt[1], best.lead[1]), c / best.coeff)
+        ecart, red = best
+        own = _ecart(h, lt)
+        if ecart > own:
+            with_ecart.append((own, _make_reducer(dict(h), keyfn)))
+        _sub_scaled(h, red.terms, _quotient(lt[1], red.lead[1]), c / red.coeff)
     return h
 
 
@@ -240,8 +238,8 @@ def _spoly_terms(f: _Reducer, g: _Reducer) -> Terms:
 
 def spoly(f: VectorPoly, g: VectorPoly, keyfn: KeyFn) -> VectorPoly:
     """S-vector; the leading components must agree."""
-    rf = _make_reducer(dict(f.terms), keyfn, f.ncomp)
-    rg = _make_reducer(dict(g.terms), keyfn, g.ncomp)
+    rf = _make_reducer(f.terms, keyfn)
+    rg = _make_reducer(g.terms, keyfn)
     if rf.lead[0] != rg.lead[0]:
         raise ValueError("S-vector needs matching leading components")
     return VectorPoly(f.ring, f.ncomp, _spoly_terms(rf, rg))
@@ -328,13 +326,13 @@ def _std_engine(
     whose lead lies in a component >= ``split``.  A relation never reduces
     anything and forms no pairs.
     """
-    basis = [_make_reducer(_monic_terms(t, keyfn), keyfn, split) for t in seeds if t]
+    basis = [_make_reducer(_monic_terms(t, keyfn), keyfn) for t in seeds if t]
     if not basis:
         raise ValueError("empty generator list")
     relations: list[Terms] = []
 
     def keep(h: Terms, i: int, j: int) -> bool:
-        red = _make_reducer(_monic_terms(h, keyfn), keyfn, split)
+        red = _make_reducer(_monic_terms(h, keyfn), keyfn)
         if red.lead[0] >= split:
             relations.append(h)
             return False
@@ -372,6 +370,10 @@ def _verify_complete(basis: Sequence[_Reducer], keyfn: KeyFn):
     whose multipliers carry their representations below lcm(i, j).  So
     every pair has such a representation, which is the standard-basis
     property; a minimal subset with the same leading terms inherits it.
+
+    The skip rule itself is not re-checked: the certificate walks the pairs
+    with the same ``_walk_pairs`` as the engine, so a fault in that rule
+    would pass it.  The all-pairs differential tests catch such a fault.
     """
 
     def fail(h: Terms, i: int, j: int) -> bool:
@@ -421,31 +423,33 @@ def _as_vectors(gens: Iterable[VectorPoly | Polynomial]) -> list[VectorPoly]:
     return vecs
 
 
-def _local_completion(seeds: list[Terms], order: MonomialOrder, split: int, verify: bool):
-    """Standard basis for a local order by Lazard homogenization.
+def _homogenize_terms(terms: Terms) -> Terms:
+    """Pad every exponent with a leading slack entry making degrees equal."""
+    top = max(sum(e) for _, e in terms)
+    return {(comp, (top - sum(e),) + e): c for (comp, e), c in terms.items()}
 
-    Each generator is made degree-homogeneous with an extra variable (so
-    reduction never needs local unit multiples), a global Buchberger basis
-    is computed under degree-then-local-order comparison, and setting the
-    extra variable to 1 yields a standard basis for the local order.  This
-    sidesteps the tail blow-up Mora's intermediate pool can suffer on
-    position-over-term module orders.
+
+def _engine_input(
+    vecs: Sequence[VectorPoly], order: MonomialOrder
+) -> tuple[list[Terms], KeyFn, int]:
+    """Seeds, term key and number of slack entries for completing ``vecs``.
+
+    The one place where the completion tells local from global orders.  A
+    global order gets the inputs as given, under its own key; a local order
+    gets their degree-homogenizations (Lazard's method), keyed by component,
+    then total degree, then the local order on the rest.  Reduction then
+    needs no local units, which sidesteps the tail blow-up Mora's
+    intermediate pool can suffer on position-over-term module orders.
     """
-    loc_key = order.sort_key
+    if order.is_global():
+        return [dict(v.terms) for v in vecs], order.module_key, 0
+    skey = order.sort_key
 
-    def hkey(term: ModTerm):
+    def key(term: ModTerm):
         comp, ext = term
-        return (comp, sum(ext), loc_key(ext[1:]))
+        return (comp, sum(ext), skey(ext[1:]))
 
-    hseeds = [_homogenize_terms(terms) for terms in seeds]
-    completed, _ = _std_engine(hseeds, hkey, split)
-    if verify:
-        _verify_complete(completed, hkey)
-    out: list[_Reducer] = []
-    for r in completed:
-        dehom = {(comp, ext[1:]): c for (comp, ext), c in r.terms.items()}
-        out.append(_make_reducer(dehom, order.module_key, split))
-    return out
+    return [_homogenize_terms(v.terms) for v in vecs], key, 1
 
 
 def standard_basis(
@@ -453,6 +457,9 @@ def standard_basis(
 ) -> StandardBasis:
     """Complete the generators to a standard (Groebner) basis.
 
+    One path for every order: the seeds and key from ``_engine_input``
+    (which homogenizes for a local order) are completed, the completion is
+    certified, the slack entries are dropped and the result is minimalized.
     Output is deterministic for a fixed input: fixed selection strategy,
     monic generators sorted by leading term.  With ``verify`` (the default)
     the Buchberger criterion is re-checked on the final set.
@@ -461,20 +468,26 @@ def standard_basis(
     if not vecs:
         raise ValueError("all generators are zero")
     ring, ncomp = vecs[0].ring, vecs[0].ncomp
+    seeds, engine_key, pad = _engine_input(vecs, order)
+    completed, _ = _std_engine(seeds, engine_key, ncomp)
+    if verify:
+        _verify_complete(completed, engine_key)
     keyfn = order.module_key
-    seeds = [dict(v.terms) for v in vecs]
-    if order.is_local():
-        completed = _local_completion(seeds, order, ncomp, verify)
-    else:
-        completed, _ = _std_engine(seeds, keyfn, ncomp)
-        if verify:
-            _verify_complete(completed, keyfn)
-    basis = _minimalize(completed, keyfn)
+    dropped = [
+        _make_reducer({(comp, e[pad:]): c for (comp, e), c in r.terms.items()}, keyfn)
+        for r in completed
+    ]
+    basis = _minimalize(dropped, keyfn)
     return StandardBasis(
         generators=tuple(VectorPoly(ring, ncomp, r.terms) for r in basis),
         order=order,
         leading_terms=tuple(r.lead for r in basis),
     )
+
+
+def _pool(basis: StandardBasis) -> list[_Reducer]:
+    keyfn = basis.order.module_key
+    return [_make_reducer(g.terms, keyfn) for g in basis.generators]
 
 
 def normal_form(p: VectorPoly | Polynomial, basis: StandardBasis) -> VectorPoly:
@@ -486,13 +499,8 @@ def normal_form(p: VectorPoly | Polynomial, basis: StandardBasis) -> VectorPoly:
     v = VectorPoly.from_poly(p) if isinstance(p, Polynomial) else p
     if v.ring != basis.ring or v.ncomp != basis.ncomp:
         raise ValueError("ring or component mismatch with basis")
-    keyfn = basis.order.module_key
-    pool = [_make_reducer(dict(g.terms), keyfn, v.ncomp) for g in basis.generators]
-    if basis.order.is_local():
-        out = _nf_mora(v.terms, pool, keyfn, v.ncomp)
-    else:
-        out = _nf_global(v.terms, pool, keyfn)
-    return VectorPoly(v.ring, v.ncomp, out)
+    nf = _nf_mora if basis.order.is_local() else _nf_global
+    return VectorPoly(v.ring, v.ncomp, nf(v.terms, _pool(basis), basis.order.module_key))
 
 
 @dataclass(frozen=True)
@@ -513,9 +521,9 @@ def staircase(basis: StandardBasis) -> Staircase:
     per_comp: dict[int, list[Exponent]] = {c: [] for c in range(basis.ncomp)}
     for comp, expo in basis.leading_terms:
         per_comp[comp].append(expo)
-    bounds: dict[int, list[int]] = {}
+    found: list[ModTerm] = []
     for comp in range(basis.ncomp):
-        comp_bounds = []
+        bounds = []
         for i in range(nvars):
             pure = [
                 e[i]
@@ -524,29 +532,12 @@ def staircase(basis: StandardBasis) -> Staircase:
             ]
             if not pure:
                 return Staircase((), False, inf)
-            comp_bounds.append(min(pure))
-        bounds[comp] = comp_bounds
-    found: list[ModTerm] = []
-    for comp in range(basis.ncomp):
-        stack: list[list[int]] = [[]]
-        while stack:
-            prefix = stack.pop()
-            if len(prefix) == nvars:
-                expo = tuple(prefix)
-                if not any(_divides(lead, expo) for lead in per_comp[comp]):
-                    found.append((comp, expo))
-                continue
-            i = len(prefix)
-            for e in range(bounds[comp][i]):
-                stack.append(prefix + [e])
+            bounds.append(min(pure))
+        for expo in product(*(range(b) for b in bounds)):
+            if not any(_divides(lead, expo) for lead in per_comp[comp]):
+                found.append((comp, expo))
     found.sort(key=lambda t: (sum(t[1]), t[0], t[1]))
     return Staircase(tuple(found), True, len(found))
-
-
-def _homogenize_terms(terms: Terms) -> Terms:
-    """Pad every exponent with a leading slack entry making degrees equal."""
-    top = max(sum(e) for _, e in terms)
-    return {(comp, (top - sum(e),) + e): c for (comp, e), c in terms.items()}
 
 
 def syzygies(gens: Sequence[VectorPoly | Polynomial], order: MonomialOrder) -> list[VectorPoly]:
@@ -572,7 +563,8 @@ def syzygies(gens: Sequence[VectorPoly | Polynomial], order: MonomialOrder) -> l
     generates the elements without real terms, which are the syzygies; that
     part lies in the submodule generated by R, so R generates the syzygies.
 
-    For a local target order the collection itself runs on the
+    The seeds and the term key come from ``_engine_input``, as for
+    ``standard_basis``: for a local target order the collection runs on the
     degree-homogenized inputs under the induced global order; setting the
     slack variable to 1 turns any homogeneous relation into a relation of
     the original generators, and every polynomial relation arises that way.
@@ -584,31 +576,16 @@ def syzygies(gens: Sequence[VectorPoly | Polynomial], order: MonomialOrder) -> l
             raise ValueError("zero generator has no meaningful syzygies")
     ring, r = vecs[0].ring, vecs[0].ncomp
     k = len(vecs)
-    local = order.is_local()
-    skey = order.sort_key
-
-    if local:
-        def scalar_key(ext: Exponent):
-            return (sum(ext), skey(ext[1:]))
-
-        seeds = [_homogenize_terms(dict(v.terms)) for v in vecs]
-        pad = 1
-    else:
-        scalar_key = skey
-        seeds = [dict(v.terms) for v in vecs]
-        pad = 0
-
+    seeds, key, pad = _engine_input(vecs, order)
     zero_expo = (0,) * (len(ring) + pad)
-    input_leads = [
-        max(terms, key=lambda t: (t[0], scalar_key(t[1]))) for terms in seeds
-    ]
+    input_leads = [max(terms, key=key) for terms in seeds]
 
     def elim_key(term: ModTerm):
         comp, expo = term
         if comp < r:
-            return (1, comp, scalar_key(expo))
+            return (1, key(term))
         lead_c, lead_e = input_leads[comp - r]
-        return (0, lead_c, scalar_key(_shift(expo, lead_e)), -comp)
+        return (0, key((lead_c, _shift(expo, lead_e))), -comp)
 
     extended = [{**terms, (r + i, zero_expo): _ONE} for i, terms in enumerate(seeds)]
     _, relations = _std_engine(extended, elim_key, r)
@@ -655,7 +632,7 @@ class ResidueTable:
         below = [e for e in product(range(cut), repeat=len(basis.ring)) if deg(e) < cut]
         terms = sorted(((c, e) for c in range(basis.ncomp) for e in below), key=keyfn)
         positions = {t: i for i, t in enumerate(stair.standard_monomials)}
-        pool = [_make_reducer(dict(g.terms), keyfn, basis.ncomp) for g in basis.generators]
+        pool = _pool(basis)
         rows: dict[ModTerm, dict[int, Fraction]] = {}
         for comp, expo in terms:
             if (comp, expo) in positions:
@@ -710,11 +687,9 @@ def quotient_coordinates(
     if not stair.finite:
         raise ValueError("quotient is not finite dimensional")
     if basis.order.is_global():
-        keyfn = basis.order.module_key
-        pool = [_make_reducer(dict(g.terms), keyfn, v.ncomp) for g in basis.generators]
         positions = {t: i for i, t in enumerate(stair.standard_monomials)}
         coords = [_ZERO] * len(positions)
-        for term, coeff in _nf_global(v.terms, pool, keyfn).items():
+        for term, coeff in _nf_global(v.terms, _pool(basis), basis.order.module_key).items():
             coords[positions[term]] = coeff
         return coords
     return ResidueTable(basis, stair).coordinates(v.terms)

@@ -154,6 +154,14 @@ def test_projective_rejects_non_homogeneous(capsys):
     assert "homogeneous" in err
 
 
+def test_projective_singular_exit_one(capsys):
+    # x^3+y^3 in x, y, z is a cone over three points: V(f) is singular at [0:0:1]
+    code, out, err = run_cli(["projective", "--poly", "x^3+y^3"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: projective hypersurface V(f) is singular\n"
+
+
 def test_oracle_dim_requires_bound(capsys):
     with pytest.raises(SystemExit):
         main(["oracle-dim", "--gens", "x^2"])

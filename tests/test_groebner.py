@@ -114,7 +114,7 @@ def test_completion_certificate_rejects_incomplete_set():
     # the S-polynomial y*(x^2-y) - x*(x*y) = -y^2 has no divisor among the leads
     keyfn = DEGREVLEX.module_key
     gens = [parse_poly("x^2-y", V2), parse_poly("x*y", V2)]
-    pool = [_make_reducer(VectorPoly.from_poly(g).terms, keyfn, 1) for g in gens]
+    pool = [_make_reducer(VectorPoly.from_poly(g).terms, keyfn) for g in gens]
     with pytest.raises(RuntimeError):
         _verify_complete(pool, keyfn)
 
@@ -127,7 +127,7 @@ def test_completion_certificate_applies_no_product_criterion_to_modules():
         VectorPoly.from_polys([parse_poly("1", V2), parse_poly("x", V2)]),
         VectorPoly.from_polys([parse_poly("0", V2), parse_poly("y", V2)]),
     ]
-    pool = [_make_reducer(g.terms, keyfn, 2) for g in gens]
+    pool = [_make_reducer(g.terms, keyfn) for g in gens]
     assert [r.lead for r in pool] == [(1, (1, 0)), (1, (0, 1))]
     with pytest.raises(RuntimeError):
         _verify_complete(pool, keyfn)
@@ -337,7 +337,7 @@ def all_pairs_syzygies(gens, order):
         return (0, lead_c, scalar_key(tuple(a + b for a, b in zip(expo, lead_e))), -comp)
 
     zero = (0,) * (len(ring) + pad)
-    basis = [_make_reducer(_monic_terms({**t, (r + i, zero): 1}, elim_key), elim_key, r)
+    basis = [_make_reducer(_monic_terms({**t, (r + i, zero): 1}, elim_key), elim_key)
              for i, t in enumerate(seeds)]
     leads = [b.lead for b in basis]
     pending = [
@@ -356,7 +356,7 @@ def all_pairs_syzygies(gens, order):
                 merged[(comp - r, e[pad:])] = merged.get((comp - r, e[pad:]), 0) + c
             out.append(VectorPoly(ring, k, merged))
             continue
-        basis.append(_make_reducer(_monic_terms(h, elim_key), elim_key, r))
+        basis.append(_make_reducer(_monic_terms(h, elim_key), elim_key))
         leads.append(basis[-1].lead)
         for i in range(len(basis) - 1):
             if leads[i][0] == leads[-1][0]:
@@ -373,6 +373,9 @@ def syzygy_inputs():
         yield germ.name, [VectorPoly.from_poly(g) for g in jacobian(f) + [f]], NEGDEGREVLEX
     f = parse_poly("x^3+y^3+z^3+x*y*z", V3)
     yield "degrevlex", [VectorPoly.from_poly(g) for g in jacobian(f) + [f]], DEGREVLEX
+    f = parse_poly("x^6+y^3+z^2+x*y*z", V3)
+    gens = [VectorPoly.from_poly(g) for g in jacobian(f) + [f]]
+    yield "weighted", gens, weighted_local((1, 2, 3))
     eqs = [parse_poly("x^4+y^4+2*z^2", V3), parse_poly("2*z-x*y", V3)]
     zero = parse_poly("0", V3)
     gens = [VectorPoly.from_polys([g.partial_derivative(v) for g in eqs]) for v in V3]
@@ -392,6 +395,30 @@ def test_syzygies_generate_every_all_pairs_syzygy(gens, order):
     sb = standard_basis(syzygies(gens, order), order)
     for s in reference:
         assert normal_form(s, sb).is_zero(), s
+
+
+def verify_switch_inputs():
+    """(label, generators, order) for comparing completions with and without the certificate."""
+    f = parse_poly("x^6+y^3+z^2+x*y*z", V3)
+    for label, order in [
+        ("degrevlex", DEGREVLEX),
+        ("negdegrevlex", NEGDEGREVLEX),
+        ("weighted", weighted_local((1, 2, 3))),
+    ]:
+        yield label, [f] + jacobian(f), order
+    yield next(case for case in syzygy_inputs() if case[0] == "icis")
+
+
+@pytest.mark.parametrize(
+    "gens,order", [pytest.param(g, o, id=label) for label, g, o in verify_switch_inputs()]
+)
+def test_unverified_completion_gives_the_same_basis(gens, order):
+    # the certificate only re-checks the completed set; skipping it must not
+    # change what is returned
+    assert (
+        standard_basis(gens, order, verify=False).generators
+        == standard_basis(gens, order).generators
+    )
 
 
 def test_spoly_requires_matching_components():

@@ -14,6 +14,15 @@ case.  The machinery is shared:
   pair's indices), with the product criterion and the chain criterion;
   pending pairs sit in a heap of these keys, each computed once when its
   pair is formed;
+* every divisor search (reduction, the chain criterion, minimalization,
+  staircases, residue tables) goes through ``_divisors``, a scan in pool
+  order that passes over a lead whose exponent mask (``_mask``, kept on
+  each ``_Reducer``) has a bit outside the term's mask; the mask is a
+  necessary test only, and the exact ``_divides`` decides every lead that
+  passes it;
+* each term's order key is computed once per completion: ``_std_engine``
+  and ``_verify_complete`` memoize the key for the length of their call,
+  and the memo goes when the call returns;
 * both reach the loop through ``_engine_input``, the one place where the
   completion tells local from global orders: for local orderings it
   degree-homogenizes the input and keys it by the induced global order
@@ -49,10 +58,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from heapq import heappop, heappush
 from itertools import product
 from math import inf
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .orders import MonomialOrder
 from .poly import Exponent, Polynomial
@@ -161,18 +171,59 @@ def _sub_scaled(target: Terms, source: Terms, shift: Exponent, factor: Fraction)
             target.pop(key, None)
 
 
-@dataclass(frozen=True)
+_MASK_CAP = 8  # bits per variable in a lead mask
+_UNARY = tuple((1 << e) - 1 for e in range(_MASK_CAP + 1))
+
+
+def _mask(expo: Exponent) -> int:
+    """Exponent-vector mask: per variable, min(e, cap) unary bits in a field of its own.
+
+    The fields are cap bits wide and are added, so they must not overlap.
+    If a divides b then _mask(a) & ~_mask(b) == 0; the converse fails once
+    an exponent reaches the cap, so the mask is a necessary test only.
+    """
+    mask = 0
+    for e in expo:
+        mask = (mask << _MASK_CAP) + _UNARY[e if e < _MASK_CAP else _MASK_CAP]
+    return mask
+
+
+@dataclass(frozen=True, slots=True)
 class _Reducer:
-    """A frozen reducer with its cached lead data."""
+    """A frozen reducer with its cached lead data.
+
+    ``mask`` is ``_mask`` of the lead exponent: a lead whose mask has a bit
+    outside a term's mask cannot divide that term.  The mask is a necessary
+    test only: it prefilters ``_divisors``, and ``_divides`` decides every
+    candidate that passes it.  Inside a completion the lead is found with
+    the key that ``_std_engine`` memoizes for the length of its call.
+    """
 
     lead: ModTerm
     coeff: Fraction
     terms: Terms
+    mask: int
+
+
+def _reducer(lead: ModTerm, terms: Terms) -> _Reducer:
+    return _Reducer(lead=lead, coeff=terms[lead], terms=terms, mask=_mask(lead[1]))
 
 
 def _make_reducer(terms: Terms, keyfn: KeyFn) -> _Reducer:
-    lead = max(terms, key=keyfn)
-    return _Reducer(lead=lead, coeff=terms[lead], terms=terms)
+    return _reducer(max(terms, key=keyfn), terms)
+
+
+def _divisors(pool: Sequence[_Reducer], term: ModTerm) -> Iterator[int]:
+    """Indices, in pool order, of the reducers whose lead divides ``term``.
+
+    The term's mask is computed once; a lead of another component, or one
+    whose mask fails, is passed over without the exact test.
+    """
+    comp, expo = term
+    miss = ~_mask(expo)
+    for k, red in enumerate(pool):
+        if not red.mask & miss and red.lead[0] == comp and _divides(red.lead[1], expo):
+            yield k
 
 
 def _nf_global(h: Terms, pool: Sequence[_Reducer], keyfn: KeyFn) -> Terms:
@@ -181,17 +232,12 @@ def _nf_global(h: Terms, pool: Sequence[_Reducer], keyfn: KeyFn) -> Terms:
     remainder: Terms = {}
     while h:
         lt = max(h, key=keyfn)
-        c = h[lt]
-        hit = None
-        for red in pool:
-            if red.lead[0] == lt[0] and _divides(red.lead[1], lt[1]):
-                hit = red
-                break
-        if hit is None:
-            remainder[lt] = c
-            del h[lt]
+        k = next(_divisors(pool, lt), None)
+        if k is None:
+            remainder[lt] = h.pop(lt)
         else:
-            _sub_scaled(h, hit.terms, _quotient(lt[1], hit.lead[1]), c / hit.coeff)
+            red = pool[k]
+            _sub_scaled(h, red.terms, _quotient(lt[1], red.lead[1]), h[lt] / red.coeff)
     return remainder
 
 
@@ -208,23 +254,20 @@ def _nf_mora(h: Terms, pool: Sequence[_Reducer], keyfn: KeyFn) -> Terms:
     has larger ecart than the current remainder, the remainder joins the
     pool (the implicit local unit, and the reason the loop terminates).
     """
-    with_ecart = [(_ecart(red.terms, red.lead), red) for red in pool]
+    pool = list(pool)
+    ecarts = [_ecart(red.terms, red.lead) for red in pool]
     h = dict(h)
     while h:
         lt = max(h, key=keyfn)
-        c = h[lt]
-        best = None
-        for ecart, red in with_ecart:
-            if red.lead[0] == lt[0] and _divides(red.lead[1], lt[1]):
-                if best is None or ecart < best[0]:
-                    best = (ecart, red)
-        if best is None:
+        k = min(_divisors(pool, lt), key=ecarts.__getitem__, default=None)
+        if k is None:
             return h
-        ecart, red = best
+        red = pool[k]
         own = _ecart(h, lt)
-        if ecart > own:
-            with_ecart.append((own, _make_reducer(dict(h), keyfn)))
-        _sub_scaled(h, red.terms, _quotient(lt[1], red.lead[1]), c / red.coeff)
+        if ecarts[k] > own:
+            pool.append(_make_reducer(dict(h), keyfn))
+            ecarts.append(own)
+        _sub_scaled(h, red.terms, _quotient(lt[1], red.lead[1]), h[lt] / red.coeff)
     return h
 
 
@@ -267,12 +310,11 @@ def _pair_key(leads: Sequence[ModTerm], i: int, j: int) -> PairKey:
 
 
 def _chain_covered(
-    leads: Sequence[ModTerm], i: int, j: int, lcm: Exponent, walked: set[tuple[int, int]]
+    basis: Sequence[_Reducer], i: int, j: int, lcm: Exponent, walked: set[tuple[int, int]]
 ) -> bool:
     """Does another lead of the same component divide lcm, with both pairs through it walked?"""
-    comp = leads[i][0]
-    for k, (kcomp, kexpo) in enumerate(leads):
-        if k in (i, j) or kcomp != comp or not _divides(kexpo, lcm):
+    for k in _divisors(basis, (basis[i].lead[0], lcm)):
+        if k in (i, j):
             continue
         if (min(i, k), max(i, k)) in walked and (min(j, k), max(j, k)) in walked:
             return True
@@ -309,7 +351,7 @@ def _walk_pairs(
     while pending:
         _, lcm, i, j = heappop(pending)
         coprime = ideal and lcm == _shift(leads[i][1], leads[j][1])
-        if not coprime and not _chain_covered(leads, i, j, lcm, walked):
+        if not coprime and not _chain_covered(basis, i, j, lcm, walked):
             h = _nf_global(_spoly_terms(basis[i], basis[j]), basis, keyfn)
             if h and on_remainder(h, i, j):
                 leads.append(basis[-1].lead)
@@ -324,8 +366,10 @@ def _std_engine(
 
     Returns the completed basis and the relations: the nonzero remainders
     whose lead lies in a component >= ``split``.  A relation never reduces
-    anything and forms no pairs.
+    anything and forms no pairs.  Each term's key is computed once per call:
+    ``keyfn`` is memoized here, and the memo goes when the call returns.
     """
+    keyfn = cache(keyfn)
     basis = [_make_reducer(_monic_terms(t, keyfn), keyfn) for t in seeds if t]
     if not basis:
         raise ValueError("empty generator list")
@@ -345,13 +389,10 @@ def _std_engine(
 
 def _minimalize(basis: list[_Reducer], keyfn: KeyFn) -> list[_Reducer]:
     """Drop generators whose lead is divisible by another kept lead."""
-    order = sorted(range(len(basis)), key=lambda i: keyfn(basis[i].lead))
     kept: list[_Reducer] = []
-    for i in order:
-        lt = basis[i].lead
-        if any(r.lead[0] == lt[0] and _divides(r.lead[1], lt[1]) for r in kept):
-            continue
-        kept.append(basis[i])
+    for red in sorted(basis, key=lambda r: keyfn(r.lead)):
+        if next(_divisors(kept, red.lead), None) is None:
+            kept.append(red)
     return kept
 
 
@@ -375,6 +416,7 @@ def _verify_complete(basis: Sequence[_Reducer], keyfn: KeyFn):
     with the same ``_walk_pairs`` as the engine, so a fault in that rule
     would pass it.  The all-pairs differential tests catch such a fault.
     """
+    keyfn = cache(keyfn)  # one key per term for this check, as in the engine
 
     def fail(h: Terms, i: int, j: int) -> bool:
         raise RuntimeError(
@@ -486,8 +528,7 @@ def standard_basis(
 
 
 def _pool(basis: StandardBasis) -> list[_Reducer]:
-    keyfn = basis.order.module_key
-    return [_make_reducer(g.terms, keyfn) for g in basis.generators]
+    return [_reducer(lead, g.terms) for g, lead in zip(basis.generators, basis.leading_terms)]
 
 
 def normal_form(p: VectorPoly | Polynomial, basis: StandardBasis) -> VectorPoly:
@@ -518,23 +559,21 @@ class Staircase:
 def staircase(basis: StandardBasis) -> Staircase:
     """Quotient staircase; finiteness decided by the pure-power criterion."""
     nvars = len(basis.ring)
-    per_comp: dict[int, list[Exponent]] = {c: [] for c in range(basis.ncomp)}
-    for comp, expo in basis.leading_terms:
-        per_comp[comp].append(expo)
+    pool = _pool(basis)
     found: list[ModTerm] = []
     for comp in range(basis.ncomp):
         bounds = []
         for i in range(nvars):
             pure = [
                 e[i]
-                for e in per_comp[comp]
-                if all(e[j] == 0 for j in range(nvars) if j != i)
+                for c, e in basis.leading_terms
+                if c == comp and all(e[j] == 0 for j in range(nvars) if j != i)
             ]
             if not pure:
                 return Staircase((), False, inf)
             bounds.append(min(pure))
         for expo in product(*(range(b) for b in bounds)):
-            if not any(_divides(lead, expo) for lead in per_comp[comp]):
+            if next(_divisors(pool, (comp, expo)), None) is None:
                 found.append((comp, expo))
     found.sort(key=lambda t: (sum(t[1]), t[0], t[1]))
     return Staircase(tuple(found), True, len(found))
@@ -638,7 +677,7 @@ class ResidueTable:
             if (comp, expo) in positions:
                 rows[(comp, expo)] = {positions[(comp, expo)]: _ONE}
                 continue
-            red = next(r for r in pool if r.lead[0] == comp and _divides(r.lead[1], expo))
+            red = pool[next(_divisors(pool, (comp, expo)))]
             shift = _quotient(expo, red.lead[1])
             row: dict[int, Fraction] = {}
             for (tcomp, texpo), c in red.terms.items():

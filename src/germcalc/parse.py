@@ -28,6 +28,7 @@ class ParseError(ValueError):
 
 
 _OPS = set("+-*/^()")
+_DIGITS = set("0123456789")  # str.isdigit also accepts superscripts and other scripts' digits
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -42,9 +43,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             tokens.append((c, c, i))
             i += 1
             continue
-        if c.isdigit():
+        if c in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(("uint", text[i:j], i))
             i = j

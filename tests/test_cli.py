@@ -91,6 +91,12 @@ def test_parse_error_reports_position(capsys):
     assert "position" in err
 
 
+def test_superscript_exponent_is_a_parse_error(capsys):
+    code, _, err = run_cli(["invariants", "--poly", "x^\u00b2+y^2"], capsys)
+    assert code == 1
+    assert err.startswith("error: unexpected character '\u00b2' (at position 2)")
+
+
 def test_non_vanishing_input_is_an_error(capsys):
     code, _, err = run_cli(["invariants", "--poly", "x^2+1"], capsys)
     assert code == 1

@@ -24,11 +24,9 @@ from germcalc import (
 )
 from germcalc.groebner import (
     _check_syzygies,
-    _divides,
     _homogenize_terms,
     _make_reducer,
     _monic_terms,
-    _nf_global,
     _pair_key,
     _spoly_terms,
     _sub_scaled,
@@ -133,10 +131,36 @@ def test_completion_certificate_applies_no_product_criterion_to_modules():
         _verify_complete(pool, keyfn)
 
 
+def first_divisor(pool, term):
+    """The first reducer whose lead divides ``term``, by a plain scan (no mask)."""
+    comp, expo = term
+    for red in pool:
+        if red.lead[0] == comp and all(a <= b for a, b in zip(red.lead[1], expo)):
+            return red
+    return None
+
+
+def reduces_to_zero(h, pool, keyfn):
+    """Top reduction by ``first_divisor`` until the remainder dies or its lead is stuck."""
+    h = dict(h)
+    while h:
+        lt = max(h, key=keyfn)
+        hit = first_divisor(pool, lt)
+        if hit is None:
+            return False
+        _sub_scaled(h, hit.terms, tuple(b - a for a, b in zip(hit.lead[1], lt[1])),
+                    h[lt] / hit.coeff)
+    return True
+
+
 def all_pairs_complete(pool, keyfn):
-    """Reference certificate without criteria: every S-vector reduces to zero."""
-    return not any(
-        _nf_global(_spoly_terms(pool[i], pool[j]), pool, keyfn)
+    """Reference certificate without criteria: every S-vector reduces to zero.
+
+    It reduces with its own division loop, so a fault in the engine's
+    divisor lookup cannot corrupt this reference and the certificate alike.
+    """
+    return all(
+        reduces_to_zero(_spoly_terms(pool[i], pool[j]), pool, keyfn)
         for j in range(len(pool))
         for i in range(j)
         if pool[i].lead[0] == pool[j].lead[0]
@@ -305,7 +329,7 @@ def _nf_real(h, pool, keyfn, split):
         lt = max(h, key=keyfn)
         if lt[0] >= split:
             return h
-        hit = next((r for r in pool if r.lead[0] == lt[0] and _divides(r.lead[1], lt[1])), None)
+        hit = first_divisor(pool, lt)
         if hit is None:
             return h
         _sub_scaled(h, hit.terms, tuple(b - a for a, b in zip(hit.lead[1], lt[1])),

@@ -91,6 +91,15 @@ def test_unexpected_character():
     assert err.value.position == 1
 
 
+@pytest.mark.parametrize("text, position", [("x^\u00b2", 2), ("x^\u0663", 2), ("\u00b9*x", 0)])
+def test_only_ascii_digits_are_numbers(text, position):
+    # str.isdigit() accepts the superscript two and the Arabic-Indic three;
+    # neither may parse as a number or escape as a bare int() error
+    with pytest.raises(ParseError, match="unexpected character") as err:
+        parse_poly(text, V2)
+    assert err.value.position == position
+
+
 def test_bad_variable_names_rejected():
     with pytest.raises(ValueError):
         parse_poly("x", ("x", "x"))

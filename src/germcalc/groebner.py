@@ -22,7 +22,8 @@ case.  The machinery is shared:
   passes it;
 * each term's order key is computed once per completion: ``_std_engine``
   and ``_verify_complete`` memoize the key for the length of their call,
-  and the memo goes when the call returns;
+  and the memo goes when the call returns; ``_nf_mora``, the local normal
+  form behind ``normal_form``, does the same;
 * both reach the loop through ``_engine_input``, the one place where the
   completion tells local from global orders: for local orderings it
   degree-homogenizes the input and keys it by the induced global order
@@ -253,7 +254,9 @@ def _nf_mora(h: Terms, pool: Sequence[_Reducer], keyfn: KeyFn) -> Terms:
     for the pool and for every remainder added to it; when every divisor
     has larger ecart than the current remainder, the remainder joins the
     pool (the implicit local unit, and the reason the loop terminates).
+    ``keyfn`` is memoized for the length of the call, as in ``_std_engine``.
     """
+    keyfn = cache(keyfn)
     pool = list(pool)
     ecarts = [_ecart(red.terms, red.lead) for red in pool]
     h = dict(h)

@@ -1,70 +1,128 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
-Matrices are lists of equal-length lists of ``Fraction``.  Pivoting is
-deterministic (first nonzero entry in row order), so reduced forms, ranks
-and kernel bases are reproducible.
+Row reduction is one sparse incremental echelon form, ``_echelon``: rows
+come in one at a time, dense lists or sparse ``{column: value}`` maps, and
+each is reduced against the pivot rows kept so far, which stay fully
+reduced (a 1 at the pivot, 0 at every other pivot column).  ``rref``,
+``rank`` and ``kernel_basis`` all read from it.  The reduced row echelon
+form of a row space is unique, so the result does not depend on the order
+in which rows arrive; pivots are the leading columns, so reduced forms,
+ranks and kernel bases are reproducible.  Dense matrices are lists of
+equal-length lists of ``Fraction``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 
 Matrix = list[list[Fraction]]
+Row = Sequence | Mapping[int, Fraction]  # dense list, or sparse {column: value}
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form (copy) and the list of pivot columns."""
-    m = [list(map(Fraction, row)) for row in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = _ONE / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
+def _sparse(row: Row, ncols: int) -> dict[int, Fraction]:
+    """The nonzero entries of ``row``; ValueError if it does not fit ``ncols`` columns."""
+    if isinstance(row, Mapping):
+        if any(not 0 <= c < ncols for c in row):
+            raise ValueError(f"sparse row has a column outside range({ncols})")
+        return {c: Fraction(v) for c, v in row.items() if v}
+    if len(row) != ncols:
+        raise ValueError(f"row of length {len(row)} in a matrix of {ncols} columns")
+    return {c: Fraction(v) for c, v in enumerate(row) if v}
+
+
+def _echelon(rows: Iterable[Row], ncols: int) -> dict[int, dict[int, Fraction]]:
+    """Pivot column -> the rest of its row in the reduced row echelon form.
+
+    Each pivot row has a 1 at its pivot, left out of the stored tail, and 0
+    at every other pivot column, so an incoming row is reduced in one pass:
+    subtract the pivot row at each of its pivot-column entries.  A row that
+    vanishes adds nothing; any other row is normalized at its smallest
+    column, the new pivot, which is then back-substituted out of the earlier
+    pivot rows.  That keeps every tail on non-pivot columns right of its
+    pivot.  Every row is checked against ``ncols``, also after the last
+    column has become a pivot and the reduction stops.
+    """
+    rows = [_sparse(row, ncols) for row in rows]
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for r in rows:
+        if len(pivots) == ncols:
             break
-    return m, pivots
+        for c in [c for c in r if c in pivots]:
+            _subtract(r, r.pop(c), pivots[c])
+        if not r:
+            continue
+        p = min(r)
+        inv = _ONE / r.pop(p)
+        tail = {k: v * inv for k, v in r.items()}
+        for q in pivots.values():
+            if p in q:
+                _subtract(q, q.pop(p), tail)
+        pivots[p] = tail
+    return pivots
+
+
+def _subtract(target: dict[int, Fraction], a: Fraction, source: dict[int, Fraction]):
+    """target -= a * source, dropping the entries that cancel."""
+    for k, v in source.items():
+        x = target.get(k, _ZERO) - a * v
+        if x:
+            target[k] = x
+        else:
+            del target[k]
+
+
+def _width(rows: Sequence[Row], ncols: int | None) -> int:
+    if ncols is not None:
+        return ncols
+    if not rows:
+        raise ValueError("empty matrix needs an explicit column count")
+    if isinstance(rows[0], Mapping):
+        raise ValueError("sparse rows need an explicit column count")
+    return len(rows[0])
+
+
+def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form (copy) and the list of pivot columns.
+
+    The pivot rows come in pivot-column order, then zero rows up to the
+    input row count.
+    """
+    if not rows:
+        return [], []
+    ncols = _width(rows, None)
+    pivots = _echelon(rows, ncols)
+    order = sorted(pivots)
+    out = [[_ZERO] * ncols for _ in rows]
+    for row, p in zip(out, order):
+        row[p] = _ONE
+        for k, v in pivots[p].items():
+            row[k] = v
+    return out, order
 
 
 def rank(rows: Matrix) -> int:
-    return len(rref(rows)[1])
+    return len(_echelon(rows, _width(rows, None))) if rows else 0
 
 
-def kernel_basis(rows: Matrix, ncols: int | None = None) -> list[list[Fraction]]:
-    """Basis of the right kernel {v : A v = 0}, one vector per free column."""
-    if ncols is None:
-        if not rows:
-            raise ValueError("empty matrix needs an explicit column count")
-        ncols = len(rows[0])
-    if not rows:
-        return [[_ONE if i == j else _ZERO for i in range(ncols)] for j in range(ncols)]
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [_ZERO] * ncols
-        v[free] = _ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][free]
-        basis.append(v)
-    return basis
+def kernel_basis(rows: Sequence[Row], ncols: int | None = None) -> list[list[Fraction]]:
+    """Basis of the right kernel {v : A v = 0}, one vector per free column.
+
+    Rows may be dense lists of length ``ncols`` or sparse ``{column: value}``
+    maps (then ``ncols`` is required); ValueError if a row does not fit.
+    """
+    ncols = _width(rows, ncols)
+    pivots = _echelon(rows, ncols)
+    basis = {c: [_ZERO] * ncols for c in range(ncols) if c not in pivots}
+    for c, v in basis.items():
+        v[c] = _ONE
+    for p, tail in pivots.items():
+        for k, v in tail.items():
+            basis[k][p] = -v
+    return list(basis.values())
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

@@ -20,7 +20,10 @@ action, and its residue is a table lookup in which terms past the cut
 vanish.  Most rows of these matrices are zero, and most tangent fields act
 as zero on T1; the kernel is computed from the nonzero rows only, which
 span the same row space as the full stack and so give the same reduced row
-echelon form, kernel basis and dimension.
+echelon form, kernel basis and dimension.  Those rows stay sparse: they go
+as ``{column: entry}`` maps straight into ``linalg.kernel_basis``, whose
+incremental echelon form reduces each against at most tau pivot rows and
+drops it once it vanishes.
 
 For homogeneous f the module also computes the first-order deformation
 count of the projective hypersurface (degree-m forms modulo the span of
@@ -207,17 +210,20 @@ def modular_tangent_space(f: Polynomial) -> ModularTangent:
     the Kodaira-Spencer identification of the base tangent space with T1 is
     the identity).  ``convention_sensitive`` reports whether the untwisted
     action (no cofactor correction) would give a different dimension.  Only
-    the nonzero rows of each action are stacked: zero rows leave the row
-    space, hence the reduced row echelon form and the kernel, unchanged.
+    the nonzero rows of each action are stacked, as sparse rows, and each
+    stack goes to ``linalg.kernel_basis`` without being densified: zero rows
+    leave the row space, hence the reduced row echelon form and the kernel,
+    unchanged, and that form is unique, so the sparse elimination gives the
+    kernel basis a dense one would.
     """
     t1 = _isolated_t1(f, "modular tangent space")
     gens = derivation_module(f)
-    stacked: list[list[Fraction]] = []
-    stacked_untwisted: list[list[Fraction]] = []
+    stacked: list[dict[int, Fraction]] = []
+    stacked_untwisted: list[dict[int, Fraction]] = []
     for v in gens:
         twisted, untwisted = _action_rows(v, t1)
-        stacked.extend(_dense(row, t1.tau) for row in twisted.values())
-        stacked_untwisted.extend(_dense(row, t1.tau) for row in untwisted.values())
+        stacked.extend(twisted.values())
+        stacked_untwisted.extend(untwisted.values())
     kernel = linalg.kernel_basis(stacked, ncols=t1.tau)
     alt_dim = len(linalg.kernel_basis(stacked_untwisted, ncols=t1.tau))
     return ModularTangent(

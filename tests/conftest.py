@@ -9,6 +9,7 @@ them exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -83,6 +84,51 @@ def cached_derivations(text: str, vars: tuple[str, ...]):
     from germcalc import derivation_module
 
     return tuple(derivation_module(cached_poly(text, vars)))
+
+
+def dense_rref(rows):
+    """Reference RREF: the plain dense column sweep, apart from ``germcalc.linalg``.
+
+    Pivots on the first nonzero entry in row order, column by column, and
+    clears each pivot column in every other row.
+    """
+    m = [[Fraction(v) for v in row] for row in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [v * inv for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                factor = m[i][c]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def dense_kernel(rows, ncols):
+    """Reference kernel basis read off ``dense_rref``, one vector per free column."""
+    red, pivots = dense_rref(rows)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][free]
+        basis.append(v)
+    return basis
 
 
 @pytest.fixture(scope="session")

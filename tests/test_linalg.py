@@ -30,6 +30,26 @@ def test_kernel_of_empty_matrix_is_everything():
     assert len(basis) == 3
 
 
+@pytest.mark.parametrize(
+    "rows, ncols",
+    [
+        ([[1, 0, 1]], 2),  # too long
+        ([[0, 0, 1]], 2),
+        ([[1, 1], [1]], None),  # ragged
+        ([[1]], 3),  # too short
+        ([[1, 0], [0, 1], [1]], None),  # checked also after the last pivot
+        ([{2: 1}], 2),  # sparse column past the end
+        ([{-1: 1}], 2),
+        ([{0: 1}], None),  # sparse rows carry no width
+    ],
+    ids=["long", "long-zero-lead", "ragged", "short", "after-full-rank",
+         "sparse-past-end", "sparse-negative", "sparse-no-width"],
+)
+def test_kernel_basis_rejects_rows_that_do_not_fit(rows, ncols):
+    with pytest.raises(ValueError):
+        linalg.kernel_basis(rows, ncols=ncols)
+
+
 def test_char_poly_of_diagonal():
     a = [[F(2), F(0)], [F(0), F(3)]]
     # (t-2)(t-3) = t^2 - 5t + 6

@@ -46,20 +46,23 @@ same engine, which returns apart every remainder whose real part died:
 each is one syzygy in input coordinates.  Every returned syzygy is
 re-checked exactly against the inputs.
 
-``quotient_coordinates`` produces the unique representative of a residue
-class supported on the standard monomials.  For the degree-compatible local
+A finite staircase of a local ordering is the one model of its quotient.
+It keeps the basis it was computed from, and ``Staircase.residue`` and
+``Staircase.coordinates`` give the unique representative of a residue
+class supported on the standard monomials.  For these degree-compatible
 orderings every term of (weighted) degree beyond the staircase lies in the
 ideal, so the quotient map is linear on the finitely many terms below that
-cut: a ``ResidueTable`` writes it down once, term by term from the smallest
-up, and coordinates are a sparse lookup in it (the FGLM view of a
-zero-dimensional quotient).  Global orderings use full reduction.
+cut: the staircase writes it down once, on first use, term by term from
+the smallest up, and coordinates are a sparse lookup in it (the FGLM view
+of a zero-dimensional quotient).  ``quotient_coordinates`` is the checked
+entry point on polynomials and vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from heapq import heappop, heappush
 from itertools import product
 from math import inf
@@ -81,6 +84,7 @@ class VectorPoly:
     __slots__ = ("ring", "ncomp", "terms")
 
     def __init__(self, ring: tuple[str, ...], ncomp: int, terms=None):
+        ring = tuple(ring)
         clean: Terms = {}
         if terms:
             for (comp, expo), coeff in terms.items():
@@ -88,8 +92,11 @@ class VectorPoly:
                     continue
                 if not 0 <= comp < ncomp:
                     raise ValueError(f"component {comp} out of range for O^{ncomp}")
-                clean[(comp, tuple(expo))] = Fraction(coeff)
-        object.__setattr__(self, "ring", tuple(ring))
+                expo = tuple(expo)
+                if len(expo) != len(ring) or any(e < 0 for e in expo):
+                    raise ValueError(f"bad exponent {expo} for ring {ring}")
+                clean[(comp, expo)] = Fraction(coeff)
+        object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "ncomp", ncomp)
         object.__setattr__(self, "terms", clean)
 
@@ -549,14 +556,72 @@ def normal_form(p: VectorPoly | Polynomial, basis: StandardBasis) -> VectorPoly:
 
 @dataclass(frozen=True)
 class Staircase:
-    """Monomials outside the leading submodule, when finitely many."""
+    """Monomials outside the leading submodule of ``basis``, when finitely many."""
 
     standard_monomials: tuple[ModTerm, ...]
     finite: bool
     dimension: int | float  # math.inf when not finite
+    basis: StandardBasis
 
     def monomials_of_component(self, comp: int) -> list[Exponent]:
         return [e for c, e in self.standard_monomials if c == comp]
+
+    @cached_property
+    def _rows(self) -> dict[ModTerm, dict[int, Fraction]]:
+        """Residue coordinates of every term below the cut, by standard-monomial index.
+
+        Rows are filled smallest term first: a standard term maps to its
+        unit vector, any other term to minus the shifted tail of the first
+        generator whose lead divides it, over that lead's coefficient.
+        """
+        if not self.finite:
+            raise ValueError("quotient is not finite dimensional")
+        basis, order = self.basis, self.basis.order
+        if not order.is_local():
+            raise ValueError("residues need a local degree-compatible order")
+        cut = 1 + max((order.degree(e) for _, e in self.standard_monomials), default=-1)
+        below = [e for e in product(range(cut), repeat=len(basis.ring)) if order.degree(e) < cut]
+        terms = sorted(((c, e) for c in range(basis.ncomp) for e in below), key=order.module_key)
+        positions = {t: i for i, t in enumerate(self.standard_monomials)}
+        pool = _pool(basis)
+        rows: dict[ModTerm, dict[int, Fraction]] = {}
+        for comp, expo in terms:
+            if (comp, expo) in positions:
+                rows[(comp, expo)] = {positions[(comp, expo)]: _ONE}
+                continue
+            red = pool[next(_divisors(pool, (comp, expo)))]
+            shift = _quotient(expo, red.lead[1])
+            row: dict[int, Fraction] = {}
+            for (tcomp, texpo), c in red.terms.items():
+                if (tcomp, texpo) == red.lead:
+                    continue
+                # each tail term is smaller than the lead: its row is known,
+                # or it lies beyond the cut and is zero
+                factor = -c / red.coeff
+                for j, a in rows.get((tcomp, _shift(texpo, shift)), {}).items():
+                    row[j] = row.get(j, _ZERO) + factor * a
+            rows[(comp, expo)] = {j: a for j, a in row.items() if a}
+        return rows
+
+    def residue(self, terms: Terms) -> dict[int, Fraction]:
+        """Nonzero coordinates of the residue of a term map, by standard-monomial index.
+
+        A term past the cut lies in the submodule and contributes nothing.
+        ValueError for an infinite staircase or a global order.
+        """
+        rows = self._rows
+        out: dict[int, Fraction] = {}
+        for term, c in terms.items():
+            for j, a in rows.get(term, {}).items():
+                out[j] = out.get(j, _ZERO) + c * a
+        return {j: a for j, a in out.items() if a}
+
+    def coordinates(self, terms: Terms) -> list[Fraction]:
+        """Coordinates over the standard monomials of the residue of a term map."""
+        out = [_ZERO] * len(self.standard_monomials)
+        for j, a in self.residue(terms).items():
+            out[j] = a
+        return out
 
 
 def staircase(basis: StandardBasis) -> Staircase:
@@ -573,13 +638,13 @@ def staircase(basis: StandardBasis) -> Staircase:
                 if c == comp and all(e[j] == 0 for j in range(nvars) if j != i)
             ]
             if not pure:
-                return Staircase((), False, inf)
+                return Staircase((), False, inf, basis)
             bounds.append(min(pure))
         for expo in product(*(range(b) for b in bounds)):
             if next(_divisors(pool, (comp, expo)), None) is None:
                 found.append((comp, expo))
     found.sort(key=lambda t: (sum(t[1]), t[0], t[1]))
-    return Staircase(tuple(found), True, len(found))
+    return Staircase(tuple(found), True, len(found), basis)
 
 
 def syzygies(gens: Sequence[VectorPoly | Polynomial], order: MonomialOrder) -> list[VectorPoly]:
@@ -658,80 +723,17 @@ def _check_syzygies(vecs: Sequence[VectorPoly], syzs: Iterable[VectorPoly]):
             raise RuntimeError("syzygy verification failed")
 
 
-class ResidueTable:
-    """Residue coordinates of every term below the cut of a finite local quotient.
-
-    ``basis`` is a standard basis for a local order with finite ``stair``.
-    Rows are filled smallest term first: a standard term maps to its unit
-    vector, any other term to minus the shifted tail of the first generator
-    whose lead divides it, over that lead's coefficient.
-    """
-
-    def __init__(self, basis: StandardBasis, stair: Staircase):
-        deg = basis.order.degree
-        keyfn = basis.order.module_key
-        cut = 1 + max((deg(e) for _, e in stair.standard_monomials), default=-1)
-        below = [e for e in product(range(cut), repeat=len(basis.ring)) if deg(e) < cut]
-        terms = sorted(((c, e) for c in range(basis.ncomp) for e in below), key=keyfn)
-        positions = {t: i for i, t in enumerate(stair.standard_monomials)}
-        pool = _pool(basis)
-        rows: dict[ModTerm, dict[int, Fraction]] = {}
-        for comp, expo in terms:
-            if (comp, expo) in positions:
-                rows[(comp, expo)] = {positions[(comp, expo)]: _ONE}
-                continue
-            red = pool[next(_divisors(pool, (comp, expo)))]
-            shift = _quotient(expo, red.lead[1])
-            row: dict[int, Fraction] = {}
-            for (tcomp, texpo), c in red.terms.items():
-                if (tcomp, texpo) == red.lead:
-                    continue
-                # each tail term is smaller than the lead: its row is known,
-                # or it lies beyond the cut and is zero
-                factor = -c / red.coeff
-                for j, a in rows.get((tcomp, _shift(texpo, shift)), {}).items():
-                    row[j] = row.get(j, _ZERO) + factor * a
-            rows[(comp, expo)] = {j: a for j, a in row.items() if a}
-        self.size = len(positions)
-        self.rows = rows
-
-    def residue(self, terms: Terms) -> dict[int, Fraction]:
-        """Nonzero coordinates of the residue of a term map, by standard-monomial index.
-
-        A term past the cut lies in the ideal and contributes nothing.
-        """
-        out: dict[int, Fraction] = {}
-        for term, c in terms.items():
-            for j, a in self.rows.get(term, {}).items():
-                out[j] = out.get(j, _ZERO) + c * a
-        return {j: a for j, a in out.items() if a}
-
-    def coordinates(self, terms: Terms) -> list[Fraction]:
-        """Coordinates over the standard monomials of the residue of a term map."""
-        out = [_ZERO] * self.size
-        for j, a in self.residue(terms).items():
-            out[j] = a
-        return out
-
-
 def quotient_coordinates(
     p: VectorPoly | Polynomial, basis: StandardBasis, stair: Staircase
 ) -> list[Fraction]:
-    """Coordinates of the residue class of p over the standard monomials.
+    """Coordinates of the residue class of p over the standard monomials of ``stair``.
 
-    For a global ordering this is the fully reduced normal form.  For the
-    degree-compatible local orderings it is a lookup in the ``ResidueTable``
-    of the quotient, built for this call.
+    ``stair`` must be the staircase of ``basis``, a finite one of a local
+    degree-compatible order; otherwise ValueError.
     """
     v = VectorPoly.from_poly(p) if isinstance(p, Polynomial) else p
     if v.ring != basis.ring or v.ncomp != basis.ncomp:
         raise ValueError("ring or component mismatch with basis")
-    if not stair.finite:
-        raise ValueError("quotient is not finite dimensional")
-    if basis.order.is_global():
-        positions = {t: i for i, t in enumerate(stair.standard_monomials)}
-        coords = [_ZERO] * len(positions)
-        for term, coeff in _nf_global(v.terms, _pool(basis), basis.order.module_key).items():
-            coords[positions[term]] = coeff
-        return coords
-    return ResidueTable(basis, stair).coordinates(v.terms)
+    if stair.basis != basis:
+        raise ValueError("staircase of another basis")
+    return stair.coordinates(v.terms)

@@ -13,17 +13,17 @@ module generators is the Zariski tangent space of the maximal modular
 stratum, returned with an explicit kernel basis in T1 coordinates.  Since
 the action is O-linear in v, module generators suffice.
 
-The action matrices are read off the residue table of the Tjurina algebra
-(the FGLM view of the quotient): the column of v on a basis monomial x^b is
-the term map sum_i b_i a_i x^(b - e_i), minus h_v x^b for the twisted
-action, and its residue is a table lookup in which terms past the cut
-vanish.  Most rows of these matrices are zero, and most tangent fields act
-as zero on T1; the kernel is computed from the nonzero rows only, which
-span the same row space as the full stack and so give the same reduced row
-echelon form, kernel basis and dimension.  Those rows stay sparse: they go
-as ``{column: entry}`` maps straight into ``linalg.kernel_basis``, whose
-incremental echelon form reduces each against at most tau pivot rows and
-drops it once it vanishes.
+The action matrices are read off the staircase of the Tjurina algebra, its
+one quotient model: the column of v on a basis monomial x^b is the term map
+sum_i b_i a_i x^(b - e_i), minus h_v x^b for the twisted action, and its
+residue (``Staircase.residue``) is a lookup in the staircase's table, in
+which terms past the cut vanish.  Most rows of these matrices are zero, and
+most tangent fields act as zero on T1; the kernel is computed from the
+nonzero rows only, which span the same row space as the full stack and so
+give the same reduced row echelon form, kernel basis and dimension.  Those
+rows stay sparse: they go as ``{column: entry}`` maps straight into
+``linalg.kernel_basis``, whose incremental echelon form reduces each
+against at most tau pivot rows and drops it once it vanishes.
 
 For homogeneous f the module also computes the first-order deformation
 count of the projective hypersurface (degree-m forms modulo the span of
@@ -40,7 +40,7 @@ from math import comb
 from operator import add
 
 from . import linalg
-from .groebner import syzygies
+from .groebner import ModTerm, syzygies
 from .orders import NEGDEGREVLEX
 from .poly import Exponent, Polynomial
 from .singularity import GermInput, GradedT1, NonIsolatedError, milnor_number, tjurina_algebra
@@ -154,28 +154,30 @@ def _action_rows(v: Derivation, t1: GradedT1) -> tuple[SparseRows, SparseRows]:
     Column j belongs to the basis monomial x^b.  Its untwisted entries are the
     residue of the term map v(x^b) = sum_i sum b_i c x^(a + b - e_i), the
     inner sum over the terms c x^a of the coefficient a_i of v; the twisted
-    column subtracts the residue of h_v x^b.  Both residues are lookups in
-    the residue table of ``t1``, where a term past the cut has residue zero,
-    so no polynomial is formed.  Only rows with a nonzero entry are kept: a
-    zero row adds nothing to the row space, so the kernel is unchanged.
+    column subtracts the residue of h_v x^b.  Both term maps are keyed by
+    module terms (0, exponent) and read off ``t1.stair.residue``, where a
+    term past the cut has residue zero, so no polynomial is formed.  Only
+    rows with a nonzero entry are kept: a zero row adds nothing to the row
+    space, so the kernel is unchanged.
     """
     fields = [(i, tuple(a.terms.items())) for i, a in enumerate(v.coefficients) if a.terms]
     cofactor = tuple(v.cofactor.terms.items())
+    residue = t1.stair.residue
     twisted: SparseRows = {}
     untwisted: SparseRows = {}
     for j, b in enumerate(t1.monomials):
-        image: dict[Exponent, Fraction] = {}
+        image: dict[ModTerm, Fraction] = {}
         for i, terms in fields:
             bi = b[i]
             if not bi:
                 continue
             shift = b[:i] + (bi - 1,) + b[i + 1 :]
             for a, c in terms:
-                e = tuple(map(add, a, shift))
+                e = (0, tuple(map(add, a, shift)))
                 image[e] = image.get(e, _ZERO) + bi * c
-        plain = t1.residue(image)
+        plain = residue(image)
         twist = dict(plain)
-        for k, c in t1.residue({tuple(map(add, g, b)): c for g, c in cofactor}).items():
+        for k, c in residue({(0, tuple(map(add, g, b))): c for g, c in cofactor}).items():
             twist[k] = twist.get(k, _ZERO) - c
         for k, a in plain.items():
             untwisted.setdefault(k, {})[j] = a
@@ -196,11 +198,6 @@ def action_matrix(v: Derivation, t1: GradedT1, f: Polynomial) -> ActionMatrix:
     rows, _ = _action_rows(v, t1)
     entries = tuple(tuple(_dense(rows.get(k, {}), t1.tau)) for k in range(t1.tau))
     return ActionMatrix(entries=entries, basis=t1)
-
-
-def _untwisted_matrix(v: Derivation, t1: GradedT1) -> list[list[Fraction]]:
-    _, rows = _action_rows(v, t1)
-    return [_dense(rows.get(k, {}), t1.tau) for k in range(t1.tau)]
 
 
 def modular_tangent_space(f: Polynomial) -> ModularTangent:

@@ -7,7 +7,9 @@ equations) get the Tjurina number of the quotient of O^k by the Jacobian
 columns and the equation multiples.
 
 Each germ's Tjurina algebra is built once: ``tjurina_algebra`` keeps the
-last one asked for, and ``GradedT1.weight_data`` the weights found with it.
+last one asked for, ``GradedT1.weight_data`` the weights found with it, and
+``GradedT1.stair`` its staircase, which holds the standard basis and reads
+residue coordinates off its own table.
 
 Non-isolated singularities are reported with ``math.inf``, never with a
 degree cutoff: finiteness detection is the exact pure-power criterion of
@@ -18,19 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd, inf
-from typing import Mapping
 
 from . import linalg
-from .groebner import (
-    ResidueTable,
-    StandardBasis,
-    Staircase,
-    VectorPoly,
-    staircase,
-    standard_basis,
-)
+from .groebner import Staircase, VectorPoly, staircase, standard_basis
 from .orders import NEGDEGREVLEX
 from .poly import Exponent, Polynomial
 
@@ -86,39 +80,20 @@ class GradedT1:
     weights: tuple[int, ...] | None
     weight_data: WeightData | None
     tau: int
-    basis: StandardBasis
     stair: Staircase
 
     def is_graded(self) -> bool:
         return self.weights is not None
 
-    @cached_property
-    def _residues(self) -> ResidueTable:
-        """The residue table of the algebra, built on first use."""
-        return ResidueTable(self.basis, self.stair)
-
-    def residue(self, terms: Mapping[Exponent, Fraction]) -> dict[int, Fraction]:
-        """Nonzero coordinates of the residue of a term map, by index in ``monomials``."""
-        return self._residues.residue({(0, e): c for e, c in terms.items()})
-
     def coordinates(self, p: Polynomial) -> list[Fraction]:
         """Coordinates of the residue class of p over ``monomials``."""
         if p.ring != self.ring:
             raise ValueError("polynomial from a different ring")
-        return self._residues.coordinates({(0, e): c for e, c in p.terms.items()})
+        return self.stair.coordinates({(0, e): c for e, c in p.terms.items()})
 
 
 def _jacobian(f: Polynomial) -> list[Polynomial]:
     return [f.partial_derivative(v) for v in f.ring]
-
-
-def _local_dimension(gens: list[Polynomial]) -> tuple[int | float, StandardBasis, Staircase]:
-    nonzero = [g for g in gens if not g.is_zero()]
-    if not nonzero:
-        raise ValueError("all generators vanish identically")
-    sb = standard_basis(nonzero, NEGDEGREVLEX)
-    st = staircase(sb)
-    return st.dimension, sb, st
 
 
 def milnor_number(germ: GermInput) -> int | float:
@@ -128,8 +103,7 @@ def milnor_number(germ: GermInput) -> int | float:
     f = germ.equations[0]
     if f.is_zero():
         raise ValueError("zero polynomial does not define a germ")
-    dim, _, _ = _local_dimension(_jacobian(f))
-    return dim
+    return staircase(standard_basis(_jacobian(f), NEGDEGREVLEX)).dimension
 
 
 def tjurina_number(germ: GermInput) -> tuple[int | float, GradedT1 | None]:
@@ -144,15 +118,15 @@ def tjurina_number(germ: GermInput) -> tuple[int | float, GradedT1 | None]:
     f = germ.equations[0]
     if f.is_zero():
         raise ValueError("zero polynomial does not define a germ")
-    dim, sb, st = _local_dimension([f] + _jacobian(f))
+    st = staircase(standard_basis([f] + _jacobian(f), NEGDEGREVLEX))
     if not st.finite:
         return INFINITE, None
     monos = tuple(e for _, e in st.standard_monomials)
     wdata = find_weights(f)
     weights = tuple(wdata.monomial_weight(e) for e in monos) if wdata else None
-    return dim, GradedT1(
-        ring=f.ring, monomials=monos, weights=weights, weight_data=wdata, tau=int(dim),
-        basis=sb, stair=st,
+    return st.dimension, GradedT1(
+        ring=f.ring, monomials=monos, weights=weights, weight_data=wdata, tau=st.dimension,
+        stair=st,
     )
 
 

@@ -2,6 +2,7 @@
 and schema validation."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+import germcalc
 from germcalc.cli import main
 
 HERE = Path(__file__).parent
@@ -192,12 +194,60 @@ def test_standard_basis_debug_serialization_validates():
     assert json.loads(json.dumps(payload)) == payload
 
 
+def _module_basis():
+    from germcalc import NEGDEGREVLEX, VectorPoly, parse_poly, standard_basis
+
+    # ICIS Tjurina module in O^2: Jacobian columns and equation multiples
+    ring = ("x", "y", "z")
+    eqs = [parse_poly("x^4+y^4+2*z^2", ring), parse_poly("2*z-x*y", ring)]
+    zero = parse_poly("0", ring)
+    gens = [VectorPoly.from_polys([g.partial_derivative(v) for g in eqs]) for v in ring]
+    gens += [VectorPoly.from_polys([g, zero]) for g in eqs]
+    gens += [VectorPoly.from_polys([zero, g]) for g in eqs]
+    return standard_basis(gens, NEGDEGREVLEX)
+
+
+def _weighted_basis():
+    from germcalc import parse_poly, standard_basis, weighted_local
+
+    ring = ("x", "y", "z")
+    f = parse_poly("x^6+y^3+z^2+x*y*z", ring)
+    gens = [f] + [f.partial_derivative(v) for v in ring]
+    return standard_basis(gens, weighted_local((1, 2, 3)))
+
+
+@pytest.mark.parametrize(
+    "build, components, order, weights",
+    [(_module_basis, 2, "negdegrevlex", None), (_weighted_basis, 1, "weighted", [1, 2, 3])],
+    ids=["module", "weighted"],
+)
+def test_standard_basis_to_dict_matches_its_schema_definition(build, components, order, weights):
+    basis = build()
+    payload = basis.to_dict()
+    definition = {
+        "$schema": SCHEMA["$schema"],
+        "$ref": "#/definitions/standard_basis",
+        "definitions": SCHEMA["definitions"],
+    }
+    jsonschema.validate(payload, definition)
+    assert payload["order"] == order and payload.get("order_weights") == weights
+    assert payload["components"] == components
+    assert len(payload["generators"]) == len(payload["leading_terms"]) == len(basis.generators)
+    assert all(len(g) == components for g in payload["generators"])
+    assert {comp for comp, _ in payload["leading_terms"]} == set(range(components))
+    assert json.loads(json.dumps(payload)) == payload
+
+
 def test_console_script_entry_point():
+    # the child imports the package this suite imported, installed or not
+    source = str(Path(germcalc.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "germcalc.cli", "invariants", "--poly", "x^4+y^2+z^2",
          "--format", "json"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     payload = json.loads(result.stdout)

@@ -84,6 +84,14 @@ def test_nf_ring_mismatch():
         normal_form(parse_poly("x", V2), sb)
 
 
+@pytest.mark.parametrize(
+    "expo", [(2,), (0, 0, 3), (-1, 2)], ids=["short", "long", "negative"]
+)
+def test_vector_rejects_bad_exponent(expo):
+    with pytest.raises(ValueError, match="bad exponent"):
+        VectorPoly(V2, 1, {(0, expo): 1, (0, (0, 3)): 1})
+
+
 # -- standard bases -------------------------------------------------------
 
 
@@ -528,6 +536,39 @@ def test_quotient_coordinates_infinite_rejected():
         quotient_coordinates(parse_poly("x", V2), sb, staircase(sb))
 
 
+def test_quotient_coordinates_global_order_rejected():
+    # a finite quotient, but under a global order the terms past the
+    # staircase need not lie in the ideal
+    sb = standard_basis([parse_poly("x^2", V2), parse_poly("y^3", V2)], DEGREVLEX)
+    st = staircase(sb)
+    assert st.finite and st.dimension == 6
+    with pytest.raises(ValueError):
+        quotient_coordinates(parse_poly("x*y", V2), sb, st)
+
+
+def test_quotient_coordinates_staircase_of_another_basis_rejected():
+    # two Tjurina bases with the same leading terms and staircase
+    one, five = (
+        standard_basis([f] + jacobian(f), NEGDEGREVLEX)
+        for f in (parse_poly(t, V3) for t in ("x^3+y^3+z^3+x*y*z", "x^3+y^3+z^3+5*x*y*z"))
+    )
+    assert one.leading_terms == five.leading_terms and one != five
+    p = parse_poly("x*y*z", V3)
+    quotient_coordinates(p, one, staircase(one))
+    with pytest.raises(ValueError, match="another basis"):
+        quotient_coordinates(p, one, staircase(five))
+
+
+def test_staircase_builds_its_residue_table_once():
+    f = parse_poly("x^4+y^4+z^2+x*y*z", V3)
+    st = staircase(standard_basis([f] + jacobian(f), NEGDEGREVLEX))
+    assert "_rows" not in vars(st)  # built on first use only
+    first = st.coordinates({(0, (1, 1, 1)): 1})
+    table = vars(st)["_rows"]
+    again = quotient_coordinates(parse_poly("x*y*z", V3), st.basis, st)
+    assert again == first and vars(st)["_rows"] is table
+
+
 # -- residue table against Mora's weak normal form ----------------------------
 
 
@@ -563,10 +604,10 @@ def assert_coordinates_match_mora(sb, st, rng, rounds=6):
 def test_residue_table_against_mora_normal_form(germ):
     tau, t1 = cached_tjurina(germ.text, germ.vars)
     rng = random.Random(germ.name)
-    assert_coordinates_match_mora(t1.basis, t1.stair, rng)
+    assert_coordinates_match_mora(t1.stair.basis, t1.stair, rng)
     for _ in range(3):
         p = random_vector(rng, t1.ring, 1, 6).component(0)
-        assert t1.coordinates(p) == quotient_coordinates(p, t1.basis, t1.stair)
+        assert t1.coordinates(p) == quotient_coordinates(p, t1.stair.basis, t1.stair)
 
 
 def test_residue_table_weighted_order_and_module():

@@ -21,7 +21,7 @@ from germcalc import (
     tangent_derivation,
     tjurina_number,
 )
-from germcalc.modular import _untwisted_matrix, homogeneous_degree
+from germcalc.modular import _action_rows, _dense, homogeneous_degree
 from germcalc.poly import Polynomial
 from conftest import (
     CATALOG,
@@ -293,6 +293,12 @@ def test_untwisted_convention_flagged_only_when_dimension_changes():
     # for the three-term families both conventions give one dimension
     mt = cached_modular("x^3+y^3+z^3+x*y*z", V3)
     assert mt.dimension == 1 and not mt.convention_sensitive
+
+
+def _untwisted_matrix(v, t1):
+    """Dense untwisted action matrix of v, from the sparse rows of the library."""
+    _, rows = _action_rows(v, t1)
+    return [_dense(rows.get(k, {}), t1.tau) for k in range(t1.tau)]
 
 
 def test_untwisted_matrix_differs_from_twisted_by_cofactor_multiplication():

@@ -4,10 +4,11 @@ Row reduction is one sparse incremental echelon form, ``_echelon``: rows
 come in one at a time, dense lists or sparse ``{column: value}`` maps, and
 each is reduced against the pivot rows kept so far, which stay fully
 reduced (a 1 at the pivot, 0 at every other pivot column).  ``rref``,
-``rank`` and ``kernel_basis`` all read from it.  The reduced row echelon
-form of a row space is unique, so the result does not depend on the order
-in which rows arrive; pivots are the leading columns, so reduced forms,
-ranks and kernel bases are reproducible.  Dense matrices are lists of
+``rank`` and ``kernel_basis`` all read from it, and ``_insert``, its one
+step, lets a caller grow a span row by row.  The reduced row echelon form
+of a row space is unique, so the result does not depend on the order in
+which rows arrive; pivots are the leading columns, so reduced forms, ranks
+and kernel bases are reproducible.  Dense matrices are lists of
 equal-length lists of ``Fraction``.
 """
 
@@ -37,32 +38,42 @@ def _sparse(row: Row, ncols: int) -> dict[int, Fraction]:
 def _echelon(rows: Iterable[Row], ncols: int) -> dict[int, dict[int, Fraction]]:
     """Pivot column -> the rest of its row in the reduced row echelon form.
 
-    Each pivot row has a 1 at its pivot, left out of the stored tail, and 0
-    at every other pivot column, so an incoming row is reduced in one pass:
-    subtract the pivot row at each of its pivot-column entries.  A row that
-    vanishes adds nothing; any other row is normalized at its smallest
-    column, the new pivot, which is then back-substituted out of the earlier
-    pivot rows.  That keeps every tail on non-pivot columns right of its
-    pivot.  Every row is checked against ``ncols``, also after the last
-    column has become a pivot and the reduction stops.
+    The rows go one at a time into ``_insert``.  Every row is checked
+    against ``ncols``, also after the last column has become a pivot and
+    the reduction stops.
     """
     rows = [_sparse(row, ncols) for row in rows]
     pivots: dict[int, dict[int, Fraction]] = {}
     for r in rows:
         if len(pivots) == ncols:
             break
-        for c in [c for c in r if c in pivots]:
-            _subtract(r, r.pop(c), pivots[c])
-        if not r:
-            continue
-        p = min(r)
-        inv = _ONE / r.pop(p)
-        tail = {k: v * inv for k, v in r.items()}
-        for q in pivots.values():
-            if p in q:
-                _subtract(q, q.pop(p), tail)
-        pivots[p] = tail
+        _insert(pivots, r)
     return pivots
+
+
+def _insert(pivots: dict[int, dict[int, Fraction]], row: dict[int, Fraction]) -> bool:
+    """Reduce the sparse ``row`` in place and add it to ``pivots``; False if it vanishes.
+
+    Each pivot row has a 1 at its pivot, left out of the stored tail, and 0
+    at every other pivot column, so the row is reduced in one pass:
+    subtract the pivot row at each of its pivot-column entries.  A row that
+    vanishes adds nothing; any other row is normalized at its smallest
+    column, the new pivot, which is then back-substituted out of the earlier
+    pivot rows.  That keeps every tail on non-pivot columns right of its
+    pivot.
+    """
+    for c in [c for c in row if c in pivots]:
+        _subtract(row, row.pop(c), pivots[c])
+    if not row:
+        return False
+    p = min(row)
+    inv = _ONE / row.pop(p)
+    tail = {k: v * inv for k, v in row.items()}
+    for q in pivots.values():
+        if p in q:
+            _subtract(q, q.pop(p), tail)
+    pivots[p] = tail
+    return True
 
 
 def _subtract(target: dict[int, Fraction], a: Fraction, source: dict[int, Fraction]):

@@ -4,26 +4,34 @@
 {f = 0} (each v = sum a_i d_i with v(f) = h f, the cofactor h recorded),
 obtained from the syzygies of (df_1, ..., df_n, f) plus the Hamiltonian
 pairs and, for quasi-homogeneous f, the Euler field of the weights kept on
-the germ's Tjurina algebra (``GradedT1.weight_data``).  That algebra is
-built once per germ: both functions read it from ``tjurina_algebra``.
+the germ's Tjurina algebra (``GradedT1.weight_data``).
 
-Every tangent field acts on the Tjurina algebra by the twisted action
-v.[g] = [v(g) - h g]; the common kernel of these endomorphisms over all
-module generators is the Zariski tangent space of the maximal modular
-stratum, returned with an explicit kernel basis in T1 coordinates.  Since
-the action is O-linear in v, module generators suffice.
+Every tangent field acts on the Tjurina algebra T1 = O/(f, J) by the
+twisted action v.[g] = [v(g) - h g]; the common kernel of these
+endomorphisms is the Zariski tangent space of the maximal modular stratum,
+returned with an explicit kernel basis in T1 coordinates.  The kernel needs
+only a few fields.  The action is O-linear in v, a field with cofactor 0 is
+a Koszul combination of Hamiltonian pairs (the partials of an isolated
+singularity form a regular sequence) and maps O into J, and f d_i has
+cofactor d_i f and maps O into (f).  So a field whose cofactor lies in
+J + (h_1, ..., h_k) acts, twisted or not, as an O-combination of the fields
+with cofactors h_1, ..., h_k, and fields whose cofactor classes generate
+(J : f)/J = Ann_M([f]) in the Milnor algebra M = O/J give the whole kernel;
+that ideal has dimension tau (K. Saito, "Theory of logarithmic differential
+forms and logarithmic vector fields", 1980).  ``modular_tangent_space``
+uses the Euler field alone when f is quasi-homogeneous (its cofactor is the
+unit d); otherwise it keeps, lowest cofactor degree first, each candidate
+field whose cofactor residue in M (``milnor_algebra``) lies outside the span
+of the kept ones, until that span has dimension tau.  The kernel is a
+subspace and its reduced row echelon basis is unique, so it is the kernel
+of the full stack of generators, and so is the untwisted one.
 
-The action matrices are read off the staircase of the Tjurina algebra, its
-one quotient model: the column of v on a basis monomial x^b is the term map
-sum_i b_i a_i x^(b - e_i), minus h_v x^b for the twisted action, and its
-residue (``Staircase.residue``) is a lookup in the staircase's table, in
-which terms past the cut vanish.  Most rows of these matrices are zero, and
-most tangent fields act as zero on T1; the kernel is computed from the
-nonzero rows only, which span the same row space as the full stack and so
-give the same reduced row echelon form, kernel basis and dimension.  Those
-rows stay sparse: they go as ``{column: entry}`` maps straight into
-``linalg.kernel_basis``, whose incremental echelon form reduces each
-against at most tau pivot rows and drops it once it vanishes.
+The action matrices are read off the staircase of the Tjurina algebra: the
+column of v on a basis monomial x^b is the term map sum_i b_i a_i x^(b - e_i),
+minus h_v x^b for the twisted action, and its residue (``Staircase.residue``)
+is a lookup in the staircase's table, in which terms past the cut vanish.
+Only the nonzero rows go, as sparse ``{column: entry}`` maps, into
+``linalg.kernel_basis``.
 
 For homogeneous f the module also computes the first-order deformation
 count of the projective hypersurface (degree-m forms modulo the span of
@@ -33,6 +41,7 @@ germ's Tjurina algebra.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -43,7 +52,15 @@ from . import linalg
 from .groebner import ModTerm, syzygies
 from .orders import NEGDEGREVLEX
 from .poly import Exponent, Polynomial
-from .singularity import GermInput, GradedT1, NonIsolatedError, milnor_number, tjurina_algebra
+from .singularity import (
+    GermInput,
+    GradedT1,
+    NonIsolatedError,
+    WeightData,
+    milnor_algebra,
+    milnor_number,
+    tjurina_algebra,
+)
 
 _ZERO = Fraction(0)
 
@@ -103,6 +120,47 @@ def _isolated_t1(f: Polynomial, what: str) -> GradedT1:
     return t1
 
 
+def _euler(f: Polynomial, wdata: WeightData) -> tuple[list[Polynomial], Polynomial]:
+    """Coefficients and cofactor of the Euler field sum w_i x_i d_i, cofactor d."""
+    ring = f.ring
+    coefficients = [Polynomial.variable(ring, v).scale(w) for v, w in zip(ring, wdata.weights)]
+    return coefficients, Polynomial.constant(ring, wdata.degree)
+
+
+def _candidates(
+    f: Polynomial, wdata: WeightData | None
+) -> Iterator[tuple[list[Polynomial], Polynomial]]:
+    """(coefficients, cofactor) of each generator of ``derivation_module``, in its order.
+
+    Nothing here checks tangency: the caller passes each pair it uses to
+    ``tangent_derivation``.
+    """
+    ring = f.ring
+    n = len(ring)
+    partials = [f.partial_derivative(v) for v in ring]
+    entries = partials + [f]
+    nonzero = [i for i, p in enumerate(entries) if not p.is_zero()]
+    zero = Polynomial.zero(ring)
+    for s in syzygies([entries[i] for i in nonzero], NEGDEGREVLEX):
+        parts = [zero] * (n + 1)
+        for i, part in zip(nonzero, s.to_polys()):
+            parts[i] = part
+        yield parts[:n], -parts[n]
+    for i in range(n):
+        if partials[i].is_zero():
+            yield [Polynomial.constant(ring, int(j == i)) for j in range(n)], zero
+    for i in range(n):
+        for j in range(i + 1, n):
+            if partials[i].is_zero() and partials[j].is_zero():
+                continue
+            coeffs = [zero] * n
+            coeffs[i] = partials[j]
+            coeffs[j] = -partials[i]
+            yield coeffs, zero
+    if wdata is not None:
+        yield _euler(f, wdata)
+
+
 def derivation_module(f: Polynomial) -> list[Derivation]:
     """Module generators of all derivations tangent to {f = 0}.
 
@@ -113,36 +171,42 @@ def derivation_module(f: Polynomial) -> list[Derivation]:
     the Euler field sum w_i x_i d_i (cofactor d).
     """
     wdata = _isolated_t1(f, "derivation module").weight_data
-    ring = f.ring
-    n = len(ring)
-    partials = [f.partial_derivative(v) for v in ring]
-    entries = partials + [f]
-    nonzero = [i for i, p in enumerate(entries) if not p.is_zero()]
-    zero = Polynomial.zero(ring)
-    out: list[Derivation] = []
-    for s in syzygies([entries[i] for i in nonzero], NEGDEGREVLEX):
-        parts = [zero] * (n + 1)
-        for i, part in zip(nonzero, s.to_polys()):
-            parts[i] = part
-        out.append(tangent_derivation(f, parts[:n], -parts[n]))
-    for i in range(n):
-        if partials[i].is_zero():
-            unit = [Polynomial.constant(ring, int(j == i)) for j in range(n)]
-            out.append(tangent_derivation(f, unit, zero))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if partials[i].is_zero() and partials[j].is_zero():
-                continue
-            coeffs = [zero] * n
-            coeffs[i] = partials[j]
-            coeffs[j] = -partials[i]
-            out.append(tangent_derivation(f, coeffs, zero))
-    if wdata is not None:
-        euler = [
-            Polynomial.variable(ring, v).scale(w) for v, w in zip(ring, wdata.weights)
-        ]
-        out.append(tangent_derivation(f, euler, Polynomial.constant(ring, wdata.degree)))
-    return list(dict.fromkeys(out))
+    return list(dict.fromkeys(tangent_derivation(f, a, h) for a, h in _candidates(f, wdata)))
+
+
+def _cofactor_generators(f: Polynomial, t1: GradedT1) -> list[Derivation]:
+    """Tangent fields whose cofactor classes generate Ann_M([f]) = (J : f)/J.
+
+    For quasi-homogeneous f, the Euler field alone: its cofactor is the unit
+    d.  Otherwise the candidates with a nonzero cofactor h, lowest total
+    degree of h first.  The span holds the residues in the Milnor algebra M
+    of x^b h_k, over the Milnor basis monomials x^b and the cofactors h_k
+    kept so far, so it is the ideal they generate in M.  A candidate is kept
+    when the residue of its h lies outside the span; the walk stops once the
+    span has dimension tau, which makes it all of Ann_M([f]).  Only kept
+    fields go through the tangency check.
+    """
+    if t1.weight_data is not None:
+        return [tangent_derivation(f, *_euler(f, t1.weight_data))]
+    milnor = milnor_algebra(f)
+    shifts = [e for _, e in milnor.standard_monomials]
+    one = (0,) * len(f.ring)
+
+    def residue(h: Polynomial, b: Exponent) -> dict[int, Fraction]:
+        return milnor.residue({(0, tuple(map(add, e, b))): c for e, c in h.terms.items()})
+
+    candidates = [(a, h) for a, h in _candidates(f, None) if not h.is_zero()]
+    candidates.sort(key=lambda c: min(map(sum, c[1].terms)))
+    span: dict[int, dict[int, Fraction]] = {}
+    kept: list[Derivation] = []
+    for coefficients, h in candidates:
+        if len(span) == t1.tau:
+            break
+        if linalg._insert(span, residue(h, one)):
+            kept.append(tangent_derivation(f, coefficients, h))
+            for b in shifts:
+                linalg._insert(span, residue(h, b))
+    return kept
 
 
 SparseRows = dict[int, dict[int, Fraction]]  # row index -> {column index: nonzero entry}
@@ -201,23 +265,22 @@ def action_matrix(v: Derivation, t1: GradedT1, f: Polynomial) -> ActionMatrix:
 
 
 def modular_tangent_space(f: Polynomial) -> ModularTangent:
-    """Common kernel of the twisted actions of all tangent-field generators.
+    """Common kernel of the twisted actions of all tangent fields.
 
     The kernel is computed in T1 coordinates (for a miniversal deformation
     the Kodaira-Spencer identification of the base tangent space with T1 is
     the identity).  ``convention_sensitive`` reports whether the untwisted
     action (no cofactor correction) would give a different dimension.  Only
-    the nonzero rows of each action are stacked, as sparse rows, and each
-    stack goes to ``linalg.kernel_basis`` without being densified: zero rows
-    leave the row space, hence the reduced row echelon form and the kernel,
-    unchanged, and that form is unique, so the sparse elimination gives the
-    kernel basis a dense one would.
+    the fields of ``_cofactor_generators`` act, the Euler field alone for a
+    quasi-homogeneous germ: every other tangent field acts, twisted or not,
+    as an O-combination of theirs (Saito 1980; see the module docstring), so
+    both kernels and their unique reduced row echelon bases are those of the
+    whole derivation module.
     """
     t1 = _isolated_t1(f, "modular tangent space")
-    gens = derivation_module(f)
     stacked: list[dict[int, Fraction]] = []
     stacked_untwisted: list[dict[int, Fraction]] = []
-    for v in gens:
+    for v in _cofactor_generators(f, t1):
         twisted, untwisted = _action_rows(v, t1)
         stacked.extend(twisted.values())
         stacked_untwisted.extend(untwisted.values())

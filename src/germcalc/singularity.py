@@ -6,10 +6,11 @@ weight detection, and weight grading.  Complete intersections (k >= 2
 equations) get the Tjurina number of the quotient of O^k by the Jacobian
 columns and the equation multiples.
 
-Each germ's Tjurina algebra is built once: ``tjurina_algebra`` keeps the
-last one asked for, ``GradedT1.weight_data`` the weights found with it, and
-``GradedT1.stair`` its staircase, which holds the standard basis and reads
-residue coordinates off its own table.
+Each germ's Milnor and Tjurina algebras are built once: ``milnor_algebra``
+and ``tjurina_algebra`` each keep the last one asked for.
+``GradedT1.weight_data`` holds the weights found with the Tjurina algebra,
+and ``GradedT1.stair`` its staircase, which holds the standard basis, reads
+residue coordinates off its own table and gives the monomial basis and tau.
 
 Non-isolated singularities are reported with ``math.inf``, never with a
 degree cutoff: finiteness detection is the exact pure-power criterion of
@@ -76,11 +77,17 @@ class GradedT1:
     """Monomial basis of the Tjurina algebra, with weights when graded."""
 
     ring: tuple[str, ...]
-    monomials: tuple[Exponent, ...]
     weights: tuple[int, ...] | None
     weight_data: WeightData | None
-    tau: int
     stair: Staircase
+
+    @property
+    def monomials(self) -> tuple[Exponent, ...]:
+        return tuple(e for _, e in self.stair.standard_monomials)
+
+    @property
+    def tau(self) -> int:
+        return self.stair.dimension
 
     def is_graded(self) -> bool:
         return self.weights is not None
@@ -103,7 +110,13 @@ def milnor_number(germ: GermInput) -> int | float:
     f = germ.equations[0]
     if f.is_zero():
         raise ValueError("zero polynomial does not define a germ")
-    return staircase(standard_basis(_jacobian(f), NEGDEGREVLEX)).dimension
+    return milnor_algebra(f).dimension
+
+
+@lru_cache(maxsize=1)
+def milnor_algebra(f: Polynomial) -> Staircase:
+    """Staircase of the Jacobian standard basis of f, kept for the last f (one germ at a time)."""
+    return staircase(standard_basis(_jacobian(f), NEGDEGREVLEX))
 
 
 def tjurina_number(germ: GermInput) -> tuple[int | float, GradedT1 | None]:
@@ -121,13 +134,9 @@ def tjurina_number(germ: GermInput) -> tuple[int | float, GradedT1 | None]:
     st = staircase(standard_basis([f] + _jacobian(f), NEGDEGREVLEX))
     if not st.finite:
         return INFINITE, None
-    monos = tuple(e for _, e in st.standard_monomials)
     wdata = find_weights(f)
-    weights = tuple(wdata.monomial_weight(e) for e in monos) if wdata else None
-    return st.dimension, GradedT1(
-        ring=f.ring, monomials=monos, weights=weights, weight_data=wdata, tau=st.dimension,
-        stair=st,
-    )
+    weights = tuple(wdata.monomial_weight(e) for _, e in st.standard_monomials) if wdata else None
+    return st.dimension, GradedT1(ring=f.ring, weights=weights, weight_data=wdata, stair=st)
 
 
 @lru_cache(maxsize=1)

@@ -21,10 +21,13 @@ from germcalc import (
     tangent_derivation,
     tjurina_number,
 )
+from germcalc import modular
+from germcalc.groebner import VectorPoly
 from germcalc.modular import _action_rows, _dense, homogeneous_degree
 from germcalc.poly import Polynomial
 from conftest import (
     CATALOG,
+    CATALOG_BY_NAME,
     cached_derivations,
     cached_modular,
     cached_poly,
@@ -356,18 +359,86 @@ def test_column_builder_matches_polynomial_arithmetic(entry):
             assert _untwisted_matrix(field, t1) == untwisted
 
 
-@pytest.mark.parametrize("entry", CATALOG, ids=lambda g: g.name)
-def test_modular_kernel_matches_kernel_of_full_dense_stack(entry):
-    # reference: dense polynomial-arithmetic matrices, eliminated by the
-    # test-local dense sweep rather than the library's echelon form
-    tau, t1 = cached_tjurina(entry.text, entry.vars)
+# the non-quasi-homogeneous germs of the benchmark's modular ladder, kept
+# here so the test does not depend on the benchmark package
+LADDER = [
+    ("t543", "x^5+y^4+z^3+x*y*z"),
+    ("quartic_t", "x^4+y^4+z^4+x^2*y^2+x*y*z"),
+    ("t555", "x^5+y^5+z^5+x*y*z"),
+    ("y642_fiber", "x^6+y^4+z^2+x*y*z+8*y^3"),
+    ("mu34", "x^6+y^5+z^4+x^2*y*z"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, vars",
+    [(g.text, g.vars) for g in CATALOG] + [(text, V3) for _, text in LADDER],
+    ids=[g.name for g in CATALOG] + [name for name, _ in LADDER],
+)
+def test_modular_kernel_matches_kernel_of_full_dense_stack(text, vars):
+    # reference: dense polynomial-arithmetic matrices of every generator of
+    # the derivation module, eliminated by the test-local dense sweep rather
+    # than the library's echelon form
+    tau, t1 = cached_tjurina(text, vars)
     stacked, stacked_untwisted = [], []
-    for v in cached_derivations(entry.text, entry.vars):
+    for v in cached_derivations(text, vars):
         twisted, untwisted = _reference_matrices(v, t1)
         stacked.extend(twisted)
         stacked_untwisted.extend(untwisted)
     kernel = dense_kernel(stacked, tau)
     untwisted_dim = len(dense_kernel(stacked_untwisted, tau))
-    mt = cached_modular(entry.text, entry.vars)
+    mt = cached_modular(text, vars)
     assert [list(vec) for vec in mt.kernel_basis] == kernel
     assert mt.convention_sensitive == (untwisted_dim != len(kernel))
+
+
+# -- tangency certificate on the modular path ----------------------------------
+
+
+def _count_fields(monkeypatch):
+    """Fields built by tangent_derivation and fields whose action rows are taken."""
+    built, acted = [], []
+    check, rows = modular.tangent_derivation, modular._action_rows
+
+    def counted_check(*args):
+        built.append(check(*args))
+        return built[-1]
+
+    def counted_rows(v, t1):
+        acted.append(v)
+        return rows(v, t1)
+
+    monkeypatch.setattr(modular, "tangent_derivation", counted_check)
+    monkeypatch.setattr(modular, "_action_rows", counted_rows)
+    return built, acted
+
+
+@pytest.mark.parametrize(
+    "name, kept", [("t433", 3), ("t642", 2), ("martin_t0", 2), ("t333_l1", 1)]
+)
+def test_tangency_is_checked_on_every_used_field_and_no_other(monkeypatch, name, kept):
+    entry = CATALOG_BY_NAME[name]
+    built, acted = _count_fields(monkeypatch)
+    mt = modular_tangent_space(cached_poly(entry.text, entry.vars))
+    assert mt.dimension == entry.modular_dim
+    assert len(built) == kept
+    assert [id(v) for v in acted] == [id(v) for v in built]
+
+
+def test_modular_tangent_space_rejects_a_field_that_is_not_tangent(monkeypatch):
+    entry = CATALOG_BY_NAME["t433"]
+    f = cached_poly(entry.text, entry.vars)
+    real = modular.syzygies
+
+    def perturbed(gens, order):
+        # the relation of lowest cofactor degree (a linear cofactor, outside
+        # the Jacobian ideal) with x^7 added to its d/dx coefficient
+        rels = [r.to_polys() for r in real(gens, order)]
+        with_cofactor = [r for r in rels if not r[-1].is_zero()]
+        parts = min(with_cofactor, key=lambda r: min(map(sum, r[-1].terms)))
+        parts[0] = parts[0] + parse_poly("x^7", entry.vars)
+        return [VectorPoly.from_polys(parts)]
+
+    monkeypatch.setattr(modular, "syzygies", perturbed)
+    with pytest.raises(ValueError, match="not tangent"):
+        modular_tangent_space(f)

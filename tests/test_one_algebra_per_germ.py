@@ -1,10 +1,11 @@
-"""Each germ's Tjurina algebra and weights are computed once.
+"""Each germ's Milnor and Tjurina algebras and weights are computed once.
 
-The counting tests wrap ``standard_basis`` and ``find_weights`` under every
-name where a germcalc module looks them up, so a call from any module is
-seen; the cache of ``tjurina_algebra`` is cleared first so every count
-starts from nothing.  The cache tests check that the one cached algebra
-never leaks from one germ into another.
+The counting tests wrap ``standard_basis``, ``find_weights`` and
+``syzygies`` under every name where a germcalc module looks them up, so a
+call from any module is seen; the caches of ``milnor_algebra`` and
+``tjurina_algebra`` are cleared first so every count starts from nothing.
+The cache tests check that no cached algebra leaks from one germ into
+another.
 """
 
 import importlib
@@ -25,7 +26,7 @@ from germcalc import (
     tjurina_number,
 )
 from germcalc.cli import invariants_report
-from germcalc.singularity import tjurina_algebra
+from germcalc.singularity import milnor_algebra, milnor_number, tjurina_algebra
 from conftest import CATALOG, cached_poly, cached_tjurina
 
 V2 = ("x", "y")
@@ -34,11 +35,11 @@ V3 = ("x", "y", "z")
 
 @pytest.fixture
 def calls(monkeypatch):
-    """First arguments of every standard_basis and find_weights call, by name."""
+    """First arguments of every standard_basis, find_weights and syzygies call, by name."""
     namespaces = [germcalc] + [
         importlib.import_module(f"germcalc.{m.name}") for m in pkgutil.iter_modules(germcalc.__path__)
     ]
-    seen: dict[str, list] = {"standard_basis": [], "find_weights": []}
+    seen: dict[str, list] = {"standard_basis": [], "find_weights": [], "syzygies": []}
     for name, log in seen.items():
         original = getattr(germcalc, name)
 
@@ -49,8 +50,10 @@ def calls(monkeypatch):
         for ns in namespaces:
             if getattr(ns, name, None) is original:
                 monkeypatch.setattr(ns, name, counted)
+    milnor_algebra.cache_clear()
     tjurina_algebra.cache_clear()
     yield seen
+    milnor_algebra.cache_clear()
     tjurina_algebra.cache_clear()
 
 
@@ -71,6 +74,41 @@ def test_each_scan_row_builds_one_algebra(calls):
     assert [row.modular_dim for row in report.rows] == [1, 1, None]
     assert len(calls["standard_basis"]) == 2 * 3
     assert len(calls["find_weights"]) == len(set(calls["find_weights"])) == 3
+
+
+def test_each_non_quasi_homogeneous_scan_row_builds_one_algebra(calls):
+    # the modular stage of these rows reads the Milnor algebra that mu built
+    report = scan(catalog("tpqr:4,3,3"), [{"lambda": v} for v in (1, 2)])
+    assert [(row.mu, row.tau, row.weights_found) for row in report.rows] == [(9, 8, False)] * 2
+    assert len(calls["standard_basis"]) == 2 * 2
+    assert len(calls["syzygies"]) == 2
+
+
+@pytest.mark.parametrize(
+    "text, vars, syzygy_calls, bases",
+    [("x^3+y^3+z^3+x*y*z", V3, 0, 1), ("x^6+y^2+z^2", V3, 0, 1), ("x^4+y^3+z^3+x*y*z", V3, 1, 2)],
+    ids=["t333_l1", "a5", "t433"],
+)
+def test_bare_modular_tangent_space_needs_syzygies_only_without_weights(
+    calls, text, vars, syzygy_calls, bases
+):
+    # a quasi-homogeneous germ uses its Euler field alone; any other germ
+    # needs one syzygy computation and its Milnor algebra besides T1
+    modular_tangent_space(parse_poly(text, vars))
+    assert len(calls["syzygies"]) == syzygy_calls
+    assert len(calls["standard_basis"]) == bases
+
+
+def test_back_to_back_germs_get_their_own_milnor_algebra():
+    germs = [
+        (parse_poly("x^4+y^3+z^3+x*y*z", V3), 9),
+        (parse_poly("x^3+y^3+z^3", V3), 8),
+        (parse_poly("u^4+v^3+w^3+u*v*w", ("u", "v", "w")), 9),  # the first one's terms, other ring
+    ]
+    milnor_algebra.cache_clear()
+    for f, mu in germs + germs[::-1]:
+        assert milnor_number(GermInput((f,))) == mu
+        assert milnor_algebra(f).basis.ring == f.ring
 
 
 def _modular_fields(f):

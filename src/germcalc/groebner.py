@@ -1,40 +1,41 @@
 """Standard bases for ideals and submodules, in global and local settings.
 
-Elements of a free module O^k are held as ``VectorPoly``: a term map from
-(component, exponent tuple) to a nonzero rational.  Ideals are the k = 1
+Elements of a free module O^k are held as ``VectorPoly`` (``germcalc.poly``):
+a term map from (component, exponent tuple) to a nonzero rational.  Ideals are the k = 1
 case.  The machinery is shared:
 
+* reductions and S-vectors work on primitive integer rows, fraction-free
+  (``_primitive``, ``_eliminate``; Bareiss's one-step integer-preserving
+  elimination, with the content removed every few steps as SINGULAR does);
+  each returns the exact rational scale lambda by which its row differs
+  from the one the monic rational computation gives, and monic rationals
+  come back only at the exits: ``standard_basis`` divides each generator
+  by its lead once, after the certificate; relations, ``spoly`` and
+  ``normal_form`` divide by lambda.  A scale changes no support, so every
+  lead, pair, criterion and zero test is that of the rational computation;
 * global orderings use the ordinary division algorithm (full reduction);
-* local orderings use Mora's weak normal form with the ecart-minimizing
-  reduction strategy, allowing intermediate results as reducers, for
-  normal-form queries;
+  local orderings use Mora's weak normal form with the ecart-minimizing
+  reduction strategy, allowing intermediate results as reducers;
 * one completion loop, ``_std_engine``, serves standard bases and
   syzygies: Buchberger's loop under the normal pair-selection strategy
   (smallest lcm degree first, ties by the lcm exponent tuple, then by the
-  pair's indices), with the product criterion and the chain criterion;
-  pending pairs sit in a heap of these keys, each computed once when its
-  pair is formed;
-* every divisor search (reduction, the chain criterion, minimalization,
-  staircases, residue tables) goes through ``_divisors``, a scan in pool
-  order that passes over a lead whose exponent mask (``_mask``, kept on
-  each ``_Reducer``) has a bit outside the term's mask; the mask is a
-  necessary test only, and the exact ``_divides`` decides every lead that
-  passes it;
-* each term's order key is computed once per completion: ``_std_engine``
-  and ``_verify_complete`` memoize the key for the length of their call,
-  and the memo goes when the call returns; ``_nf_mora``, the local normal
-  form behind ``normal_form``, does the same;
+  pair's indices, in a heap of keys computed once per pair), with the
+  product criterion and the chain criterion; it, ``_verify_complete`` and
+  ``_nf_mora`` memoize each term's order key for the length of a call;
 * both reach the loop through ``_engine_input``, the one place where the
   completion tells local from global orders: for local orderings it
   degree-homogenizes the input and keys it by the induced global order
   (Lazard's method), which keeps tails division-reduced throughout; the
   slack entry is dropped afterwards;
+* every divisor search goes through ``_divisors``, a scan in pool order
+  that passes over a lead whose exponent mask (``_mask``) has a bit
+  outside the term's mask; the exact ``_divides`` decides every lead that
+  passes;
 * the product criterion applies only when every seed term lies in
   component 0, decided from the data in ``_walk_pairs``, the pair walk
   of the engine and the certificate alike;
 * every completed basis is re-verified from its final generator set
-  alone (``_verify_complete``): each pair that neither the product
-  criterion nor the chain criterion over pairs already checked covers
+  alone (``_verify_complete``): each pair that neither criterion covers
   must have an S-vector of normal form zero, otherwise RuntimeError.
 
 The staircase of a completed basis detects finite codimension exactly via
@@ -43,18 +44,15 @@ the pure-power criterion and enumerates the standard monomials.
 Syzygies are collected the Schreyer way: the generators are embedded with
 bookkeeping components under an elimination order and completed by the
 same engine, which returns apart every remainder whose real part died:
-each is one syzygy in input coordinates.  Every returned syzygy is
-re-checked exactly against the inputs.
+each is one syzygy in input coordinates, re-checked exactly.
 
 A finite staircase of a local ordering is the one model of its quotient.
-It keeps the basis it was computed from, and ``Staircase.residue`` and
-``Staircase.coordinates`` give the unique representative of a residue
-class supported on the standard monomials.  For these degree-compatible
-orderings every term of (weighted) degree beyond the staircase lies in the
-ideal, so the quotient map is linear on the finitely many terms below that
-cut: the staircase writes it down once, on first use, term by term from
-the smallest up, and coordinates are a sparse lookup in it (the FGLM view
-of a zero-dimensional quotient).  ``quotient_coordinates`` is the checked
+For these degree-compatible orderings every term of (weighted) degree
+beyond the staircase lies in the ideal, so the quotient map is linear on
+the finitely many terms below that cut: the staircase writes it down once,
+on first use, term by term from the smallest up, and ``Staircase.residue``
+and ``Staircase.coordinates`` are a sparse lookup in it (the FGLM view of
+a zero-dimensional quotient).  ``quotient_coordinates`` is the checked
 entry point on polynomials and vectors.
 """
 
@@ -65,89 +63,16 @@ from fractions import Fraction
 from functools import cache, cached_property
 from heapq import heappop, heappush
 from itertools import product
-from math import inf
+from math import gcd, inf, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .orders import MonomialOrder
-from .poly import Exponent, Polynomial
+from .poly import Exponent, ModTerm, Polynomial, Terms, VectorPoly
 
-ModTerm = tuple[int, Exponent]  # (component, monomial)
-Terms = dict[ModTerm, Fraction]
+Row = dict[ModTerm, int]  # an integer row: the working representation of the completion
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-class VectorPoly:
-    """Element of a free module O^ncomp over a shared polynomial ring."""
-
-    __slots__ = ("ring", "ncomp", "terms")
-
-    def __init__(self, ring: tuple[str, ...], ncomp: int, terms=None):
-        ring = tuple(ring)
-        clean: Terms = {}
-        if terms:
-            for (comp, expo), coeff in terms.items():
-                if coeff == 0:
-                    continue
-                if not 0 <= comp < ncomp:
-                    raise ValueError(f"component {comp} out of range for O^{ncomp}")
-                expo = tuple(expo)
-                if len(expo) != len(ring) or any(e < 0 for e in expo):
-                    raise ValueError(f"bad exponent {expo} for ring {ring}")
-                clean[(comp, expo)] = Fraction(coeff)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "ncomp", ncomp)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VectorPoly is immutable")
-
-    @classmethod
-    def from_polys(cls, polys: Sequence[Polynomial]) -> VectorPoly:
-        ring = polys[0].ring
-        terms: Terms = {}
-        for comp, p in enumerate(polys):
-            if p.ring != ring:
-                raise ValueError("components from different rings")
-            for expo, coeff in p.iter_terms():
-                terms[(comp, expo)] = coeff
-        return cls(ring, len(polys), terms)
-
-    @classmethod
-    def from_poly(cls, p: Polynomial) -> VectorPoly:
-        return cls.from_polys([p])
-
-    def component(self, i: int) -> Polynomial:
-        return Polynomial(self.ring, {e: c for (comp, e), c in self.terms.items() if comp == i})
-
-    def to_polys(self) -> list[Polynomial]:
-        return [self.component(i) for i in range(self.ncomp)]
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VectorPoly):
-            return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.ncomp == other.ncomp
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.ncomp, frozenset(self.terms.items())))
-
-    def scale(self, c) -> VectorPoly:
-        c = Fraction(c)
-        return VectorPoly(self.ring, self.ncomp, {k: c * v for k, v in self.terms.items()})
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(str(p) for p in self.to_polys()) + ")"
-
-    def __repr__(self) -> str:
-        return f"VectorPoly{self}"
 
 
 KeyFn = Callable[[ModTerm], object]
@@ -168,11 +93,11 @@ def _quotient(b: Exponent, a: Exponent) -> Exponent:
     return tuple(y - x for x, y in zip(a, b))
 
 
-def _sub_scaled(target: Terms, source: Terms, shift: Exponent, factor: Fraction):
+def _sub_scaled(target, source, shift: Exponent, factor):
     """target -= factor * x^shift * source, in place."""
     for (comp, expo), coeff in source.items():
         key = (comp, _shift(expo, shift))
-        new = target.get(key, _ZERO) - factor * coeff
+        new = target.get(key, 0) - factor * coeff
         if new:
             target[key] = new
         else:
@@ -198,27 +123,30 @@ def _mask(expo: Exponent) -> int:
 
 @dataclass(frozen=True, slots=True)
 class _Reducer:
-    """A frozen reducer with its cached lead data.
+    """A frozen reducer: an integer row with its cached lead data.
 
-    ``mask`` is ``_mask`` of the lead exponent: a lead whose mask has a bit
-    outside a term's mask cannot divide that term.  The mask is a necessary
-    test only: it prefilters ``_divisors``, and ``_divides`` decides every
-    candidate that passes it.  Inside a completion the lead is found with
-    the key that ``_std_engine`` memoizes for the length of its call.
+    ``terms`` is a primitive integer row and ``coeff`` its integer lead
+    coefficient; it stands for the monic row terms / coeff, and no
+    reduction or S-vector depends on its scale (``standard_basis`` alone
+    wraps monic rational rows, to minimalize them).  ``mask`` is ``_mask`` of
+    the lead exponent: a lead whose mask has a bit outside a term's mask
+    cannot divide that term (a necessary test only).
     """
 
     lead: ModTerm
-    coeff: Fraction
-    terms: Terms
+    coeff: int
+    terms: Row
     mask: int
 
 
-def _reducer(lead: ModTerm, terms: Terms) -> _Reducer:
+def _reducer(lead: ModTerm, terms: Row) -> _Reducer:
     return _Reducer(lead=lead, coeff=terms[lead], terms=terms, mask=_mask(lead[1]))
 
 
-def _make_reducer(terms: Terms, keyfn: KeyFn) -> _Reducer:
-    return _reducer(max(terms, key=keyfn), terms)
+def _make_reducer(terms: Terms | Row, keyfn: KeyFn) -> _Reducer:
+    """The reducer of the primitive integer row of ``terms``, lead by ``keyfn``."""
+    row, _ = _primitive(terms)
+    return _reducer(max(row, key=keyfn), row)
 
 
 def _divisors(pool: Sequence[_Reducer], term: ModTerm) -> Iterator[int]:
@@ -234,59 +162,130 @@ def _divisors(pool: Sequence[_Reducer], term: ModTerm) -> Iterator[int]:
             yield k
 
 
-def _nf_global(h: Terms, pool: Sequence[_Reducer], keyfn: KeyFn) -> Terms:
-    """Full division remainder: no remaining term divisible by a pool lead."""
+def _primitive(terms: Terms | Row) -> tuple[Row, Fraction]:
+    """The primitive integer row of ``terms`` and its scale: row = scale * terms.
+
+    Denominators are cleared by their lcm and the content (the gcd of the
+    numerators) is divided out, so the scale is positive.
+    """
+    den = lcm(*(c.denominator for c in terms.values()))
+    row = {t: c.numerator * (den // c.denominator) for t, c in terms.items()}
+    g = gcd(*row.values()) or 1
+    if g != 1:
+        row = {t: c // g for t, c in row.items()}
+    return row, Fraction(den, g)
+
+
+def _rational(row: Row, scale: Fraction) -> Terms:
+    """The rational term map row / scale."""
+    return {t: c / scale for t, c in row.items()}
+
+
+_CONTENT_EVERY = 8  # reduction steps between two content removals
+
+
+def _eliminate(h: Row, lt: ModTerm, red: _Reducer, rest: Row) -> int:
+    """In place, h <- (d/g) h - (c/g) x^m red, and ``rest`` *= d/g; return d/g.
+
+    c = h[lt], d = red.coeff, g = gcd(c, d) takes the sign of d, and x^m
+    times the lead of red is lt, which cancels.
+    """
+    c, d = h[lt], red.coeff
+    g = gcd(c, d)
+    if d < 0:
+        g = -g
+    d //= g
+    if d != 1:
+        for t in h:
+            h[t] *= d
+        for t in rest:
+            rest[t] *= d
+    _sub_scaled(h, red.terms, _quotient(lt[1], red.lead[1]), c // g)
+    return d
+
+
+def _remove_content(h: Row, rest: Row) -> int:
+    """Divide ``h`` and ``rest`` by the gcd of all their coefficients, in place; return it."""
+    g = gcd(*h.values(), *rest.values()) or 1
+    if g != 1:
+        for t in h:
+            h[t] //= g
+        for t in rest:
+            rest[t] //= g
+    return g
+
+
+def _nf_global(h: Row, pool: Sequence[_Reducer], keyfn: KeyFn) -> tuple[Row, Fraction]:
+    """Full division remainder, fraction-free, and its scale.
+
+    No remaining term is divisible by a pool lead.  The remainder is scale
+    times the one the rational division by the monic pool rows leaves: each
+    step scales by d/g (``_eliminate``) and each content removal divides.
+    """
     h = dict(h)
-    remainder: Terms = {}
+    remainder: Row = {}
+    scale, mult, steps = _ONE, 1, 0
     while h:
         lt = max(h, key=keyfn)
         k = next(_divisors(pool, lt), None)
         if k is None:
             remainder[lt] = h.pop(lt)
-        else:
-            red = pool[k]
-            _sub_scaled(h, red.terms, _quotient(lt[1], red.lead[1]), h[lt] / red.coeff)
-    return remainder
+            continue
+        mult *= _eliminate(h, lt, pool[k], remainder)
+        steps += 1
+        if not steps % _CONTENT_EVERY:
+            scale *= Fraction(mult, _remove_content(h, remainder))
+            mult = 1
+    return remainder, scale * mult
 
 
-def _ecart(terms: Terms, lead: ModTerm) -> int:
+def _ecart(terms: Row, lead: ModTerm) -> int:
     return max(sum(e) for _, e in terms) - sum(lead[1])
 
 
-def _nf_mora(h: Terms, pool: Sequence[_Reducer], keyfn: KeyFn) -> Terms:
-    """Mora weak normal form for local orderings.
+def _nf_mora(h: Row, pool: Sequence[_Reducer], keyfn: KeyFn) -> tuple[Row, Fraction]:
+    """Mora weak normal form for local orderings, fraction-free, and its scale.
 
     Reduces the leading term only, choosing the first divisor of minimal
-    ecart (largest total degree minus the degree of the lead), computed here
-    for the pool and for every remainder added to it; when every divisor
-    has larger ecart than the current remainder, the remainder joins the
-    pool (the implicit local unit, and the reason the loop terminates).
-    ``keyfn`` is memoized for the length of the call, as in ``_std_engine``.
+    ecart (largest total degree minus the degree of the lead); when every
+    divisor has larger ecart than the current remainder, the remainder joins
+    the pool (the implicit local unit, and the reason the loop terminates).
+    An ecart is computed only when compared: a pool row's once, on first
+    use, the remainder's (never negative) only against a positive one.  The
+    scale is as in ``_nf_global``; ``keyfn`` is memoized for the call.
     """
     keyfn = cache(keyfn)
     pool = list(pool)
-    ecarts = [_ecart(red.terms, red.lead) for red in pool]
+    ecart = cache(lambda k: _ecart(pool[k].terms, pool[k].lead))
     h = dict(h)
+    scale, steps = _ONE, 0
     while h:
         lt = max(h, key=keyfn)
-        k = min(_divisors(pool, lt), key=ecarts.__getitem__, default=None)
+        k = min(_divisors(pool, lt), key=ecart, default=None)
         if k is None:
-            return h
+            break
         red = pool[k]
-        own = _ecart(h, lt)
-        if ecarts[k] > own:
-            pool.append(_make_reducer(dict(h), keyfn))
-            ecarts.append(own)
-        _sub_scaled(h, red.terms, _quotient(lt[1], red.lead[1]), h[lt] / red.coeff)
-    return h
+        if ecart(k) > 0 and ecart(k) > _ecart(h, lt):
+            pool.append(_reducer(lt, _primitive(h)[0]))
+        scale *= _eliminate(h, lt, red, {})
+        steps += 1
+        if not steps % _CONTENT_EVERY:
+            scale /= _remove_content(h, {})
+    return h, scale
 
 
-def _spoly_terms(f: _Reducer, g: _Reducer) -> Terms:
+def _spoly_terms(f: _Reducer, g: _Reducer) -> tuple[Row, Fraction]:
+    """Fraction-free S-vector and its scale.
+
+    The row (c_g/e) x^a f - (c_f/e) x^b g, with e = gcd(c_f, c_g), is
+    c_f c_g / e times x^a f / c_f - x^b g / c_g, the S-vector of the monic rows.
+    """
     lcm = tuple(max(a, b) for a, b in zip(f.lead[1], g.lead[1]))
-    out: Terms = {}
-    _sub_scaled(out, f.terms, _quotient(lcm, f.lead[1]), -1 / f.coeff)
-    _sub_scaled(out, g.terms, _quotient(lcm, g.lead[1]), _ONE / g.coeff)
-    return out
+    e = gcd(f.coeff, g.coeff)
+    out: Row = {}
+    _sub_scaled(out, f.terms, _quotient(lcm, f.lead[1]), -(g.coeff // e))
+    _sub_scaled(out, g.terms, _quotient(lcm, g.lead[1]), f.coeff // e)
+    return out, Fraction(f.coeff // e * g.coeff)
 
 
 def spoly(f: VectorPoly, g: VectorPoly, keyfn: KeyFn) -> VectorPoly:
@@ -295,15 +294,7 @@ def spoly(f: VectorPoly, g: VectorPoly, keyfn: KeyFn) -> VectorPoly:
     rg = _make_reducer(g.terms, keyfn)
     if rf.lead[0] != rg.lead[0]:
         raise ValueError("S-vector needs matching leading components")
-    return VectorPoly(f.ring, f.ncomp, _spoly_terms(rf, rg))
-
-
-def _monic_terms(terms: Terms, keyfn: KeyFn) -> Terms:
-    lead = max(terms, key=keyfn)
-    c = terms[lead]
-    if c == 1:
-        return dict(terms)
-    return {k: v / c for k, v in terms.items()}
+    return VectorPoly(f.ring, f.ncomp, _rational(*_spoly_terms(rf, rg)))
 
 
 PairKey = tuple[int, Exponent, int, int]  # (degree of the lcm, lcm, i, j)
@@ -332,7 +323,9 @@ def _chain_covered(
 
 
 def _walk_pairs(
-    basis: Sequence[_Reducer], keyfn: KeyFn, on_remainder: Callable[[Terms, int, int], bool]
+    basis: Sequence[_Reducer],
+    keyfn: KeyFn,
+    on_remainder: Callable[[Row, Fraction, int, int], bool],
 ):
     """Reduce the S-vector of every pair of ``basis`` that no criterion covers.
 
@@ -341,9 +334,9 @@ def _walk_pairs(
     product criterion, decided here from the data: modules and syzygy seeds
     need their coprime pairs), or when another lead of the same component
     divides its lcm and both pairs through it were walked before (the chain
-    criterion).  Each nonzero remainder goes to ``on_remainder``, which
-    returns True when it appended a new element to ``basis``; the pairs of
-    that element join the walk.
+    criterion).  Each nonzero remainder goes to ``on_remainder`` with its
+    scale (the S-vector's times the reduction's), which returns True when
+    it appended a new element to ``basis``; its pairs join the walk.
     """
     leads = [r.lead for r in basis]
     ideal = all(comp == 0 for r in basis for comp, _ in r.terms)
@@ -362,8 +355,9 @@ def _walk_pairs(
         _, lcm, i, j = heappop(pending)
         coprime = ideal and lcm == _shift(leads[i][1], leads[j][1])
         if not coprime and not _chain_covered(basis, i, j, lcm, walked):
-            h = _nf_global(_spoly_terms(basis[i], basis[j]), basis, keyfn)
-            if h and on_remainder(h, i, j):
+            s, s_scale = _spoly_terms(basis[i], basis[j])
+            h, h_scale = _nf_global(s, basis, keyfn)
+            if h and on_remainder(h, s_scale * h_scale, i, j):
                 leads.append(basis[-1].lead)
                 add_pairs(len(basis) - 1)
         walked.add((i, j))
@@ -374,21 +368,22 @@ def _std_engine(
 ) -> tuple[list[_Reducer], list[Terms]]:
     """Buchberger completion with deterministic pair selection.
 
-    Returns the completed basis and the relations: the nonzero remainders
-    whose lead lies in a component >= ``split``.  A relation never reduces
-    anything and forms no pairs.  Each term's key is computed once per call:
+    Returns the completed basis, as primitive integer rows, and the
+    relations: the nonzero remainders whose lead lies in a component >=
+    ``split``, each divided by its scale (so, the remainders of the monic
+    rational rows).  A relation never reduces anything and forms no pairs.  Each term's key is computed once per call:
     ``keyfn`` is memoized here, and the memo goes when the call returns.
     """
     keyfn = cache(keyfn)
-    basis = [_make_reducer(_monic_terms(t, keyfn), keyfn) for t in seeds if t]
+    basis = [_make_reducer(t, keyfn) for t in seeds if t]
     if not basis:
         raise ValueError("empty generator list")
     relations: list[Terms] = []
 
-    def keep(h: Terms, i: int, j: int) -> bool:
-        red = _make_reducer(_monic_terms(h, keyfn), keyfn)
+    def keep(h: Row, scale: Fraction, i: int, j: int) -> bool:
+        red = _make_reducer(h, keyfn)
         if red.lead[0] >= split:
-            relations.append(h)
+            relations.append(_rational(h, scale))
             return False
         basis.append(red)
         return True
@@ -428,7 +423,7 @@ def _verify_complete(basis: Sequence[_Reducer], keyfn: KeyFn):
     """
     keyfn = cache(keyfn)  # one key per term for this check, as in the engine
 
-    def fail(h: Terms, i: int, j: int) -> bool:
+    def fail(h: Row, scale: Fraction, i: int, j: int) -> bool:
         raise RuntimeError(
             f"completion check failed: S-vector of generators {i},{j} has nonzero normal form"
         )
@@ -511,8 +506,8 @@ def standard_basis(
 
     One path for every order: the seeds and key from ``_engine_input``
     (which homogenizes for a local order) are completed, the completion is
-    certified, the slack entries are dropped and the result is minimalized.
-    Output is deterministic for a fixed input: fixed selection strategy,
+    certified, the integer rows are made monic rational ones, the slack
+    entries are dropped and the result is minimalized.  Output is deterministic for a fixed input: fixed selection strategy,
     monic generators sorted by leading term.  With ``verify`` (the default)
     the Buchberger criterion is re-checked on the final set.
     """
@@ -525,11 +520,11 @@ def standard_basis(
     if verify:
         _verify_complete(completed, engine_key)
     keyfn = order.module_key
-    dropped = [
-        _make_reducer({(comp, e[pad:]): c for (comp, e), c in r.terms.items()}, keyfn)
+    monic = [
+        {(comp, e[pad:]): Fraction(c, r.coeff) for (comp, e), c in r.terms.items()}
         for r in completed
     ]
-    basis = _minimalize(dropped, keyfn)
+    basis = _minimalize([_reducer(max(t, key=keyfn), t) for t in monic], keyfn)
     return StandardBasis(
         generators=tuple(VectorPoly(ring, ncomp, r.terms) for r in basis),
         order=order,
@@ -538,7 +533,10 @@ def standard_basis(
 
 
 def _pool(basis: StandardBasis) -> list[_Reducer]:
-    return [_reducer(lead, g.terms) for g, lead in zip(basis.generators, basis.leading_terms)]
+    return [
+        _reducer(lead, _primitive(g.terms)[0])
+        for g, lead in zip(basis.generators, basis.leading_terms)
+    ]
 
 
 def normal_form(p: VectorPoly | Polynomial, basis: StandardBasis) -> VectorPoly:
@@ -550,8 +548,10 @@ def normal_form(p: VectorPoly | Polynomial, basis: StandardBasis) -> VectorPoly:
     v = VectorPoly.from_poly(p) if isinstance(p, Polynomial) else p
     if v.ring != basis.ring or v.ncomp != basis.ncomp:
         raise ValueError("ring or component mismatch with basis")
+    row, scale = _primitive(v.terms)
     nf = _nf_mora if basis.order.is_local() else _nf_global
-    return VectorPoly(v.ring, v.ncomp, nf(v.terms, _pool(basis), basis.order.module_key))
+    h, h_scale = nf(row, _pool(basis), basis.order.module_key)
+    return VectorPoly(v.ring, v.ncomp, _rational(h, scale * h_scale))
 
 
 @dataclass(frozen=True)
@@ -597,7 +597,7 @@ class Staircase:
                     continue
                 # each tail term is smaller than the lead: its row is known,
                 # or it lies beyond the cut and is zero
-                factor = -c / red.coeff
+                factor = Fraction(-c, red.coeff)
                 for j, a in rows.get((tcomp, _shift(texpo, shift)), {}).items():
                     row[j] = row.get(j, _ZERO) + factor * a
             rows[(comp, expo)] = {j: a for j, a in row.items() if a}

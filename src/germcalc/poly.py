@@ -9,14 +9,19 @@ The zero polynomial has an empty term map.  All arithmetic is exact; two
 polynomials are equal iff they share the ring and the term map, so identity
 testing is fully reliable.  Values are immutable after construction and safe
 to share across threads.
+
+An element of a free module O^k over the same ring is a ``VectorPoly``: a
+term map from (component, exponent tuple) to a nonzero ``Fraction``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Exponent = tuple[int, ...]
+ModTerm = tuple[int, Exponent]  # (component, monomial)
+Terms = dict[ModTerm, Fraction]
 
 _ZERO = Fraction(0)
 
@@ -275,3 +280,77 @@ def format_polynomial(p: Polynomial) -> str:
     for sign, body in pieces[1:]:
         text += f"{sign}{body}"
     return text
+
+
+class VectorPoly:
+    """Element of a free module O^ncomp over a shared polynomial ring."""
+
+    __slots__ = ("ring", "ncomp", "terms")
+
+    def __init__(self, ring: tuple[str, ...], ncomp: int, terms=None):
+        ring = tuple(ring)
+        clean: Terms = {}
+        if terms:
+            for (comp, expo), coeff in terms.items():
+                if isinstance(coeff, float):
+                    raise TypeError(f"inexact coefficient {coeff!r}")
+                if coeff == 0:
+                    continue
+                if not 0 <= comp < ncomp:
+                    raise ValueError(f"component {comp} out of range for O^{ncomp}")
+                expo = tuple(expo)
+                if len(expo) != len(ring) or any(e < 0 for e in expo):
+                    raise ValueError(f"bad exponent {expo} for ring {ring}")
+                clean[(comp, expo)] = Fraction(coeff)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "ncomp", ncomp)
+        object.__setattr__(self, "terms", clean)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("VectorPoly is immutable")
+
+    @classmethod
+    def from_polys(cls, polys: Sequence[Polynomial]) -> VectorPoly:
+        ring = polys[0].ring
+        terms: Terms = {}
+        for comp, p in enumerate(polys):
+            if p.ring != ring:
+                raise ValueError("components from different rings")
+            for expo, coeff in p.iter_terms():
+                terms[(comp, expo)] = coeff
+        return cls(ring, len(polys), terms)
+
+    @classmethod
+    def from_poly(cls, p: Polynomial) -> VectorPoly:
+        return cls.from_polys([p])
+
+    def component(self, i: int) -> Polynomial:
+        return Polynomial(self.ring, {e: c for (comp, e), c in self.terms.items() if comp == i})
+
+    def to_polys(self) -> list[Polynomial]:
+        return [self.component(i) for i in range(self.ncomp)]
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, VectorPoly):
+            return NotImplemented
+        return (
+            self.ring == other.ring
+            and self.ncomp == other.ncomp
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self.ring, self.ncomp, frozenset(self.terms.items())))
+
+    def scale(self, c) -> VectorPoly:
+        c = Fraction(c)
+        return VectorPoly(self.ring, self.ncomp, {k: c * v for k, v in self.terms.items()})
+
+    def __str__(self) -> str:
+        return "(" + ", ".join(str(p) for p in self.to_polys()) + ")"
+
+    def __repr__(self) -> str:
+        return f"VectorPoly{self}"

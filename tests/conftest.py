@@ -134,3 +134,71 @@ def dense_kernel(rows, ncols):
 @pytest.fixture(scope="session")
 def catalog():
     return CATALOG
+
+
+# -- rational division references, apart from the engine's integer rows --------
+#
+# A monic row is a pair (lead, terms): a rational term map whose coefficient
+# at ``lead`` is 1.  These helpers share no code with ``germcalc.groebner``,
+# so a fault in the engine's integer arithmetic cannot corrupt both the
+# engine and the reference it is checked against.
+
+
+def monic_row(terms, keyfn, lead=None):
+    """The monic row of a term map; the lead defaults to the largest term under ``keyfn``."""
+    lead = max(terms, key=keyfn) if lead is None else lead
+    c = Fraction(terms[lead])
+    return lead, {t: Fraction(v) / c for t, v in terms.items()}
+
+
+def sub_multiple(h, terms, shift, factor):
+    """h -= factor * x^shift * terms over the rationals, in place."""
+    for (comp, expo), c in terms.items():
+        key = (comp, tuple(a + b for a, b in zip(expo, shift)))
+        new = h.get(key, 0) - factor * c
+        if new:
+            h[key] = new
+        else:
+            h.pop(key, None)
+
+
+def monic_spoly(f, g):
+    """S-vector x^a f - x^b g of two monic rows whose leads share a component."""
+    (_, fe), (_, ge) = f[0], g[0]
+    lcm = tuple(max(a, b) for a, b in zip(fe, ge))
+    out = {}
+    sub_multiple(out, f[1], tuple(m - a for a, m in zip(fe, lcm)), -1)
+    sub_multiple(out, g[1], tuple(m - b for b, m in zip(ge, lcm)), 1)
+    return out
+
+
+def first_divisor(pool, term):
+    """The first monic row whose lead divides ``term``, by a plain scan (no mask)."""
+    comp, expo = term
+    for row in pool:
+        lcomp, lexpo = row[0]
+        if lcomp == comp and all(a <= b for a, b in zip(lexpo, expo)):
+            return row
+    return None
+
+
+def top_reduce(h, pool, keyfn, stop=lambda term: False):
+    """Top reduction by ``first_divisor`` until h dies, its lead is stuck, or ``stop(lead)``."""
+    h = {t: Fraction(c) for t, c in h.items()}
+    while h:
+        lt = max(h, key=keyfn)
+        hit = None if stop(lt) else first_divisor(pool, lt)
+        if hit is None:
+            break
+        (_, le), terms = hit
+        sub_multiple(h, terms, tuple(b - a for a, b in zip(le, lt[1])), h[lt])
+    return h
+
+
+def full_division(h, pool, keyfn):
+    """Remainder of the full division algorithm: stuck leads are set aside."""
+    rest = {}
+    while h := top_reduce(h, pool, keyfn):
+        lt = max(h, key=keyfn)
+        rest[lt] = h.pop(lt)
+    return rest

@@ -1,0 +1,142 @@
+"""The engine's fraction-free integer rows.
+
+Property tests: the integer reduction and the integer S-vector equal their
+exact scale times a rational reference built from monic rows apart from
+the engine (``conftest``).  Exactness guard: every coefficient the engine
+hands out is a ``Fraction``, never a float from dividing one integer by
+another.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from germcalc import (
+    DEGREVLEX,
+    NEGDEGREVLEX,
+    VectorPoly,
+    normal_form,
+    parse_poly,
+    spoly,
+    staircase,
+    standard_basis,
+    syzygies,
+)
+from germcalc.groebner import _make_reducer, _nf_global, _spoly_terms
+from conftest import CATALOG, cached_poly, full_division, monic_row, monic_spoly
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+
+
+def homogenized_negdegrevlex(term):
+    """Degree first, then the local order on the rest: the engine's key for local orders."""
+    comp, ext = term
+    return (comp, sum(ext), NEGDEGREVLEX.sort_key(ext[1:]))
+
+
+KEYS = {"degrevlex": DEGREVLEX.module_key, "homogenized": homogenized_negdegrevlex}
+
+
+@st.composite
+def reduction_cases(draw):
+    """A key, a term map with integer coefficients, and a pool of rational term maps."""
+    nvars = draw(st.integers(1, 3))
+    ncomp = draw(st.integers(1, 2))
+    term = st.tuples(
+        st.integers(0, ncomp - 1), st.lists(st.integers(0, 3), min_size=nvars, max_size=nvars).map(tuple)
+    )
+    small = st.integers(-6, 6).filter(bool)
+    h = draw(st.dictionaries(term, small, min_size=1, max_size=10))
+    rational = st.builds(Fraction, small, st.integers(1, 4))
+    pool = draw(st.lists(st.dictionaries(term, rational, min_size=1, max_size=4), min_size=1, max_size=4))
+    return draw(st.sampled_from(sorted(KEYS))), h, pool
+
+
+@PROPERTY
+@given(reduction_cases())
+def test_integer_rows_are_their_scale_times_the_rational_ones(case):
+    label, h, seeds = case
+    key = KEYS[label]
+    rows = [monic_row(t, key) for t in seeds]
+    pool = [_make_reducer(t, key) for t in seeds]
+    assert all(type(c) is int for red in pool for c in red.terms.values())
+    # the full division of h by the pool
+    remainder, scale = _nf_global(h, pool, key)
+    assert type(scale) is Fraction and scale
+    assert all(type(c) is int for c in remainder.values())
+    assert remainder == {t: scale * c for t, c in full_division(h, rows, key).items()}
+    # the S-vector of every pair whose leads share a component
+    for i in range(len(pool)):
+        for j in range(len(pool)):
+            if pool[i].lead[0] == pool[j].lead[0]:
+                s, scale = _spoly_terms(pool[i], pool[j])
+                assert type(scale) is Fraction and scale
+                assert s == {t: scale * c for t, c in monic_spoly(rows[i], rows[j]).items()}
+
+
+# -- exactness guard -------------------------------------------------------------
+
+
+def jacobian(f):
+    return [f.partial_derivative(v) for v in f.ring]
+
+
+def assert_exact(terms, what):
+    bad = {t: c for t, c in terms.items() if type(c) is not Fraction}
+    assert not bad, (what, bad)
+
+
+def probes(ring, ncomp):
+    """A few term maps with rational coefficients, from degree 0 to 5."""
+    n = len(ring)
+    out = []
+    for d in range(6):
+        expo = tuple((d + i) % 3 for i in range(n))
+        out.append({(c, expo): Fraction(d + 1, c + 2) for c in range(ncomp)}
+                   | {(0, (0,) * n): Fraction(-1, 3)})
+    return [VectorPoly(ring, ncomp, t) for t in out]
+
+
+def exactness_cases():
+    """(label, generators): the Tjurina ideals of the catalog and one ICIS module."""
+    for germ in CATALOG:
+        f = cached_poly(germ.text, germ.vars)
+        yield germ.name, [VectorPoly.from_poly(g) for g in [f] + jacobian(f)]
+    v3 = ("x", "y", "z")
+    eqs = [parse_poly("x^4+y^4+2*z^2", v3), parse_poly("2*z-x*y", v3)]
+    zero = parse_poly("0", v3)
+    gens = [VectorPoly.from_polys([g.partial_derivative(v) for g in eqs]) for v in v3]
+    gens += [VectorPoly.from_polys([g, zero]) for g in eqs]
+    gens += [VectorPoly.from_polys([zero, g]) for g in eqs]
+    yield "icis", gens
+
+
+def test_every_output_coefficient_is_a_fraction():
+    # VectorPoly refuses a float coefficient, so a float reaching a
+    # generator, a syzygy, an S-vector or a normal form raises TypeError;
+    # residues are plain dicts and are checked here term by term
+    for label, gens in exactness_cases():
+        local = standard_basis(gens, NEGDEGREVLEX)
+        stair = staircase(local)
+        glob = standard_basis(gens, DEGREVLEX)
+        for g in local.generators + glob.generators:
+            assert_exact(g.terms, (label, "generator"))
+        for s in syzygies(gens, NEGDEGREVLEX):
+            assert_exact(s.terms, (label, "syzygy"))
+        for a, b in zip(gens, gens[1:]):
+            for order in (DEGREVLEX, NEGDEGREVLEX):
+                lead = [max(v.terms, key=order.module_key)[0] for v in (a, b)]
+                if lead[0] == lead[1]:
+                    assert_exact(spoly(a, b, order.module_key).terms, (label, "spoly"))
+        for p in probes(local.ring, local.ncomp):
+            assert_exact(normal_form(p, glob).terms, (label, "global normal form"))
+            assert_exact(normal_form(p, local).terms, (label, "local normal form"))
+            if stair.finite:
+                assert_exact(stair.residue(p.terms), (label, "residue"))
+
+
+def test_vector_refuses_a_float_coefficient():
+    with pytest.raises(TypeError, match="inexact"):
+        VectorPoly(("x",), 1, {(0, (1,)): 0.5})

@@ -26,14 +26,11 @@ from germcalc.groebner import (
     _check_syzygies,
     _homogenize_terms,
     _make_reducer,
-    _monic_terms,
     _pair_key,
-    _spoly_terms,
-    _sub_scaled,
     _std_engine,
     _verify_complete,
 )
-from conftest import CATALOG, cached_poly, cached_tjurina
+from conftest import CATALOG, cached_poly, cached_tjurina, monic_row, monic_spoly, top_reduce
 
 V1 = ("x",)
 V2 = ("x", "y")
@@ -121,6 +118,7 @@ def test_completion_certificate_rejects_incomplete_set():
     keyfn = DEGREVLEX.module_key
     gens = [parse_poly("x^2-y", V2), parse_poly("x*y", V2)]
     pool = [_make_reducer(VectorPoly.from_poly(g).terms, keyfn) for g in gens]
+    assert all(type(c) is int for r in pool for c in r.terms.values())
     with pytest.raises(RuntimeError):
         _verify_complete(pool, keyfn)
 
@@ -135,43 +133,25 @@ def test_completion_certificate_applies_no_product_criterion_to_modules():
     ]
     pool = [_make_reducer(g.terms, keyfn) for g in gens]
     assert [r.lead for r in pool] == [(1, (1, 0)), (1, (0, 1))]
+    assert all(type(c) is int for r in pool for c in r.terms.values())
     with pytest.raises(RuntimeError):
         _verify_complete(pool, keyfn)
-
-
-def first_divisor(pool, term):
-    """The first reducer whose lead divides ``term``, by a plain scan (no mask)."""
-    comp, expo = term
-    for red in pool:
-        if red.lead[0] == comp and all(a <= b for a, b in zip(red.lead[1], expo)):
-            return red
-    return None
-
-
-def reduces_to_zero(h, pool, keyfn):
-    """Top reduction by ``first_divisor`` until the remainder dies or its lead is stuck."""
-    h = dict(h)
-    while h:
-        lt = max(h, key=keyfn)
-        hit = first_divisor(pool, lt)
-        if hit is None:
-            return False
-        _sub_scaled(h, hit.terms, tuple(b - a for a, b in zip(hit.lead[1], lt[1])),
-                    h[lt] / hit.coeff)
-    return True
 
 
 def all_pairs_complete(pool, keyfn):
     """Reference certificate without criteria: every S-vector reduces to zero.
 
-    It reduces with its own division loop, so a fault in the engine's
-    divisor lookup cannot corrupt this reference and the certificate alike.
+    It turns the engine's integer rows into monic rational rows and reduces
+    with its own division loop (``conftest.top_reduce``), so a fault in the
+    engine's arithmetic or divisor lookup cannot corrupt this reference and
+    the certificate alike.
     """
-    return all(
-        reduces_to_zero(_spoly_terms(pool[i], pool[j]), pool, keyfn)
-        for j in range(len(pool))
+    rows = [monic_row(r.terms, keyfn, r.lead) for r in pool]
+    return not any(
+        top_reduce(monic_spoly(rows[i], rows[j]), rows, keyfn)
+        for j in range(len(rows))
         for i in range(j)
-        if pool[i].lead[0] == pool[j].lead[0]
+        if rows[i][0][0] == rows[j][0][0]
     )
 
 
@@ -330,21 +310,6 @@ def test_syzygy_certificate_rejects_a_wrong_vector():
         _check_syzygies(gens, [wrong])
 
 
-def _nf_real(h, pool, keyfn, split):
-    """Top reduction that stops once the lead leaves the real block."""
-    h = dict(h)
-    while h:
-        lt = max(h, key=keyfn)
-        if lt[0] >= split:
-            return h
-        hit = first_divisor(pool, lt)
-        if hit is None:
-            return h
-        _sub_scaled(h, hit.terms, tuple(b - a for a, b in zip(hit.lead[1], lt[1])),
-                    h[lt] / hit.coeff)
-    return h
-
-
 def all_pairs_syzygies(gens, order):
     """Reference Schreyer collection with no pair criteria: every pair of
     the real block is reduced, and each remainder whose real part dies is
@@ -369,9 +334,8 @@ def all_pairs_syzygies(gens, order):
         return (0, lead_c, scalar_key(tuple(a + b for a, b in zip(expo, lead_e))), -comp)
 
     zero = (0,) * (len(ring) + pad)
-    basis = [_make_reducer(_monic_terms({**t, (r + i, zero): 1}, elim_key), elim_key)
-             for i, t in enumerate(seeds)]
-    leads = [b.lead for b in basis]
+    basis = [monic_row({**t, (r + i, zero): 1}, elim_key) for i, t in enumerate(seeds)]
+    leads = [lead for lead, _ in basis]
     pending = [
         _pair_key(leads, i, j) for j in range(k) for i in range(j) if leads[i][0] == leads[j][0]
     ]
@@ -379,7 +343,8 @@ def all_pairs_syzygies(gens, order):
     out = []
     while pending:
         _, _, i, j = heappop(pending)
-        h = _nf_real(_spoly_terms(basis[i], basis[j]), basis, elim_key, r)
+        # top reduction that stops once the lead leaves the real block
+        h = top_reduce(monic_spoly(basis[i], basis[j]), basis, elim_key, lambda t: t[0] >= r)
         if not h:
             continue
         if max(h, key=elim_key)[0] >= r:
@@ -388,8 +353,8 @@ def all_pairs_syzygies(gens, order):
                 merged[(comp - r, e[pad:])] = merged.get((comp - r, e[pad:]), 0) + c
             out.append(VectorPoly(ring, k, merged))
             continue
-        basis.append(_make_reducer(_monic_terms(h, elim_key), elim_key))
-        leads.append(basis[-1].lead)
+        basis.append(monic_row(h, elim_key))
+        leads.append(basis[-1][0])
         for i in range(len(basis) - 1):
             if leads[i][0] == leads[-1][0]:
                 heappush(pending, _pair_key(leads, i, len(basis) - 1))

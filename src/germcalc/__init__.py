@@ -32,6 +32,7 @@ from .modular import (
     tangent_derivation,
 )
 from .oracle import truncated_quotient_dimension
+from .packed import ExponentOverflow
 from .orders import DEGREVLEX, NEGDEGREVLEX, MonomialOrder, compare, weighted_local
 from .parse import ParseError, parse_poly
 from .poly import Polynomial, format_polynomial
@@ -54,6 +55,7 @@ __all__ = [
     "ActionMatrix",
     "DEGREVLEX",
     "Derivation",
+    "ExponentOverflow",
     "FamilySpec",
     "GermInput",
     "GradedT1",

@@ -4,6 +4,16 @@ Elements of a free module O^k are held as ``VectorPoly`` (``germcalc.poly``):
 a term map from (component, exponent tuple) to a nonzero rational.  Ideals are the k = 1
 case.  The machinery is shared:
 
+* inside the engine every exponent is one packed int (``germcalc.packed``):
+  each entry has a fixed-width field whose top bit is a guard, the first
+  entry in the most significant field, so ints compare like lex tuples, a
+  shift is one addition, a quotient one subtraction, divisibility one mask
+  test and an lcm a few bit operations (Monagan and Pearce, JSC 2011).
+  Exponent tuples exist only at the public boundary: packed on the way
+  in, unpacked for bases, relations, normal forms and residue tables on
+  the way out.  An entry that would not fit its field raises
+  ``ExponentOverflow`` (a ValueError) before any arithmetic, so nothing
+  wraps into a guard bit;
 * reductions and S-vectors work on primitive integer rows, fraction-free
   (``_primitive``, ``_eliminate``; Bareiss's one-step integer-preserving
   elimination, with the content removed every few steps as SINGULAR does);
@@ -18,22 +28,22 @@ case.  The machinery is shared:
   reduction strategy, allowing intermediate results as reducers;
 * one completion loop, ``_std_engine``, serves standard bases and
   syzygies: Buchberger's loop under the normal pair-selection strategy
-  (smallest lcm degree first, ties by the lcm exponent tuple, then by the
-  pair's indices, in a heap of keys computed once per pair), with the
-  product criterion and the chain criterion; it, ``_verify_complete`` and
-  ``_nf_mora`` memoize each term's order key for the length of a call;
+  (smallest lcm degree first, ties by the packed lcm, then by the pair's
+  indices, in a heap of keys computed once per pair), with the product
+  criterion and the chain criterion; it, ``_verify_complete`` and
+  ``normal_form`` memoize each term's order key, computed from the
+  unpacked term, for the length of a call;
 * both reach the loop through ``_engine_input``, the one place where the
   completion tells local from global orders: for local orderings it
   degree-homogenizes the input and keys it by the induced global order
   (Lazard's method), which keeps tails division-reduced throughout; the
   slack entry is dropped afterwards;
-* every divisor search goes through ``_divisors``, a scan in pool order
-  that passes over a lead whose exponent mask (``_mask``) has a bit
-  outside the term's mask; the exact ``_divides`` decides every lead that
-  passes;
+* every divisor search in a pool goes through ``_divisors``, a scan of
+  the pool's leads in order with one mask test per lead;
 * the product criterion applies only when every seed term lies in
   component 0, decided from the data in ``_walk_pairs``, the pair walk
-  of the engine and the certificate alike;
+  of the engine and the certificate alike; the chain criterion looks for
+  a dividing lead among the walked partners both elements of a pair share;
 * every completed basis is re-verified from its final generator set
   alone (``_verify_complete``): each pair that neither criterion covers
   must have an S-vector of normal form zero, otherwise RuntimeError.
@@ -44,7 +54,7 @@ the pure-power criterion and enumerates the standard monomials.
 Syzygies are collected the Schreyer way: the generators are embedded with
 bookkeeping components under an elimination order and completed by the
 same engine, which returns apart every remainder whose real part died:
-each is one syzygy in input coordinates, re-checked exactly.
+each is one syzygy in input coordinates, re-checked exactly on integer rows.
 
 A finite staircase of a local ordering is the one model of its quotient.
 For these degree-compatible orderings every term of (weighted) degree
@@ -63,13 +73,28 @@ from fractions import Fraction
 from functools import cache, cached_property
 from heapq import heappop, heappush
 from itertools import product
-from math import gcd, inf, lcm
-from typing import Callable, Iterable, Iterator, Sequence
+from math import gcd, inf
+from typing import Callable, Iterable, Sequence
 
 from .orders import MonomialOrder
+from .packed import (
+    FIELD,
+    ExponentOverflow,
+    PackedTerm,
+    PackedTerms,
+    Packing,
+    Row,
+    _divisors,
+    _make_reducer,
+    _primitive,
+    _rational,
+    _Reducer,
+    _reducer,
+    _sub_scaled,
+    packing,
+)
 from .poly import Exponent, ModTerm, Polynomial, Terms, VectorPoly
 
-Row = dict[ModTerm, int]  # an integer row: the working representation of the completion
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -78,113 +103,10 @@ _ONE = Fraction(1)
 KeyFn = Callable[[ModTerm], object]
 
 
-# -- raw term-map helpers (the working representation inside reductions) ----
-
-
-def _shift(expo: Exponent, by: Exponent) -> Exponent:
-    return tuple(a + b for a, b in zip(expo, by))
-
-
-def _divides(a: Exponent, b: Exponent) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _quotient(b: Exponent, a: Exponent) -> Exponent:
-    return tuple(y - x for x, y in zip(a, b))
-
-
-def _sub_scaled(target, source, shift: Exponent, factor):
-    """target -= factor * x^shift * source, in place."""
-    for (comp, expo), coeff in source.items():
-        key = (comp, _shift(expo, shift))
-        new = target.get(key, 0) - factor * coeff
-        if new:
-            target[key] = new
-        else:
-            target.pop(key, None)
-
-
-_MASK_CAP = 8  # bits per variable in a lead mask
-_UNARY = tuple((1 << e) - 1 for e in range(_MASK_CAP + 1))
-
-
-def _mask(expo: Exponent) -> int:
-    """Exponent-vector mask: per variable, min(e, cap) unary bits in a field of its own.
-
-    The fields are cap bits wide and are added, so they must not overlap.
-    If a divides b then _mask(a) & ~_mask(b) == 0; the converse fails once
-    an exponent reaches the cap, so the mask is a necessary test only.
-    """
-    mask = 0
-    for e in expo:
-        mask = (mask << _MASK_CAP) + _UNARY[e if e < _MASK_CAP else _MASK_CAP]
-    return mask
-
-
-@dataclass(frozen=True, slots=True)
-class _Reducer:
-    """A frozen reducer: an integer row with its cached lead data.
-
-    ``terms`` is a primitive integer row and ``coeff`` its integer lead
-    coefficient; it stands for the monic row terms / coeff, and no
-    reduction or S-vector depends on its scale (``standard_basis`` alone
-    wraps monic rational rows, to minimalize them).  ``mask`` is ``_mask`` of
-    the lead exponent: a lead whose mask has a bit outside a term's mask
-    cannot divide that term (a necessary test only).
-    """
-
-    lead: ModTerm
-    coeff: int
-    terms: Row
-    mask: int
-
-
-def _reducer(lead: ModTerm, terms: Row) -> _Reducer:
-    return _Reducer(lead=lead, coeff=terms[lead], terms=terms, mask=_mask(lead[1]))
-
-
-def _make_reducer(terms: Terms | Row, keyfn: KeyFn) -> _Reducer:
-    """The reducer of the primitive integer row of ``terms``, lead by ``keyfn``."""
-    row, _ = _primitive(terms)
-    return _reducer(max(row, key=keyfn), row)
-
-
-def _divisors(pool: Sequence[_Reducer], term: ModTerm) -> Iterator[int]:
-    """Indices, in pool order, of the reducers whose lead divides ``term``.
-
-    The term's mask is computed once; a lead of another component, or one
-    whose mask fails, is passed over without the exact test.
-    """
-    comp, expo = term
-    miss = ~_mask(expo)
-    for k, red in enumerate(pool):
-        if not red.mask & miss and red.lead[0] == comp and _divides(red.lead[1], expo):
-            yield k
-
-
-def _primitive(terms: Terms | Row) -> tuple[Row, Fraction]:
-    """The primitive integer row of ``terms`` and its scale: row = scale * terms.
-
-    Denominators are cleared by their lcm and the content (the gcd of the
-    numerators) is divided out, so the scale is positive.
-    """
-    den = lcm(*(c.denominator for c in terms.values()))
-    row = {t: c.numerator * (den // c.denominator) for t, c in terms.items()}
-    g = gcd(*row.values()) or 1
-    if g != 1:
-        row = {t: c // g for t, c in row.items()}
-    return row, Fraction(den, g)
-
-
-def _rational(row: Row, scale: Fraction) -> Terms:
-    """The rational term map row / scale."""
-    return {t: c / scale for t, c in row.items()}
-
-
 _CONTENT_EVERY = 8  # reduction steps between two content removals
 
 
-def _eliminate(h: Row, lt: ModTerm, red: _Reducer, rest: Row) -> int:
+def _eliminate(h: Row, lt: PackedTerm, red: _Reducer, rest: Row, guard: int) -> int:
     """In place, h <- (d/g) h - (c/g) x^m red, and ``rest`` *= d/g; return d/g.
 
     c = h[lt], d = red.coeff, g = gcd(c, d) takes the sign of d, and x^m
@@ -200,7 +122,7 @@ def _eliminate(h: Row, lt: ModTerm, red: _Reducer, rest: Row) -> int:
             h[t] *= d
         for t in rest:
             rest[t] *= d
-    _sub_scaled(h, red.terms, _quotient(lt[1], red.lead[1]), c // g)
+    _sub_scaled(h, red.terms, red.top, lt[1] - red.lead[1], c // g, guard)
     return d
 
 
@@ -215,23 +137,24 @@ def _remove_content(h: Row, rest: Row) -> int:
     return g
 
 
-def _nf_global(h: Row, pool: Sequence[_Reducer], keyfn: KeyFn) -> tuple[Row, Fraction]:
+def _nf_global(h: Row, pool: Sequence[_Reducer], keyfn: KeyFn, pk: Packing) -> tuple[Row, Fraction]:
     """Full division remainder, fraction-free, and its scale.
 
     No remaining term is divisible by a pool lead.  The remainder is scale
     times the one the rational division by the monic pool rows leaves: each
     step scales by d/g (``_eliminate``) and each content removal divides.
     """
+    guard, leads = pk.guard, [r.lead for r in pool]
     h = dict(h)
     remainder: Row = {}
     scale, mult, steps = _ONE, 1, 0
     while h:
         lt = max(h, key=keyfn)
-        k = next(_divisors(pool, lt), None)
+        k = next(_divisors(leads, lt, guard), None)
         if k is None:
             remainder[lt] = h.pop(lt)
             continue
-        mult *= _eliminate(h, lt, pool[k], remainder)
+        mult *= _eliminate(h, lt, pool[k], remainder, guard)
         steps += 1
         if not steps % _CONTENT_EVERY:
             scale *= Fraction(mult, _remove_content(h, remainder))
@@ -239,11 +162,11 @@ def _nf_global(h: Row, pool: Sequence[_Reducer], keyfn: KeyFn) -> tuple[Row, Fra
     return remainder, scale * mult
 
 
-def _ecart(terms: Row, lead: ModTerm) -> int:
-    return max(sum(e) for _, e in terms) - sum(lead[1])
+def _ecart(terms: Row, lead: PackedTerm, degree: Callable[[int], int]) -> int:
+    return max(degree(e) for _, e in terms) - degree(lead[1])
 
 
-def _nf_mora(h: Row, pool: Sequence[_Reducer], keyfn: KeyFn) -> tuple[Row, Fraction]:
+def _nf_mora(h: Row, pool: Sequence[_Reducer], keyfn: KeyFn, pk: Packing) -> tuple[Row, Fraction]:
     """Mora weak normal form for local orderings, fraction-free, and its scale.
 
     Reduces the leading term only, choosing the first divisor of minimal
@@ -252,72 +175,80 @@ def _nf_mora(h: Row, pool: Sequence[_Reducer], keyfn: KeyFn) -> tuple[Row, Fract
     the pool (the implicit local unit, and the reason the loop terminates).
     An ecart is computed only when compared: a pool row's once, on first
     use, the remainder's (never negative) only against a positive one.  The
-    scale is as in ``_nf_global``; ``keyfn`` is memoized for the call.
+    scale is as in ``_nf_global``.
     """
-    keyfn = cache(keyfn)
-    pool = list(pool)
-    ecart = cache(lambda k: _ecart(pool[k].terms, pool[k].lead))
+    guard, degree = pk.guard, pk.degree
+    pool, leads = list(pool), [r.lead for r in pool]
+    ecart = cache(lambda k: _ecart(pool[k].terms, pool[k].lead, degree))
     h = dict(h)
     scale, steps = _ONE, 0
     while h:
         lt = max(h, key=keyfn)
-        k = min(_divisors(pool, lt), key=ecart, default=None)
+        k = min(_divisors(leads, lt, guard), key=ecart, default=None)
         if k is None:
             break
         red = pool[k]
-        if ecart(k) > 0 and ecart(k) > _ecart(h, lt):
-            pool.append(_reducer(lt, _primitive(h)[0]))
-        scale *= _eliminate(h, lt, red, {})
+        if ecart(k) > 0 and ecart(k) > _ecart(h, lt, degree):
+            pool.append(_reducer(lt, _primitive(h)[0], pk))
+            leads.append(lt)
+        scale *= _eliminate(h, lt, red, {}, guard)
         steps += 1
         if not steps % _CONTENT_EVERY:
             scale /= _remove_content(h, {})
     return h, scale
 
 
-def _spoly_terms(f: _Reducer, g: _Reducer) -> tuple[Row, Fraction]:
-    """Fraction-free S-vector and its scale.
+def _spoly_terms(f: _Reducer, g: _Reducer, lcm: int, guard: int) -> tuple[Row, Fraction]:
+    """Fraction-free S-vector and its scale; ``lcm`` is that of the two lead exponents.
 
     The row (c_g/e) x^a f - (c_f/e) x^b g, with e = gcd(c_f, c_g), is
     c_f c_g / e times x^a f / c_f - x^b g / c_g, the S-vector of the monic rows.
     """
-    lcm = tuple(max(a, b) for a, b in zip(f.lead[1], g.lead[1]))
     e = gcd(f.coeff, g.coeff)
     out: Row = {}
-    _sub_scaled(out, f.terms, _quotient(lcm, f.lead[1]), -(g.coeff // e))
-    _sub_scaled(out, g.terms, _quotient(lcm, g.lead[1]), f.coeff // e)
+    _sub_scaled(out, f.terms, f.top, lcm - f.lead[1], -(g.coeff // e), guard)
+    _sub_scaled(out, g.terms, g.top, lcm - g.lead[1], f.coeff // e, guard)
     return out, Fraction(f.coeff // e * g.coeff)
 
 
 def spoly(f: VectorPoly, g: VectorPoly, keyfn: KeyFn) -> VectorPoly:
     """S-vector; the leading components must agree."""
-    rf = _make_reducer(f.terms, keyfn)
-    rg = _make_reducer(g.terms, keyfn)
+    pk = packing(len(f.ring))
+    key = pk.keyed(keyfn)
+    rf = _make_reducer(pk.pack_terms(f.terms), key, pk)
+    rg = _make_reducer(pk.pack_terms(g.terms), key, pk)
     if rf.lead[0] != rg.lead[0]:
         raise ValueError("S-vector needs matching leading components")
-    return VectorPoly(f.ring, f.ncomp, _rational(*_spoly_terms(rf, rg)))
+    s = _spoly_terms(rf, rg, pk.lcm(rf.lead[1], rg.lead[1]), pk.guard)
+    return VectorPoly(f.ring, f.ncomp, pk.unpack_terms(_rational(*s)))
 
 
-PairKey = tuple[int, Exponent, int, int]  # (degree of the lcm, lcm, i, j)
+PairKey = tuple[int, int, int, int]  # (degree of the lcm, packed lcm, i, j)
 
 
-def _pair_key(leads: Sequence[ModTerm], i: int, j: int) -> PairKey:
+def _pair_key(leads: Sequence[PackedTerm], i: int, j: int, pk: Packing) -> PairKey:
     """Selection key of the pair (i, j): smallest lcm degree, then lcm, then indices.
 
-    The indices make every key unique, so a heap of keys pops pairs in one
-    fixed order.
+    The packed lcm compares like its exponent tuple.  The indices make
+    every key unique, so a heap of keys pops pairs in one fixed order.
     """
-    lcm = tuple(max(a, b) for a, b in zip(leads[i][1], leads[j][1]))
-    return (sum(lcm), lcm, i, j)
+    lcm = pk.lcm(leads[i][1], leads[j][1])
+    return (pk.degree(lcm), lcm, i, j)
 
 
 def _chain_covered(
-    basis: Sequence[_Reducer], i: int, j: int, lcm: Exponent, walked: set[tuple[int, int]]
+    leads: Sequence[PackedTerm], lcm: int, partners_i: set[int], partners_j: set[int], guard: int
 ) -> bool:
-    """Does another lead of the same component divide lcm, with both pairs through it walked?"""
-    for k in _divisors(basis, (basis[i].lead[0], lcm)):
-        if k in (i, j):
-            continue
-        if (min(i, k), max(i, k)) in walked and (min(j, k), max(j, k)) in walked:
+    """Does the lead of a walked partner of both i and j divide lcm(i, j)?
+
+    This is Buchberger's chain criterion over walked pairs: some k with
+    lead k dividing the lcm and both (i, k) and (j, k) walked.  Pairs form
+    only within a component, so every common partner shares it, and the
+    pair (i, j) is not walked yet, so neither i nor j is a common partner.
+    """
+    lcm |= guard
+    for k in partners_i & partners_j:
+        if (lcm - leads[k][1]) & guard == guard:
             return True
     return False
 
@@ -326,6 +257,7 @@ def _walk_pairs(
     basis: Sequence[_Reducer],
     keyfn: KeyFn,
     on_remainder: Callable[[Row, Fraction, int, int], bool],
+    pk: Packing,
 ):
     """Reduce the S-vector of every pair of ``basis`` that no criterion covers.
 
@@ -334,10 +266,13 @@ def _walk_pairs(
     product criterion, decided here from the data: modules and syzygy seeds
     need their coprime pairs), or when another lead of the same component
     divides its lcm and both pairs through it were walked before (the chain
-    criterion).  Each nonzero remainder goes to ``on_remainder`` with its
-    scale (the S-vector's times the reduction's), which returns True when
-    it appended a new element to ``basis``; its pairs join the walk.
+    criterion, ``_chain_covered``: each element keeps the set of partners
+    it was walked with).  Each nonzero remainder goes to ``on_remainder``
+    with its scale (the S-vector's times the reduction's), which returns
+    True when it appended a new element to ``basis``; its pairs join the
+    walk.
     """
+    guard = pk.guard
     leads = [r.lead for r in basis]
     ideal = all(comp == 0 for r in basis for comp, _ in r.terms)
     pending: list[PairKey] = []
@@ -345,63 +280,69 @@ def _walk_pairs(
     def add_pairs(j: int):
         for i in range(j):
             if leads[i][0] == leads[j][0]:
-                heappush(pending, _pair_key(leads, i, j))
+                heappush(pending, _pair_key(leads, i, j, pk))
 
     for j in range(len(basis)):
         add_pairs(j)
 
-    walked: set[tuple[int, int]] = set()
+    walked: list[set[int]] = [set() for _ in basis]
     while pending:
         _, lcm, i, j = heappop(pending)
-        coprime = ideal and lcm == _shift(leads[i][1], leads[j][1])
-        if not coprime and not _chain_covered(basis, i, j, lcm, walked):
-            s, s_scale = _spoly_terms(basis[i], basis[j])
-            h, h_scale = _nf_global(s, basis, keyfn)
+        coprime = ideal and lcm == leads[i][1] + leads[j][1]
+        if not coprime and not _chain_covered(leads, lcm, walked[i], walked[j], guard):
+            s, s_scale = _spoly_terms(basis[i], basis[j], lcm, guard)
+            h, h_scale = _nf_global(s, basis, keyfn, pk)
             if h and on_remainder(h, s_scale * h_scale, i, j):
                 leads.append(basis[-1].lead)
+                walked.append(set())
                 add_pairs(len(basis) - 1)
-        walked.add((i, j))
+        walked[i].add(j)
+        walked[j].add(i)
 
 
 def _std_engine(
-    seeds: Sequence[Terms], keyfn: KeyFn, split: int
+    seeds: Sequence[PackedTerms], keyfn: KeyFn, split: int, pk: Packing
 ) -> tuple[list[_Reducer], list[Terms]]:
     """Buchberger completion with deterministic pair selection.
 
-    Returns the completed basis, as primitive integer rows, and the
-    relations: the nonzero remainders whose lead lies in a component >=
-    ``split``, each divided by its scale (so, the remainders of the monic
-    rational rows).  A relation never reduces anything and forms no pairs.  Each term's key is computed once per call:
-    ``keyfn`` is memoized here, and the memo goes when the call returns.
+    ``seeds`` and ``keyfn`` are on packed terms.  Returns the completed
+    basis, as primitive integer rows, and the relations: the nonzero
+    remainders whose lead lies in a component >= ``split``, each divided by
+    its scale (so, the remainders of the monic rational rows), with exponent
+    tuples.  A relation never reduces anything and forms no pairs.  Each
+    term's key is computed once per call: ``keyfn`` is memoized here, and
+    the memo goes when the call returns.
     """
     keyfn = cache(keyfn)
-    basis = [_make_reducer(t, keyfn) for t in seeds if t]
+    basis = [_make_reducer(t, keyfn, pk) for t in seeds if t]
     if not basis:
         raise ValueError("empty generator list")
     relations: list[Terms] = []
 
     def keep(h: Row, scale: Fraction, i: int, j: int) -> bool:
-        red = _make_reducer(h, keyfn)
-        if red.lead[0] >= split:
-            relations.append(_rational(h, scale))
+        lead = max(h, key=keyfn)
+        if lead[0] >= split:
+            relations.append(pk.unpack_terms(_rational(h, scale)))
             return False
-        basis.append(red)
+        basis.append(_reducer(lead, _primitive(h)[0], pk))
         return True
 
-    _walk_pairs(basis, keyfn, keep)
+    _walk_pairs(basis, keyfn, keep, pk)
     return basis, relations
 
 
-def _minimalize(basis: list[_Reducer], keyfn: KeyFn) -> list[_Reducer]:
+def _minimalize(basis: list[_Reducer], keyfn: KeyFn, guard: int) -> list[_Reducer]:
     """Drop generators whose lead is divisible by another kept lead."""
     kept: list[_Reducer] = []
+    leads: list[PackedTerm] = []
     for red in sorted(basis, key=lambda r: keyfn(r.lead)):
-        if next(_divisors(kept, red.lead), None) is None:
+        if next(_divisors(leads, red.lead, guard), None) is None:
             kept.append(red)
+            leads.append(red.lead)
     return kept
 
 
-def _verify_complete(basis: Sequence[_Reducer], keyfn: KeyFn):
+def _verify_complete(basis: Sequence[_Reducer], keyfn: KeyFn, pk: Packing):
     """Re-check the Buchberger criterion on the completed generator set.
 
     The pairs of the final set are walked by ``_walk_pairs``, under the
@@ -419,7 +360,8 @@ def _verify_complete(basis: Sequence[_Reducer], keyfn: KeyFn):
 
     The skip rule itself is not re-checked: the certificate walks the pairs
     with the same ``_walk_pairs`` as the engine, so a fault in that rule
-    would pass it.  The all-pairs differential tests catch such a fault.
+    would pass it.  The all-pairs differential tests and the test-local
+    reference walk of the old pairwise rule catch such a fault.
     """
     keyfn = cache(keyfn)  # one key per term for this check, as in the engine
 
@@ -428,7 +370,7 @@ def _verify_complete(basis: Sequence[_Reducer], keyfn: KeyFn):
             f"completion check failed: S-vector of generators {i},{j} has nonzero normal form"
         )
 
-    _walk_pairs(basis, keyfn, fail)
+    _walk_pairs(basis, keyfn, fail, pk)
 
 
 @dataclass(frozen=True)
@@ -478,8 +420,8 @@ def _homogenize_terms(terms: Terms) -> Terms:
 
 def _engine_input(
     vecs: Sequence[VectorPoly], order: MonomialOrder
-) -> tuple[list[Terms], KeyFn, int]:
-    """Seeds, term key and number of slack entries for completing ``vecs``.
+) -> tuple[list[PackedTerms], KeyFn, Packing, int]:
+    """Packed seeds, packed term key, packing and number of slack entries for completing ``vecs``.
 
     The one place where the completion tells local from global orders.  A
     global order gets the inputs as given, under its own key; a local order
@@ -487,16 +429,20 @@ def _engine_input(
     then total degree, then the local order on the rest.  Reduction then
     needs no local units, which sidesteps the tail blow-up Mora's
     intermediate pool can suffer on position-over-term module orders.
+    The slack entry is the first, so it takes the most significant field.
     """
+    nvars = len(vecs[0].ring)
     if order.is_global():
-        return [dict(v.terms) for v in vecs], order.module_key, 0
+        pk = packing(nvars)
+        return [pk.pack_terms(v.terms) for v in vecs], pk.keyed(order.module_key), pk, 0
     skey = order.sort_key
 
     def key(term: ModTerm):
         comp, ext = term
         return (comp, sum(ext), skey(ext[1:]))
 
-    return [_homogenize_terms(v.terms) for v in vecs], key, 1
+    pk = packing(nvars + 1)
+    return [pk.pack_terms(_homogenize_terms(v.terms)) for v in vecs], pk.keyed(key), pk, 1
 
 
 def standard_basis(
@@ -507,34 +453,46 @@ def standard_basis(
     One path for every order: the seeds and key from ``_engine_input``
     (which homogenizes for a local order) are completed, the completion is
     certified, the integer rows are made monic rational ones, the slack
-    entries are dropped and the result is minimalized.  Output is deterministic for a fixed input: fixed selection strategy,
-    monic generators sorted by leading term.  With ``verify`` (the default)
-    the Buchberger criterion is re-checked on the final set.
+    entries are dropped and the result is minimalized.  Output is
+    deterministic for a fixed input: fixed selection strategy, monic
+    generators sorted by leading term.  With ``verify`` (the default) the
+    Buchberger criterion is re-checked on the final set.
+
+    Dropping the slack entry masks off the most significant field, and it
+    keeps every lead: a completed row of a local order is homogeneous, so
+    its terms in one component differ only in the dehomogenized part the
+    local order compares.
     """
     vecs = [v for v in _as_vectors(gens) if not v.is_zero()]
     if not vecs:
         raise ValueError("all generators are zero")
     ring, ncomp = vecs[0].ring, vecs[0].ncomp
-    seeds, engine_key, pad = _engine_input(vecs, order)
-    completed, _ = _std_engine(seeds, engine_key, ncomp)
+    seeds, engine_key, pk, _ = _engine_input(vecs, order)
+    completed, _ = _std_engine(seeds, engine_key, ncomp, pk)
     if verify:
-        _verify_complete(completed, engine_key)
-    keyfn = order.module_key
+        _verify_complete(completed, engine_key, pk)
+    out = packing(len(ring))
+    low = (1 << (FIELD * out.size)) - 1  # every field but the slack entry's
     monic = [
-        {(comp, e[pad:]): Fraction(c, r.coeff) for (comp, e), c in r.terms.items()}
+        _Reducer(
+            (r.lead[0], r.lead[1] & low),
+            1,
+            {(comp, e & low): Fraction(c, r.coeff) for (comp, e), c in r.terms.items()},
+            r.top & low,
+        )
         for r in completed
     ]
-    basis = _minimalize([_reducer(max(t, key=keyfn), t) for t in monic], keyfn)
+    basis = _minimalize(monic, out.keyed(order.module_key), out.guard)
     return StandardBasis(
-        generators=tuple(VectorPoly(ring, ncomp, r.terms) for r in basis),
+        generators=tuple(VectorPoly(ring, ncomp, out.unpack_terms(r.terms)) for r in basis),
         order=order,
-        leading_terms=tuple(r.lead for r in basis),
+        leading_terms=tuple((r.lead[0], out.unpack(r.lead[1])) for r in basis),
     )
 
 
-def _pool(basis: StandardBasis) -> list[_Reducer]:
+def _pool(basis: StandardBasis, pk: Packing) -> list[_Reducer]:
     return [
-        _reducer(lead, _primitive(g.terms)[0])
+        _reducer((lead[0], pk.pack(lead[1])), _primitive(pk.pack_terms(g.terms))[0], pk)
         for g, lead in zip(basis.generators, basis.leading_terms)
     ]
 
@@ -548,10 +506,11 @@ def normal_form(p: VectorPoly | Polynomial, basis: StandardBasis) -> VectorPoly:
     v = VectorPoly.from_poly(p) if isinstance(p, Polynomial) else p
     if v.ring != basis.ring or v.ncomp != basis.ncomp:
         raise ValueError("ring or component mismatch with basis")
-    row, scale = _primitive(v.terms)
+    pk = packing(len(v.ring))
+    row, scale = _primitive(pk.pack_terms(v.terms))
     nf = _nf_mora if basis.order.is_local() else _nf_global
-    h, h_scale = nf(row, _pool(basis), basis.order.module_key)
-    return VectorPoly(v.ring, v.ncomp, _rational(h, scale * h_scale))
+    h, h_scale = nf(row, _pool(basis, pk), cache(pk.keyed(basis.order.module_key)), pk)
+    return VectorPoly(v.ring, v.ncomp, pk.unpack_terms(_rational(h, scale * h_scale)))
 
 
 @dataclass(frozen=True)
@@ -572,7 +531,9 @@ class Staircase:
 
         Rows are filled smallest term first: a standard term maps to its
         unit vector, any other term to minus the shifted tail of the first
-        generator whose lead divides it, over that lead's coefficient.
+        generator whose lead divides it, over that lead's coefficient.  The
+        fill runs on packed terms; the table it returns is keyed by exponent
+        tuples.
         """
         if not self.finite:
             raise ValueError("quotient is not finite dimensional")
@@ -582,15 +543,20 @@ class Staircase:
         cut = 1 + max((order.degree(e) for _, e in self.standard_monomials), default=-1)
         below = [e for e in product(range(cut), repeat=len(basis.ring)) if order.degree(e) < cut]
         terms = sorted(((c, e) for c in range(basis.ncomp) for e in below), key=order.module_key)
-        positions = {t: i for i, t in enumerate(self.standard_monomials)}
-        pool = _pool(basis)
-        rows: dict[ModTerm, dict[int, Fraction]] = {}
+        pk = packing(len(basis.ring))
+        positions = {(c, pk.pack(e)): i for i, (c, e) in enumerate(self.standard_monomials)}
+        pool, guard = _pool(basis, pk), pk.guard
+        leads = [r.lead for r in pool]
+        rows: dict[PackedTerm, dict[int, Fraction]] = {}
         for comp, expo in terms:
-            if (comp, expo) in positions:
-                rows[(comp, expo)] = {positions[(comp, expo)]: _ONE}
+            term = (comp, pk.pack(expo))
+            if term in positions:
+                rows[term] = {positions[term]: _ONE}
                 continue
-            red = pool[next(_divisors(pool, (comp, expo)))]
-            shift = _quotient(expo, red.lead[1])
+            red = pool[next(_divisors(leads, term, guard))]
+            shift = term[1] - red.lead[1]
+            if (red.top + shift) & guard:
+                raise ExponentOverflow()
             row: dict[int, Fraction] = {}
             for (tcomp, texpo), c in red.terms.items():
                 if (tcomp, texpo) == red.lead:
@@ -598,10 +564,10 @@ class Staircase:
                 # each tail term is smaller than the lead: its row is known,
                 # or it lies beyond the cut and is zero
                 factor = Fraction(-c, red.coeff)
-                for j, a in rows.get((tcomp, _shift(texpo, shift)), {}).items():
+                for j, a in rows.get((tcomp, texpo + shift), {}).items():
                     row[j] = row.get(j, _ZERO) + factor * a
-            rows[(comp, expo)] = {j: a for j, a in row.items() if a}
-        return rows
+            rows[term] = {j: a for j, a in row.items() if a}
+        return pk.unpack_terms(rows)
 
     def residue(self, terms: Terms) -> dict[int, Fraction]:
         """Nonzero coordinates of the residue of a term map, by standard-monomial index.
@@ -627,7 +593,8 @@ class Staircase:
 def staircase(basis: StandardBasis) -> Staircase:
     """Quotient staircase; finiteness decided by the pure-power criterion."""
     nvars = len(basis.ring)
-    pool = _pool(basis)
+    pk = packing(nvars)
+    leads = [(comp, pk.pack(e)) for comp, e in basis.leading_terms]
     found: list[ModTerm] = []
     for comp in range(basis.ncomp):
         bounds = []
@@ -641,7 +608,7 @@ def staircase(basis: StandardBasis) -> Staircase:
                 return Staircase((), False, inf, basis)
             bounds.append(min(pure))
         for expo in product(*(range(b) for b in bounds)):
-            if next(_divisors(pool, (comp, expo)), None) is None:
+            if next(_divisors(leads, (comp, pk.pack(expo)), pk.guard), None) is None:
                 found.append((comp, expo))
     found.sort(key=lambda t: (sum(t[1]), t[0], t[1]))
     return Staircase(tuple(found), True, len(found), basis)
@@ -683,30 +650,32 @@ def syzygies(gens: Sequence[VectorPoly | Polynomial], order: MonomialOrder) -> l
             raise ValueError("zero generator has no meaningful syzygies")
     ring, r = vecs[0].ring, vecs[0].ncomp
     k = len(vecs)
-    seeds, key, pad = _engine_input(vecs, order)
-    zero_expo = (0,) * (len(ring) + pad)
+    seeds, key, pk, pad = _engine_input(vecs, order)
     input_leads = [max(terms, key=key) for terms in seeds]
 
-    def elim_key(term: ModTerm):
+    def elim_key(term: PackedTerm):
         comp, expo = term
         if comp < r:
             return (1, key(term))
         lead_c, lead_e = input_leads[comp - r]
-        return (0, key((lead_c, _shift(expo, lead_e))), -comp)
+        if (expo + lead_e) & pk.guard:
+            raise ExponentOverflow()
+        return (0, key((lead_c, expo + lead_e)), -comp)
 
-    extended = [{**terms, (r + i, zero_expo): _ONE} for i, terms in enumerate(seeds)]
-    _, relations = _std_engine(extended, elim_key, r)
+    # the packed exponent 0 is the constant term
+    extended = [{**terms, (r + i, 0): _ONE} for i, terms in enumerate(seeds)]
+    _, relations = _std_engine(extended, elim_key, r, pk)
 
     out: list[VectorPoly] = []
     for h in relations:
         merged: Terms = {}
         for (comp, e), c in h.items():
-            key = (comp - r, e[pad:])
-            new = merged.get(key, _ZERO) + c
+            term = (comp - r, e[pad:])
+            new = merged.get(term, _ZERO) + c
             if new:
-                merged[key] = new
+                merged[term] = new
             else:
-                merged.pop(key, None)
+                merged.pop(term, None)
         out.append(VectorPoly(ring, k, merged))
     out = [syz for syz in dict.fromkeys(out) if not syz.is_zero()]
     _check_syzygies(vecs, out)
@@ -714,12 +683,23 @@ def syzygies(gens: Sequence[VectorPoly | Polynomial], order: MonomialOrder) -> l
 
 
 def _check_syzygies(vecs: Sequence[VectorPoly], syzs: Iterable[VectorPoly]):
-    """Raise unless sum_i s_i * vecs[i] is exactly zero for every s in syzs."""
+    """Raise unless sum_i s_i * vecs[i] is exactly zero for every s in syzs.
+
+    The sum runs over integer rows: vecs[i] is row_i / scale_i for its
+    primitive row, so the sum vanishes exactly when sum_i t_i * row_i does,
+    where t is s with slot i divided by scale_i, made primitive.
+    """
+    pk = packing(len(vecs[0].ring))
+    rows, scales = zip(*(_primitive(pk.pack_terms(v.terms)) for v in vecs))
+    tops = [pk.top(row) for row in rows]
     for syz in syzs:
-        total: Terms = {}
-        for (slot, expo), c in syz.terms.items():
-            _sub_scaled(total, vecs[slot].terms, expo, -c)
-        if any(v != 0 for v in total.values()):
+        weights, _ = _primitive(
+            {(slot, pk.pack(e)): c / scales[slot] for (slot, e), c in syz.terms.items()}
+        )
+        total: Row = {}
+        for (slot, expo), c in weights.items():
+            _sub_scaled(total, rows[slot], tops[slot], expo, -c, pk.guard)
+        if total:
             raise RuntimeError("syzygy verification failed")
 
 

@@ -1,0 +1,191 @@
+"""Packed exponents and the integer rows on them: the working representation
+of the standard-basis engine (``germcalc.groebner``).
+
+Exponent entry k of an exponent with ``size`` entries sits in the field of
+``FIELD`` bits at offset ``FIELD * (size - 1 - k)``, the first entry most
+significant, so packed ints compare like lex tuples (Monagan and Pearce,
+"Sparse polynomial division using a heap", JSC 2011).  The top bit of
+every field is a guard and is 0 in a packed exponent; entries go up to
+``ENTRY_MAX``.  Then, for packed a and b:
+
+* a shift is ``a + b``; no bit carries into the next field, so
+  ``(a + b) & guard`` is nonzero exactly when an entry overflows;
+* a quotient is ``b - a`` when a divides b;
+* a divides b exactly when ``((b | guard) - a) & guard == guard``: with the
+  guard bits set, no field borrows, and a field's guard bit survives
+  exactly when its entry of a is at most that of b;
+* the lcm takes a's field wherever that guard bit survives ``(a | guard) - b``.
+
+The field width is fixed here; an entry that does not fit raises
+``ExponentOverflow``, a ValueError, before it is packed or shifted.
+
+A row is a term map from (component, packed exponent) to an integer.  The
+row helpers below (a reducer with its lead data, the divisor lookup, the
+shifted subtraction, primitive rows) are private to the engine and live
+here, apart from its algorithms.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import cache
+from math import gcd, lcm
+from typing import Callable, Iterable, Iterator, Sequence
+
+from .poly import Exponent, Terms
+
+PackedTerm = tuple[int, int]  # (component, packed exponent)
+Row = dict[PackedTerm, int]  # an integer row: the working representation of the completion
+PackedTerms = dict[PackedTerm, Fraction]  # a rational term map on packed terms
+
+FIELD = 16  # bits per exponent entry, the top one a guard bit
+ENTRY_MAX = (1 << (FIELD - 1)) - 1  # the largest entry a field holds
+_PAIR_MOD = (1 << (2 * FIELD)) - 1
+
+
+class ExponentOverflow(ValueError):
+    """An exponent entry that does not fit a packed field."""
+
+    def __init__(self):
+        super().__init__(f"exponent entry above {ENTRY_MAX} does not fit a packed field")
+
+
+@dataclass(frozen=True, slots=True)
+class Packing:
+    """Packed exponents with ``size`` entries; build one with ``packing(size)``."""
+
+    size: int
+    guard: int  # the guard bit of every field
+    pairs: int  # the low field of each pair of fields, for the degree
+
+    def pack(self, expo: Exponent) -> int:
+        x = 0
+        for e in expo:
+            if e > ENTRY_MAX:
+                raise ExponentOverflow()
+            x = x << FIELD | e
+        return x
+
+    def unpack(self, x: int) -> Exponent:
+        return tuple(x >> (FIELD * k) & ENTRY_MAX for k in range(self.size - 1, -1, -1))
+
+    def pack_terms(self, terms: dict) -> dict:
+        """A term map on (component, exponent tuple) keys, on packed keys."""
+        return {(comp, self.pack(e)): c for (comp, e), c in terms.items()}
+
+    def unpack_terms(self, terms: dict) -> dict:
+        return {(comp, self.unpack(e)): c for (comp, e), c in terms.items()}
+
+    def keyed(self, key: Callable) -> Callable:
+        """``key`` of (component, exponent tuple) terms, on packed terms."""
+        unpack = self.unpack
+        return lambda term: key((term[0], unpack(term[1])))
+
+    def lcm(self, a: int, b: int) -> int:
+        """The per-field maximum: a's field wherever a's entry is >= b's."""
+        g = self.guard
+        ge = ((a | g) - b) & g
+        return b ^ ((a ^ b) & (ge - (ge >> (FIELD - 1))))
+
+    def top(self, terms: Iterable[PackedTerm]) -> int:
+        """The per-field maximum over the exponents of (component, packed) terms."""
+        t = 0
+        for _, e in terms:
+            t = self.lcm(t, e)
+        return t
+
+    def degree(self, x: int) -> int:
+        """The sum of the entries: adjacent fields added pairwise, then the
+        pair sums added by one remainder (2^(2 * FIELD) = 1 modulo _PAIR_MOD),
+        exact for fewer than 2^(FIELD + 1) entries."""
+        p = self.pairs
+        return ((x & p) + (x >> FIELD & p)) % _PAIR_MOD
+
+
+@cache
+def packing(size: int) -> Packing:
+    guard = sum(1 << (FIELD * k + FIELD - 1) for k in range(size))
+    pairs = sum(((1 << FIELD) - 1) << (2 * FIELD * k) for k in range((size + 1) // 2))
+    return Packing(size, guard, pairs)
+
+
+# -- integer rows on packed terms -------------------------------------------------
+
+
+def _sub_scaled(target: Row, source: Row, top: int, shift: int, factor: int, guard: int):
+    """target -= factor * x^shift * source, in place.
+
+    ``top`` is the per-field maximum of the exponents of source; if a
+    shifted entry would not fit its field, ExponentOverflow comes before
+    any term moves.
+    """
+    if (top + shift) & guard:
+        raise ExponentOverflow()
+    for (comp, expo), coeff in source.items():
+        key = (comp, expo + shift)
+        new = target.get(key, 0) - factor * coeff
+        if new:
+            target[key] = new
+        else:
+            target.pop(key, None)
+
+
+@dataclass(frozen=True, slots=True)
+class _Reducer:
+    """A frozen reducer: an integer row with its cached lead data.
+
+    ``terms`` is a primitive integer row on packed terms and ``coeff`` its
+    integer lead coefficient; it stands for the monic row terms / coeff,
+    and no reduction or S-vector depends on its scale (``standard_basis``
+    alone wraps monic rational rows, to minimalize them).  ``top`` is the
+    per-field maximum of its exponents: x^m times the row fits the fields
+    exactly when ``top + m`` sets no guard bit.
+    """
+
+    lead: PackedTerm
+    coeff: int
+    terms: Row
+    top: int
+
+
+def _reducer(lead: PackedTerm, terms: Row, pk: Packing) -> _Reducer:
+    return _Reducer(lead=lead, coeff=terms[lead], terms=terms, top=pk.top(terms))
+
+
+def _make_reducer(terms: PackedTerms | Row, keyfn: Callable, pk: Packing) -> _Reducer:
+    """The reducer of the primitive integer row of ``terms``, lead by ``keyfn``."""
+    row, _ = _primitive(terms)
+    return _reducer(max(row, key=keyfn), row, pk)
+
+
+def _divisors(leads: Sequence[PackedTerm], term: PackedTerm, guard: int) -> Iterator[int]:
+    """Indices, in order, of the leads that divide ``term``.
+
+    One mask test per lead: with the guard bits set in the term, no field
+    borrows when a dividing lead is subtracted, so every guard bit stays.
+    """
+    comp, expo = term
+    expo |= guard
+    for k, (lcomp, lexpo) in enumerate(leads):
+        if (expo - lexpo) & guard == guard and lcomp == comp:
+            yield k
+
+
+def _primitive(terms: Terms | Row) -> tuple[Row, Fraction]:
+    """The primitive integer row of ``terms`` and its scale: row = scale * terms.
+
+    Denominators are cleared by their lcm and the content (the gcd of the
+    numerators) is divided out, so the scale is positive.
+    """
+    den = lcm(*(c.denominator for c in terms.values()))
+    row = {t: c.numerator * (den // c.denominator) for t, c in terms.items()}
+    g = gcd(*row.values()) or 1
+    if g != 1:
+        row = {t: c // g for t, c in row.items()}
+    return row, Fraction(den, g)
+
+
+def _rational(row: Row, scale: Fraction) -> PackedTerms:
+    """The rational term map row / scale."""
+    return {t: c / scale for t, c in row.items()}

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heappop, heappush
 
 import pytest
 
@@ -202,3 +203,75 @@ def full_division(h, pool, keyfn):
         lt = max(h, key=keyfn)
         rest[lt] = h.pop(lt)
     return rest
+
+
+def pair_key(leads, i, j):
+    """Selection key of a pair on tuple leads: lcm degree, lcm tuple, then the indices."""
+    lcm = tuple(max(a, b) for a, b in zip(leads[i][1], leads[j][1]))
+    return (sum(lcm), lcm, i, j)
+
+
+def reference_walk(seeds, keyfn, split):
+    """The lead pairs Buchberger's loop reduces, in order, under the pairwise skip rule.
+
+    A test-local copy of the engine's walk on exponent tuples and monic
+    rational rows: pairs pop by ``pair_key``; a pair is skipped by the
+    product criterion (coprime leads, every seed term in component 0) or
+    when another lead of the same component divides its lcm and both pairs
+    through it are recorded in the set of walked pairs (i, j), i < j.  A
+    nonzero remainder whose lead lies below component ``split`` joins the
+    basis; one at or above it is set aside, as the engine sets aside a
+    relation.
+    """
+    basis = [monic_row(t, keyfn) for t in seeds if t]
+    leads = [lead for lead, _ in basis]
+    ideal = all(comp == 0 for _, terms in basis for comp, _ in terms)
+    pending = []
+
+    def add_pairs(j):
+        for i in range(j):
+            if leads[i][0] == leads[j][0]:
+                heappush(pending, pair_key(leads, i, j))
+
+    def chain(i, j, lcm):
+        return any(
+            k not in (i, j)
+            and leads[k][0] == leads[i][0]
+            and all(a <= b for a, b in zip(leads[k][1], lcm))
+            and (min(i, k), max(i, k)) in walked
+            and (min(j, k), max(j, k)) in walked
+            for k in range(len(basis))
+        )
+
+    for j in range(len(basis)):
+        add_pairs(j)
+    walked, reduced = set(), []
+    while pending:
+        _, lcm, i, j = heappop(pending)
+        coprime = ideal and lcm == tuple(a + b for a, b in zip(leads[i][1], leads[j][1]))
+        if not coprime and not chain(i, j, lcm):
+            reduced.append((leads[i], leads[j]))
+            h = full_division(monic_spoly(basis[i], basis[j]), basis, keyfn)
+            if h and max(h, key=keyfn)[0] < split:
+                basis.append(monic_row(h, keyfn))
+                leads.append(basis[-1][0])
+                add_pairs(len(basis) - 1)
+        walked.add((i, j))
+    return reduced
+
+
+# -- the engine's packed exponents, for tests that drive its internals ------------
+
+
+def engine_pool(term_maps, keyfn, size):
+    """The engine's reducers of tuple term maps, the key on packed terms and the packing."""
+    from germcalc.groebner import _make_reducer
+    from germcalc.packed import packing
+
+    pk = packing(size)
+    key = pk.keyed(keyfn)
+    return [_make_reducer(pk.pack_terms(t), key, pk) for t in term_maps], key, pk
+
+
+def unpacked_lead(red, pk):
+    return red.lead[0], pk.unpack(red.lead[1])

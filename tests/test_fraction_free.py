@@ -24,8 +24,8 @@ from germcalc import (
     standard_basis,
     syzygies,
 )
-from germcalc.groebner import _make_reducer, _nf_global, _spoly_terms
-from conftest import CATALOG, cached_poly, full_division, monic_row, monic_spoly
+from germcalc.groebner import _nf_global, _spoly_terms
+from conftest import CATALOG, cached_poly, engine_pool, full_division, monic_row, monic_spoly
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
@@ -60,20 +60,23 @@ def test_integer_rows_are_their_scale_times_the_rational_ones(case):
     label, h, seeds = case
     key = KEYS[label]
     rows = [monic_row(t, key) for t in seeds]
-    pool = [_make_reducer(t, key) for t in seeds]
+    pool, packed_key, pk = engine_pool(seeds, key, len(next(iter(h))[1]))
     assert all(type(c) is int for red in pool for c in red.terms.values())
     # the full division of h by the pool
-    remainder, scale = _nf_global(h, pool, key)
+    remainder, scale = _nf_global(pk.pack_terms(h), pool, packed_key, pk)
     assert type(scale) is Fraction and scale
     assert all(type(c) is int for c in remainder.values())
-    assert remainder == {t: scale * c for t, c in full_division(h, rows, key).items()}
+    expected = full_division(h, rows, key)
+    assert pk.unpack_terms(remainder) == {t: scale * c for t, c in expected.items()}
     # the S-vector of every pair whose leads share a component
     for i in range(len(pool)):
         for j in range(len(pool)):
             if pool[i].lead[0] == pool[j].lead[0]:
-                s, scale = _spoly_terms(pool[i], pool[j])
+                lcm = pk.lcm(pool[i].lead[1], pool[j].lead[1])
+                s, scale = _spoly_terms(pool[i], pool[j], lcm, pk.guard)
                 assert type(scale) is Fraction and scale
-                assert s == {t: scale * c for t, c in monic_spoly(rows[i], rows[j]).items()}
+                expected = monic_spoly(rows[i], rows[j])
+                assert pk.unpack_terms(s) == {t: scale * c for t, c in expected.items()}
 
 
 # -- exactness guard -------------------------------------------------------------

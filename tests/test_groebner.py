@@ -22,15 +22,19 @@ from germcalc import (
     truncated_quotient_dimension,
     weighted_local,
 )
-from germcalc.groebner import (
-    _check_syzygies,
-    _homogenize_terms,
-    _make_reducer,
-    _pair_key,
-    _std_engine,
-    _verify_complete,
+from germcalc.groebner import _check_syzygies, _homogenize_terms, _std_engine, _verify_complete
+from germcalc.packed import packing
+from conftest import (
+    CATALOG,
+    cached_poly,
+    cached_tjurina,
+    engine_pool,
+    monic_row,
+    monic_spoly,
+    pair_key,
+    top_reduce,
+    unpacked_lead,
 )
-from conftest import CATALOG, cached_poly, cached_tjurina, monic_row, monic_spoly, top_reduce
 
 V1 = ("x",)
 V2 = ("x", "y")
@@ -115,38 +119,37 @@ def test_determinism_same_input_same_basis():
 
 def test_completion_certificate_rejects_incomplete_set():
     # the S-polynomial y*(x^2-y) - x*(x*y) = -y^2 has no divisor among the leads
-    keyfn = DEGREVLEX.module_key
     gens = [parse_poly("x^2-y", V2), parse_poly("x*y", V2)]
-    pool = [_make_reducer(VectorPoly.from_poly(g).terms, keyfn) for g in gens]
+    terms = [VectorPoly.from_poly(g).terms for g in gens]
+    pool, key, pk = engine_pool(terms, DEGREVLEX.module_key, 2)
     assert all(type(c) is int for r in pool for c in r.terms.values())
     with pytest.raises(RuntimeError):
-        _verify_complete(pool, keyfn)
+        _verify_complete(pool, key, pk)
 
 
 def test_completion_certificate_applies_no_product_criterion_to_modules():
     # leads x*e1 and y*e1 are coprime, yet the S-vector
     # y*(1, x) - x*(0, y) = y*e0 has no divisor among the leads
-    keyfn = DEGREVLEX.module_key
     gens = [
         VectorPoly.from_polys([parse_poly("1", V2), parse_poly("x", V2)]),
         VectorPoly.from_polys([parse_poly("0", V2), parse_poly("y", V2)]),
     ]
-    pool = [_make_reducer(g.terms, keyfn) for g in gens]
-    assert [r.lead for r in pool] == [(1, (1, 0)), (1, (0, 1))]
+    pool, key, pk = engine_pool([g.terms for g in gens], DEGREVLEX.module_key, 2)
+    assert [unpacked_lead(r, pk) for r in pool] == [(1, (1, 0)), (1, (0, 1))]
     assert all(type(c) is int for r in pool for c in r.terms.values())
     with pytest.raises(RuntimeError):
-        _verify_complete(pool, keyfn)
+        _verify_complete(pool, key, pk)
 
 
-def all_pairs_complete(pool, keyfn):
+def all_pairs_complete(pool, keyfn, pk):
     """Reference certificate without criteria: every S-vector reduces to zero.
 
-    It turns the engine's integer rows into monic rational rows and reduces
-    with its own division loop (``conftest.top_reduce``), so a fault in the
-    engine's arithmetic or divisor lookup cannot corrupt this reference and
-    the certificate alike.
+    It turns the engine's integer rows on packed exponents into monic
+    rational rows on exponent tuples and reduces with its own division loop
+    (``conftest.top_reduce``), so a fault in the engine's arithmetic or
+    divisor lookup cannot corrupt this reference and the certificate alike.
     """
-    rows = [monic_row(r.terms, keyfn, r.lead) for r in pool]
+    rows = [monic_row(pk.unpack_terms(r.terms), keyfn, unpacked_lead(r, pk)) for r in pool]
     return not any(
         top_reduce(monic_spoly(rows[i], rows[j]), rows, keyfn)
         for j in range(len(rows))
@@ -166,22 +169,29 @@ def homogenized_key(order):
 
 
 def completed_sets():
-    """(label, completed reducer set, key) under local, global and module orders."""
+    """(label, completed reducer set, key on tuples, key on packed terms, packing)
+    under local, global and module orders."""
+
+    def complete(seeds, keyfn, size, split):
+        pk = packing(size)
+        key = pk.keyed(keyfn)
+        return _std_engine([pk.pack_terms(t) for t in seeds], key, split, pk)[0], keyfn, key, pk
+
     hkey = homogenized_key(NEGDEGREVLEX)
     for germ in [g for g in CATALOG if g.tau <= 10]:
         f = cached_poly(germ.text, germ.vars)
         seeds = [_homogenize_terms(dict(VectorPoly.from_poly(g).terms)) for g in [f] + jacobian(f)]
-        yield germ.name, _std_engine(seeds, hkey, 1)[0], hkey
+        yield germ.name, *complete(seeds, hkey, len(f.ring) + 1, 1)
     f = parse_poly("x^3+y^3+z^3+x*y*z", V3)
     seeds = [dict(VectorPoly.from_poly(g).terms) for g in jacobian(f)]
-    yield "degrevlex", _std_engine(seeds, DEGREVLEX.module_key, 1)[0], DEGREVLEX.module_key
+    yield "degrevlex", *complete(seeds, DEGREVLEX.module_key, 3, 1)
     eqs = [parse_poly("x^4+y^4+2*z^2", V3), parse_poly("2*z-x*y", V3)]
     zero = parse_poly("0", V3)
     gens = [VectorPoly.from_polys([g.partial_derivative(v) for g in eqs]) for v in V3]
     gens += [VectorPoly.from_polys([g, zero]) for g in eqs]
     gens += [VectorPoly.from_polys([zero, g]) for g in eqs]
     seeds = [_homogenize_terms(dict(g.terms)) for g in gens]
-    yield "icis", _std_engine(seeds, hkey, 2)[0], hkey
+    yield "icis", *complete(seeds, hkey, 4, 2)
 
 
 def test_completion_certificate_agrees_with_all_pairs_check():
@@ -189,19 +199,19 @@ def test_completion_certificate_agrees_with_all_pairs_check():
     # sets alike; the certificate must raise exactly on the incomplete ones
     rng = random.Random(4)
     raised = 0
-    for label, completed, keyfn in completed_sets():
-        assert all_pairs_complete(completed, keyfn), label
-        _verify_complete(completed, keyfn)
+    for label, completed, keyfn, key, pk in completed_sets():
+        assert all_pairs_complete(completed, keyfn, pk), label
+        _verify_complete(completed, key, pk)
         for _ in range(6):
             gone = set(rng.sample(range(len(completed)), rng.randint(1, 3)))
             pool = [r for n, r in enumerate(completed) if n not in gone]
             try:
-                _verify_complete(pool, keyfn)
+                _verify_complete(pool, key, pk)
             except RuntimeError:
                 raised += 1
-                assert not all_pairs_complete(pool, keyfn), (label, gone)
+                assert not all_pairs_complete(pool, keyfn, pk), (label, gone)
             else:
-                assert all_pairs_complete(pool, keyfn), (label, gone)
+                assert all_pairs_complete(pool, keyfn, pk), (label, gone)
     assert raised
 
 
@@ -337,7 +347,7 @@ def all_pairs_syzygies(gens, order):
     basis = [monic_row({**t, (r + i, zero): 1}, elim_key) for i, t in enumerate(seeds)]
     leads = [lead for lead, _ in basis]
     pending = [
-        _pair_key(leads, i, j) for j in range(k) for i in range(j) if leads[i][0] == leads[j][0]
+        pair_key(leads, i, j) for j in range(k) for i in range(j) if leads[i][0] == leads[j][0]
     ]
     heapify(pending)
     out = []
@@ -357,7 +367,7 @@ def all_pairs_syzygies(gens, order):
         leads.append(basis[-1][0])
         for i in range(len(basis) - 1):
             if leads[i][0] == leads[-1][0]:
-                heappush(pending, _pair_key(leads, i, len(basis) - 1))
+                heappush(pending, pair_key(leads, i, len(basis) - 1))
     return out
 
 

@@ -42,8 +42,9 @@ case.  The machinery is shared:
   the pool's leads in order with one mask test per lead;
 * the product criterion applies only when every seed term lies in
   component 0, decided from the data in ``_walk_pairs``, the pair walk
-  of the engine and the certificate alike; the chain criterion looks for
-  a dividing lead among the walked partners both elements of a pair share;
+  of the engine and the certificate alike (the bookkeeping terms of
+  Schreyer rows lie outside it); the chain criterion looks for a dividing
+  lead among the walked partners both elements of a pair share;
 * every completed basis is re-verified from its final generator set
   alone (``_verify_complete``): each pair that neither criterion covers
   must have an S-vector of normal form zero, otherwise RuntimeError.
@@ -53,8 +54,15 @@ the pure-power criterion and enumerates the standard monomials.
 
 Syzygies are collected the Schreyer way: the generators are embedded with
 bookkeeping components under an elimination order and completed by the
-same engine, which returns apart every remainder whose real part died:
-each is one syzygy in input coordinates, re-checked exactly on integer rows.
+same engine.  A Schreyer row (``packed._Split``) keeps its bookkeeping
+part as a second integer row beside the real one.  No lead lies there and
+every bookkeeping term sorts below every real one, so a reduction keys
+only the real part and carries the bookkeeping part in its remainder
+through the same scalings, subtractions and content removals
+(``_eliminate_split``); standard bases have none.  A remainder whose real
+part died is a relation, one syzygy in input coordinates: ``_relations``
+yields them, ``syzygies`` wraps, deduplicates and re-checks them exactly
+on integer rows, and ``modular`` reads the few it keeps.
 
 A finite staircase of a local ordering is the one model of its quotient.
 For these degree-compatible orderings every term of (weighted) degree
@@ -74,7 +82,7 @@ from functools import cache, cached_property
 from heapq import heappop, heappush
 from itertools import product
 from math import gcd, inf
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .orders import MonomialOrder
 from .packed import (
@@ -85,11 +93,17 @@ from .packed import (
     Packing,
     Row,
     _divisors,
+    _eliminate,
+    _eliminate_split,
     _make_reducer,
     _primitive,
     _rational,
     _Reducer,
     _reducer,
+    _remove_content,
+    _Split,
+    _split_reducer,
+    _spoly_book,
     _sub_scaled,
     packing,
 )
@@ -106,47 +120,23 @@ KeyFn = Callable[[ModTerm], object]
 _CONTENT_EVERY = 8  # reduction steps between two content removals
 
 
-def _eliminate(h: Row, lt: PackedTerm, red: _Reducer, rest: Row, guard: int) -> int:
-    """In place, h <- (d/g) h - (c/g) x^m red, and ``rest`` *= d/g; return d/g.
-
-    c = h[lt], d = red.coeff, g = gcd(c, d) takes the sign of d, and x^m
-    times the lead of red is lt, which cancels.
-    """
-    c, d = h[lt], red.coeff
-    g = gcd(c, d)
-    if d < 0:
-        g = -g
-    d //= g
-    if d != 1:
-        for t in h:
-            h[t] *= d
-        for t in rest:
-            rest[t] *= d
-    _sub_scaled(h, red.terms, red.top, lt[1] - red.lead[1], c // g, guard)
-    return d
-
-
-def _remove_content(h: Row, rest: Row) -> int:
-    """Divide ``h`` and ``rest`` by the gcd of all their coefficients, in place; return it."""
-    g = gcd(*h.values(), *rest.values()) or 1
-    if g != 1:
-        for t in h:
-            h[t] //= g
-        for t in rest:
-            rest[t] //= g
-    return g
-
-
-def _nf_global(h: Row, pool: Sequence[_Reducer], keyfn: KeyFn, pk: Packing) -> tuple[Row, Fraction]:
+def _nf_global(
+    h: Row, pool: Sequence[_Reducer], keyfn: KeyFn, pk: Packing,
+    book: Row | None = None, eliminate: Callable[..., int] = _eliminate,
+) -> tuple[Row, Fraction]:
     """Full division remainder, fraction-free, and its scale.
 
     No remaining term is divisible by a pool lead.  The remainder is scale
     times the one the rational division by the monic pool rows leaves: each
-    step scales by d/g (``_eliminate``) and each content removal divides.
+    step scales by d/g (``eliminate``) and each content removal divides.
+    For a Schreyer row, ``book`` is its bookkeeping part (taken over, not
+    copied), ``eliminate`` is ``_eliminate_split`` and the pool's rows are
+    ``_Split``: the bookkeeping part starts the remainder and is never
+    scanned, and the remainder returned holds both parts.
     """
     guard, leads = pk.guard, [r.lead for r in pool]
     h = dict(h)
-    remainder: Row = {}
+    remainder: Row = {} if book is None else book
     scale, mult, steps = _ONE, 1, 0
     while h:
         lt = max(h, key=keyfn)
@@ -154,7 +144,7 @@ def _nf_global(h: Row, pool: Sequence[_Reducer], keyfn: KeyFn, pk: Packing) -> t
         if k is None:
             remainder[lt] = h.pop(lt)
             continue
-        mult *= _eliminate(h, lt, pool[k], remainder, guard)
+        mult *= eliminate(h, lt, pool[k], remainder, guard)
         steps += 1
         if not steps % _CONTENT_EVERY:
             scale *= Fraction(mult, _remove_content(h, remainder))
@@ -253,28 +243,24 @@ def _chain_covered(
     return False
 
 
-def _walk_pairs(
-    basis: Sequence[_Reducer],
-    keyfn: KeyFn,
-    on_remainder: Callable[[Row, Fraction, int, int], bool],
-    pk: Packing,
-):
+def _walk_pairs(basis: Sequence[_Reducer], reduce: Callable[[int, int, int], bool], pk: Packing):
     """Reduce the S-vector of every pair of ``basis`` that no criterion covers.
 
     Pairs pop smallest key first.  A pair is skipped when its leads are
     coprime and every term of the starting set lies in component 0 (the
-    product criterion, decided here from the data: modules and syzygy seeds
-    need their coprime pairs), or when another lead of the same component
-    divides its lcm and both pairs through it were walked before (the chain
-    criterion, ``_chain_covered``: each element keeps the set of partners
-    it was walked with).  Each nonzero remainder goes to ``on_remainder``
-    with its scale (the S-vector's times the reduction's), which returns
-    True when it appended a new element to ``basis``; its pairs join the
-    walk.
+    product criterion, decided here from the data: modules and Schreyer
+    rows, whose bookkeeping part lies outside component 0, need their
+    coprime pairs), or when another lead of the same component divides its
+    lcm and both pairs through it were walked before (the chain criterion,
+    ``_chain_covered``: each element keeps the set of partners it was walked
+    with).  Every other pair (i, j) goes to ``reduce(i, j, lcm)``, which
+    returns True when it appended a new element to ``basis``; its pairs
+    join the walk.
     """
     guard = pk.guard
     leads = [r.lead for r in basis]
     ideal = all(comp == 0 for r in basis for comp, _ in r.terms)
+    ideal = ideal and not any(isinstance(r, _Split) for r in basis)
     pending: list[PairKey] = []
 
     def add_pairs(j: int):
@@ -290,9 +276,7 @@ def _walk_pairs(
         _, lcm, i, j = heappop(pending)
         coprime = ideal and lcm == leads[i][1] + leads[j][1]
         if not coprime and not _chain_covered(leads, lcm, walked[i], walked[j], guard):
-            s, s_scale = _spoly_terms(basis[i], basis[j], lcm, guard)
-            h, h_scale = _nf_global(s, basis, keyfn, pk)
-            if h and on_remainder(h, s_scale * h_scale, i, j):
+            if reduce(i, j, lcm):
                 leads.append(basis[-1].lead)
                 walked.append(set())
                 add_pairs(len(basis) - 1)
@@ -301,33 +285,50 @@ def _walk_pairs(
 
 
 def _std_engine(
-    seeds: Sequence[PackedTerms], keyfn: KeyFn, split: int, pk: Packing
+    seeds: Sequence[PackedTerms], keyfn: KeyFn, pk: Packing, split: int | None = None
 ) -> tuple[list[_Reducer], list[Terms]]:
     """Buchberger completion with deterministic pair selection.
 
     ``seeds`` and ``keyfn`` are on packed terms.  Returns the completed
-    basis, as primitive integer rows, and the relations: the nonzero
-    remainders whose lead lies in a component >= ``split``, each divided by
-    its scale (so, the remainders of the monic rational rows), with exponent
-    tuples.  A relation never reduces anything and forms no pairs.  Each
-    term's key is computed once per call: ``keyfn`` is memoized here, and
-    the memo goes when the call returns.
+    basis, as primitive integer rows, and the relations.  Each term's key is
+    computed once per call: ``keyfn`` is memoized here, for the call only.
+
+    With ``split``, the seeds are Schreyer rows: their terms in components
+    >= ``split`` are the bookkeeping part, held apart (``_Split``) and never
+    keyed.  A remainder with real terms joins the basis; one whose real part
+    is empty but not its bookkeeping part is a relation, returned divided by
+    its scale (so, the remainder of the monic rational rows) with exponent
+    tuples.  A relation never reduces anything and forms no pairs.
     """
     keyfn = cache(keyfn)
-    basis = [_make_reducer(t, keyfn, pk) for t in seeds if t]
+    guard = pk.guard
+    relations: list[Terms] = []
+    if split is None:
+        basis = [_make_reducer(t, keyfn, pk) for t in seeds if t]
+
+        def reduce(i: int, j: int, lcm: int) -> bool:
+            h, _ = _nf_global(_spoly_terms(basis[i], basis[j], lcm, guard)[0], basis, keyfn, pk)
+            if h:
+                basis.append(_reducer(max(h, key=keyfn), _primitive(h)[0], pk))
+            return bool(h)
+
+    else:
+        basis = [_split_reducer(_primitive(t)[0], keyfn, split, pk) for t in seeds]
+
+        def reduce(i: int, j: int, lcm: int) -> bool:
+            s, s_scale = _spoly_terms(basis[i], basis[j], lcm, guard)
+            book = _spoly_book(basis[i], basis[j], lcm, guard)
+            h, h_scale = _nf_global(s, basis, keyfn, pk, book, _eliminate_split)
+            if any(comp < split for comp, _ in h):
+                basis.append(_split_reducer(_primitive(h)[0], keyfn, split, pk))
+                return True
+            if h:
+                relations.append(pk.unpack_terms(_rational(h, s_scale * h_scale)))
+            return False
+
     if not basis:
         raise ValueError("empty generator list")
-    relations: list[Terms] = []
-
-    def keep(h: Row, scale: Fraction, i: int, j: int) -> bool:
-        lead = max(h, key=keyfn)
-        if lead[0] >= split:
-            relations.append(pk.unpack_terms(_rational(h, scale)))
-            return False
-        basis.append(_reducer(lead, _primitive(h)[0], pk))
-        return True
-
-    _walk_pairs(basis, keyfn, keep, pk)
+    _walk_pairs(basis, reduce, pk)
     return basis, relations
 
 
@@ -365,12 +366,14 @@ def _verify_complete(basis: Sequence[_Reducer], keyfn: KeyFn, pk: Packing):
     """
     keyfn = cache(keyfn)  # one key per term for this check, as in the engine
 
-    def fail(h: Row, scale: Fraction, i: int, j: int) -> bool:
-        raise RuntimeError(
-            f"completion check failed: S-vector of generators {i},{j} has nonzero normal form"
-        )
+    def reduce(i: int, j: int, lcm: int) -> bool:
+        if _nf_global(_spoly_terms(basis[i], basis[j], lcm, pk.guard)[0], basis, keyfn, pk)[0]:
+            raise RuntimeError(
+                f"completion check failed: S-vector of generators {i},{j} has nonzero normal form"
+            )
+        return False
 
-    _walk_pairs(basis, keyfn, fail, pk)
+    _walk_pairs(basis, reduce, pk)
 
 
 @dataclass(frozen=True)
@@ -468,7 +471,7 @@ def standard_basis(
         raise ValueError("all generators are zero")
     ring, ncomp = vecs[0].ring, vecs[0].ncomp
     seeds, engine_key, pk, _ = _engine_input(vecs, order)
-    completed, _ = _std_engine(seeds, engine_key, ncomp, pk)
+    completed, _ = _std_engine(seeds, engine_key, pk)
     if verify:
         _verify_complete(completed, engine_key, pk)
     out = packing(len(ring))
@@ -614,17 +617,45 @@ def staircase(basis: StandardBasis) -> Staircase:
     return Staircase(tuple(found), True, len(found), basis)
 
 
+def _relations(vecs: Sequence[VectorPoly], order: MonomialOrder) -> Iterator[Terms]:
+    """The relations of the one Schreyer walk of ``syzygies``, unchecked.
+
+    Each is a term map on (input slot, exponent), possibly zero or repeated:
+    ``syzygies`` wraps, deduplicates and checks them, and
+    ``modular._cofactor_generators`` reads the few it keeps and checks those.
+    """
+    if any(v.is_zero() for v in vecs):
+        raise ValueError("zero generator has no meaningful syzygies")
+    r = vecs[0].ncomp
+    seeds, key, pk, pad = _engine_input(vecs, order)
+    # the packed exponent 0 is the constant term
+    extended = [{**terms, (r + i, 0): _ONE} for i, terms in enumerate(seeds)]
+    _, relations = _std_engine(extended, key, pk, r)
+    for h in relations:
+        merged: Terms = {}
+        for (comp, e), c in h.items():
+            term = (comp - r, e[pad:])
+            new = merged.get(term, _ZERO) + c
+            if new:
+                merged[term] = new
+            else:
+                merged.pop(term, None)
+        yield merged
+
+
 def syzygies(gens: Sequence[VectorPoly | Polynomial], order: MonomialOrder) -> list[VectorPoly]:
     """Generators of the syzygy module of the ordered tuple ``gens``.
 
     Schreyer collection: the generators g_1..g_k in O^r are embedded as
     g_i + e_(r+i) in O^(r+k) under an elimination order where real terms
-    dominate and bookkeeping terms compare through the leads they multiply.
-    ``_std_engine`` completes these seeds with split r, so every remainder
-    whose real part vanishes comes back as a relation; its bookkeeping
-    part is one syzygy.  The engine skips pairs by the chain criterion over
-    pairs already walked; the product criterion stays off, since the seeds
-    have terms outside component 0.
+    dominate.  ``_std_engine`` completes these seeds with split r, so every
+    remainder whose real part vanishes comes back as a relation; its
+    bookkeeping part is one syzygy.  No lead is a bookkeeping term and every
+    bookkeeping term sorts below every real one, so the order among them
+    never matters: the engine holds them apart and never keys them.  The
+    engine skips pairs by the chain criterion over pairs already walked; the
+    product criterion stays off, since the seeds have terms outside
+    component 0.
 
     Soundness: let B be the completed basis and R the relations.  Each pair
     of B that is not skipped reduces to zero, to a new element of B, or to
@@ -645,38 +676,7 @@ def syzygies(gens: Sequence[VectorPoly | Polynomial], order: MonomialOrder) -> l
     Each returned vector is verified exactly against the inputs.
     """
     vecs = _as_vectors(gens)
-    for v in vecs:
-        if v.is_zero():
-            raise ValueError("zero generator has no meaningful syzygies")
-    ring, r = vecs[0].ring, vecs[0].ncomp
-    k = len(vecs)
-    seeds, key, pk, pad = _engine_input(vecs, order)
-    input_leads = [max(terms, key=key) for terms in seeds]
-
-    def elim_key(term: PackedTerm):
-        comp, expo = term
-        if comp < r:
-            return (1, key(term))
-        lead_c, lead_e = input_leads[comp - r]
-        if (expo + lead_e) & pk.guard:
-            raise ExponentOverflow()
-        return (0, key((lead_c, expo + lead_e)), -comp)
-
-    # the packed exponent 0 is the constant term
-    extended = [{**terms, (r + i, 0): _ONE} for i, terms in enumerate(seeds)]
-    _, relations = _std_engine(extended, elim_key, r, pk)
-
-    out: list[VectorPoly] = []
-    for h in relations:
-        merged: Terms = {}
-        for (comp, e), c in h.items():
-            term = (comp - r, e[pad:])
-            new = merged.get(term, _ZERO) + c
-            if new:
-                merged[term] = new
-            else:
-                merged.pop(term, None)
-        out.append(VectorPoly(ring, k, merged))
+    out = [VectorPoly(vecs[0].ring, len(vecs), h) for h in _relations(vecs, order)]
     out = [syz for syz in dict.fromkeys(out) if not syz.is_zero()]
     _check_syzygies(vecs, out)
     return out

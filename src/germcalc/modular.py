@@ -20,11 +20,17 @@ with cofactors h_1, ..., h_k, and fields whose cofactor classes generate
 that ideal has dimension tau (K. Saito, "Theory of logarithmic differential
 forms and logarithmic vector fields", 1980).  ``modular_tangent_space``
 uses the Euler field alone when f is quasi-homogeneous (its cofactor is the
-unit d); otherwise it keeps, lowest cofactor degree first, each candidate
-field whose cofactor residue in M (``milnor_algebra``) lies outside the span
-of the kept ones, until that span has dimension tau.  The kernel is a
-subspace and its reduced row echelon basis is unique, so it is the kernel
-of the full stack of generators, and so is the untwisted one.
+unit d).  Otherwise it reads only the cofactor slot of each relation of one
+Schreyer walk of (df, f) (``groebner._relations``, the walk behind
+``syzygies``) and keeps, lowest cofactor degree first, each relation whose
+cofactor residue in M (``milnor_algebra``) lies outside the span of the
+kept ones, until that span has dimension tau; RuntimeError if the span
+stays below tau, since a kernel from too few fields would come out too
+large.  Only the kept relations become fields: their coefficient
+polynomials are built and each goes through both checks, the tangency
+identity (``tangent_derivation``) and the exact syzygy check.  The kernel
+is a subspace and its reduced row echelon basis is unique, so it is the
+kernel of the full stack of generators, and so is the untwisted one.
 
 The action matrices are read off the staircase of the Tjurina algebra: the
 column of v on a basis monomial x^b is the term map sum_i b_i a_i x^(b - e_i),
@@ -49,9 +55,9 @@ from math import comb
 from operator import add
 
 from . import linalg
-from .groebner import ModTerm, syzygies
+from .groebner import ModTerm, _check_syzygies, _relations, syzygies
 from .orders import NEGDEGREVLEX
-from .poly import Exponent, Polynomial
+from .poly import Exponent, Polynomial, VectorPoly
 from .singularity import (
     GermInput,
     GradedT1,
@@ -127,6 +133,20 @@ def _euler(f: Polynomial, wdata: WeightData) -> tuple[list[Polynomial], Polynomi
     return coefficients, Polynomial.constant(ring, wdata.degree)
 
 
+def _schreyer_input(entries: list[Polynomial]) -> tuple[list[int], list[VectorPoly]]:
+    """Indices and vectors of the nonzero entries of (df_1, ..., df_n, f)."""
+    nonzero = [i for i, p in enumerate(entries) if not p.is_zero()]
+    return nonzero, [VectorPoly.from_poly(entries[i]) for i in nonzero]
+
+
+def _field(ring, nonzero: list[int], syz: VectorPoly) -> tuple[list[Polynomial], Polynomial]:
+    """Coefficients and cofactor of the field of a syzygy of the entries at ``nonzero``."""
+    parts = [Polynomial.zero(ring)] * (len(ring) + 1)
+    for i, part in zip(nonzero, syz.to_polys()):
+        parts[i] = part
+    return parts[:-1], -parts[-1]
+
+
 def _candidates(
     f: Polynomial, wdata: WeightData | None
 ) -> Iterator[tuple[list[Polynomial], Polynomial]]:
@@ -138,14 +158,10 @@ def _candidates(
     ring = f.ring
     n = len(ring)
     partials = [f.partial_derivative(v) for v in ring]
-    entries = partials + [f]
-    nonzero = [i for i, p in enumerate(entries) if not p.is_zero()]
+    nonzero, vecs = _schreyer_input(partials + [f])
     zero = Polynomial.zero(ring)
-    for s in syzygies([entries[i] for i in nonzero], NEGDEGREVLEX):
-        parts = [zero] * (n + 1)
-        for i, part in zip(nonzero, s.to_polys()):
-            parts[i] = part
-        yield parts[:n], -parts[n]
+    for s in syzygies(vecs, NEGDEGREVLEX):
+        yield _field(ring, nonzero, s)
     for i in range(n):
         if partials[i].is_zero():
             yield [Polynomial.constant(ring, int(j == i)) for j in range(n)], zero
@@ -178,34 +194,52 @@ def _cofactor_generators(f: Polynomial, t1: GradedT1) -> list[Derivation]:
     """Tangent fields whose cofactor classes generate Ann_M([f]) = (J : f)/J.
 
     For quasi-homogeneous f, the Euler field alone: its cofactor is the unit
-    d.  Otherwise the candidates with a nonzero cofactor h, lowest total
-    degree of h first.  The span holds the residues in the Milnor algebra M
-    of x^b h_k, over the Milnor basis monomials x^b and the cofactors h_k
-    kept so far, so it is the ideal they generate in M.  A candidate is kept
-    when the residue of its h lies outside the span; the walk stops once the
-    span has dimension tau, which makes it all of Ann_M([f]).  Only kept
-    fields go through the tangency check.
+    d.  Otherwise the relations of one Schreyer walk of the nonzero entries
+    of (df, f) (``groebner._relations``) with a nonzero cofactor h, lowest
+    total degree of h first; only the cofactor slot of each is read.  The
+    span holds the residues in the Milnor algebra M of x^b h_k, over the
+    Milnor basis monomials x^b and the cofactors h_k kept so far, so it is
+    the ideal they generate in M.  A relation is kept when the residue of
+    its h lies outside the span; the walk stops once the span has dimension
+    tau, which makes it all of Ann_M([f]), and RuntimeError if the
+    relations run out first.  Only kept relations become fields, each
+    checked twice: the tangency identity (``tangent_derivation``) and the
+    exact syzygy check.
     """
     if t1.weight_data is not None:
         return [tangent_derivation(f, *_euler(f, t1.weight_data))]
+    ring = f.ring
     milnor = milnor_algebra(f)
     shifts = [e for _, e in milnor.standard_monomials]
-    one = (0,) * len(f.ring)
+    one = (0,) * len(ring)
 
     def residue(h: Polynomial, b: Exponent) -> dict[int, Fraction]:
         return milnor.residue({(0, tuple(map(add, e, b))): c for e, c in h.terms.items()})
 
-    candidates = [(a, h) for a, h in _candidates(f, None) if not h.is_zero()]
-    candidates.sort(key=lambda c: min(map(sum, c[1].terms)))
+    nonzero, vecs = _schreyer_input([f.partial_derivative(v) for v in ring] + [f])
+    last = len(nonzero) - 1  # the slot of f
+    candidates = []
+    for rel in _relations(vecs, NEGDEGREVLEX):
+        h = Polynomial(ring, {e: -c for (slot, e), c in rel.items() if slot == last})
+        if not h.is_zero():
+            candidates.append((h, rel))
+    candidates.sort(key=lambda c: min(map(sum, c[0].terms)))
     span: dict[int, dict[int, Fraction]] = {}
     kept: list[Derivation] = []
-    for coefficients, h in candidates:
+    relations: list[VectorPoly] = []
+    for h, rel in candidates:
         if len(span) == t1.tau:
             break
         if linalg._insert(span, residue(h, one)):
-            kept.append(tangent_derivation(f, coefficients, h))
+            relations.append(VectorPoly(ring, len(nonzero), rel))
+            kept.append(tangent_derivation(f, *_field(ring, nonzero, relations[-1])))
             for b in shifts:
                 linalg._insert(span, residue(h, b))
+    if len(span) < t1.tau:
+        raise RuntimeError(
+            f"cofactor fields span {len(span)} of the {t1.tau} dimensions of Ann_M([f])"
+        )
+    _check_syzygies(vecs, relations)
     return kept
 
 

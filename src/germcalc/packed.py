@@ -21,8 +21,16 @@ The field width is fixed here; an entry that does not fit raises
 
 A row is a term map from (component, packed exponent) to an integer.  The
 row helpers below (a reducer with its lead data, the divisor lookup, the
-shifted subtraction, primitive rows) are private to the engine and live
-here, apart from its algorithms.
+shifted subtraction, one elimination step, content removal, primitive
+rows) are private to the engine and live here, apart from its algorithms.
+
+A Schreyer row (``_Split``) keeps its bookkeeping part, the terms in
+components >= the split, as a second integer row beside the real one.  No
+lead lies in those components and every such term sorts below every real
+one, so a reduction never scans the bookkeeping part: it rides in the
+remainder of the row being reduced, where each step scales it by d/g and
+subtracts the shifted bookkeeping row of the reducer
+(``_eliminate_split``), and each content removal divides it.
 """
 
 from __future__ import annotations
@@ -149,8 +157,31 @@ class _Reducer:
     top: int
 
 
+class _Split(_Reducer):
+    """A reducer of the Schreyer completion: ``terms`` is the real part of
+    its row and ``book`` the bookkeeping part, with its own ``book_top``.
+    Both parts together are primitive.  A plain subclass: a second
+    dataclass would cost a millisecond at every import."""
+
+    __slots__ = ("book", "book_top")
+
+    def __init__(self, lead: PackedTerm, coeff: int, terms: Row, top: int, book: Row, book_top: int):
+        super().__init__(lead, coeff, terms, top)
+        object.__setattr__(self, "book", book)  # frozen, as _Reducer
+        object.__setattr__(self, "book_top", book_top)
+
+
 def _reducer(lead: PackedTerm, terms: Row, pk: Packing) -> _Reducer:
     return _Reducer(lead=lead, coeff=terms[lead], terms=terms, top=pk.top(terms))
+
+
+def _split_reducer(row: Row, keyfn: Callable, split: int, pk: Packing) -> _Split:
+    """The reducer of a primitive Schreyer row with real terms; its terms in
+    components >= ``split`` are the bookkeeping part."""
+    terms = {t: c for t, c in row.items() if t[0] < split}
+    book = {t: c for t, c in row.items() if t[0] >= split}
+    lead = max(terms, key=keyfn)
+    return _Split(lead, terms[lead], terms, pk.top(terms), book, pk.top(book))
 
 
 def _make_reducer(terms: PackedTerms | Row, keyfn: Callable, pk: Packing) -> _Reducer:
@@ -170,6 +201,58 @@ def _divisors(leads: Sequence[PackedTerm], term: PackedTerm, guard: int) -> Iter
     for k, (lcomp, lexpo) in enumerate(leads):
         if (expo - lexpo) & guard == guard and lcomp == comp:
             yield k
+
+
+def _eliminate(h: Row, lt: PackedTerm, red: _Reducer, rest: Row, guard: int) -> int:
+    """In place, h <- (d/g) h - (c/g) x^m red, and ``rest`` *= d/g; return d/g.
+
+    c = h[lt], d = red.coeff, g = gcd(c, d) takes the sign of d, and x^m
+    times the lead of red is lt, which cancels.
+    """
+    c, d = h[lt], red.coeff
+    g = gcd(c, d)
+    if d < 0:
+        g = -g
+    d //= g
+    if d != 1:
+        for t in h:
+            h[t] *= d
+        for t in rest:
+            rest[t] *= d
+    _sub_scaled(h, red.terms, red.top, lt[1] - red.lead[1], c // g, guard)
+    return d
+
+
+def _eliminate_split(h: Row, lt: PackedTerm, red: _Split, rest: Row, guard: int) -> int:
+    """``_eliminate`` by a Schreyer reducer; the bookkeeping part rides in ``rest``.
+
+    ``rest`` also loses (c/g) x^m times the bookkeeping row of red; c/g is
+    c d' / d for the returned d' = d/g.
+    """
+    c = h[lt]
+    scale = _eliminate(h, lt, red, rest, guard)
+    _sub_scaled(rest, red.book, red.book_top, lt[1] - red.lead[1], c * scale // red.coeff, guard)
+    return scale
+
+
+def _spoly_book(f: _Split, g: _Split, lcm: int, guard: int) -> Row:
+    """The bookkeeping part of the S-vector ``_spoly_terms`` forms of f and g."""
+    e = gcd(f.coeff, g.coeff)
+    out: Row = {}
+    _sub_scaled(out, f.book, f.book_top, lcm - f.lead[1], -(g.coeff // e), guard)
+    _sub_scaled(out, g.book, g.book_top, lcm - g.lead[1], f.coeff // e, guard)
+    return out
+
+
+def _remove_content(h: Row, rest: Row) -> int:
+    """Divide ``h`` and ``rest`` by the gcd of all their coefficients, in place; return it."""
+    g = gcd(*h.values(), *rest.values()) or 1
+    if g != 1:
+        for t in h:
+            h[t] //= g
+        for t in rest:
+            rest[t] //= g
+    return g
 
 
 def _primitive(terms: Terms | Row) -> tuple[Row, Fraction]:

@@ -2,7 +2,9 @@
 
 Property tests: the integer reduction and the integer S-vector equal their
 exact scale times a rational reference built from monic rows apart from
-the engine (``conftest``).  Exactness guard: every coefficient the engine
+the engine (``conftest``); so do the split reduction and S-vector of
+Schreyer rows, whose bookkeeping part rides apart from the real one,
+against the joined rows.  Exactness guard: every coefficient the engine
 hands out is a ``Fraction``, never a float from dividing one integer by
 another.
 """
@@ -25,6 +27,7 @@ from germcalc import (
     syzygies,
 )
 from germcalc.groebner import _nf_global, _spoly_terms
+from germcalc.packed import _eliminate_split, _primitive, _split_reducer, _spoly_book, packing
 from conftest import CATALOG, cached_poly, engine_pool, full_division, monic_row, monic_spoly
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -75,6 +78,61 @@ def test_integer_rows_are_their_scale_times_the_rational_ones(case):
                 lcm = pk.lcm(pool[i].lead[1], pool[j].lead[1])
                 s, scale = _spoly_terms(pool[i], pool[j], lcm, pk.guard)
                 assert type(scale) is Fraction and scale
+                expected = monic_spoly(rows[i], rows[j])
+                assert pk.unpack_terms(s) == {t: scale * c for t, c in expected.items()}
+
+
+@st.composite
+def schreyer_cases(draw):
+    """A split, a key, a Schreyer-shaped integer row and a pool of rational Schreyer rows.
+
+    Components below the split are real, the others bookkeeping; every pool
+    row has a real term.
+    """
+    nvars = draw(st.integers(1, 3))
+    split = draw(st.integers(1, 2))
+    expo = st.lists(st.integers(0, 3), min_size=nvars, max_size=nvars).map(tuple)
+    term = st.tuples(st.integers(0, split + 2), expo)
+    small = st.integers(-6, 6).filter(bool)
+    rational = st.builds(Fraction, small, st.integers(1, 4))
+    h = draw(st.dictionaries(term, small, min_size=1, max_size=10))
+    pool = [
+        {**draw(st.dictionaries(term, rational, max_size=6)),
+         (draw(st.integers(0, split - 1)), draw(expo)): draw(rational)}
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    return split, draw(st.sampled_from(sorted(KEYS))), h, pool
+
+
+@PROPERTY
+@given(schreyer_cases())
+def test_split_reduction_is_the_division_of_the_joined_row(case):
+    # the engine reduces the real part alone and carries the bookkeeping
+    # part in the remainder; the reference divides the joined row, with the
+    # bookkeeping terms below every real one
+    split, label, h, seeds = case
+    key = KEYS[label]
+
+    def joined_key(term):
+        return (term[0] < split, key(term))
+
+    rows = [monic_row(t, joined_key) for t in seeds]
+    pk = packing(len(next(iter(h))[1]))
+    packed_key = pk.keyed(key)
+    pool = [_split_reducer(_primitive(pk.pack_terms(t))[0], packed_key, split, pk) for t in seeds]
+    real = {t: c for t, c in pk.pack_terms(h).items() if t[0] < split}
+    book = {t: c for t, c in pk.pack_terms(h).items() if t[0] >= split}
+    remainder, scale = _nf_global(real, pool, packed_key, pk, book, _eliminate_split)
+    assert type(scale) is Fraction and scale
+    expected = full_division(h, rows, joined_key)
+    assert pk.unpack_terms(remainder) == {t: scale * c for t, c in expected.items()}
+    # the S-vector of every pair whose leads share a component, both parts
+    for i in range(len(pool)):
+        for j in range(len(pool)):
+            if pool[i].lead[0] == pool[j].lead[0]:
+                lcm = pk.lcm(pool[i].lead[1], pool[j].lead[1])
+                s, scale = _spoly_terms(pool[i], pool[j], lcm, pk.guard)
+                s.update(_spoly_book(pool[i], pool[j], lcm, pk.guard))
                 expected = monic_spoly(rows[i], rows[j])
                 assert pk.unpack_terms(s) == {t: scale * c for t, c in expected.items()}
 

@@ -172,26 +172,26 @@ def completed_sets():
     """(label, completed reducer set, key on tuples, key on packed terms, packing)
     under local, global and module orders."""
 
-    def complete(seeds, keyfn, size, split):
+    def complete(seeds, keyfn, size):
         pk = packing(size)
         key = pk.keyed(keyfn)
-        return _std_engine([pk.pack_terms(t) for t in seeds], key, split, pk)[0], keyfn, key, pk
+        return _std_engine([pk.pack_terms(t) for t in seeds], key, pk)[0], keyfn, key, pk
 
     hkey = homogenized_key(NEGDEGREVLEX)
     for germ in [g for g in CATALOG if g.tau <= 10]:
         f = cached_poly(germ.text, germ.vars)
         seeds = [_homogenize_terms(dict(VectorPoly.from_poly(g).terms)) for g in [f] + jacobian(f)]
-        yield germ.name, *complete(seeds, hkey, len(f.ring) + 1, 1)
+        yield germ.name, *complete(seeds, hkey, len(f.ring) + 1)
     f = parse_poly("x^3+y^3+z^3+x*y*z", V3)
     seeds = [dict(VectorPoly.from_poly(g).terms) for g in jacobian(f)]
-    yield "degrevlex", *complete(seeds, DEGREVLEX.module_key, 3, 1)
+    yield "degrevlex", *complete(seeds, DEGREVLEX.module_key, 3)
     eqs = [parse_poly("x^4+y^4+2*z^2", V3), parse_poly("2*z-x*y", V3)]
     zero = parse_poly("0", V3)
     gens = [VectorPoly.from_polys([g.partial_derivative(v) for g in eqs]) for v in V3]
     gens += [VectorPoly.from_polys([g, zero]) for g in eqs]
     gens += [VectorPoly.from_polys([zero, g]) for g in eqs]
     seeds = [_homogenize_terms(dict(g.terms)) for g in gens]
-    yield "icis", *complete(seeds, hkey, 4, 2)
+    yield "icis", *complete(seeds, hkey, 4)
 
 
 def test_completion_certificate_agrees_with_all_pairs_check():
@@ -260,10 +260,14 @@ def test_pure_power_criterion_detects_infinite():
 
 
 def test_koszul_syzygy_of_two_variables():
+    # the leads x and y are coprime and every real term lies in component 0;
+    # the product criterion must stay off, since the Schreyer rows also
+    # carry bookkeeping terms, held apart from the real ones
     x, y = parse_poly("x", V2), parse_poly("y", V2)
-    syz = syzygies([x, y], DEGREVLEX)
     expected = VectorPoly.from_polys([parse_poly("-y", V2), parse_poly("x", V2)])
-    assert any(s == expected or s == expected.scale(-1) for s in syz)
+    for order in (DEGREVLEX, NEGDEGREVLEX):
+        syz = syzygies([x, y], order)
+        assert any(s == expected or s == expected.scale(-1) for s in syz), order.kind
 
 
 def test_syzygy_with_common_factor():

@@ -425,20 +425,52 @@ def test_tangency_is_checked_on_every_used_field_and_no_other(monkeypatch, name,
     assert [id(v) for v in acted] == [id(v) for v in built]
 
 
+def _relation_source(monkeypatch, edit):
+    """Let the modular path read ``edit`` of the list of its real relations."""
+    real = modular._relations
+
+    def source(vecs, order):
+        yield from edit(list(real(vecs, order)))
+
+    monkeypatch.setattr(modular, "_relations", source)
+
+
 def test_modular_tangent_space_rejects_a_field_that_is_not_tangent(monkeypatch):
     entry = CATALOG_BY_NAME["t433"]
     f = cached_poly(entry.text, entry.vars)
-    real = modular.syzygies
+    cofactor = len(f.ring)  # the slot of f: no partial of t433 vanishes
 
-    def perturbed(gens, order):
+    def perturbed(rels):
         # the relation of lowest cofactor degree (a linear cofactor, outside
         # the Jacobian ideal) with x^7 added to its d/dx coefficient
-        rels = [r.to_polys() for r in real(gens, order)]
-        with_cofactor = [r for r in rels if not r[-1].is_zero()]
-        parts = min(with_cofactor, key=lambda r: min(map(sum, r[-1].terms)))
-        parts[0] = parts[0] + parse_poly("x^7", entry.vars)
-        return [VectorPoly.from_polys(parts)]
+        with_cofactor = [r for r in rels if any(slot == cofactor for slot, _ in r)]
+        rel = dict(min(with_cofactor, key=lambda r: min(sum(e) for s, e in r if s == cofactor)))
+        rel[(0, (7, 0, 0))] = rel.get((0, (7, 0, 0)), 0) + 1
+        return [rel]
 
-    monkeypatch.setattr(modular, "syzygies", perturbed)
+    _relation_source(monkeypatch, perturbed)
     with pytest.raises(ValueError, match="not tangent"):
+        modular_tangent_space(f)
+
+
+def test_cofactor_selection_must_span_the_whole_annihilator(monkeypatch):
+    # the kept relations are the ones the exact syzygy check receives; with
+    # them gone, the other relations span less than tau, and a kernel from
+    # their fields could come out too large, so the selection must raise
+    entry = CATALOG_BY_NAME["t433"]
+    f = cached_poly(entry.text, entry.vars)
+    check, kept = modular._check_syzygies, []
+
+    def recorded(vecs, rels):
+        kept.extend(rels)
+        return check(vecs, rels)
+
+    monkeypatch.setattr(modular, "_check_syzygies", recorded)
+    assert modular_tangent_space(f).dimension == entry.modular_dim
+    assert len(kept) == 3
+    ring, slots = f.ring, len(f.ring) + 1
+    _relation_source(
+        monkeypatch, lambda rels: [r for r in rels if VectorPoly(ring, slots, r) not in kept]
+    )
+    with pytest.raises(RuntimeError, match="cofactor fields span"):
         modular_tangent_space(f)

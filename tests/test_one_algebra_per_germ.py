@@ -1,8 +1,9 @@
 """Each germ's Milnor and Tjurina algebras and weights are computed once.
 
-The counting tests wrap ``standard_basis``, ``find_weights`` and
-``syzygies`` under every name where a germcalc module looks them up, so a
-call from any module is seen; the caches of ``milnor_algebra`` and
+The counting tests wrap ``standard_basis``, ``find_weights`` and the
+Schreyer relation walk ``groebner._relations`` (behind ``syzygies`` and
+the modular path alike) under every name where a germcalc module looks
+them up, so a call from any module is seen; the caches of ``milnor_algebra`` and
 ``tjurina_algebra`` are cleared first so every count starts from nothing.
 The cache tests check that no cached algebra leaks from one germ into
 another.
@@ -35,13 +36,13 @@ V3 = ("x", "y", "z")
 
 @pytest.fixture
 def calls(monkeypatch):
-    """First arguments of every standard_basis, find_weights and syzygies call, by name."""
+    """First arguments of every standard_basis, find_weights and relation walk, by name."""
     namespaces = [germcalc] + [
         importlib.import_module(f"germcalc.{m.name}") for m in pkgutil.iter_modules(germcalc.__path__)
     ]
-    seen: dict[str, list] = {"standard_basis": [], "find_weights": [], "syzygies": []}
+    seen: dict[str, list] = {"standard_basis": [], "find_weights": [], "_relations": []}
     for name, log in seen.items():
-        original = getattr(germcalc, name)
+        original = next(getattr(ns, name) for ns in namespaces if hasattr(ns, name))
 
         def counted(*args, _fn=original, _log=log, **kwargs):
             _log.append(args[0])
@@ -81,21 +82,21 @@ def test_each_non_quasi_homogeneous_scan_row_builds_one_algebra(calls):
     report = scan(catalog("tpqr:4,3,3"), [{"lambda": v} for v in (1, 2)])
     assert [(row.mu, row.tau, row.weights_found) for row in report.rows] == [(9, 8, False)] * 2
     assert len(calls["standard_basis"]) == 2 * 2
-    assert len(calls["syzygies"]) == 2
+    assert len(calls["_relations"]) == 2
 
 
 @pytest.mark.parametrize(
-    "text, vars, syzygy_calls, bases",
+    "text, vars, walks, bases",
     [("x^3+y^3+z^3+x*y*z", V3, 0, 1), ("x^6+y^2+z^2", V3, 0, 1), ("x^4+y^3+z^3+x*y*z", V3, 1, 2)],
     ids=["t333_l1", "a5", "t433"],
 )
 def test_bare_modular_tangent_space_needs_syzygies_only_without_weights(
-    calls, text, vars, syzygy_calls, bases
+    calls, text, vars, walks, bases
 ):
     # a quasi-homogeneous germ uses its Euler field alone; any other germ
-    # needs one syzygy computation and its Milnor algebra besides T1
+    # needs one relation walk and its Milnor algebra besides T1
     modular_tangent_space(parse_poly(text, vars))
-    assert len(calls["syzygies"]) == syzygy_calls
+    assert len(calls["_relations"]) == walks
     assert len(calls["standard_basis"]) == bases
 
 

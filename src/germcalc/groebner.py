@@ -54,15 +54,13 @@ the pure-power criterion and enumerates the standard monomials.
 
 Syzygies are collected the Schreyer way: the generators are embedded with
 bookkeeping components under an elimination order and completed by the
-same engine.  A Schreyer row (``packed._Split``) keeps its bookkeeping
-part as a second integer row beside the real one.  No lead lies there and
-every bookkeeping term sorts below every real one, so a reduction keys
-only the real part and carries the bookkeeping part in its remainder
-through the same scalings, subtractions and content removals
-(``_eliminate_split``); standard bases have none.  A remainder whose real
-part died is a relation, one syzygy in input coordinates: ``_relations``
-yields them, ``syzygies`` wraps, deduplicates and re-checks them exactly
-on integer rows, and ``modular`` reads the few it keeps.
+same engine on the same reducers, whose bookkeeping part
+(``_Reducer.book``, empty for a standard basis) holds no lead and is never
+keyed: each reduction step carries it along in the remainder
+(``_eliminate``).  A remainder whose real part died is a relation, one
+syzygy in input coordinates: ``_relations`` yields them, ``syzygies``
+wraps, deduplicates and re-checks them exactly on integer rows, and
+``modular`` reads the few it keeps.
 
 A finite staircase of a local ordering is the one model of its quotient.
 For these degree-compatible orderings every term of (weighted) degree
@@ -94,16 +92,11 @@ from .packed import (
     Row,
     _divisors,
     _eliminate,
-    _eliminate_split,
-    _make_reducer,
     _primitive,
     _rational,
     _Reducer,
     _reducer,
     _remove_content,
-    _Split,
-    _split_reducer,
-    _spoly_book,
     _sub_scaled,
     packing,
 )
@@ -121,18 +114,17 @@ _CONTENT_EVERY = 8  # reduction steps between two content removals
 
 
 def _nf_global(
-    h: Row, pool: Sequence[_Reducer], keyfn: KeyFn, pk: Packing,
-    book: Row | None = None, eliminate: Callable[..., int] = _eliminate,
+    h: Row, pool: Sequence[_Reducer], keyfn: KeyFn, pk: Packing, book: Row | None = None
 ) -> tuple[Row, Fraction]:
     """Full division remainder, fraction-free, and its scale.
 
     No remaining term is divisible by a pool lead.  The remainder is scale
     times the one the rational division by the monic pool rows leaves: each
-    step scales by d/g (``eliminate``) and each content removal divides.
+    step scales by d/g (``_eliminate``) and each content removal divides.
     For a Schreyer row, ``book`` is its bookkeeping part (taken over, not
-    copied), ``eliminate`` is ``_eliminate_split`` and the pool's rows are
-    ``_Split``: the bookkeeping part starts the remainder and is never
-    scanned, and the remainder returned holds both parts.
+    copied): it starts the remainder, takes the bookkeeping parts of the
+    pool rows and is never scanned, and the remainder returned holds both
+    parts.
     """
     guard, leads = pk.guard, [r.lead for r in pool]
     h = dict(h)
@@ -144,7 +136,7 @@ def _nf_global(
         if k is None:
             remainder[lt] = h.pop(lt)
             continue
-        mult *= eliminate(h, lt, pool[k], remainder, guard)
+        mult *= _eliminate(h, lt, pool[k], remainder, guard)
         steps += 1
         if not steps % _CONTENT_EVERY:
             scale *= Fraction(mult, _remove_content(h, remainder))
@@ -188,29 +180,34 @@ def _nf_mora(h: Row, pool: Sequence[_Reducer], keyfn: KeyFn, pk: Packing) -> tup
     return h, scale
 
 
-def _spoly_terms(f: _Reducer, g: _Reducer, lcm: int, guard: int) -> tuple[Row, Fraction]:
-    """Fraction-free S-vector and its scale; ``lcm`` is that of the two lead exponents.
+def _spoly_terms(f: _Reducer, g: _Reducer, lcm: int, guard: int) -> tuple[Row, Row, Fraction]:
+    """Fraction-free S-vector, as its real and bookkeeping parts, and its scale;
+    ``lcm`` is that of the two lead exponents.
 
     The row (c_g/e) x^a f - (c_f/e) x^b g, with e = gcd(c_f, c_g), is
     c_f c_g / e times x^a f / c_f - x^b g / c_g, the S-vector of the monic rows.
     """
     e = gcd(f.coeff, g.coeff)
+    a, b = lcm - f.lead[1], lcm - g.lead[1]
     out: Row = {}
-    _sub_scaled(out, f.terms, f.top, lcm - f.lead[1], -(g.coeff // e), guard)
-    _sub_scaled(out, g.terms, g.top, lcm - g.lead[1], f.coeff // e, guard)
-    return out, Fraction(f.coeff // e * g.coeff)
+    book: Row = {}
+    _sub_scaled(out, f.terms, f.top, a, -(g.coeff // e), guard)
+    _sub_scaled(out, g.terms, g.top, b, f.coeff // e, guard)
+    _sub_scaled(book, f.book, f.book_top, a, -(g.coeff // e), guard)
+    _sub_scaled(book, g.book, g.book_top, b, f.coeff // e, guard)
+    return out, book, Fraction(f.coeff // e * g.coeff)
 
 
 def spoly(f: VectorPoly, g: VectorPoly, keyfn: KeyFn) -> VectorPoly:
     """S-vector; the leading components must agree."""
     pk = packing(len(f.ring))
     key = pk.keyed(keyfn)
-    rf = _make_reducer(pk.pack_terms(f.terms), key, pk)
-    rg = _make_reducer(pk.pack_terms(g.terms), key, pk)
+    rows = [_primitive(pk.pack_terms(v.terms))[0] for v in (f, g)]
+    rf, rg = (_reducer(max(row, key=key), row, pk) for row in rows)
     if rf.lead[0] != rg.lead[0]:
         raise ValueError("S-vector needs matching leading components")
-    s = _spoly_terms(rf, rg, pk.lcm(rf.lead[1], rg.lead[1]), pk.guard)
-    return VectorPoly(f.ring, f.ncomp, pk.unpack_terms(_rational(*s)))
+    s, _, scale = _spoly_terms(rf, rg, pk.lcm(rf.lead[1], rg.lead[1]), pk.guard)
+    return VectorPoly(f.ring, f.ncomp, pk.unpack_terms(_rational(s, scale)))
 
 
 PairKey = tuple[int, int, int, int]  # (degree of the lcm, packed lcm, i, j)
@@ -259,8 +256,7 @@ def _walk_pairs(basis: Sequence[_Reducer], reduce: Callable[[int, int, int], boo
     """
     guard = pk.guard
     leads = [r.lead for r in basis]
-    ideal = all(comp == 0 for r in basis for comp, _ in r.terms)
-    ideal = ideal and not any(isinstance(r, _Split) for r in basis)
+    ideal = not any(r.book or any(comp for comp, _ in r.terms) for r in basis)
     pending: list[PairKey] = []
 
     def add_pairs(j: int):
@@ -294,53 +290,59 @@ def _std_engine(
     computed once per call: ``keyfn`` is memoized here, for the call only.
 
     With ``split``, the seeds are Schreyer rows: their terms in components
-    >= ``split`` are the bookkeeping part, held apart (``_Split``) and never
-    keyed.  A remainder with real terms joins the basis; one whose real part
-    is empty but not its bookkeeping part is a relation, returned divided by
-    its scale (so, the remainder of the monic rational rows) with exponent
-    tuples.  A relation never reduces anything and forms no pairs.
+    >= ``split`` are the bookkeeping part (``_Reducer.book``), never keyed.
+    A remainder with a real term joins the basis; a nonzero one without is
+    a relation, returned divided by its scale (so, the remainder of the
+    monic rational rows) with exponent tuples, which reduces nothing and
+    forms no pairs.  Plain seeds have no bookkeeping part, so no relations.
     """
     keyfn = cache(keyfn)
     guard = pk.guard
     relations: list[Terms] = []
-    if split is None:
-        basis = [_make_reducer(t, keyfn, pk) for t in seeds if t]
 
-        def reduce(i: int, j: int, lcm: int) -> bool:
-            h, _ = _nf_global(_spoly_terms(basis[i], basis[j], lcm, guard)[0], basis, keyfn, pk)
-            if h:
-                basis.append(_reducer(max(h, key=keyfn), _primitive(h)[0], pk))
-            return bool(h)
+    def reducer(row: Row) -> _Reducer:
+        real = row if split is None else [t for t in row if t[0] < split]
+        return _reducer(max(real, key=keyfn), row, pk, split)
 
-    else:
-        basis = [_split_reducer(_primitive(t)[0], keyfn, split, pk) for t in seeds]
-
-        def reduce(i: int, j: int, lcm: int) -> bool:
-            s, s_scale = _spoly_terms(basis[i], basis[j], lcm, guard)
-            book = _spoly_book(basis[i], basis[j], lcm, guard)
-            h, h_scale = _nf_global(s, basis, keyfn, pk, book, _eliminate_split)
-            if any(comp < split for comp, _ in h):
-                basis.append(_split_reducer(_primitive(h)[0], keyfn, split, pk))
-                return True
-            if h:
-                relations.append(pk.unpack_terms(_rational(h, s_scale * h_scale)))
-            return False
-
+    basis = [reducer(_primitive(t)[0]) for t in seeds if t]
     if not basis:
         raise ValueError("empty generator list")
+
+    def reduce(i: int, j: int, lcm: int) -> bool:
+        s, book, s_scale = _spoly_terms(basis[i], basis[j], lcm, guard)
+        h, h_scale = _nf_global(s, basis, keyfn, pk, book)
+        if not h:
+            return False
+        if split is None or any(comp < split for comp, _ in h):
+            basis.append(reducer(_primitive(h)[0]))
+            return True
+        relations.append(pk.unpack_terms(_rational(h, s_scale * h_scale)))
+        return False
+
     _walk_pairs(basis, reduce, pk)
     return basis, relations
 
 
-def _minimalize(basis: list[_Reducer], keyfn: KeyFn, guard: int) -> list[_Reducer]:
-    """Drop generators whose lead is divisible by another kept lead."""
-    kept: list[_Reducer] = []
-    leads: list[PackedTerm] = []
-    for red in sorted(basis, key=lambda r: keyfn(r.lead)):
-        if next(_divisors(leads, red.lead, guard), None) is None:
-            kept.append(red)
-            leads.append(red.lead)
-    return kept
+def _minimal(leads: Sequence[PackedTerm], pk: Packing, order: MonomialOrder) -> list[int]:
+    """Indices of the leads that no other kept lead divides, sorted by key.
+
+    Leads are visited by (weighted) degree first, then by key: a proper
+    divisor has a strictly smaller degree, so it is visited first under a
+    local order too, where it sorts above its multiples.  Of equal leads
+    the first is kept.
+    """
+    key = pk.keyed(order.module_key)
+
+    def visit(i: int):
+        return order.degree(pk.unpack(leads[i][1])), key(leads[i])
+
+    kept: list[int] = []
+    kept_leads: list[PackedTerm] = []
+    for i in sorted(range(len(leads)), key=visit):
+        if next(_divisors(kept_leads, leads[i], pk.guard), None) is None:
+            kept.append(i)
+            kept_leads.append(leads[i])
+    return sorted(kept, key=lambda i: key(leads[i]))
 
 
 def _verify_complete(basis: Sequence[_Reducer], keyfn: KeyFn, pk: Packing):
@@ -455,8 +457,8 @@ def standard_basis(
 
     One path for every order: the seeds and key from ``_engine_input``
     (which homogenizes for a local order) are completed, the completion is
-    certified, the integer rows are made monic rational ones, the slack
-    entries are dropped and the result is minimalized.  Output is
+    certified and minimalized on its leads (``_minimal``), and the kept
+    integer rows are made monic rational ones, slack entries dropped.  Output is
     deterministic for a fixed input: fixed selection strategy, monic
     generators sorted by leading term.  With ``verify`` (the default) the
     Buchberger criterion is re-checked on the final set.
@@ -476,20 +478,16 @@ def standard_basis(
         _verify_complete(completed, engine_key, pk)
     out = packing(len(ring))
     low = (1 << (FIELD * out.size)) - 1  # every field but the slack entry's
+    leads = [(comp, e & low) for comp, e in (r.lead for r in completed)]
+    kept = _minimal(leads, out, order)
     monic = [
-        _Reducer(
-            (r.lead[0], r.lead[1] & low),
-            1,
-            {(comp, e & low): Fraction(c, r.coeff) for (comp, e), c in r.terms.items()},
-            r.top & low,
-        )
-        for r in completed
+        {(comp, out.unpack(e & low)): Fraction(c, r.coeff) for (comp, e), c in r.terms.items()}
+        for r in (completed[i] for i in kept)
     ]
-    basis = _minimalize(monic, out.keyed(order.module_key), out.guard)
     return StandardBasis(
-        generators=tuple(VectorPoly(ring, ncomp, out.unpack_terms(r.terms)) for r in basis),
+        generators=tuple(VectorPoly(ring, ncomp, terms) for terms in monic),
         order=order,
-        leading_terms=tuple((r.lead[0], out.unpack(r.lead[1])) for r in basis),
+        leading_terms=tuple((leads[i][0], out.unpack(leads[i][1])) for i in kept),
     )
 
 
@@ -652,10 +650,10 @@ def syzygies(gens: Sequence[VectorPoly | Polynomial], order: MonomialOrder) -> l
     remainder whose real part vanishes comes back as a relation; its
     bookkeeping part is one syzygy.  No lead is a bookkeeping term and every
     bookkeeping term sorts below every real one, so the order among them
-    never matters: the engine holds them apart and never keys them.  The
-    engine skips pairs by the chain criterion over pairs already walked; the
-    product criterion stays off, since the seeds have terms outside
-    component 0.
+    never matters: the engine holds them apart (``_Reducer.book``) and
+    never keys them.  The engine skips pairs by the chain criterion over
+    pairs already walked; the product criterion stays off, since the seeds
+    have terms outside component 0.
 
     Soundness: let B be the completed basis and R the relations.  Each pair
     of B that is not skipped reduces to zero, to a new element of B, or to

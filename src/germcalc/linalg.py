@@ -146,28 +146,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     ]
 
 
-def identity(n: int) -> Matrix:
-    return [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
-
-
-def char_poly(a: Matrix) -> list[Fraction]:
-    """Characteristic polynomial coefficients [c_0, ..., c_{n-1}, 1].
-
-    Faddeev-LeVerrier recursion; exact over the rationals.
-    """
-    n = len(a)
-    coeffs = [_ZERO] * n + [_ONE]
-    m = identity(n)
-    c = _ONE
-    for k in range(1, n + 1):
-        m = mat_mul(a, m)
-        c = -sum((m[i][i] for i in range(n)), _ZERO) / k
-        coeffs[n - k] = c
-        for i in range(n):
-            m[i][i] += c
-    return coeffs
-
-
 def is_nilpotent(a: Matrix) -> bool:
     """True iff A^n = 0 for n = len(a), found by squaring A until the exponent reaches n."""
     power, exponent = a, 1

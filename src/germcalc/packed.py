@@ -24,13 +24,11 @@ row helpers below (a reducer with its lead data, the divisor lookup, the
 shifted subtraction, one elimination step, content removal, primitive
 rows) are private to the engine and live here, apart from its algorithms.
 
-A Schreyer row (``_Split``) keeps its bookkeeping part, the terms in
-components >= the split, as a second integer row beside the real one.  No
-lead lies in those components and every such term sorts below every real
-one, so a reduction never scans the bookkeeping part: it rides in the
-remainder of the row being reduced, where each step scales it by d/g and
-subtracts the shifted bookkeeping row of the reducer
-(``_eliminate_split``), and each content removal divides it.
+The reducer of a Schreyer row keeps its bookkeeping part, the terms in
+components >= the split, as a second integer row (``book``, empty for
+every other row).  No lead lies there and every such term sorts below
+every real one, so a reduction never scans it: it rides in the remainder,
+which each step (``_eliminate``) scales and subtracts from.
 """
 
 from __future__ import annotations
@@ -143,51 +141,30 @@ def _sub_scaled(target: Row, source: Row, top: int, shift: int, factor: int, gua
 class _Reducer:
     """A frozen reducer: an integer row with its cached lead data.
 
-    ``terms`` is a primitive integer row on packed terms and ``coeff`` its
-    integer lead coefficient; it stands for the monic row terms / coeff,
-    and no reduction or S-vector depends on its scale (``standard_basis``
-    alone wraps monic rational rows, to minimalize them).  ``top`` is the
-    per-field maximum of its exponents: x^m times the row fits the fields
-    exactly when ``top + m`` sets no guard bit.
+    ``terms`` and ``book`` are the real and the bookkeeping part of a
+    primitive integer row on packed terms and ``coeff`` its integer lead
+    coefficient; it stands for the monic row / coeff, and no reduction or
+    S-vector depends on its scale.  ``top`` and ``book_top`` are the
+    per-field maxima of the exponents of the parts: x^m times a part fits
+    the fields exactly when its top + m sets no guard bit.
     """
 
     lead: PackedTerm
     coeff: int
     terms: Row
     top: int
+    book: Row
+    book_top: int
 
 
-class _Split(_Reducer):
-    """A reducer of the Schreyer completion: ``terms`` is the real part of
-    its row and ``book`` the bookkeeping part, with its own ``book_top``.
-    Both parts together are primitive.  A plain subclass: a second
-    dataclass would cost a millisecond at every import."""
-
-    __slots__ = ("book", "book_top")
-
-    def __init__(self, lead: PackedTerm, coeff: int, terms: Row, top: int, book: Row, book_top: int):
-        super().__init__(lead, coeff, terms, top)
-        object.__setattr__(self, "book", book)  # frozen, as _Reducer
-        object.__setattr__(self, "book_top", book_top)
-
-
-def _reducer(lead: PackedTerm, terms: Row, pk: Packing) -> _Reducer:
-    return _Reducer(lead=lead, coeff=terms[lead], terms=terms, top=pk.top(terms))
-
-
-def _split_reducer(row: Row, keyfn: Callable, split: int, pk: Packing) -> _Split:
-    """The reducer of a primitive Schreyer row with real terms; its terms in
-    components >= ``split`` are the bookkeeping part."""
-    terms = {t: c for t, c in row.items() if t[0] < split}
-    book = {t: c for t, c in row.items() if t[0] >= split}
-    lead = max(terms, key=keyfn)
-    return _Split(lead, terms[lead], terms, pk.top(terms), book, pk.top(book))
-
-
-def _make_reducer(terms: PackedTerms | Row, keyfn: Callable, pk: Packing) -> _Reducer:
-    """The reducer of the primitive integer row of ``terms``, lead by ``keyfn``."""
-    row, _ = _primitive(terms)
-    return _reducer(max(row, key=keyfn), row, pk)
+def _reducer(lead: PackedTerm, row: Row, pk: Packing, split: int | None = None) -> _Reducer:
+    """The reducer of a primitive integer row with lead ``lead``; with
+    ``split``, its terms in components >= split are the bookkeeping part."""
+    book: Row = {}
+    if split is not None:
+        book = {t: c for t, c in row.items() if t[0] >= split}
+        row = {t: c for t, c in row.items() if t[0] < split}
+    return _Reducer(lead, row[lead], row, pk.top(row), book, pk.top(book))
 
 
 def _divisors(leads: Sequence[PackedTerm], term: PackedTerm, guard: int) -> Iterator[int]:
@@ -204,7 +181,8 @@ def _divisors(leads: Sequence[PackedTerm], term: PackedTerm, guard: int) -> Iter
 
 
 def _eliminate(h: Row, lt: PackedTerm, red: _Reducer, rest: Row, guard: int) -> int:
-    """In place, h <- (d/g) h - (c/g) x^m red, and ``rest`` *= d/g; return d/g.
+    """In place, h <- (d/g) h - (c/g) x^m red.terms and
+    rest <- (d/g) rest - (c/g) x^m red.book; return d/g.
 
     c = h[lt], d = red.coeff, g = gcd(c, d) takes the sign of d, and x^m
     times the lead of red is lt, which cancels.
@@ -219,29 +197,11 @@ def _eliminate(h: Row, lt: PackedTerm, red: _Reducer, rest: Row, guard: int) -> 
             h[t] *= d
         for t in rest:
             rest[t] *= d
-    _sub_scaled(h, red.terms, red.top, lt[1] - red.lead[1], c // g, guard)
+    shift, factor = lt[1] - red.lead[1], c // g
+    _sub_scaled(h, red.terms, red.top, shift, factor, guard)
+    if red.book:
+        _sub_scaled(rest, red.book, red.book_top, shift, factor, guard)
     return d
-
-
-def _eliminate_split(h: Row, lt: PackedTerm, red: _Split, rest: Row, guard: int) -> int:
-    """``_eliminate`` by a Schreyer reducer; the bookkeeping part rides in ``rest``.
-
-    ``rest`` also loses (c/g) x^m times the bookkeeping row of red; c/g is
-    c d' / d for the returned d' = d/g.
-    """
-    c = h[lt]
-    scale = _eliminate(h, lt, red, rest, guard)
-    _sub_scaled(rest, red.book, red.book_top, lt[1] - red.lead[1], c * scale // red.coeff, guard)
-    return scale
-
-
-def _spoly_book(f: _Split, g: _Split, lcm: int, guard: int) -> Row:
-    """The bookkeeping part of the S-vector ``_spoly_terms`` forms of f and g."""
-    e = gcd(f.coeff, g.coeff)
-    out: Row = {}
-    _sub_scaled(out, f.book, f.book_top, lcm - f.lead[1], -(g.coeff // e), guard)
-    _sub_scaled(out, g.book, g.book_top, lcm - g.lead[1], f.coeff // e, guard)
-    return out
 
 
 def _remove_content(h: Row, rest: Row) -> int:

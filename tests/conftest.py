@@ -265,12 +265,12 @@ def reference_walk(seeds, keyfn, split):
 
 def engine_pool(term_maps, keyfn, size):
     """The engine's reducers of tuple term maps, the key on packed terms and the packing."""
-    from germcalc.groebner import _make_reducer
-    from germcalc.packed import packing
+    from germcalc.packed import _primitive, _reducer, packing
 
     pk = packing(size)
     key = pk.keyed(keyfn)
-    return [_make_reducer(pk.pack_terms(t), key, pk) for t in term_maps], key, pk
+    rows = [_primitive(pk.pack_terms(t))[0] for t in term_maps]
+    return [_reducer(max(row, key=key), row, pk) for row in rows], key, pk
 
 
 def unpacked_lead(red, pk):

@@ -2,9 +2,9 @@
 
 Property tests: the integer reduction and the integer S-vector equal their
 exact scale times a rational reference built from monic rows apart from
-the engine (``conftest``); so do the split reduction and S-vector of
-Schreyer rows, whose bookkeeping part rides apart from the real one,
-against the joined rows.  Exactness guard: every coefficient the engine
+the engine (``conftest``); so do the reduction and S-vector of Schreyer
+rows, whose bookkeeping part rides apart from the real one, against the
+joined rows.  Exactness guard: every coefficient the engine
 hands out is a ``Fraction``, never a float from dividing one integer by
 another.
 """
@@ -27,7 +27,7 @@ from germcalc import (
     syzygies,
 )
 from germcalc.groebner import _nf_global, _spoly_terms
-from germcalc.packed import _eliminate_split, _primitive, _split_reducer, _spoly_book, packing
+from germcalc.packed import _primitive, _reducer, packing
 from conftest import CATALOG, cached_poly, engine_pool, full_division, monic_row, monic_spoly
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -65,6 +65,7 @@ def test_integer_rows_are_their_scale_times_the_rational_ones(case):
     rows = [monic_row(t, key) for t in seeds]
     pool, packed_key, pk = engine_pool(seeds, key, len(next(iter(h))[1]))
     assert all(type(c) is int for red in pool for c in red.terms.values())
+    assert not any(red.book for red in pool)
     # the full division of h by the pool
     remainder, scale = _nf_global(pk.pack_terms(h), pool, packed_key, pk)
     assert type(scale) is Fraction and scale
@@ -76,8 +77,8 @@ def test_integer_rows_are_their_scale_times_the_rational_ones(case):
         for j in range(len(pool)):
             if pool[i].lead[0] == pool[j].lead[0]:
                 lcm = pk.lcm(pool[i].lead[1], pool[j].lead[1])
-                s, scale = _spoly_terms(pool[i], pool[j], lcm, pk.guard)
-                assert type(scale) is Fraction and scale
+                s, book, scale = _spoly_terms(pool[i], pool[j], lcm, pk.guard)
+                assert type(scale) is Fraction and scale and not book
                 expected = monic_spoly(rows[i], rows[j])
                 assert pk.unpack_terms(s) == {t: scale * c for t, c in expected.items()}
 
@@ -119,10 +120,14 @@ def test_split_reduction_is_the_division_of_the_joined_row(case):
     rows = [monic_row(t, joined_key) for t in seeds]
     pk = packing(len(next(iter(h))[1]))
     packed_key = pk.keyed(key)
-    pool = [_split_reducer(_primitive(pk.pack_terms(t))[0], packed_key, split, pk) for t in seeds]
+    primitive = [_primitive(pk.pack_terms(t))[0] for t in seeds]
+    pool = [_reducer(max((t for t in row if t[0] < split), key=packed_key), row, pk, split)
+            for row in primitive]
+    assert all(red.lead[0] < split and all(t[0] < split for t in red.terms) for red in pool)
+    assert all(t[0] >= split for red in pool for t in red.book)
     real = {t: c for t, c in pk.pack_terms(h).items() if t[0] < split}
     book = {t: c for t, c in pk.pack_terms(h).items() if t[0] >= split}
-    remainder, scale = _nf_global(real, pool, packed_key, pk, book, _eliminate_split)
+    remainder, scale = _nf_global(real, pool, packed_key, pk, book)
     assert type(scale) is Fraction and scale
     expected = full_division(h, rows, joined_key)
     assert pk.unpack_terms(remainder) == {t: scale * c for t, c in expected.items()}
@@ -131,8 +136,8 @@ def test_split_reduction_is_the_division_of_the_joined_row(case):
         for j in range(len(pool)):
             if pool[i].lead[0] == pool[j].lead[0]:
                 lcm = pk.lcm(pool[i].lead[1], pool[j].lead[1])
-                s, scale = _spoly_terms(pool[i], pool[j], lcm, pk.guard)
-                s.update(_spoly_book(pool[i], pool[j], lcm, pk.guard))
+                s, book, scale = _spoly_terms(pool[i], pool[j], lcm, pk.guard)
+                s.update(book)
                 expected = monic_spoly(rows[i], rows[j])
                 assert pk.unpack_terms(s) == {t: scale * c for t, c in expected.items()}
 

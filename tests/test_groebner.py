@@ -2,6 +2,7 @@
 brute-force oracle cross-check."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import inf
@@ -22,6 +23,7 @@ from germcalc import (
     truncated_quotient_dimension,
     weighted_local,
 )
+from germcalc import groebner
 from germcalc.groebner import _check_syzygies, _homogenize_terms, _std_engine, _verify_complete
 from germcalc.packed import packing
 from conftest import (
@@ -324,6 +326,22 @@ def test_syzygy_certificate_rejects_a_wrong_vector():
         _check_syzygies(gens, [wrong])
 
 
+def test_syzygy_certificate_catches_a_reduction_that_drops_the_bookkeeping_part(monkeypatch):
+    # the one elimination step also subtracts the reducer's bookkeeping
+    # part; a step that skips it returns wrong relations, which the exact
+    # check refuses
+    real_eliminate = groebner._eliminate
+
+    def real_part_only(h, lt, red, rest, guard):
+        return real_eliminate(h, lt, replace(red, book={}, book_top=0), rest, guard)
+
+    monkeypatch.setattr(groebner, "_eliminate", real_part_only)
+    germ = next(g for g in CATALOG if g.name == "t433")
+    f = cached_poly(germ.text, germ.vars)
+    with pytest.raises(RuntimeError, match="syzygy verification failed"):
+        syzygies(jacobian(f) + [f], NEGDEGREVLEX)
+
+
 def all_pairs_syzygies(gens, order):
     """Reference Schreyer collection with no pair criteria: every pair of
     the real block is reduced, and each remainder whose real part dies is
@@ -437,6 +455,41 @@ def test_spoly_requires_matching_components():
     b = VectorPoly.from_polys([parse_poly("0", V2), parse_poly("y", V2)])
     with pytest.raises(ValueError):
         spoly(a, b, NEGDEGREVLEX.module_key)
+
+
+# -- minimal bases -----------------------------------------------------------
+
+
+def divides(a, b):
+    return a[0] == b[0] and all(p <= q for p, q in zip(a[1], b[1]))
+
+
+def test_local_minimal_basis_drops_a_multiple_of_a_later_lead():
+    # under a local order x sorts above its multiple x^3; x must still be
+    # visited first, so that x^3 is dropped
+    sb = standard_basis([parse_poly("x^3+y^3", V2), parse_poly("x", V2)], NEGDEGREVLEX)
+    assert sb.leading_terms == ((0, (0, 3)), (0, (1, 0)))
+    assert [str(g.to_polys()[0]) for g in sb.generators] == ["y^3", "x"]
+
+
+@pytest.mark.parametrize(
+    "order",
+    [lambda n: NEGDEGREVLEX, lambda n: weighted_local(range(n, 0, -1))],
+    ids=["negdegrevlex", "weighted"],
+)
+def test_no_kept_lead_divides_another(order):
+    for germ in CATALOG:
+        f = cached_poly(germ.text, germ.vars)
+        o = order(len(germ.vars))
+        for gens, dim in (([f] + jacobian(f), germ.tau), (jacobian(f), germ.mu)):
+            sb = standard_basis(gens, o)
+            leads = sb.leading_terms
+            assert not [
+                (a, b) for a in leads for b in leads if a != b and divides(a, b)
+            ], (germ.name, o)
+            assert len(set(leads)) == len(leads)
+            assert list(leads) == sorted(leads, key=o.module_key)
+            assert staircase(sb).dimension == dim
 
 
 # -- order independence and the oracle -------------------------------------

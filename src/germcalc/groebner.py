@@ -29,25 +29,33 @@ case.  The machinery is shared:
 * one completion loop, ``_std_engine``, serves standard bases and
   syzygies: Buchberger's loop under the normal pair-selection strategy
   (smallest lcm degree first, ties by the packed lcm, then by the pair's
-  indices, in a heap of keys computed once per pair), with the product
-  criterion and the chain criterion; it, ``_verify_complete`` and
-  ``normal_form`` memoize each term's order key, computed from the
-  unpacked term, for the length of a call;
+  indices, in a heap of keys computed once per pair), with Gebauer and
+  Moeller's pair update (``_walk_pairs``);
+* each term's order key is computed from the unpacked term once per
+  public call: ``_engine_input`` memoizes the key for ``standard_basis``
+  and ``syzygies`` (the completion and its certificate share that memo)
+  and ``normal_form`` memoizes its own; no memo outlives its call;
 * both reach the loop through ``_engine_input``, the one place where the
   completion tells local from global orders: for local orderings it
   degree-homogenizes the input and keys it by the induced global order
   (Lazard's method), which keeps tails division-reduced throughout; the
   slack entry is dropped afterwards;
-* every divisor search in a pool goes through ``_divisors``, a scan of
-  the pool's leads in order with one mask test per lead;
-* the product criterion applies only when every seed term lies in
-  component 0, decided from the data in ``_walk_pairs``, the pair walk
-  of the engine and the certificate alike (the bookkeeping terms of
-  Schreyer rows lie outside it); the chain criterion looks for a dividing
-  lead among the walked partners both elements of a pair share;
+* a divisor search scans leads in order with one mask test per lead
+  (``_divisors``); the full reductions of a completion, of its
+  certificate and of a global ``normal_form`` each go through one memo on
+  one leads list (``_first_divisor``): the basis only grows, so a term's
+  first dividing lead is found once, and a miss is rescanned only over
+  the leads appended since;
+* pairs are dropped as each element joins (Gebauer and Moeller, JSC
+  1988): pending pairs by criterion B, the element's new pairs by
+  criteria F and M, then coprime pairs by the product criterion, which
+  applies only when every seed term lies in component 0, decided from
+  the data in ``_walk_pairs``, the pair walk of the engine and the
+  certificate alike (the bookkeeping terms of Schreyer rows lie outside
+  it);
 * every completed basis is re-verified from its final generator set
-  alone (``_verify_complete``): each pair that neither criterion covers
-  must have an S-vector of normal form zero, otherwise RuntimeError.
+  alone (``_verify_complete``): each pair that the update keeps must
+  have an S-vector of normal form zero, otherwise RuntimeError.
 
 The staircase of a completed basis detects finite codimension exactly via
 the pure-power criterion and enumerates the standard monomials.
@@ -77,7 +85,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import product
 from math import gcd, inf
 from typing import Callable, Iterable, Iterator, Sequence
@@ -92,6 +100,7 @@ from .packed import (
     Row,
     _divisors,
     _eliminate,
+    _first_divisor,
     _primitive,
     _rational,
     _Reducer,
@@ -114,25 +123,32 @@ _CONTENT_EVERY = 8  # reduction steps between two content removals
 
 
 def _nf_global(
-    h: Row, pool: Sequence[_Reducer], keyfn: KeyFn, pk: Packing, book: Row | None = None
+    h: Row,
+    pool: Sequence[_Reducer],
+    first: Callable[[PackedTerm], int | None],
+    keyfn: KeyFn,
+    pk: Packing,
+    book: Row | None = None,
 ) -> tuple[Row, Fraction]:
     """Full division remainder, fraction-free, and its scale.
 
-    No remaining term is divisible by a pool lead.  The remainder is scale
-    times the one the rational division by the monic pool rows leaves: each
-    step scales by d/g (``_eliminate``) and each content removal divides.
-    For a Schreyer row, ``book`` is its bookkeeping part (taken over, not
-    copied): it starts the remainder, takes the bookkeeping parts of the
-    pool rows and is never scanned, and the remainder returned holds both
-    parts.
+    No remaining term is divisible by a pool lead.  ``first`` is the
+    divisor lookup of the pool's leads (``_first_divisor``, one per pool):
+    each step reduces by the first pool row whose lead divides.  The
+    remainder is scale times the one the rational division by the monic
+    pool rows leaves: each step scales by d/g (``_eliminate``) and each
+    content removal divides.  For a Schreyer row, ``book`` is its
+    bookkeeping part (taken over, not copied): it starts the remainder,
+    takes the bookkeeping parts of the pool rows and is never scanned, and
+    the remainder returned holds both parts.
     """
-    guard, leads = pk.guard, [r.lead for r in pool]
+    guard = pk.guard
     h = dict(h)
     remainder: Row = {} if book is None else book
     scale, mult, steps = _ONE, 1, 0
     while h:
         lt = max(h, key=keyfn)
-        k = next(_divisors(leads, lt, guard), None)
+        k = first(lt)
         if k is None:
             remainder[lt] = h.pop(lt)
             continue
@@ -213,81 +229,145 @@ def spoly(f: VectorPoly, g: VectorPoly, keyfn: KeyFn) -> VectorPoly:
 PairKey = tuple[int, int, int, int]  # (degree of the lcm, packed lcm, i, j)
 
 
-def _pair_key(leads: Sequence[PackedTerm], i: int, j: int, pk: Packing) -> PairKey:
-    """Selection key of the pair (i, j): smallest lcm degree, then lcm, then indices.
+def _criterion_b(
+    pending: list[PairKey], leads: Sequence[PackedTerm], t: int, pk: Packing
+) -> list[PairKey]:
+    """The pending pairs that Gebauer and Moeller's criterion B keeps as element t joins.
 
-    The packed lcm compares like its exponent tuple.  The indices make
-    every key unique, so a heap of keys pops pairs in one fixed order.
+    It drops a pair (i, j) of t's component when lead t divides its lcm m
+    and neither lcm(i, t) nor lcm(j, t) equals m: both are then proper
+    divisors of m.
     """
-    lcm = pk.lcm(leads[i][1], leads[j][1])
-    return (pk.degree(lcm), lcm, i, j)
+    comp, lt = leads[t]
+    guard, lcm = pk.guard, pk.lcm
+    return [
+        key
+        for key in pending
+        if ((key[1] | guard) - lt) & guard != guard
+        or leads[key[2]][0] != comp
+        or lcm(leads[key[2]][1], lt) == key[1]
+        or lcm(leads[key[3]][1], lt) == key[1]
+    ]
 
 
-def _chain_covered(
-    leads: Sequence[PackedTerm], lcm: int, partners_i: set[int], partners_j: set[int], guard: int
-) -> bool:
-    """Does the lead of a walked partner of both i and j divide lcm(i, j)?
+def _new_pairs(leads: Sequence[PackedTerm], t: int, ideal: bool, pk: Packing) -> list[PairKey]:
+    """Keys of the pairs (i, t), i < t in t's component, that criteria F and M keep.
 
-    This is Buchberger's chain criterion over walked pairs: some k with
-    lead k dividing the lcm and both (i, k) and (j, k) walked.  Pairs form
-    only within a component, so every common partner shares it, and the
-    pair (i, j) is not walked yet, so neither i nor j is a common partner.
+    Of the pairs with one lcm only the first i is kept (criterion F), and
+    an lcm that another of them properly divides is dropped (criterion M).
+    Only then, when ``ideal``, the product criterion drops every lcm of a
+    coprime pair, with each pair that shares it: a coprime pair still
+    blocks its equal and multiple lcms first (Becker and Weispfenning's
+    UPDATE).
     """
-    lcm |= guard
-    for k in partners_i & partners_j:
-        if (lcm - leads[k][1]) & guard == guard:
-            return True
-    return False
-
-
-def _walk_pairs(basis: Sequence[_Reducer], reduce: Callable[[int, int, int], bool], pk: Packing):
-    """Reduce the S-vector of every pair of ``basis`` that no criterion covers.
-
-    Pairs pop smallest key first.  A pair is skipped when its leads are
-    coprime and every term of the starting set lies in component 0 (the
-    product criterion, decided here from the data: modules and Schreyer
-    rows, whose bookkeeping part lies outside component 0, need their
-    coprime pairs), or when another lead of the same component divides its
-    lcm and both pairs through it were walked before (the chain criterion,
-    ``_chain_covered``: each element keeps the set of partners it was walked
-    with).  Every other pair (i, j) goes to ``reduce(i, j, lcm)``, which
-    returns True when it appended a new element to ``basis``; its pairs
-    join the walk.
-    """
+    comp, lt = leads[t]
     guard = pk.guard
-    leads = [r.lead for r in basis]
+    first: dict[int, int] = {}  # each lcm, with the first i that has it
+    coprime: set[int] = set()
+    for i in range(t):
+        lcomp, le = leads[i]
+        if lcomp == comp:
+            m = pk.lcm(le, lt)
+            first.setdefault(m, i)
+            if ideal and m == le + lt:
+                coprime.add(m)
+    # a proper divisor has a smaller degree, so it is visited first, and an
+    # lcm is blocked exactly when a kept or coprime one divides it
+    minimal: list[int] = []
+    out: list[PairKey] = []
+    for degree, m in sorted((pk.degree(m), m) for m in first):
+        top = m | guard
+        for low in minimal:
+            if (top - low) & guard == guard:
+                break
+        else:
+            minimal.append(m)
+            if m not in coprime:
+                out.append((degree, m, first[m], t))
+    return out
+
+
+def _walk_pairs(
+    basis: list[_Reducer],
+    leads: list[PackedTerm],
+    reduce: Callable[[int, int, int], _Reducer | None],
+    pk: Packing,
+):
+    """Reduce the S-vector of every pair of ``basis`` that no criterion drops.
+
+    ``leads`` are the leads of ``basis``; both grow here, in step.  The
+    elements join one at a time, first the given ones, then each new one,
+    by Gebauer and Moeller's pair update ("On an installation of
+    Buchberger's algorithm", JSC 1988): a joining element first drops the
+    pending pairs it covers (``_criterion_b``), then adds those of its own
+    pairs that criteria F and M and the product criterion keep
+    (``_new_pairs``).  The product criterion applies only when every term
+    of the starting set lies in component 0, as decided here from the data:
+    modules and Schreyer rows, whose bookkeeping part lies outside
+    component 0, need their coprime pairs.  Pending pairs pop smallest key
+    first (lcm degree, packed lcm, i, j), each to ``reduce(i, j, lcm)``,
+    which returns the reducer of a remainder that joins the basis, or None.
+
+    Soundness.  Say S(i, j), with lcm m, has a representation when it is
+    sum a_l g_l over the final elements with every lead of a_l g_l below m.
+    A pair handed to ``reduce`` has one: its remainder is zero, an element
+    that joined or (in the Schreyer walk) a relation, with lead below m.
+    A coprime pair of an ideal has one (Buchberger's first criterion).  If
+    lead k divides m and S(i, k) and S(k, j) have representations, so does
+    S(i, j): it is a monomial combination of the two whose multipliers keep
+    every lead below m (the chain criterion).  Every dropped pair has one
+    by induction on (degree of m, larger index, dropped by F):
+
+    * B dropped (i, j) as t joined: lcm(i, t) and lcm(j, t) properly divide
+      m, so have smaller degrees; chain through t;
+    * M dropped (i, t) for (k, t), whose lcm properly divides m: (k, t) has
+      a smaller degree, and lcm(i, k) divides m while k, i < t; chain
+      through k;
+    * F dropped (i, t) for (k, t), with the same lcm m: (k, t) was not
+      dropped by F, and (i, k) is as for M; chain through k.
+
+    Every pair of final elements in one component was formed when the
+    later one joined, so every pair has a representation: the
+    standard-basis property (Buchberger's criterion).
+    """
     ideal = not any(r.book or any(comp for comp, _ in r.terms) for r in basis)
     pending: list[PairKey] = []
 
-    def add_pairs(j: int):
-        for i in range(j):
-            if leads[i][0] == leads[j][0]:
-                heappush(pending, _pair_key(leads, i, j, pk))
+    def join(t: int):
+        kept = _criterion_b(pending, leads, t, pk)
+        if len(kept) < len(pending):
+            heapify(kept)
+            pending[:] = kept
+        for key in _new_pairs(leads, t, ideal, pk):
+            heappush(pending, key)
 
-    for j in range(len(basis)):
-        add_pairs(j)
-
-    walked: list[set[int]] = [set() for _ in basis]
+    for t in range(len(basis)):
+        join(t)
     while pending:
         _, lcm, i, j = heappop(pending)
-        coprime = ideal and lcm == leads[i][1] + leads[j][1]
-        if not coprime and not _chain_covered(leads, lcm, walked[i], walked[j], guard):
-            if reduce(i, j, lcm):
-                leads.append(basis[-1].lead)
-                walked.append(set())
-                add_pairs(len(basis) - 1)
-        walked[i].add(j)
-        walked[j].add(i)
+        new = reduce(i, j, lcm)
+        if new is not None:
+            basis.append(new)
+            leads.append(new.lead)
+            join(len(basis) - 1)
 
 
 def _std_engine(
     seeds: Sequence[PackedTerms], keyfn: KeyFn, pk: Packing, split: int | None = None
 ) -> tuple[list[_Reducer], list[Terms]]:
-    """Buchberger completion with deterministic pair selection.
+    """Buchberger completion under Gebauer and Moeller's pair update (``_walk_pairs``).
 
-    ``seeds`` and ``keyfn`` are on packed terms.  Returns the completed
-    basis, as primitive integer rows, and the relations.  Each term's key is
-    computed once per call: ``keyfn`` is memoized here, for the call only.
+    ``seeds`` and ``keyfn`` are on packed terms; the caller memoizes
+    ``keyfn`` (``_engine_input`` does, once per public call).  Returns the
+    completed basis, as primitive integer rows, and the relations.  Every
+    S-vector is reduced by ``_nf_global`` through one divisor memo
+    (``_first_divisor``) on the one leads list of the completion, which
+    ``_walk_pairs`` keeps in step with the basis.
+
+    Soundness: the walk ends, since each joining lead lies outside the
+    monomial submodule of the earlier ones (Dickson's lemma), and then the
+    basis is a standard basis by the argument of ``_walk_pairs`` (Gebauer
+    and Moeller, JSC 1988).
 
     With ``split``, the seeds are Schreyer rows: their terms in components
     >= ``split`` are the bookkeeping part (``_Reducer.book``), never keyed.
@@ -296,7 +376,6 @@ def _std_engine(
     monic rational rows) with exponent tuples, which reduces nothing and
     forms no pairs.  Plain seeds have no bookkeeping part, so no relations.
     """
-    keyfn = cache(keyfn)
     guard = pk.guard
     relations: list[Terms] = []
 
@@ -307,19 +386,20 @@ def _std_engine(
     basis = [reducer(_primitive(t)[0]) for t in seeds if t]
     if not basis:
         raise ValueError("empty generator list")
+    leads = [r.lead for r in basis]
+    first = _first_divisor(leads, guard)
 
-    def reduce(i: int, j: int, lcm: int) -> bool:
+    def reduce(i: int, j: int, lcm: int) -> _Reducer | None:
         s, book, s_scale = _spoly_terms(basis[i], basis[j], lcm, guard)
-        h, h_scale = _nf_global(s, basis, keyfn, pk, book)
+        h, h_scale = _nf_global(s, basis, first, keyfn, pk, book)
         if not h:
-            return False
+            return None
         if split is None or any(comp < split for comp, _ in h):
-            basis.append(reducer(_primitive(h)[0]))
-            return True
+            return reducer(_primitive(h)[0])
         relations.append(pk.unpack_terms(_rational(h, s_scale * h_scale)))
-        return False
+        return None
 
-    _walk_pairs(basis, reduce, pk)
+    _walk_pairs(basis, leads, reduce, pk)
     return basis, relations
 
 
@@ -348,34 +428,33 @@ def _minimal(leads: Sequence[PackedTerm], pk: Packing, order: MonomialOrder) -> 
 def _verify_complete(basis: Sequence[_Reducer], keyfn: KeyFn, pk: Packing):
     """Re-check the Buchberger criterion on the completed generator set.
 
-    The pairs of the final set are walked by ``_walk_pairs``, under the
-    same two criteria as the completion, and every S-vector it reduces
-    must vanish.
-
-    Soundness, by induction along the walk (Buchberger's second criterion
-    applied sequentially, Cox-Little-O'Shea section 2.9): a pair that
-    reduces to zero, or has coprime leads, has a representation
-    sum a_l g_l with every a_l lead(g_l) below its lcm; if lead(g_k) divides
-    lcm(i, j), then S(i, j) is a monomial combination of S(i, k) and S(j, k)
-    whose multipliers carry their representations below lcm(i, j).  So
-    every pair has such a representation, which is the standard-basis
-    property; a minimal subset with the same leading terms inherits it.
+    The elements join ``_walk_pairs`` one at a time, in order, under the
+    same Gebauer-Moeller update as the completion, with a divisor memo of
+    their own, and every S-vector it hands over must reduce to zero.  Then
+    no element joins, and by the soundness argument of ``_walk_pairs``
+    (Gebauer and Moeller, JSC 1988) every pair has a representation below
+    its lcm, which is the standard-basis property; a minimal subset with
+    the same leading terms inherits it.
 
     The skip rule itself is not re-checked: the certificate walks the pairs
     with the same ``_walk_pairs`` as the engine, so a fault in that rule
-    would pass it.  The all-pairs differential tests and the test-local
-    reference walk of the old pairwise rule catch such a fault.
+    would pass it.  The all-pairs differential tests (with negative tests
+    on broken copies of criteria B and F) and the test-local reference walk
+    of the rule catch such a fault.
     """
-    keyfn = cache(keyfn)  # one key per term for this check, as in the engine
+    basis = list(basis)
+    leads = [r.lead for r in basis]
+    first = _first_divisor(leads, pk.guard)
 
-    def reduce(i: int, j: int, lcm: int) -> bool:
-        if _nf_global(_spoly_terms(basis[i], basis[j], lcm, pk.guard)[0], basis, keyfn, pk)[0]:
+    def reduce(i: int, j: int, lcm: int) -> None:
+        s = _spoly_terms(basis[i], basis[j], lcm, pk.guard)[0]
+        if _nf_global(s, basis, first, keyfn, pk)[0]:
             raise RuntimeError(
                 f"completion check failed: S-vector of generators {i},{j} has nonzero normal form"
             )
-        return False
+        return None
 
-    _walk_pairs(basis, reduce, pk)
+    _walk_pairs(basis, leads, reduce, pk)
 
 
 @dataclass(frozen=True)
@@ -428,7 +507,9 @@ def _engine_input(
 ) -> tuple[list[PackedTerms], KeyFn, Packing, int]:
     """Packed seeds, packed term key, packing and number of slack entries for completing ``vecs``.
 
-    The one place where the completion tells local from global orders.  A
+    The key is memoized: one key per term for the call that completes
+    ``vecs``, shared by the completion and its certificate, and dropped with
+    the call.  The one place where the completion tells local from global orders.  A
     global order gets the inputs as given, under its own key; a local order
     gets their degree-homogenizations (Lazard's method), keyed by component,
     then total degree, then the local order on the rest.  Reduction then
@@ -439,7 +520,7 @@ def _engine_input(
     nvars = len(vecs[0].ring)
     if order.is_global():
         pk = packing(nvars)
-        return [pk.pack_terms(v.terms) for v in vecs], pk.keyed(order.module_key), pk, 0
+        return [pk.pack_terms(v.terms) for v in vecs], cache(pk.keyed(order.module_key)), pk, 0
     skey = order.sort_key
 
     def key(term: ModTerm):
@@ -447,7 +528,7 @@ def _engine_input(
         return (comp, sum(ext), skey(ext[1:]))
 
     pk = packing(nvars + 1)
-    return [pk.pack_terms(_homogenize_terms(v.terms)) for v in vecs], pk.keyed(key), pk, 1
+    return [pk.pack_terms(_homogenize_terms(v.terms)) for v in vecs], cache(pk.keyed(key)), pk, 1
 
 
 def standard_basis(
@@ -509,8 +590,12 @@ def normal_form(p: VectorPoly | Polynomial, basis: StandardBasis) -> VectorPoly:
         raise ValueError("ring or component mismatch with basis")
     pk = packing(len(v.ring))
     row, scale = _primitive(pk.pack_terms(v.terms))
-    nf = _nf_mora if basis.order.is_local() else _nf_global
-    h, h_scale = nf(row, _pool(basis, pk), cache(pk.keyed(basis.order.module_key)), pk)
+    pool, key = _pool(basis, pk), cache(pk.keyed(basis.order.module_key))
+    if basis.order.is_local():
+        h, h_scale = _nf_mora(row, pool, key, pk)
+    else:
+        first = _first_divisor([r.lead for r in pool], pk.guard)
+        h, h_scale = _nf_global(row, pool, first, key, pk)
     return VectorPoly(v.ring, v.ncomp, pk.unpack_terms(_rational(h, scale * h_scale)))
 
 
@@ -651,15 +736,15 @@ def syzygies(gens: Sequence[VectorPoly | Polynomial], order: MonomialOrder) -> l
     bookkeeping part is one syzygy.  No lead is a bookkeeping term and every
     bookkeeping term sorts below every real one, so the order among them
     never matters: the engine holds them apart (``_Reducer.book``) and
-    never keys them.  The engine skips pairs by the chain criterion over
-    pairs already walked; the product criterion stays off, since the seeds
-    have terms outside component 0.
+    never keys them.  The engine drops pairs by Gebauer and Moeller's
+    criteria B, F and M (``_walk_pairs``); the product criterion stays
+    off, since the seeds have terms outside component 0.
 
     Soundness: let B be the completed basis and R the relations.  Each pair
-    of B that is not skipped reduces to zero, to a new element of B, or to
+    of B that is not dropped reduces to zero, to a new element of B, or to
     an element of R, so it has a standard representation with respect to
-    B and R; by the same induction as in ``_verify_complete`` so does every
-    skipped pair.  Leads of B are real and leads of R bookkeeping, so no
+    B and R; by the induction of ``_walk_pairs`` (Gebauer and Moeller, JSC
+    1988) so does every dropped pair.  Leads of B are real and leads of R bookkeeping, so no
     pair mixes them, and B together with a standard basis of the submodule
     generated by R is a standard basis of the submodule generated by the
     seeds.  Under the elimination order, its part with bookkeeping leads

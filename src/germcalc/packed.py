@@ -20,9 +20,10 @@ The field width is fixed here; an entry that does not fit raises
 ``ExponentOverflow``, a ValueError, before it is packed or shifted.
 
 A row is a term map from (component, packed exponent) to an integer.  The
-row helpers below (a reducer with its lead data, the divisor lookup, the
-shifted subtraction, one elimination step, content removal, primitive
-rows) are private to the engine and live here, apart from its algorithms.
+row helpers below (a reducer with its lead data, the divisor lookup and its
+memo, the shifted subtraction, one elimination step, content removal,
+primitive rows) are private to the engine and live here, apart from its
+algorithms.
 
 The reducer of a Schreyer row keeps its bookkeeping part, the terms in
 components >= the split, as a second integer row (``book``, empty for
@@ -36,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import islice
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -167,17 +169,41 @@ def _reducer(lead: PackedTerm, row: Row, pk: Packing, split: int | None = None) 
     return _Reducer(lead, row[lead], row, pk.top(row), book, pk.top(book))
 
 
-def _divisors(leads: Sequence[PackedTerm], term: PackedTerm, guard: int) -> Iterator[int]:
-    """Indices, in order, of the leads that divide ``term``.
+def _divisors(
+    leads: Sequence[PackedTerm], term: PackedTerm, guard: int, start: int = 0
+) -> Iterator[int]:
+    """Indices, in order, of the leads from index ``start`` on that divide ``term``.
 
     One mask test per lead: with the guard bits set in the term, no field
     borrows when a dividing lead is subtracted, so every guard bit stays.
     """
     comp, expo = term
     expo |= guard
-    for k, (lcomp, lexpo) in enumerate(leads):
+    for k, (lcomp, lexpo) in enumerate(islice(leads, start, None), start):
         if (expo - lexpo) & guard == guard and lcomp == comp:
             yield k
+
+
+def _first_divisor(leads: list[PackedTerm], guard: int) -> Callable[[PackedTerm], int | None]:
+    """The lookup ``next(_divisors(leads, term, guard), None)``, memoized per term.
+
+    ``leads`` may grow, by appends only, between lookups.  A hit then stays
+    the first dividing lead for good, since no lead ever appears before it.
+    A miss is stored as the complement ``~n`` of the number n of leads it
+    scanned (so every miss is negative), and the next lookup of that term
+    scans only the leads appended since.
+    """
+    memo: dict[PackedTerm, int] = {}
+
+    def first(term: PackedTerm) -> int | None:
+        k = memo.get(term, -1)
+        if k >= 0:
+            return k
+        k = next(_divisors(leads, term, guard, ~k), None)
+        memo[term] = ~len(leads) if k is None else k
+        return k
+
+    return first
 
 
 def _eliminate(h: Row, lt: PackedTerm, red: _Reducer, rest: Row, guard: int) -> int:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from heapq import heappop, heappush
 
 import pytest
 
@@ -212,51 +211,63 @@ def pair_key(leads, i, j):
 
 
 def reference_walk(seeds, keyfn, split):
-    """The lead pairs Buchberger's loop reduces, in order, under the pairwise skip rule.
+    """The lead pairs Buchberger's loop reduces, in order, under Gebauer and Moeller's update.
 
     A test-local copy of the engine's walk on exponent tuples and monic
-    rational rows: pairs pop by ``pair_key``; a pair is skipped by the
-    product criterion (coprime leads, every seed term in component 0) or
-    when another lead of the same component divides its lcm and both pairs
-    through it are recorded in the set of walked pairs (i, j), i < j.  A
-    nonzero remainder whose lead lies below component ``split`` joins the
-    basis; one at or above it is set aside, as the engine sets aside a
-    relation.
+    rational rows, written after Becker and Weispfenning's UPDATE
+    (Groebner Bases, Springer 1993) with its choices fixed.  The
+    elements join one at a time, the seeds first.  When t joins, its
+    candidate pairs (i, t), i < t in t's component, are visited from the
+    largest i down: one is kept when its leads are coprime (every seed term
+    in component 0), or when no other candidate still unvisited or kept has
+    an lcm dividing its own; so of equal lcms the smallest i stays.  Then
+    the coprime ones go.  A pending pair (i, j) goes when lead t divides
+    its lcm m and neither lcm(i, t) nor lcm(j, t) equals m.  Pending pairs
+    are reduced smallest ``pair_key`` first.  A nonzero remainder whose
+    lead lies below component ``split`` joins; one at or above it is set
+    aside, as the engine sets aside a relation.
     """
     basis = [monic_row(t, keyfn) for t in seeds if t]
-    leads = [lead for lead, _ in basis]
     ideal = all(comp == 0 for _, terms in basis for comp, _ in terms)
-    pending = []
+    leads = []
+    pending = set()
 
-    def add_pairs(j):
-        for i in range(j):
-            if leads[i][0] == leads[j][0]:
-                heappush(pending, pair_key(leads, i, j))
+    def lcm(i, j):
+        return tuple(max(a, b) for a, b in zip(leads[i][1], leads[j][1]))
 
-    def chain(i, j, lcm):
-        return any(
-            k not in (i, j)
-            and leads[k][0] == leads[i][0]
-            and all(a <= b for a, b in zip(leads[k][1], lcm))
-            and (min(i, k), max(i, k)) in walked
-            and (min(j, k), max(j, k)) in walked
-            for k in range(len(basis))
-        )
+    def divides(a, b):
+        return all(x <= y for x, y in zip(a, b))
 
-    for j in range(len(basis)):
-        add_pairs(j)
-    walked, reduced = set(), []
+    def coprime(i, t):
+        return ideal and all(min(a, b) == 0 for a, b in zip(leads[i][1], leads[t][1]))
+
+    def join(lead_t):
+        leads.append(lead_t)
+        t = len(leads) - 1
+        comp, lead = lead_t
+        unvisited = [i for i in range(t) if leads[i][0] == comp]
+        kept = []
+        while unvisited:
+            i = unvisited.pop()
+            if coprime(i, t) or not any(divides(lcm(k, t), lcm(i, t)) for k in unvisited + kept):
+                kept.append(i)
+        for i, j in list(pending):
+            m = lcm(i, j)
+            if leads[i][0] == comp and divides(lead, m) and m not in (lcm(i, t), lcm(j, t)):
+                pending.remove((i, j))
+        pending.update((i, t) for i in kept if not coprime(i, t))
+
+    for lead_t, _ in basis:
+        join(lead_t)
+    reduced = []
     while pending:
-        _, lcm, i, j = heappop(pending)
-        coprime = ideal and lcm == tuple(a + b for a, b in zip(leads[i][1], leads[j][1]))
-        if not coprime and not chain(i, j, lcm):
-            reduced.append((leads[i], leads[j]))
-            h = full_division(monic_spoly(basis[i], basis[j]), basis, keyfn)
-            if h and max(h, key=keyfn)[0] < split:
-                basis.append(monic_row(h, keyfn))
-                leads.append(basis[-1][0])
-                add_pairs(len(basis) - 1)
-        walked.add((i, j))
+        i, j = min(pending, key=lambda pair: pair_key(leads, *pair))
+        pending.remove((i, j))
+        reduced.append((leads[i], leads[j]))
+        h = full_division(monic_spoly(basis[i], basis[j]), basis, keyfn)
+        if h and max(h, key=keyfn)[0] < split:
+            basis.append(monic_row(h, keyfn))
+            join(basis[-1][0])
     return reduced
 
 

@@ -27,7 +27,7 @@ from germcalc import (
     syzygies,
 )
 from germcalc.groebner import _nf_global, _spoly_terms
-from germcalc.packed import _primitive, _reducer, packing
+from germcalc.packed import _first_divisor, _primitive, _reducer, packing
 from conftest import CATALOG, cached_poly, engine_pool, full_division, monic_row, monic_spoly
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -67,7 +67,8 @@ def test_integer_rows_are_their_scale_times_the_rational_ones(case):
     assert all(type(c) is int for red in pool for c in red.terms.values())
     assert not any(red.book for red in pool)
     # the full division of h by the pool
-    remainder, scale = _nf_global(pk.pack_terms(h), pool, packed_key, pk)
+    first = _first_divisor([red.lead for red in pool], pk.guard)
+    remainder, scale = _nf_global(pk.pack_terms(h), pool, first, packed_key, pk)
     assert type(scale) is Fraction and scale
     assert all(type(c) is int for c in remainder.values())
     expected = full_division(h, rows, key)
@@ -127,7 +128,8 @@ def test_split_reduction_is_the_division_of_the_joined_row(case):
     assert all(t[0] >= split for red in pool for t in red.book)
     real = {t: c for t, c in pk.pack_terms(h).items() if t[0] < split}
     book = {t: c for t, c in pk.pack_terms(h).items() if t[0] >= split}
-    remainder, scale = _nf_global(real, pool, packed_key, pk, book)
+    first = _first_divisor([red.lead for red in pool], pk.guard)
+    remainder, scale = _nf_global(real, pool, first, packed_key, pk, book)
     assert type(scale) is Fraction and scale
     expected = full_division(h, rows, joined_key)
     assert pk.unpack_terms(remainder) == {t: scale * c for t, c in expected.items()}

@@ -196,9 +196,9 @@ def completed_sets():
     yield "icis", *complete(seeds, hkey, 4)
 
 
-def test_completion_certificate_agrees_with_all_pairs_check():
-    # deleting generators from completed sets gives complete and incomplete
-    # sets alike; the certificate must raise exactly on the incomplete ones
+def certificate_agrees_with_all_pairs():
+    """Deleting generators from completed sets gives complete and incomplete
+    sets alike; the certificate must raise exactly on the incomplete ones."""
     rng = random.Random(4)
     raised = 0
     for label, completed, keyfn, key, pk in completed_sets():
@@ -215,6 +215,10 @@ def test_completion_certificate_agrees_with_all_pairs_check():
             else:
                 assert all_pairs_complete(pool, keyfn, pk), (label, gone)
     assert raised
+
+
+def test_completion_certificate_agrees_with_all_pairs_check():
+    certificate_agrees_with_all_pairs()
 
 
 def test_empty_generator_list_rejected():
@@ -417,13 +421,62 @@ def syzygy_inputs():
     "gens,order", [pytest.param(g, o, id=label) for label, g, o in syzygy_inputs()]
 )
 def test_syzygies_generate_every_all_pairs_syzygy(gens, order):
-    # the engine skips chain-covered pairs; what it returns must still
-    # generate every relation the criterion-free collection finds
+    syzygies_generate_all_pairs_syzygies(gens, order)
+
+
+def syzygies_generate_all_pairs_syzygies(gens, order):
+    """The engine drops pairs by criteria B, F and M; what it returns must
+    still generate every relation the criterion-free collection finds."""
     reference = all_pairs_syzygies(gens, order)
     assert reference
     sb = standard_basis(syzygies(gens, order), order)
     for s in reference:
         assert normal_form(s, sb).is_zero(), s
+
+
+# -- the shared skip rule --------------------------------------------------
+#
+# The certificate walks the pairs under the same rule as the engine, so a
+# fault in the rule passes it.  Broken copies of the rule must fail the
+# all-pairs checks above, which share no code with it.
+
+
+def criterion_b_without_lcm_conditions(pending, leads, t, pk):
+    """Criterion B that drops every pending pair whose lcm lead t divides,
+    also when lcm(i, t) or lcm(j, t) equals it."""
+    comp, lt = leads[t]
+    guard = pk.guard
+    return [
+        key for key in pending
+        if leads[key[2]][0] != comp or ((key[1] | guard) - lt) & guard != guard
+    ]
+
+
+REAL_NEW_PAIRS = groebner._new_pairs
+
+
+def new_pairs_without_tie_keeper(leads, t, ideal, pk):
+    """Criteria F and M that drop each kept pair whose lcm another new pair shares:
+    of equal lcms none is kept."""
+    comp, lt = leads[t]
+    lcms = [pk.lcm(le, lt) for c, le in leads[:t] if c == comp]
+    return [key for key in REAL_NEW_PAIRS(leads, t, ideal, pk) if lcms.count(key[1]) == 1]
+
+
+@pytest.mark.parametrize(
+    "rule,broken",
+    [
+        pytest.param("_criterion_b", criterion_b_without_lcm_conditions, id="criterion_b"),
+        pytest.param("_new_pairs", new_pairs_without_tie_keeper, id="criterion_f"),
+    ],
+)
+def test_all_pairs_checks_catch_a_broken_skip_rule(monkeypatch, rule, broken):
+    monkeypatch.setattr(groebner, rule, broken)
+    with pytest.raises(AssertionError):
+        certificate_agrees_with_all_pairs()
+    gens, order = next((g, o) for label, g, o in syzygy_inputs() if label == "degrevlex")
+    with pytest.raises(AssertionError):
+        syzygies_generate_all_pairs_syzygies(gens, order)
 
 
 def verify_switch_inputs():

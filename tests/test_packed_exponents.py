@@ -2,7 +2,9 @@
 
 Every packed operation is checked against the plain tuple operation it
 stands for: shift, quotient, divisibility (through ``_divisors``), lcm,
-degree and the order of packed ints against lex tuple order.  The overflow
+degree and the order of packed ints against lex tuple order.  The divisor
+memo of a completion (``_first_divisor``) must answer as a fresh scan of
+the leads at every step while they grow.  The overflow
 guard gets tests of its own: an entry one past the field raises
 ``ExponentOverflow``, a ValueError, and the largest entry that fits still
 completes.
@@ -22,7 +24,7 @@ from germcalc import (
     syzygies,
 )
 from germcalc.groebner import _divisors
-from germcalc.packed import ENTRY_MAX, packing
+from germcalc.packed import ENTRY_MAX, _first_divisor, packing
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
@@ -98,6 +100,68 @@ def test_top_is_the_entrywise_maximum(exponents):
     pk = packing(3)
     terms = {(0, pk.pack(e)): 1 for e in exponents}
     assert pk.unpack(pk.top(terms)) == tuple(map(max, zip(*exponents)))
+
+
+# -- the divisor memo -----------------------------------------------------------------
+
+
+@st.composite
+def growth_scripts(draw):
+    """A number of entries and a script of appended leads and queried terms.
+
+    Terms come from a small set, so one term is asked again after leads
+    were appended: a miss must be rescanned, a hit kept.
+    """
+    n = draw(st.integers(1, 3))
+    term = st.tuples(st.integers(0, 1), st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    asked = draw(st.lists(term, min_size=1, max_size=4))
+    steps = st.one_of(
+        st.tuples(st.just("append"), term), st.tuples(st.just("query"), st.sampled_from(asked))
+    )
+    return n, draw(st.lists(steps, max_size=30))
+
+
+def memo_answers_as_a_scan(make, script):
+    """Run ``script`` on a memo built by ``make(leads, guard)``; every answer
+    must be the first dividing lead a fresh scan finds."""
+    n, steps = script
+    pk = packing(n)
+    leads = []
+    first = make(leads, pk.guard)
+    for step, (comp, expo) in steps:
+        term = (comp, pk.pack(tuple(expo)))
+        if step == "append":
+            leads.append(term)
+        else:
+            assert first(term) == next(_divisors(leads, term, pk.guard), None)
+
+
+@PROPERTY
+@given(growth_scripts())
+def test_divisor_memo_answers_as_a_fresh_scan(script):
+    memo_answers_as_a_scan(_first_divisor, script)
+
+
+def memo_that_keeps_misses(leads, guard):
+    """A broken memo: its first answer for a term, a miss included, is kept for good."""
+    answers = {}
+
+    def first(term):
+        if term not in answers:
+            answers[term] = next(_divisors(leads, term, guard), None)
+        return answers[term]
+
+    return first
+
+
+def test_divisor_memo_property_catches_a_memo_that_keeps_misses():
+    @PROPERTY
+    @given(growth_scripts())
+    def check(script):
+        memo_answers_as_a_scan(memo_that_keeps_misses, script)
+
+    with pytest.raises(AssertionError):
+        check()
 
 
 # -- the overflow guard -------------------------------------------------------------

@@ -1,13 +1,13 @@
-"""The engine's partner-set chain test skips exactly the pairs of the pairwise rule.
+"""The engine's Gebauer-Moeller pair update reduces exactly the pairs of the reference rule.
 
-The engine keeps, per basis element, the set of partners it was walked
-with, and looks for a dividing lead only among the partners both elements
-of a pair share.  The reference (``conftest.reference_walk``) is the
-pairwise rule on exponent tuples: another lead of the same component
-divides the lcm and both pairs (min, max) through it are in the set of
-walked pairs.  The engine and its certificate must reduce the same pairs,
-in the same order, as the reference; the pairs the engine reduces are
-recorded where it forms their S-vectors (``_spoly_terms``).
+The engine (``groebner._walk_pairs``) drops pairs as each element joins:
+pending pairs by criterion B, new pairs by criteria F and M and, for
+ideals, the product criterion.  The reference (``conftest.reference_walk``)
+is a test-local copy of that rule after Becker and Weispfenning's UPDATE,
+on exponent tuples and monic rational rows, sharing no code with the
+engine.  The engine and its certificate must reduce the same pairs, in the
+same order, as the reference; the pairs the engine reduces are recorded
+where it forms their S-vectors (``_spoly_terms``).
 """
 
 from math import inf

@@ -20,7 +20,7 @@ case.  The machinery is shared:
   each returns the exact rational scale lambda by which its row differs
   from the one the monic rational computation gives, and monic rationals
   come back only at the exits: ``standard_basis`` divides each generator
-  by its lead once, after the certificate; relations, ``spoly`` and
+  by its lead once, after the certificate; ``_relations``, ``spoly`` and
   ``normal_form`` divide by lambda.  A scale changes no support, so every
   lead, pair, criterion and zero test is that of the rational computation;
 * global orderings use the ordinary division algorithm (full reduction);
@@ -66,9 +66,10 @@ same engine on the same reducers, whose bookkeeping part
 (``_Reducer.book``, empty for a standard basis) holds no lead and is never
 keyed: each reduction step carries it along in the remainder
 (``_eliminate``).  A remainder whose real part died is a relation, one
-syzygy in input coordinates: ``_relations`` yields them, ``syzygies``
-wraps, deduplicates and re-checks them exactly on integer rows, and
-``modular`` reads the few it keeps.
+syzygy in input coordinates.  The engine hands it over as the integer row
+it is; ``_relations`` makes each one rational, once, on input slots and
+exponent tuples, ``syzygies`` wraps, deduplicates and re-checks them
+exactly on integer rows, and ``modular`` reads the few it keeps.
 
 A finite staircase of a local ordering is the one model of its quotient.
 For these degree-compatible orderings every term of (weighted) degree
@@ -354,7 +355,7 @@ def _walk_pairs(
 
 def _std_engine(
     seeds: Sequence[PackedTerms], keyfn: KeyFn, pk: Packing, split: int | None = None
-) -> tuple[list[_Reducer], list[Terms]]:
+) -> tuple[list[_Reducer], list[tuple[Row, Fraction]]]:
     """Buchberger completion under Gebauer and Moeller's pair update (``_walk_pairs``).
 
     ``seeds`` and ``keyfn`` are on packed terms; the caller memoizes
@@ -372,12 +373,14 @@ def _std_engine(
     With ``split``, the seeds are Schreyer rows: their terms in components
     >= ``split`` are the bookkeeping part (``_Reducer.book``), never keyed.
     A remainder with a real term joins the basis; a nonzero one without is
-    a relation, returned divided by its scale (so, the remainder of the
-    monic rational rows) with exponent tuples, which reduces nothing and
-    forms no pairs.  Plain seeds have no bookkeeping part, so no relations.
+    a relation, which reduces nothing and forms no pairs.  It is returned
+    as it came, a primitive integer row on packed terms with its scale:
+    row / scale is the remainder of the monic rational rows, and
+    ``_relations`` divides it out.  Plain seeds have no bookkeeping part,
+    so no relations.
     """
     guard = pk.guard
-    relations: list[Terms] = []
+    relations: list[tuple[Row, Fraction]] = []
 
     def reducer(row: Row) -> _Reducer:
         real = row if split is None else [t for t in row if t[0] < split]
@@ -396,7 +399,7 @@ def _std_engine(
             return None
         if split is None or any(comp < split for comp, _ in h):
             return reducer(_primitive(h)[0])
-        relations.append(pk.unpack_terms(_rational(h, s_scale * h_scale)))
+        relations.append((h, s_scale * h_scale))
         return None
 
     _walk_pairs(basis, leads, reduce, pk)
@@ -703,9 +706,20 @@ def staircase(basis: StandardBasis) -> Staircase:
 def _relations(vecs: Sequence[VectorPoly], order: MonomialOrder) -> Iterator[Terms]:
     """The relations of the one Schreyer walk of ``syzygies``, unchecked.
 
-    Each is a term map on (input slot, exponent), possibly zero or repeated:
+    Each is a nonzero term map on (input slot, exponent), possibly repeated:
     ``syzygies`` wraps, deduplicates and checks them, and
     ``modular._cofactor_generators`` reads the few it keeps and checks those.
+    Here each integer row of the engine becomes rational, once, with its
+    bookkeeping component r + i made slot i and its slack entry dropped.
+
+    Dropping the slack entry sends no two terms of a relation to one key,
+    so nothing merges or cancels: give component r + i the degree of the
+    homogenized seed i, and every seed is homogeneous; S-vectors and
+    reduction steps subtract homogeneous multiples of homogeneous rows of
+    one degree, so every row of the engine is homogeneous too.  Within one
+    slot, then, all terms of a relation have the same total degree, and two
+    exponents of equal total degree that agree after the slack entry agree
+    in it as well.  A global order has no slack entry.
     """
     if any(v.is_zero() for v in vecs):
         raise ValueError("zero generator has no meaningful syzygies")
@@ -714,16 +728,8 @@ def _relations(vecs: Sequence[VectorPoly], order: MonomialOrder) -> Iterator[Ter
     # the packed exponent 0 is the constant term
     extended = [{**terms, (r + i, 0): _ONE} for i, terms in enumerate(seeds)]
     _, relations = _std_engine(extended, key, pk, r)
-    for h in relations:
-        merged: Terms = {}
-        for (comp, e), c in h.items():
-            term = (comp - r, e[pad:])
-            new = merged.get(term, _ZERO) + c
-            if new:
-                merged[term] = new
-            else:
-                merged.pop(term, None)
-        yield merged
+    for h, scale in relations:
+        yield {(comp - r, pk.unpack(e)[pad:]): c / scale for (comp, e), c in h.items()}
 
 
 def syzygies(gens: Sequence[VectorPoly | Polynomial], order: MonomialOrder) -> list[VectorPoly]:
@@ -756,11 +762,13 @@ def syzygies(gens: Sequence[VectorPoly | Polynomial], order: MonomialOrder) -> l
     degree-homogenized inputs under the induced global order; setting the
     slack variable to 1 turns any homogeneous relation into a relation of
     the original generators, and every polynomial relation arises that way.
+    Relations are nonzero (``_relations``), but two homogeneous ones can
+    dehomogenize to the same vector: repeats are dropped, the first kept.
     Each returned vector is verified exactly against the inputs.
     """
     vecs = _as_vectors(gens)
-    out = [VectorPoly(vecs[0].ring, len(vecs), h) for h in _relations(vecs, order)]
-    out = [syz for syz in dict.fromkeys(out) if not syz.is_zero()]
+    ring = vecs[0].ring
+    out = list(dict.fromkeys(VectorPoly(ring, len(vecs), h) for h in _relations(vecs, order)))
     _check_syzygies(vecs, out)
     return out
 

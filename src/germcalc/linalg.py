@@ -3,13 +3,13 @@
 Row reduction is one sparse incremental echelon form, ``_echelon``: rows
 come in one at a time, dense lists or sparse ``{column: value}`` maps, and
 each is reduced against the pivot rows kept so far, which stay fully
-reduced (a 1 at the pivot, 0 at every other pivot column).  ``rref``,
-``rank`` and ``kernel_basis`` all read from it, and ``_insert``, its one
-step, lets a caller grow a span row by row.  The reduced row echelon form
-of a row space is unique, so the result does not depend on the order in
-which rows arrive; pivots are the leading columns, so reduced forms, ranks
-and kernel bases are reproducible.  Dense matrices are lists of
-equal-length lists of ``Fraction``.
+reduced (a 1 at the pivot, 0 at every other pivot column).  ``rank`` and
+``kernel_basis`` both read from it, and ``_insert``, its one step, lets a
+caller grow a span row by row.  The reduced row echelon form of a row space
+is unique, so the result does not depend on the order in which rows
+arrive; pivots are the leading columns, so ranks and kernel bases are
+reproducible.  Dense matrices are lists of equal-length lists of
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -94,25 +94,6 @@ def _width(rows: Sequence[Row], ncols: int | None) -> int:
     if isinstance(rows[0], Mapping):
         raise ValueError("sparse rows need an explicit column count")
     return len(rows[0])
-
-
-def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form (copy) and the list of pivot columns.
-
-    The pivot rows come in pivot-column order, then zero rows up to the
-    input row count.
-    """
-    if not rows:
-        return [], []
-    ncols = _width(rows, None)
-    pivots = _echelon(rows, ncols)
-    order = sorted(pivots)
-    out = [[_ZERO] * ncols for _ in rows]
-    for row, p in zip(out, order):
-        row[p] = _ONE
-        for k, v in pivots[p].items():
-            row[k] = v
-    return out, order
 
 
 def rank(rows: Matrix) -> int:

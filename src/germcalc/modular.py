@@ -50,6 +50,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import comb
 from operator import add
@@ -196,15 +197,15 @@ def _cofactor_generators(f: Polynomial, t1: GradedT1) -> list[Derivation]:
     For quasi-homogeneous f, the Euler field alone: its cofactor is the unit
     d.  Otherwise the relations of one Schreyer walk of the nonzero entries
     of (df, f) (``groebner._relations``) with a nonzero cofactor h, lowest
-    total degree of h first; only the cofactor slot of each is read.  The
-    span holds the residues in the Milnor algebra M of x^b h_k, over the
-    Milnor basis monomials x^b and the cofactors h_k kept so far, so it is
-    the ideal they generate in M.  A relation is kept when the residue of
-    its h lies outside the span; the walk stops once the span has dimension
-    tau, which makes it all of Ann_M([f]), and RuntimeError if the
-    relations run out first.  Only kept relations become fields, each
-    checked twice: the tangency identity (``tangent_derivation``) and the
-    exact syzygy check.
+    total degree of h first; only the cofactor slot of each is read, as a
+    plain term map.  The span holds the residues in the Milnor algebra M of
+    x^b h_k, over the Milnor basis monomials x^b and the cofactors h_k kept
+    so far, so it is the ideal they generate in M.  A relation is kept when
+    the residue of its h lies outside the span; the walk stops once the
+    span has dimension tau, which makes it all of Ann_M([f]), and
+    RuntimeError if the relations run out first.  Only kept relations
+    become fields, each checked twice: the tangency identity
+    (``tangent_derivation``) and the exact syzygy check.
     """
     if t1.weight_data is not None:
         return [tangent_derivation(f, *_euler(f, t1.weight_data))]
@@ -213,17 +214,17 @@ def _cofactor_generators(f: Polynomial, t1: GradedT1) -> list[Derivation]:
     shifts = [e for _, e in milnor.standard_monomials]
     one = (0,) * len(ring)
 
-    def residue(h: Polynomial, b: Exponent) -> dict[int, Fraction]:
-        return milnor.residue({(0, tuple(map(add, e, b))): c for e, c in h.terms.items()})
+    def residue(h: dict[Exponent, Fraction], b: Exponent) -> dict[int, Fraction]:
+        return milnor.residue({(0, tuple(map(add, e, b))): c for e, c in h.items()})
 
     nonzero, vecs = _schreyer_input([f.partial_derivative(v) for v in ring] + [f])
     last = len(nonzero) - 1  # the slot of f
     candidates = []
     for rel in _relations(vecs, NEGDEGREVLEX):
-        h = Polynomial(ring, {e: -c for (slot, e), c in rel.items() if slot == last})
-        if not h.is_zero():
+        h = {e: -c for (slot, e), c in rel.items() if slot == last}
+        if h:
             candidates.append((h, rel))
-    candidates.sort(key=lambda c: min(map(sum, c[0].terms)))
+    candidates.sort(key=lambda c: min(map(sum, c[0])))
     span: dict[int, dict[int, Fraction]] = {}
     kept: list[Derivation] = []
     relations: list[VectorPoly] = []
@@ -338,12 +339,14 @@ def homogeneous_degree(f: Polynomial) -> int:
     return degrees.pop()
 
 
+@lru_cache(maxsize=1)
 def projective_t1_dimension(f: Polynomial) -> int:
     """First-order deformations of the smooth projective hypersurface V(f).
 
     dim of degree-m forms modulo the linear span of the z_i df/dz_j.  The
     affine cone must have an isolated singularity at the origin (V(f)
-    smooth), which is checked exactly.
+    smooth), which is checked exactly.  Kept for the last f asked for, so
+    ``germcalc projective`` and its ``embedding_check`` rank the forms once.
     """
     m = homogeneous_degree(f)
     if milnor_number(GermInput((f,))) == float("inf"):

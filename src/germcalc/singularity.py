@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, inf
+from math import gcd, inf, lcm
 
 from . import linalg
 from .groebner import Staircase, VectorPoly, staircase, standard_basis
@@ -148,41 +148,35 @@ def tjurina_algebra(f: Polynomial) -> tuple[int | float, GradedT1 | None]:
 def find_weights(f: Polynomial) -> WeightData | None:
     """Positive integer weights making every term of f the same degree.
 
-    Solves w . alpha = d over the support of f, normalized to d = 1 and then
-    scaled to a primitive integer vector with gcd(w, d) = 1.  Free directions
-    (rank-deficient support) are pinned at d/2 before the positivity check.
-    Returns None when no positive solution exists in these coordinates.
+    Solves w . alpha - d = 0 over the support of f: the kernel of the rows
+    (alpha, -1) over (w, d) (``linalg.kernel_basis``), one vector per free
+    column.  When d is free, one vector has d = 1 and the others d = 0, so
+    w is the w-part of the first plus half the w-parts of the others: free
+    weights pinned at d/2, normalized to d = 1.  When d is a pivot, every
+    solution has d = 0 and there is none.  The solution is re-checked on
+    every exponent, then scaled to a primitive integer vector with
+    gcd(w, d) = 1.  Returns None when no positive solution exists in these
+    coordinates.
     """
     if f.is_zero():
         raise ValueError("zero polynomial has no weights")
     exponents = sorted(f.terms)
     nvars = len(f.ring)
-    one = Fraction(1)
-    rows = [[Fraction(e) for e in expo] + [one] for expo in exponents]
-    reduced, pivots = linalg.rref(rows)
-    if nvars in pivots:
-        return None  # inconsistent: some combination forces d = 0
-    solution = [Fraction(1, 2)] * nvars  # free variables pinned at d/2
-    for r, col in enumerate(pivots):
-        acc = reduced[r][nvars]
-        for c in range(col + 1, nvars):
-            if c not in pivots:
-                acc -= reduced[r][c] * Fraction(1, 2)
-        solution[col] = acc
+    kernel = linalg.kernel_basis([list(expo) + [-1] for expo in exponents])
+    scaled = [v for v in kernel if v[nvars]]
+    if not scaled:
+        return None  # inconsistent: the support forces d = 0
+    free = [v for v in kernel if not v[nvars]]
+    solution = [w + Fraction(sum(v[i] for v in free), 2) for i, w in enumerate(scaled[0][:nvars])]
     for expo in exponents:
         if sum(w * e for w, e in zip(solution, expo)) != 1:
             return None
     if any(w <= 0 for w in solution):
         return None
-    scale = 1
-    for w in solution:
-        scale = scale * w.denominator // gcd(scale, w.denominator)
+    scale = lcm(*(w.denominator for w in solution))
     ints = [int(w * scale) for w in solution] + [scale]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    ints = [v // g for v in ints]
-    return WeightData(weights=tuple(ints[:-1]), degree=ints[-1])
+    g = gcd(*ints)
+    return WeightData(weights=tuple(v // g for v in ints[:-1]), degree=scale // g)
 
 
 def graded_piece(t1: GradedT1, wdata: WeightData, target_weight: int) -> list[Exponent]:

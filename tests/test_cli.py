@@ -170,6 +170,46 @@ def test_projective_singular_exit_one(capsys):
     assert err == "error: projective hypersurface V(f) is singular\n"
 
 
+def test_projective_table_output(capsys):
+    code, out, _ = run_cli(["projective", "--poly", "x^4+y^4+z^4+w^4", "--vars", "x,y,z,w"], capsys)
+    assert code == 0
+    assert out == (
+        "input: x^4+y^4+z^4+w^4\n"
+        "degree: 4 in 4 variables\n"
+        "projective T1 dimension: 19\n"
+        "closed form: 19 (matches)\n"
+        "embedding comparison with weight-4 piece of the cone: equal\n"
+    )
+
+
+TPQR = ["scan", "--family", "tpqr:3,3,3", "--no-modular"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["invariants", "--poly", "x^2", "--vars", " , "], "empty --vars"),
+        (TPQR + ["--param", "lambda"], "bad --param 'lambda', expected name=v1,v2,..."),
+        (TPQR + ["--param", "mu=1"], "unknown parameter 'mu' for family tpqr:3,3,3"),
+        (TPQR + ["--param", "lambda=1/0"], "bad rational in --param 'lambda=1/0'"),
+        (TPQR + ["--param", "lambda=a"], "bad rational in --param 'lambda=a'"),
+        (TPQR + ["--param", "lambda= , "], "no values in --param 'lambda= , '"),
+        (TPQR + ["--zero", "mu"], "unknown parameter 'mu' in --zero"),
+        (["oracle-dim", "--gens", "x^2", "--degree-bound", "0"], "--degree-bound must be positive"),
+        (["oracle-dim", "--gens", " ; ", "--degree-bound", "3"], "no generators given"),
+    ],
+    ids=[
+        "empty-vars", "param-without-equals", "unknown-param", "zero-denominator",
+        "not-a-rational", "no-values", "unknown-zero", "degree-bound-zero", "no-gens",
+    ],
+)
+def test_bad_arguments_exit_one(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_oracle_dim_requires_bound(capsys):
     with pytest.raises(SystemExit):
         main(["oracle-dim", "--gens", "x^2"])

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from germcalc import linalg
+from conftest import dense_kernel, dense_rref
 
 F = Fraction
 
@@ -38,11 +39,11 @@ def char_poly(a):
     return coeffs
 
 
-def test_rref_and_rank():
+def test_rank_and_kernel():
     m = [[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(1), F(1)]]
-    red, pivots = linalg.rref(m)
-    assert pivots == [0, 1]
+    assert dense_rref(m)[1] == [0, 1]
     assert linalg.rank(m) == 2
+    assert linalg.kernel_basis(m) == dense_kernel(m, 3) == [[F(-1), F(-1), F(1)]]
 
 
 def test_kernel_basis_annihilates():
@@ -129,7 +130,9 @@ def test_nilpotency_agrees_with_char_poly():
 
 
 def test_deterministic_pivoting():
-    m = [[F(0), F(1)], [F(1), F(0)]]
-    red, pivots = linalg.rref(m)
-    assert pivots == [0, 1]
-    assert red[0][0] == 1
+    # pivots are the leading columns whatever the row order: the kernel is
+    # spanned by the vector of the last column, the one free column
+    m = [[F(0), F(1), F(2)], [F(1), F(0), F(3)]]
+    assert linalg.kernel_basis(m) == linalg.kernel_basis(m[::-1]) == dense_kernel(m, 3)
+    assert linalg.kernel_basis(m) == [[F(-3), F(-2), F(1)]]
+    assert dense_rref(m)[1] == [0, 1]

@@ -101,6 +101,13 @@ def test_derivation_module_requires_isolated():
         cached_derivations("x^2*y", ("x", "y"))
 
 
+@pytest.mark.parametrize("text", ["x+y^2", "x"])
+def test_a_partial_that_vanishes_gives_its_coordinate_field(text):
+    # d/dz f = 0, so d/dz is tangent with cofactor 0, whatever the syzygies
+    zero, one = Polynomial.zero(V3), Polynomial.constant(V3, 1)
+    assert modular.Derivation((zero, zero, one), zero) in cached_derivations(text, V3)
+
+
 # -- action matrices -----------------------------------------------------------
 
 

@@ -1,10 +1,12 @@
-"""Each germ's Milnor and Tjurina algebras and weights are computed once.
+"""Each germ's Milnor and Tjurina algebras, weights and projective T1 rank are computed once.
 
-The counting tests wrap ``standard_basis``, ``find_weights`` and the
+The counting tests wrap ``standard_basis``, ``find_weights``, the
 Schreyer relation walk ``groebner._relations`` (behind ``syzygies`` and
-the modular path alike) under every name where a germcalc module looks
-them up, so a call from any module is seen; the caches of ``milnor_algebra`` and
-``tjurina_algebra`` are cleared first so every count starts from nothing.
+the modular path alike) and ``linalg.rank`` under every name where a
+germcalc module looks them up, so a call from any module is seen; the
+caches of ``milnor_algebra``, ``tjurina_algebra`` and
+``projective_t1_dimension`` are cleared first so every count starts from
+nothing.
 The cache tests check that no cached algebra leaks from one germ into
 another.
 """
@@ -26,7 +28,8 @@ from germcalc import (
     scan,
     tjurina_number,
 )
-from germcalc.cli import invariants_report
+from germcalc.cli import invariants_report, main
+from germcalc.modular import projective_t1_dimension
 from germcalc.singularity import milnor_algebra, milnor_number, tjurina_algebra
 from conftest import CATALOG, cached_poly, cached_tjurina
 
@@ -36,11 +39,11 @@ V3 = ("x", "y", "z")
 
 @pytest.fixture
 def calls(monkeypatch):
-    """First arguments of every standard_basis, find_weights and relation walk, by name."""
+    """First arguments of every standard_basis, find_weights, relation walk and rank, by name."""
     namespaces = [germcalc] + [
         importlib.import_module(f"germcalc.{m.name}") for m in pkgutil.iter_modules(germcalc.__path__)
     ]
-    seen: dict[str, list] = {"standard_basis": [], "find_weights": [], "_relations": []}
+    seen: dict[str, list] = {"standard_basis": [], "find_weights": [], "_relations": [], "rank": []}
     for name, log in seen.items():
         original = next(getattr(ns, name) for ns in namespaces if hasattr(ns, name))
 
@@ -51,11 +54,11 @@ def calls(monkeypatch):
         for ns in namespaces:
             if getattr(ns, name, None) is original:
                 monkeypatch.setattr(ns, name, counted)
-    milnor_algebra.cache_clear()
-    tjurina_algebra.cache_clear()
+    for cached in (milnor_algebra, tjurina_algebra, projective_t1_dimension):
+        cached.cache_clear()
     yield seen
-    milnor_algebra.cache_clear()
-    tjurina_algebra.cache_clear()
+    for cached in (milnor_algebra, tjurina_algebra, projective_t1_dimension):
+        cached.cache_clear()
 
 
 @pytest.mark.parametrize(
@@ -98,6 +101,15 @@ def test_bare_modular_tangent_space_needs_syzygies_only_without_weights(
     modular_tangent_space(parse_poly(text, vars))
     assert len(calls["_relations"]) == walks
     assert len(calls["standard_basis"]) == bases
+
+
+def test_projective_command_ranks_the_forms_once(calls, capsys):
+    # the dimension it prints and its embedding check read one rank
+    argv = ["projective", "--poly", "x^4+y^4+z^4+w^4", "--vars", "x,y,z,w"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.endswith("weight-4 piece of the cone: equal\n")
+    assert len(calls["rank"]) == 1
+    assert len(calls["standard_basis"]) == 2  # mu and tau
 
 
 def test_back_to_back_germs_get_their_own_milnor_algebra():

@@ -1,11 +1,16 @@
 """Milnor and Tjurina numbers, weights, gradings, complete intersections."""
 
-from math import inf
+from fractions import Fraction
+from functools import partial
+from math import gcd, inf, lcm
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from germcalc import (
     GermInput,
+    Polynomial,
     WeightData,
     find_weights,
     graded_piece,
@@ -14,7 +19,9 @@ from germcalc import (
     parse_poly,
     tjurina_number,
 )
-from conftest import CATALOG, cached_poly, cached_tjurina
+from conftest import CATALOG, cached_poly, cached_tjurina, dense_rref
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
 V2 = ("x", "y")
 V3 = ("x", "y", "z")
@@ -114,6 +121,69 @@ def test_weights_normalization_is_primitive():
 def test_weights_underdetermined_support():
     # single term x*y: any positive pair works; the canonical pick is (1, 1)
     assert find_weights(parse_poly("x*y", V2)) == WeightData((1, 1), 2)
+
+
+def reference_weights(f, pin=Fraction(1, 2)):
+    """Weights by the dense sweep of ``conftest.dense_rref``, apart from ``germcalc.linalg``.
+
+    Solves alpha . w = 1 (so d = 1) on the support with every free weight
+    at ``pin``, then keeps a positive solution, scaled to primitive integers.
+    """
+    nvars = len(f.ring)
+    red, pivots = dense_rref([list(expo) + [1] for expo in sorted(f.terms)])
+    if nvars in pivots:
+        return None
+    w = [pin] * nvars
+    for row, p in zip(red, pivots):
+        w[p] = row[nvars] - sum(row[c] * pin for c in range(nvars) if c not in pivots)
+    if any(x <= 0 for x in w):
+        return None
+    den = lcm(*(x.denominator for x in w))
+    ints = [int(x * den) for x in w] + [den]
+    g = gcd(*ints)
+    return WeightData(tuple(v // g for v in ints[:-1]), den // g)
+
+
+@st.composite
+def supports(draw):
+    """A polynomial on 1 to 4 variables whose support is random, rank-deficient or inconsistent.
+
+    A rank-deficient support has fewer terms than variables, so some weight
+    is free; an inconsistent one holds alpha and 2 alpha, which forces d = 0.
+    """
+    kind = draw(st.sampled_from(["random", "rank-deficient", "inconsistent"]))
+    nvars = draw(st.integers(2 if kind == "rank-deficient" else 1, 4))
+    expo = st.tuples(*[st.integers(0, 4)] * nvars)
+    size = nvars - 1 if kind == "rank-deficient" else 5
+    support = draw(st.sets(expo, min_size=1, max_size=size))
+    if kind == "inconsistent":
+        alpha = draw(expo.filter(any))
+        support |= {alpha, tuple(2 * a for a in alpha)}
+    coeff = st.integers(-3, 3).filter(bool)
+    return Polynomial("xyzw"[:nvars], {e: draw(coeff) for e in support})
+
+
+def weights_agree_with_the_reference(solve, f):
+    assert solve(f) == reference_weights(f)
+
+
+@PROPERTY
+@given(supports())
+@example(parse_poly("x*y", V3))  # z and one of x, y free
+@example(parse_poly("x^2+x^3", V2))  # inconsistent
+@example(parse_poly("x^4+y^3+z^3+x*y*z", V3))  # inconsistent, full rank
+def test_weights_match_a_dense_reference_solve(f):
+    weights_agree_with_the_reference(find_weights, f)
+
+
+def test_weight_property_catches_free_weights_pinned_at_one():
+    @PROPERTY
+    @given(supports())
+    def check(f):
+        weights_agree_with_the_reference(partial(reference_weights, pin=Fraction(1)), f)
+
+    with pytest.raises(AssertionError):
+        check()
 
 
 # -- grading ----------------------------------------------------------------------

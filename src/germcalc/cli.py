@@ -82,8 +82,7 @@ def invariants_report(f: Polynomial) -> dict:
     if wdata is not None:
         report["weights"] = list(wdata.weights)
         report["weight_degree"] = wdata.degree
-    non_isolated = t1 is None
-    if not non_isolated:
+    if t1 is not None:
         report["t1_basis"] = [format_monomial(f.ring, e) for e in t1.monomials]
         if t1.weights is not None:
             report["t1_weights"] = list(t1.weights)
@@ -93,7 +92,7 @@ def invariants_report(f: Polynomial) -> dict:
         if mt.convention_sensitive:
             report["convention_sensitive"] = True
     report["flags"] = {
-        "non_isolated": non_isolated,
+        "non_isolated": t1 is None,
         "not_quasi_homogeneous": wdata is None,
     }
     return report
@@ -128,12 +127,7 @@ def _print_invariants_table(report: dict, out):
 
 
 def cmd_invariants(args, out) -> int:
-    f = _parse_input_poly(args.poly, args.vars)
-    if f.is_zero():
-        raise CliError("zero polynomial does not define a germ")
-    if f.constant_term() != 0:
-        raise CliError("polynomial does not vanish at the origin")
-    report = invariants_report(f)
+    report = invariants_report(_parse_input_poly(args.poly, args.vars))
     if args.format == "json":
         _write_json(report, out)
     else:
@@ -333,13 +327,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact invariants of isolated singularities at the origin.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("table", "json"), default="table")
+    variables = argparse.ArgumentParser(add_help=False)
+    variables.add_argument("--vars", help="comma-separated variables (default x,y,z)")
 
-    p_inv = sub.add_parser("invariants", help="Milnor/Tjurina numbers and modular data")
+    p_inv = sub.add_parser(
+        "invariants", parents=[fmt, variables], help="Milnor/Tjurina numbers and modular data"
+    )
     p_inv.add_argument("--poly", required=True, help="polynomial text, e.g. x^3+y^3+z^3+x*y*z")
-    p_inv.add_argument("--vars", help="comma-separated variables (default x,y,z)")
-    p_inv.add_argument("--format", choices=("table", "json"), default="table")
+    p_inv.set_defaults(run=cmd_invariants)
 
-    p_scan = sub.add_parser("scan", help="scan a catalog family over parameter points")
+    p_scan = sub.add_parser(
+        "scan", parents=[fmt], help="scan a catalog family over parameter points"
+    )
     p_scan.add_argument("--family", required=True, help=f"one of: {', '.join(CATALOG_NAMES)}")
     p_scan.add_argument(
         "--param", action="append", help="name=v1,v2,... (repeatable; exact rationals)"
@@ -348,37 +349,31 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument(
         "--no-modular", action="store_true", help="skip modular tangent dimensions"
     )
-    p_scan.add_argument("--format", choices=("table", "json"), default="table")
+    p_scan.set_defaults(run=cmd_scan)
 
-    p_proj = sub.add_parser("projective", help="projective hypersurface comparison")
+    p_proj = sub.add_parser(
+        "projective", parents=[fmt, variables], help="projective hypersurface comparison"
+    )
     p_proj.add_argument("--poly", required=True, help="homogeneous polynomial text")
-    p_proj.add_argument("--vars", help="comma-separated variables (default x,y,z)")
-    p_proj.add_argument("--format", choices=("table", "json"), default="table")
+    p_proj.set_defaults(run=cmd_projective)
 
     p_oracle = sub.add_parser(
-        "oracle-dim", help="brute-force local quotient dimension (cross-check)"
+        "oracle-dim",
+        parents=[fmt, variables],
+        help="brute-force local quotient dimension (cross-check)",
     )
     p_oracle.add_argument("--gens", required=True, help="semicolon-separated generators")
-    p_oracle.add_argument("--vars", help="comma-separated variables (default x,y,z)")
     p_oracle.add_argument(
         "--degree-bound", type=int, required=True, help="truncation degree for the oracle"
     )
-    p_oracle.add_argument("--format", choices=("table", "json"), default="table")
+    p_oracle.set_defaults(run=cmd_oracle_dim)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    out = sys.stdout
-    handlers = {
-        "invariants": cmd_invariants,
-        "scan": cmd_scan,
-        "projective": cmd_projective,
-        "oracle-dim": cmd_oracle_dim,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args, out)
+        return args.run(args, sys.stdout)
     except (CliError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -4,11 +4,13 @@ A ``FamilySpec`` holds equation templates over the ring variables plus
 named parameters (extra variables of the combined ring); evaluation
 substitutes exact rational values for every parameter and checks that the
 fiber still passes through the origin.  ``scan`` computes the invariants
-fiber by fiber and flags the sample points where the Tjurina number leaves
-the modal value (the most frequent finite value, ties to the smaller one,
-matching upper semicontinuity: the generic value is the minimum).
+fiber by fiber into a ``ScanReport`` of its rows; the report reads off
+its rows the modal value (the most frequent finite Tjurina number, ties to
+the smaller one, matching upper semicontinuity: the generic value is the
+minimum) and the sample points where the Tjurina number leaves it.
 
-The built-in catalog carries the families used throughout the test suite:
+The built-in catalog carries the families used throughout the test suite,
+tpqr parsed from its name and the others from one table, ``_FAMILIES``:
 
 * ``tpqr:p,q,r``      x^p + y^q + z^r + lambda*x*y*z
 * ``example6``        x^4+y^3+z^3+mu*x*y*z+r*x^3+s1*y+s2*y^2+t1*z+t2*z^2
@@ -24,8 +26,10 @@ needs a fixed nonzero value and any choice is recorded in the report.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import inf
 from typing import Mapping, Sequence
 
@@ -72,7 +76,39 @@ def _template(name, ring_vars, parameters, texts, description, defaults=None):
     )
 
 
-CATALOG_NAMES = ("tpqr:p,q,r", "example6", "example7-martin", "example8-icis", "example9-y642")
+# name -> (ring variables, parameters, templates, description, defaults)
+_FAMILIES = {
+    "example6": (
+        ("x", "y", "z"),
+        ("mu", "r", "s1", "s2", "t1", "t2"),
+        ["x^4+y^3+z^3+mu*x*y*z+r*x^3+s1*y+s2*y^2+t1*z+t2*z^2"],
+        "five-parameter deformation of the (4,3,3) germ, mu fixed nonzero",
+        {"mu": 1},
+    ),
+    "example7-martin": (
+        ("x", "y"),
+        ("s1", "s2", "s3", "s4", "s5", "s6", "t"),
+        ["x^4-x^2*y^2+s1*x+s2*y+s3*x*y+s4*y^2+s5*y^3+s6*x*y^2+t*y^4+y^5"],
+        "seven-parameter plane-curve family with a Milnor number jump",
+        {},
+    ),
+    "example8-icis": (
+        ("x", "y", "z"),
+        ("s",),
+        ["x^4+y^4+2*z^2", "s*z-x*y"],
+        "complete intersection space-curve family",
+        {},
+    ),
+    "example9-y642": (
+        ("x", "y", "z"),
+        ("r", "s", "t", "v"),
+        ["x^6+y^4+z^2+x*y*z+r*x^4+s*x^5+t*y^3+v*z"],
+        "four-parameter deformation of the (6,4,2) germ",
+        {},
+    ),
+}
+
+CATALOG_NAMES = ("tpqr:p,q,r", *_FAMILIES)
 
 
 def catalog(name: str) -> FamilySpec:
@@ -99,39 +135,8 @@ def catalog(name: str) -> FamilySpec:
             [f"x^{p}+y^{q}+z^{r}+lambda*x*y*z"],
             f"three-term germ with exponents ({p},{q},{r}) and a scaled x*y*z term",
         )
-    if ident == "example6":
-        return _template(
-            "example6",
-            ("x", "y", "z"),
-            ("mu", "r", "s1", "s2", "t1", "t2"),
-            ["x^4+y^3+z^3+mu*x*y*z+r*x^3+s1*y+s2*y^2+t1*z+t2*z^2"],
-            "five-parameter deformation of the (4,3,3) germ, mu fixed nonzero",
-            defaults={"mu": 1},
-        )
-    if ident == "example7-martin":
-        return _template(
-            "example7-martin",
-            ("x", "y"),
-            ("s1", "s2", "s3", "s4", "s5", "s6", "t"),
-            ["x^4-x^2*y^2+s1*x+s2*y+s3*x*y+s4*y^2+s5*y^3+s6*x*y^2+t*y^4+y^5"],
-            "seven-parameter plane-curve family with a Milnor number jump",
-        )
-    if ident == "example8-icis":
-        return _template(
-            "example8-icis",
-            ("x", "y", "z"),
-            ("s",),
-            ["x^4+y^4+2*z^2", "s*z-x*y"],
-            "complete intersection space-curve family",
-        )
-    if ident == "example9-y642":
-        return _template(
-            "example9-y642",
-            ("x", "y", "z"),
-            ("r", "s", "t", "v"),
-            ["x^6+y^4+z^2+x*y*z+r*x^4+s*x^5+t*y^3+v*z"],
-            "four-parameter deformation of the (6,4,2) germ",
-        )
+    if ident in _FAMILIES:
+        return _template(ident, *_FAMILIES[ident])
     raise ValueError(f"unknown family {name!r}; known: {', '.join(CATALOG_NAMES)}")
 
 
@@ -161,16 +166,31 @@ class ScanRow:
     tau: int | float | None
     modular_dim: int | None
     weights_found: bool
-    non_isolated: bool
     error: str | None = None
+
+    @property
+    def non_isolated(self) -> bool:
+        return self.tau == inf
 
 
 @dataclass(frozen=True)
 class ScanReport:
+    """The rows of one family scan; the modal tau and the jumps are read off them."""
+
     family: str
     rows: tuple[ScanRow, ...]
-    modal_tau: int | None
-    jump_indices: tuple[int, ...]  # rows where tau leaves the modal value
+
+    @cached_property
+    def modal_tau(self) -> int | None:
+        """The most frequent finite tau, ties to the smaller; None when no tau is finite."""
+        counts = Counter(int(row.tau) for row in self.rows if row.tau not in (None, inf))
+        return min(counts, key=lambda t: (-counts[t], t), default=None)
+
+    @cached_property
+    def jump_indices(self) -> tuple[int, ...]:
+        """The rows without an error whose tau is not the modal one; an infinite tau never is."""
+        modal = self.modal_tau
+        return tuple(i for i, r in enumerate(self.rows) if r.error is None and r.tau != modal)
 
 
 def scan(
@@ -192,36 +212,17 @@ def scan(
         try:
             germ = evaluate(spec, clean)
         except ValueError as exc:
-            rows.append(
-                ScanRow(clean, None, None, None, False, False, error=str(exc))
-            )
+            rows.append(ScanRow(clean, None, None, None, False, error=str(exc)))
             continue
         if germ.k == 1:
             f = germ.equations[0]
             mu = milnor_number(germ)
             tau, t1 = tjurina_algebra(f)
-            non_isolated = t1 is None
-            weights_found = (find_weights(f) if non_isolated else t1.weight_data) is not None
+            wdata = find_weights(f) if t1 is None else t1.weight_data
             modular_dim = None
-            if with_modular and not non_isolated:
+            if with_modular and t1 is not None:
                 modular_dim = modular_tangent_space(f).dimension
-            rows.append(ScanRow(clean, mu, tau, modular_dim, weights_found, non_isolated))
+            rows.append(ScanRow(clean, mu, tau, modular_dim, wdata is not None))
         else:
-            tau = icis_tjurina(germ)
-            rows.append(
-                ScanRow(clean, None, tau, None, False, tau == inf)
-            )
-    finite = [row.tau for row in rows if row.tau is not None and row.tau != inf]
-    modal = None
-    if finite:
-        counts: dict[int, int] = {}
-        for t in finite:
-            counts[int(t)] = counts.get(int(t), 0) + 1
-        best = max(counts.values())
-        modal = min(t for t, c in counts.items() if c == best)
-    jumps = tuple(
-        i
-        for i, row in enumerate(rows)
-        if row.error is None and (row.tau == inf or (modal is not None and row.tau != modal))
-    )
-    return ScanReport(family=spec.name, rows=tuple(rows), modal_tau=modal, jump_indices=jumps)
+            rows.append(ScanRow(clean, None, icis_tjurina(germ), None, False))
+    return ScanReport(family=spec.name, rows=tuple(rows))

@@ -386,9 +386,7 @@ def _std_engine(
         real = row if split is None else [t for t in row if t[0] < split]
         return _reducer(max(real, key=keyfn), row, pk, split)
 
-    basis = [reducer(_primitive(t)[0]) for t in seeds if t]
-    if not basis:
-        raise ValueError("empty generator list")
+    basis = [reducer(_primitive(t)[0]) for t in seeds]
     leads = [r.lead for r in basis]
     first = _first_divisor(leads, guard)
 
@@ -575,13 +573,6 @@ def standard_basis(
     )
 
 
-def _pool(basis: StandardBasis, pk: Packing) -> list[_Reducer]:
-    return [
-        _reducer((lead[0], pk.pack(lead[1])), _primitive(pk.pack_terms(g.terms))[0], pk)
-        for g, lead in zip(basis.generators, basis.leading_terms)
-    ]
-
-
 def normal_form(p: VectorPoly | Polynomial, basis: StandardBasis) -> VectorPoly:
     """Fully reduced remainder (global) or Mora weak normal form (local).
 
@@ -593,7 +584,11 @@ def normal_form(p: VectorPoly | Polynomial, basis: StandardBasis) -> VectorPoly:
         raise ValueError("ring or component mismatch with basis")
     pk = packing(len(v.ring))
     row, scale = _primitive(pk.pack_terms(v.terms))
-    pool, key = _pool(basis, pk), cache(pk.keyed(basis.order.module_key))
+    pool = [
+        _reducer((lead[0], pk.pack(lead[1])), _primitive(pk.pack_terms(g.terms))[0], pk)
+        for g, lead in zip(basis.generators, basis.leading_terms)
+    ]
+    key = cache(pk.keyed(basis.order.module_key))
     if basis.order.is_local():
         h, h_scale = _nf_mora(row, pool, key, pk)
     else:
@@ -608,8 +603,12 @@ class Staircase:
 
     standard_monomials: tuple[ModTerm, ...]
     finite: bool
-    dimension: int | float  # math.inf when not finite
     basis: StandardBasis
+
+    @property
+    def dimension(self) -> int | float:
+        """The number of standard monomials; math.inf when not finite."""
+        return len(self.standard_monomials) if self.finite else inf
 
     def monomials_of_component(self, comp: int) -> list[Exponent]:
         return [e for c, e in self.standard_monomials if c == comp]
@@ -620,9 +619,9 @@ class Staircase:
 
         Rows are filled smallest term first: a standard term maps to its
         unit vector, any other term to minus the shifted tail of the first
-        generator whose lead divides it, over that lead's coefficient.  The
-        fill runs on packed terms; the table it returns is keyed by exponent
-        tuples.
+        generator (monic) whose lead divides it.  The fill runs on packed
+        terms, each tail packed and negated once; the table it returns is
+        keyed by exponent tuples.
         """
         if not self.finite:
             raise ValueError("quotient is not finite dimensional")
@@ -634,27 +633,29 @@ class Staircase:
         terms = sorted(((c, e) for c in range(basis.ncomp) for e in below), key=order.module_key)
         pk = packing(len(basis.ring))
         positions = {(c, pk.pack(e)): i for i, (c, e) in enumerate(self.standard_monomials)}
-        pool, guard = _pool(basis, pk), pk.guard
-        leads = [r.lead for r in pool]
+        guard = pk.guard
+        leads = [(comp, pk.pack(e)) for comp, e in basis.leading_terms]
+        tails = []
+        for g, lead in zip(basis.generators, basis.leading_terms):
+            tail = {(comp, pk.pack(e)): -c for (comp, e), c in g.terms.items() if (comp, e) != lead}
+            tails.append((tail, pk.top(tail)))
         rows: dict[PackedTerm, dict[int, Fraction]] = {}
         for comp, expo in terms:
             term = (comp, pk.pack(expo))
             if term in positions:
                 rows[term] = {positions[term]: _ONE}
                 continue
-            red = pool[next(_divisors(leads, term, guard))]
-            shift = term[1] - red.lead[1]
-            if (red.top + shift) & guard:
+            k = next(_divisors(leads, term, guard))
+            tail, top = tails[k]
+            shift = term[1] - leads[k][1]
+            if (top + shift) & guard:
                 raise ExponentOverflow()
             row: dict[int, Fraction] = {}
-            for (tcomp, texpo), c in red.terms.items():
-                if (tcomp, texpo) == red.lead:
-                    continue
-                # each tail term is smaller than the lead: its row is known,
-                # or it lies beyond the cut and is zero
-                factor = Fraction(-c, red.coeff)
+            # each tail term is smaller than the lead: its row is known, or
+            # it lies beyond the cut and is zero
+            for (tcomp, texpo), c in tail.items():
                 for j, a in rows.get((tcomp, texpo + shift), {}).items():
-                    row[j] = row.get(j, _ZERO) + factor * a
+                    row[j] = row.get(j, _ZERO) + c * a
             rows[term] = {j: a for j, a in row.items() if a}
         return pk.unpack_terms(rows)
 
@@ -694,13 +695,13 @@ def staircase(basis: StandardBasis) -> Staircase:
                 if c == comp and all(e[j] == 0 for j in range(nvars) if j != i)
             ]
             if not pure:
-                return Staircase((), False, inf, basis)
+                return Staircase((), False, basis)
             bounds.append(min(pure))
         for expo in product(*(range(b) for b in bounds)):
             if next(_divisors(leads, (comp, pk.pack(expo)), pk.guard), None) is None:
                 found.append((comp, expo))
     found.sort(key=lambda t: (sum(t[1]), t[0], t[1]))
-    return Staircase(tuple(found), True, len(found), basis)
+    return Staircase(tuple(found), True, basis)
 
 
 def _relations(vecs: Sequence[VectorPoly], order: MonomialOrder) -> Iterator[Terms]:

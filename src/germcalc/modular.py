@@ -47,7 +47,6 @@ germ's Tjurina algebra.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -111,12 +110,15 @@ class ActionMatrix:
 
 @dataclass(frozen=True)
 class ModularTangent:
-    """Kernel of all twisted actions: tangent space of the modular stratum."""
+    """Kernel of all twisted actions (tangent space of the modular stratum), kept as its basis."""
 
-    dimension: int
     kernel_basis: tuple[tuple[Fraction, ...], ...]
     t1: GradedT1
     convention_sensitive: bool  # True if dropping the cofactor twist changes the dim
+
+    @property
+    def dimension(self) -> int:
+        return len(self.kernel_basis)
 
 
 def _isolated_t1(f: Polynomial, what: str) -> GradedT1:
@@ -148,36 +150,6 @@ def _field(ring, nonzero: list[int], syz: VectorPoly) -> tuple[list[Polynomial],
     return parts[:-1], -parts[-1]
 
 
-def _candidates(
-    f: Polynomial, wdata: WeightData | None
-) -> Iterator[tuple[list[Polynomial], Polynomial]]:
-    """(coefficients, cofactor) of each generator of ``derivation_module``, in its order.
-
-    Nothing here checks tangency: the caller passes each pair it uses to
-    ``tangent_derivation``.
-    """
-    ring = f.ring
-    n = len(ring)
-    partials = [f.partial_derivative(v) for v in ring]
-    nonzero, vecs = _schreyer_input(partials + [f])
-    zero = Polynomial.zero(ring)
-    for s in syzygies(vecs, NEGDEGREVLEX):
-        yield _field(ring, nonzero, s)
-    for i in range(n):
-        if partials[i].is_zero():
-            yield [Polynomial.constant(ring, int(j == i)) for j in range(n)], zero
-    for i in range(n):
-        for j in range(i + 1, n):
-            if partials[i].is_zero() and partials[j].is_zero():
-                continue
-            coeffs = [zero] * n
-            coeffs[i] = partials[j]
-            coeffs[j] = -partials[i]
-            yield coeffs, zero
-    if wdata is not None:
-        yield _euler(f, wdata)
-
-
 def derivation_module(f: Polynomial) -> list[Derivation]:
     """Module generators of all derivations tangent to {f = 0}.
 
@@ -185,10 +157,30 @@ def derivation_module(f: Polynomial) -> list[Derivation]:
     of (df, f), plus the coordinate field d_i (cofactor 0) for each partial
     d_i f that vanishes identically, are augmented with every Hamiltonian
     pair (d_j f) d_i - (d_i f) d_j (cofactor 0) and, when weights exist,
-    the Euler field sum w_i x_i d_i (cofactor d).
+    the Euler field sum w_i x_i d_i (cofactor d).  Each is checked for
+    tangency (``tangent_derivation``); repeats are dropped, the first kept.
     """
     wdata = _isolated_t1(f, "derivation module").weight_data
-    return list(dict.fromkeys(tangent_derivation(f, a, h) for a, h in _candidates(f, wdata)))
+    ring = f.ring
+    n = len(ring)
+    partials = [f.partial_derivative(v) for v in ring]
+    nonzero, vecs = _schreyer_input(partials + [f])
+    zero = Polynomial.zero(ring)
+    fields = [_field(ring, nonzero, s) for s in syzygies(vecs, NEGDEGREVLEX)]
+    for i in range(n):
+        if partials[i].is_zero():
+            fields.append(([Polynomial.constant(ring, int(j == i)) for j in range(n)], zero))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if partials[i].is_zero() and partials[j].is_zero():
+                continue
+            coeffs = [zero] * n
+            coeffs[i] = partials[j]
+            coeffs[j] = -partials[i]
+            fields.append((coeffs, zero))
+    if wdata is not None:
+        fields.append(_euler(f, wdata))
+    return list(dict.fromkeys(tangent_derivation(f, a, h) for a, h in fields))
 
 
 def _cofactor_generators(f: Polynomial, t1: GradedT1) -> list[Derivation]:
@@ -322,7 +314,6 @@ def modular_tangent_space(f: Polynomial) -> ModularTangent:
     kernel = linalg.kernel_basis(stacked, ncols=t1.tau)
     alt_dim = len(linalg.kernel_basis(stacked_untwisted, ncols=t1.tau))
     return ModularTangent(
-        dimension=len(kernel),
         kernel_basis=tuple(tuple(v) for v in kernel),
         t1=t1,
         convention_sensitive=alt_dim != len(kernel),

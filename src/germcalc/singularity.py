@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, inf, lcm
 
 from . import linalg
@@ -74,12 +74,24 @@ class WeightData:
 
 @dataclass(frozen=True)
 class GradedT1:
-    """Monomial basis of the Tjurina algebra, with weights when graded."""
+    """Monomial basis of the Tjurina algebra, with weights when graded.
 
-    ring: tuple[str, ...]
-    weights: tuple[int, ...] | None
+    Only the grading (``weight_data``, None when not graded) and the
+    staircase are stored; the ring, the basis and its weights are read off.
+    """
+
     weight_data: WeightData | None
     stair: Staircase
+
+    @property
+    def ring(self) -> tuple[str, ...]:
+        return self.stair.basis.ring
+
+    @cached_property
+    def weights(self) -> tuple[int, ...] | None:
+        """The weight of each basis monomial, in order; None when not graded."""
+        w = self.weight_data
+        return None if w is None else tuple(w.monomial_weight(e) for e in self.monomials)
 
     @property
     def monomials(self) -> tuple[Exponent, ...]:
@@ -90,7 +102,7 @@ class GradedT1:
         return self.stair.dimension
 
     def is_graded(self) -> bool:
-        return self.weights is not None
+        return self.weight_data is not None
 
     def coordinates(self, p: Polynomial) -> list[Fraction]:
         """Coordinates of the residue class of p over ``monomials``."""
@@ -103,14 +115,19 @@ def _jacobian(f: Polynomial) -> list[Polynomial]:
     return [f.partial_derivative(v) for v in f.ring]
 
 
-def milnor_number(germ: GermInput) -> int | float:
-    """dim of the local Jacobian algebra O/(df); inf when non-isolated."""
+def _hypersurface(germ: GermInput) -> Polynomial:
+    """The one equation of a hypersurface germ; ValueError unless there is one, nonzero."""
     if germ.k != 1:
-        raise ValueError("Milnor number is computed for hypersurface germs only")
+        raise ValueError(f"a hypersurface germ has one equation, not {germ.k}; see icis_tjurina")
     f = germ.equations[0]
     if f.is_zero():
         raise ValueError("zero polynomial does not define a germ")
-    return milnor_algebra(f).dimension
+    return f
+
+
+def milnor_number(germ: GermInput) -> int | float:
+    """dim of the local Jacobian algebra O/(df); inf when non-isolated."""
+    return milnor_algebra(_hypersurface(germ)).dimension
 
 
 @lru_cache(maxsize=1)
@@ -126,17 +143,11 @@ def tjurina_number(germ: GermInput) -> tuple[int | float, GradedT1 | None]:
     quasi-homogeneous in the given coordinates, each basis monomial carries
     its weight.
     """
-    if germ.k != 1:
-        raise ValueError("use icis_tjurina for complete intersections")
-    f = germ.equations[0]
-    if f.is_zero():
-        raise ValueError("zero polynomial does not define a germ")
+    f = _hypersurface(germ)
     st = staircase(standard_basis([f] + _jacobian(f), NEGDEGREVLEX))
     if not st.finite:
         return INFINITE, None
-    wdata = find_weights(f)
-    weights = tuple(wdata.monomial_weight(e) for _, e in st.standard_monomials) if wdata else None
-    return st.dimension, GradedT1(ring=f.ring, weights=weights, weight_data=wdata, stair=st)
+    return st.dimension, GradedT1(weight_data=find_weights(f), stair=st)
 
 
 @lru_cache(maxsize=1)

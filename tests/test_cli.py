@@ -127,7 +127,7 @@ def test_unknown_family_exit_one(capsys):
     assert "unknown family" in err
 
 
-@pytest.mark.parametrize("zero", ["s..s6", "s6..s1"])
+@pytest.mark.parametrize("zero", ["s..s6", "s6..s1", "s1..t3"])
 def test_scan_bad_zero_range_exit_one(zero, capsys):
     code, _, err = run_cli(
         ["scan", "--family", "example7-martin", "--param", "t=1", "--zero", zero], capsys
@@ -144,6 +144,34 @@ def test_scan_table_shows_jumps(capsys):
     assert code == 0
     assert "non-isolated" in out
     assert "tjurina jumps at: lambda=-3" in out
+
+
+def test_invariants_table_of_a_non_quasi_homogeneous_germ(capsys):
+    code, out, _ = run_cli(["invariants", "--poly", "x^5+y^4+z^3+x*y*z"], capsys)
+    assert code == 0
+    assert out == (
+        "input: x^5+y^4+x*y*z+z^3\n"
+        "variables: x, y, z\n"
+        "milnor number: 11\n"
+        "tjurina number: 10\n"
+        "weights: none found (not quasi-homogeneous in these coordinates)\n"
+        "T1 basis: 1, z, y, x, z^2, y^2, x^2, y^3, x^3, x^4\n"
+        "modular tangent dimension: 3\n"
+        "  kernel vector: 1*[z^2]\n"
+        "  kernel vector: 1*[y^3]\n"
+        "  kernel vector: 1*[x^4]\n"
+    )
+
+
+def test_scan_table_with_fixed_parameters_and_no_jumps(capsys):
+    # the empty chunk of --zero is skipped
+    argv = ["scan", "--family", "example6", "--param", "r=0,1", "--zero", "s1,,s2", "--no-modular"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1] == "fixed parameters: mu=1, t1=0, t2=0"
+    assert [line.split(" | ")[2].strip() for line in lines[3:5]] == ["8", "8"]
+    assert lines[-1] == "no tjurina jumps among sampled points"
 
 
 def test_scan_records_defaults(capsys):
@@ -197,10 +225,13 @@ TPQR = ["scan", "--family", "tpqr:3,3,3", "--no-modular"]
         (TPQR + ["--zero", "mu"], "unknown parameter 'mu' in --zero"),
         (["oracle-dim", "--gens", "x^2", "--degree-bound", "0"], "--degree-bound must be positive"),
         (["oracle-dim", "--gens", " ; ", "--degree-bound", "3"], "no generators given"),
+        (["invariants", "--poly", "0"], "zero polynomial does not define a germ"),
+        (["invariants", "--poly", "x^2+1"], "equation does not vanish at the origin"),
     ],
     ids=[
         "empty-vars", "param-without-equals", "unknown-param", "zero-denominator",
         "not-a-rational", "no-values", "unknown-zero", "degree-bound-zero", "no-gens",
+        "zero-poly", "not-at-origin",
     ],
 )
 def test_bad_arguments_exit_one(argv, message, capsys):

@@ -5,7 +5,8 @@ from math import inf
 
 import pytest
 
-from germcalc import catalog, evaluate, parse_poly, scan
+from germcalc import FamilySpec, ScanReport, ScanRow, catalog, evaluate, parse_poly, scan
+from germcalc.cli import scan_report_dict
 
 V2 = ("x", "y")
 V3 = ("x", "y", "z")
@@ -206,3 +207,46 @@ def test_example9_t_line_fiber_looks_like_the_632_family():
     assert milnor_number(germ) == 10
     assert tjurina_number(germ)[0] == 10
     assert modular_tangent_space(f).dimension == 1
+
+
+def test_family_spec_checks_its_rings():
+    eq = parse_poly("x^2+a*y", ("x", "y", "a"))
+    with pytest.raises(ValueError, match="^ring variables and parameters must be disjoint$"):
+        FamilySpec("overlap", ("x", "y"), ("y",), (eq,), "a parameter named like a variable")
+    with pytest.raises(ValueError, match=r"^template ring must be ring_vars \+ parameters$"):
+        FamilySpec("ring", ("x", "y"), ("a",), (parse_poly("x^2", ("x", "y")),), "no parameter")
+
+
+def test_tpqr_prefix_with_trailing_text_is_unknown():
+    known = "tpqr:p,q,r, example6, example7-martin, example8-icis, example9-y642"
+    with pytest.raises(ValueError, match=f"^unknown family 'tpqrx'; known: {known}$"):
+        catalog("tpqrx")
+
+
+def test_fiber_missing_the_origin_is_a_row_error():
+    ring = ("x", "y", "a")
+    spec = FamilySpec("shifted", ("x", "y"), ("a",), (parse_poly("x^2+y^2+a", ring),), "shift")
+    report = scan(spec, [{"a": 1}, {"a": 0}])
+    error = "fiber does not pass through the origin"
+    assert report.rows[0].error == error
+    assert (report.rows[0].tau, report.rows[0].non_isolated) == (None, False)
+    assert (report.rows[1].tau, report.modal_tau, report.jump_indices) == (1, 1, ())
+    rows = scan_report_dict(spec, report, {})["rows"]
+    assert rows[0] == {"point": {"a": "1"}, "error": error}
+
+
+@pytest.mark.parametrize(
+    "taus, modal, jumps",
+    [
+        ((8, 9, 9, 8, inf, None), 8, (1, 2, 4)),  # a tie goes to the smaller tau
+        ((10, 9, 10), 10, (1,)),  # the most frequent tau, not the smallest
+        ((inf, None, inf), None, (0, 2)),  # no finite tau: every infinite row jumps
+        ((None,), None, ()),
+    ],
+    ids=["tie", "most-frequent", "all-infinite", "all-errors"],
+)
+def test_scan_report_reads_modal_tau_and_jumps_off_its_rows(taus, modal, jumps):
+    rows = tuple(ScanRow({}, None, t, None, False, None if t is not None else "error") for t in taus)
+    report = ScanReport("rows", rows)
+    assert (report.modal_tau, report.jump_indices) == (modal, jumps)
+    assert [row.non_isolated for row in rows] == [t == inf for t in taus]

@@ -708,3 +708,40 @@ def test_residue_table_weighted_order_and_module():
     gens += [VectorPoly.from_polys([zero, g]) for g in eqs]
     sb = standard_basis(gens, NEGDEGREVLEX)
     assert_coordinates_match_mora(sb, staircase(sb), rng)
+
+
+# -- input checks ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        [parse_poly("x", V2), parse_poly("x", V3)],
+        [
+            VectorPoly.from_polys([parse_poly("x", V2)] * 2),
+            VectorPoly.from_polys([parse_poly("y", V2)] * 3),
+        ],
+    ],
+    ids=["rings", "components"],
+)
+def test_generators_must_share_ring_and_component_count(gens):
+    with pytest.raises(ValueError, match="^generators must share ring and component count$"):
+        standard_basis(gens, NEGDEGREVLEX)
+
+
+def test_quotient_coordinates_rejects_another_ring():
+    sb = standard_basis([parse_poly("x^2", V1)], NEGDEGREVLEX)
+    with pytest.raises(ValueError, match="^ring or component mismatch with basis$"):
+        quotient_coordinates(parse_poly("x", V2), sb, staircase(sb))
+
+
+def test_syzygies_reject_a_zero_generator():
+    with pytest.raises(ValueError, match="^zero generator has no meaningful syzygies$"):
+        syzygies([parse_poly("x", V2), parse_poly("0", V2)], NEGDEGREVLEX)
+
+
+def test_oracle_rejects_zero_and_mixed_generators():
+    with pytest.raises(ValueError, match="^need at least one nonzero generator$"):
+        truncated_quotient_dimension([parse_poly("0", V2)], 3)
+    with pytest.raises(ValueError, match="^generators from different rings$"):
+        truncated_quotient_dimension([parse_poly("x", V2), parse_poly("x", V3)], 3)

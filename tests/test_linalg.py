@@ -136,3 +136,8 @@ def test_deterministic_pivoting():
     assert linalg.kernel_basis(m) == linalg.kernel_basis(m[::-1]) == dense_kernel(m, 3)
     assert linalg.kernel_basis(m) == [[F(-3), F(-2), F(1)]]
     assert dense_rref(m)[1] == [0, 1]
+
+
+def test_empty_matrix_needs_a_column_count():
+    with pytest.raises(ValueError, match="^empty matrix needs an explicit column count$"):
+        linalg.kernel_basis([])

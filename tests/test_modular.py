@@ -481,3 +481,49 @@ def test_cofactor_selection_must_span_the_whole_annihilator(monkeypatch):
     )
     with pytest.raises(RuntimeError, match="cofactor fields span"):
         modular_tangent_space(f)
+
+
+# -- input checks and derived fields ----------------------------------------
+
+
+def test_tangent_derivation_needs_one_coefficient_per_variable():
+    f = parse_poly("x^2+y^2", V2)
+    with pytest.raises(ValueError, match="^one coefficient per ring variable required$"):
+        tangent_derivation(f, [parse_poly("x", V2)], Polynomial.zero(V2))
+
+
+def test_action_matrix_and_embedding_check_reject_another_ring():
+    _, t1 = cached_tjurina("x^3+y^3+z^3", V3)
+    f = parse_poly("x^3+y^3+z^3+w^3", V4)
+    zero = Polynomial.zero(V4)
+    v = tangent_derivation(f, [zero] * 4, zero)
+    with pytest.raises(ValueError, match="^basis and polynomial from different rings$"):
+        action_matrix(v, t1, f)
+    with pytest.raises(ValueError, match="^basis and polynomial from different rings$"):
+        embedding_check(f, t1)
+
+
+def test_zero_polynomial_has_no_homogeneous_degree():
+    with pytest.raises(ValueError, match="^zero polynomial is not homogeneous of a degree$"):
+        homogeneous_degree(Polynomial.zero(V2))
+
+
+def test_projective_t1_of_a_linear_form_is_zero():
+    # only z_i d/dx of x is nonzero; the z_i d/dz_j x for the other j vanish
+    assert projective_t1_dimension(parse_poly("x", V4)) == 0
+
+
+@pytest.mark.parametrize("entry", CATALOG, ids=lambda g: g.name)
+def test_derived_fields_equal_their_definitions(entry):
+    f = cached_poly(entry.text, entry.vars)
+    tau, t1 = cached_tjurina(entry.text, entry.vars)
+    stair, wdata = t1.stair, t1.weight_data
+    assert stair.finite and stair.dimension == len(stair.standard_monomials) == tau
+    assert t1.ring == stair.basis.ring == f.ring
+    assert t1.is_graded() == (wdata is not None) == entry.quasi_homogeneous
+    if wdata is None:
+        assert t1.weights is None
+    else:
+        assert t1.weights == tuple(wdata.monomial_weight(e) for _, e in stair.standard_monomials)
+    mt = cached_modular(entry.text, entry.vars)
+    assert mt.dimension == len(mt.kernel_basis) == entry.modular_dim

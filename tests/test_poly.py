@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from germcalc import Polynomial, parse_poly
+from germcalc import Polynomial, VectorPoly, parse_poly
 
 V2 = ("x", "y")
 V3 = ("x", "y", "z")
@@ -120,3 +120,45 @@ def test_evaluate():
 def test_ring_mismatch_raises():
     with pytest.raises(ValueError):
         parse_poly("x", V2) + parse_poly("x", V3)
+
+
+@pytest.mark.parametrize("expo", [(1,), (1, -1)], ids=["short", "negative"])
+def test_bad_exponent_raises(expo):
+    with pytest.raises(ValueError, match=r"^bad exponent \(1,( -1)?\) for ring"):
+        Polynomial(V2, {expo: Fraction(1)})
+
+
+def test_values_are_immutable():
+    with pytest.raises(AttributeError, match="^Polynomial is immutable$"):
+        parse_poly("x", V2).ring = V3
+    with pytest.raises(AttributeError, match="^VectorPoly is immutable$"):
+        VectorPoly.from_poly(parse_poly("x", V2)).ncomp = 2
+
+
+def test_unknown_variable_raises():
+    with pytest.raises(ValueError, match="^unknown variable 'z' in ring"):
+        Polynomial.variable(V2, "z")
+
+
+def test_scale_by_zero_is_zero():
+    assert parse_poly("x+y", V2).scale(0) == Polynomial.zero(V2)
+
+
+def test_negative_power_raises():
+    with pytest.raises(ValueError, match="^exponent must be a non-negative integer$"):
+        parse_poly("x", V2) ** -1
+
+
+def test_scale_variable_needs_a_unit():
+    with pytest.raises(ValueError, match="^coordinate scale must be a unit$"):
+        parse_poly("x", V2).scale_variable("x", 0)
+
+
+def test_vector_component_out_of_range():
+    with pytest.raises(ValueError, match=r"^component 2 out of range for O\^2$"):
+        VectorPoly(V2, 2, {(2, (0, 0)): Fraction(1)})
+
+
+def test_from_polys_needs_one_ring():
+    with pytest.raises(ValueError, match="^components from different rings$"):
+        VectorPoly.from_polys([parse_poly("x", V2), parse_poly("x", V3)])

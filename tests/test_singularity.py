@@ -50,6 +50,40 @@ def test_milnor_rejects_complete_intersections():
         milnor_number(g)
 
 
+@pytest.mark.parametrize("invariant", [milnor_number, tjurina_number], ids=["mu", "tau"])
+def test_hypersurface_invariants_share_one_input_check(invariant):
+    pair = GermInput((parse_poly("x", V3), parse_poly("y", V3)))
+    message = "^a hypersurface germ has one equation, not 2; see icis_tjurina$"
+    with pytest.raises(ValueError, match=message):
+        invariant(pair)
+    with pytest.raises(ValueError, match="^zero polynomial does not define a germ$"):
+        invariant(germ("0", ("x",)))
+
+
+def test_germ_needs_equations_from_one_ring():
+    with pytest.raises(ValueError, match="^a germ needs at least one equation$"):
+        GermInput(())
+    with pytest.raises(ValueError, match="^equations from different rings$"):
+        GermInput((parse_poly("x", V2), parse_poly("x", V3)))
+
+
+def test_graded_t1_coordinates_reject_another_ring():
+    _, t1 = cached_tjurina("x^3+y^3+z^3", V3)
+    with pytest.raises(ValueError, match="^polynomial from a different ring$"):
+        t1.coordinates(parse_poly("x", V2))
+
+
+def test_zero_polynomial_has_no_weights():
+    with pytest.raises(ValueError, match="^zero polynomial has no weights$"):
+        find_weights(Polynomial.zero(V2))
+
+
+def test_icis_of_zero_equations_is_degenerate():
+    zero = Polynomial.zero(V3)
+    with pytest.raises(ValueError, match="^degenerate input: all generators vanish$"):
+        icis_tjurina(GermInput((zero, zero)))
+
+
 # -- catalog values ------------------------------------------------------------
 
 

@@ -166,7 +166,7 @@ class ScanRow:
     tau: int | float | None
     modular_dim: int | None
     weights_found: bool
-    error: str | None = None
+    error: str | None = field(default=None, kw_only=True)
 
     @property
     def non_isolated(self) -> bool:

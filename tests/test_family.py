@@ -246,7 +246,7 @@ def test_fiber_missing_the_origin_is_a_row_error():
     ids=["tie", "most-frequent", "all-infinite", "all-errors"],
 )
 def test_scan_report_reads_modal_tau_and_jumps_off_its_rows(taus, modal, jumps):
-    rows = tuple(ScanRow({}, None, t, None, False, None if t is not None else "error") for t in taus)
+    rows = tuple(ScanRow({}, None, t, None, False, error=None if t is not None else "error") for t in taus)
     report = ScanReport("rows", rows)
     assert (report.modal_tau, report.jump_indices) == (modal, jumps)
     assert [row.non_isolated for row in rows] == [t == inf for t in taus]

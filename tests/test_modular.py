@@ -511,19 +511,3 @@ def test_zero_polynomial_has_no_homogeneous_degree():
 def test_projective_t1_of_a_linear_form_is_zero():
     # only z_i d/dx of x is nonzero; the z_i d/dz_j x for the other j vanish
     assert projective_t1_dimension(parse_poly("x", V4)) == 0
-
-
-@pytest.mark.parametrize("entry", CATALOG, ids=lambda g: g.name)
-def test_derived_fields_equal_their_definitions(entry):
-    f = cached_poly(entry.text, entry.vars)
-    tau, t1 = cached_tjurina(entry.text, entry.vars)
-    stair, wdata = t1.stair, t1.weight_data
-    assert stair.finite and stair.dimension == len(stair.standard_monomials) == tau
-    assert t1.ring == stair.basis.ring == f.ring
-    assert t1.is_graded() == (wdata is not None) == entry.quasi_homogeneous
-    if wdata is None:
-        assert t1.weights is None
-    else:
-        assert t1.weights == tuple(wdata.monomial_weight(e) for _, e in stair.standard_monomials)
-    mt = cached_modular(entry.text, entry.vars)
-    assert mt.dimension == len(mt.kernel_basis) == entry.modular_dim

@@ -164,9 +164,12 @@ def test_non_isolated_error_from_both_entry_points_even_after_a_cached_germ():
 
 @pytest.mark.parametrize("entry", CATALOG, ids=lambda g: g.name)
 def test_weight_data_is_what_find_weights_gives(entry):
-    _, t1 = cached_tjurina(entry.text, entry.vars)
-    wdata = find_weights(cached_poly(entry.text, entry.vars))
+    tau, t1 = cached_tjurina(entry.text, entry.vars)
+    f = cached_poly(entry.text, entry.vars)
+    wdata = find_weights(f)
     assert t1.weight_data == wdata
+    assert t1.stair.dimension == tau
+    assert t1.ring == f.ring
     assert (wdata is not None) == entry.quasi_homogeneous
     if wdata is not None:
         assert t1.weights == tuple(wdata.monomial_weight(e) for e in t1.monomials)

@@ -4,8 +4,7 @@ A code line is a line that is not blank, not a comment and not part of a
 docstring (the string statement that opens a module, class or function).
 The physical count is what ``wc -l`` prints.
 
-Usage, from anywhere: ``python tools/code_lines.py [package directory]``
-(default ``src/germcalc``).
+Usage, from anywhere: ``python tools/code_lines.py`` (counts ``src/germcalc``).
 """
 
 from __future__ import annotations
@@ -45,8 +44,8 @@ def count(path: Path) -> tuple[int, int]:
     return code, text.count("\n")
 
 
-def main(argv: list[str]) -> int:
-    package = Path(argv[0]) if argv else ROOT / "src" / "germcalc"
+def main() -> int:
+    package = ROOT / "src" / "germcalc"
     rows = [(path.name, *count(path)) for path in sorted(package.glob("*.py"))]
     width = max(len(name) for name, _, _ in rows)
     print(f"{'module'.ljust(width)}  {'code':>6}  {'wc -l':>6}")
@@ -59,4 +58,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -35,7 +35,7 @@ from typing import Mapping, Sequence
 
 from .modular import modular_tangent_space
 from .parse import parse_poly
-from .poly import Polynomial
+from .poly import Polynomial, _exact
 from .singularity import GermInput, find_weights, icis_tjurina, milnor_number, tjurina_algebra
 
 
@@ -72,7 +72,7 @@ def _template(name, ring_vars, parameters, texts, description, defaults=None):
         parameters=tuple(parameters),
         equations=eqs,
         description=description,
-        defaults={k: Fraction(v) for k, v in (defaults or {}).items()},
+        defaults={k: _exact(v) for k, v in (defaults or {}).items()},
     )
 
 
@@ -141,12 +141,17 @@ def catalog(name: str) -> FamilySpec:
 
 
 def evaluate(spec: FamilySpec, point: Mapping[str, Fraction | int | str]) -> GermInput:
-    """Specialize every parameter to an exact rational; fiber must pass 0."""
+    """Specialize every parameter to an exact rational; fiber must pass 0.
+
+    A value may be a ``Fraction``, an int or a string such as ``"-1/27"``;
+    a float raises ``TypeError`` (``poly._exact``), since a rounded
+    parameter misses the special fibers a family is scanned for.
+    """
     values: dict[str, Fraction] = {}
     for p in spec.parameters:
         if p not in point:
             raise ValueError(f"missing value for parameter {p!r}")
-        values[p] = Fraction(point[p])
+        values[p] = _exact(point[p])
     extra = set(point) - set(spec.parameters)
     if extra:
         raise ValueError(f"unknown parameters {sorted(extra)}")
@@ -203,12 +208,13 @@ def scan(
     Hypersurface fibers get mu, tau, weight detection and (optionally) the
     modular tangent dimension; complete intersection fibers get the module
     Tjurina number.  Evaluation errors are reported per row, not raised.
+    Point values are exact as in ``evaluate``; a float in any point raises
+    ``TypeError`` before the first row is computed.
     """
     if not points:
         raise ValueError("no sample points")
     rows: list[ScanRow] = []
-    for point in points:
-        clean = {p: Fraction(point[p]) for p in point}
+    for clean in [{p: _exact(v) for p, v in point.items()} for point in points]:
         try:
             germ = evaluate(spec, clean)
         except ValueError as exc:

@@ -517,8 +517,11 @@ def _engine_input(
     needs no local units, which sidesteps the tail blow-up Mora's
     intermediate pool can suffer on position-over-term module orders.
     The slack entry is the first, so it takes the most significant field.
+    ValueError when a weighted order has not one weight per ring variable.
     """
     nvars = len(vecs[0].ring)
+    if order.weights is not None and len(order.weights) != nvars:
+        raise ValueError(f"{len(order.weights)} order weights for a ring of {nvars} variables")
     if order.is_global():
         pk = packing(nvars)
         return [pk.pack_terms(v.terms) for v in vecs], cache(pk.keyed(order.module_key)), pk, 0

@@ -32,8 +32,8 @@ class MonomialOrder:
         if self.kind not in ("degrevlex", "negdegrevlex", "weighted"):
             raise ValueError(f"unknown order kind {self.kind!r}")
         if self.kind == "weighted":
-            if not self.weights or any(w <= 0 for w in self.weights):
-                raise ValueError("weighted order needs positive integer weights")
+            if not self.weights or any(not isinstance(w, int) or w <= 0 for w in self.weights):
+                raise ValueError(f"weighted order needs positive int weights, got {self.weights!r}")
         elif self.weights is not None:
             raise ValueError(f"{self.kind} order takes no weights")
 
@@ -69,7 +69,13 @@ NEGDEGREVLEX = MonomialOrder("negdegrevlex")
 
 
 def weighted_local(weights) -> MonomialOrder:
-    return MonomialOrder("weighted", tuple(int(w) for w in weights))
+    """The local weighted order of positive int weights, one per ring variable.
+
+    No weight is converted: a float, a string or a nonpositive weight raises
+    ValueError.  That the count matches the ring is checked where a standard
+    basis is computed.
+    """
+    return MonomialOrder("weighted", tuple(weights))
 
 
 def compare(order: MonomialOrder, a: Exponent, b: Exponent) -> int:

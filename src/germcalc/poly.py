@@ -12,6 +12,13 @@ to share across threads.
 
 An element of a free module O^k over the same ring is a ``VectorPoly``: a
 term map from (component, exponent tuple) to a nonzero ``Fraction``.
+
+Every number that enters from outside (a coefficient, a scale factor, a
+substituted or evaluated value) passes one gate, ``_exact``: a
+``Fraction``, an int or a string such as ``"-1/27"`` becomes a
+``Fraction``, and a float raises ``TypeError``, since it is already
+rounded.  Exponents and variable names are likewise checked in one place
+each (``_exponent``, ``_position``).
 """
 
 from __future__ import annotations
@@ -26,10 +33,26 @@ Terms = dict[ModTerm, Fraction]
 _ZERO = Fraction(0)
 
 
-def _as_fraction(c) -> Fraction:
+def _exact(c) -> Fraction:
+    """An outside number as a ``Fraction``; a float is refused, being already rounded."""
     if isinstance(c, Fraction):
         return c
+    if isinstance(c, float):
+        raise TypeError(f"inexact coefficient {c!r}")
     return Fraction(c)
+
+
+def _exponent(expo, ring: tuple[str, ...]) -> Exponent:
+    expo = tuple(expo)
+    if len(expo) != len(ring) or any(e < 0 for e in expo):
+        raise ValueError(f"bad exponent {expo} for ring {ring}")
+    return expo
+
+
+def _position(ring: tuple[str, ...], name: str) -> int:
+    if name not in ring:
+        raise ValueError(f"unknown variable {name!r} in ring {ring}")
+    return ring.index(name)
 
 
 class Polynomial:
@@ -39,17 +62,12 @@ class Polynomial:
 
     def __init__(self, ring: Iterable[str], terms: Mapping[Exponent, Fraction] | None = None):
         ring = tuple(ring)
-        n = len(ring)
         clean: dict[Exponent, Fraction] = {}
         if terms:
             for expo, coeff in terms.items():
-                coeff = _as_fraction(coeff)
-                if coeff == 0:
-                    continue
-                expo = tuple(expo)
-                if len(expo) != n or any(e < 0 for e in expo):
-                    raise ValueError(f"bad exponent {expo} for ring {ring}")
-                clean[expo] = coeff
+                coeff = _exact(coeff)
+                if coeff != 0:
+                    clean[_exponent(expo, ring)] = coeff
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", clean)
 
@@ -65,20 +83,18 @@ class Polynomial:
     @classmethod
     def constant(cls, ring: Iterable[str], value) -> Polynomial:
         ring = tuple(ring)
-        return cls(ring, {(0,) * len(ring): _as_fraction(value)})
+        return cls(ring, {(0,) * len(ring): _exact(value)})
 
     @classmethod
     def variable(cls, ring: Iterable[str], name: str) -> Polynomial:
         ring = tuple(ring)
-        if name not in ring:
-            raise ValueError(f"unknown variable {name!r} in ring {ring}")
         expo = [0] * len(ring)
-        expo[ring.index(name)] = 1
+        expo[_position(ring, name)] = 1
         return cls(ring, {tuple(expo): Fraction(1)})
 
     @classmethod
     def monomial(cls, ring: Iterable[str], expo: Exponent, coeff=1) -> Polynomial:
-        return cls(ring, {tuple(expo): _as_fraction(coeff)})
+        return cls(ring, {tuple(expo): _exact(coeff)})
 
     # -- basic queries -----------------------------------------------------
 
@@ -122,11 +138,7 @@ class Polynomial:
         return Polynomial(self.ring, out)
 
     def __sub__(self, other: Polynomial) -> Polynomial:
-        self._check_ring(other)
-        out = dict(self.terms)
-        for expo, coeff in other.terms.items():
-            out[expo] = out.get(expo, _ZERO) - coeff
-        return Polynomial(self.ring, out)
+        return self + -other
 
     def __neg__(self) -> Polynomial:
         return Polynomial(self.ring, {e: -c for e, c in self.terms.items()})
@@ -146,7 +158,7 @@ class Polynomial:
         return self.scale(other)
 
     def scale(self, c) -> Polynomial:
-        c = _as_fraction(c)
+        c = _exact(c)
         if c == 0:
             return Polynomial(self.ring)
         return Polynomial(self.ring, {e: c * coeff for e, coeff in self.terms.items()})
@@ -167,9 +179,7 @@ class Polynomial:
 
     def partial_derivative(self, var: str) -> Polynomial:
         """Formal partial derivative with respect to a ring variable."""
-        if var not in self.ring:
-            raise ValueError(f"unknown variable {var!r} in ring {self.ring}")
-        i = self.ring.index(var)
+        i = _position(self.ring, var)
         out: dict[Exponent, Fraction] = {}
         for expo, coeff in self.terms.items():
             e = expo[i]
@@ -183,7 +193,7 @@ class Polynomial:
         missing = set(self.ring) - set(point)
         if missing:
             raise ValueError(f"missing values for {sorted(missing)}")
-        vals = [_as_fraction(point[name]) for name in self.ring]
+        vals = [_exact(point[name]) for name in self.ring]
         total = _ZERO
         for expo, coeff in self.terms.items():
             term = coeff
@@ -199,7 +209,7 @@ class Polynomial:
         The result stays in the same ring; substituted variables no longer
         occur in any term.
         """
-        idx = {self.ring.index(name): _as_fraction(v) for name, v in values.items()}
+        idx = {_position(self.ring, name): _exact(v) for name, v in values.items()}
         out: dict[Exponent, Fraction] = {}
         for expo, coeff in self.terms.items():
             c = coeff
@@ -218,7 +228,7 @@ class Polynomial:
     def restrict_ring(self, new_ring: Iterable[str]) -> Polynomial:
         """Reinterpret over a sub-ring; every dropped variable must be unused."""
         new_ring = tuple(new_ring)
-        positions = [self.ring.index(name) for name in new_ring]
+        positions = [_position(self.ring, name) for name in new_ring]
         dropped = [i for i in range(len(self.ring)) if i not in positions]
         out: dict[Exponent, Fraction] = {}
         for expo, coeff in self.terms.items():
@@ -229,10 +239,10 @@ class Polynomial:
 
     def scale_variable(self, var: str, c) -> Polynomial:
         """Apply the coordinate change var -> c * var."""
-        c = _as_fraction(c)
+        c = _exact(c)
         if c == 0:
             raise ValueError("coordinate scale must be a unit")
-        i = self.ring.index(var)
+        i = _position(self.ring, var)
         return Polynomial(self.ring, {e: coeff * c ** e[i] for e, coeff in self.terms.items()})
 
     # -- printing ------------------------------------------------------------
@@ -292,16 +302,12 @@ class VectorPoly:
         clean: Terms = {}
         if terms:
             for (comp, expo), coeff in terms.items():
-                if isinstance(coeff, float):
-                    raise TypeError(f"inexact coefficient {coeff!r}")
+                coeff = _exact(coeff)
                 if coeff == 0:
                     continue
                 if not 0 <= comp < ncomp:
                     raise ValueError(f"component {comp} out of range for O^{ncomp}")
-                expo = tuple(expo)
-                if len(expo) != len(ring) or any(e < 0 for e in expo):
-                    raise ValueError(f"bad exponent {expo} for ring {ring}")
-                clean[(comp, expo)] = Fraction(coeff)
+                clean[(comp, _exponent(expo, ring))] = coeff
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "ncomp", ncomp)
         object.__setattr__(self, "terms", clean)
@@ -346,7 +352,7 @@ class VectorPoly:
         return hash((self.ring, self.ncomp, frozenset(self.terms.items())))
 
     def scale(self, c) -> VectorPoly:
-        c = Fraction(c)
+        c = _exact(c)
         return VectorPoly(self.ring, self.ncomp, {k: c * v for k, v in self.terms.items()})
 
     def __str__(self) -> str:

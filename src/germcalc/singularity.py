@@ -166,8 +166,9 @@ def find_weights(f: Polynomial) -> WeightData | None:
     weights pinned at d/2, normalized to d = 1.  When d is a pivot, every
     solution has d = 0 and there is none.  The solution is re-checked on
     every exponent, then scaled to a primitive integer vector with
-    gcd(w, d) = 1.  Returns None when no positive solution exists in these
-    coordinates.
+    gcd(w, d) = 1.  Returns None when that one solution has a weight <= 0.
+    With free weights this can miss a positive solution that needs other
+    values: x*y^2+z^2 gives None, though weights (2, 1, 2) of degree 4 fit.
     """
     if f.is_zero():
         raise ValueError("zero polynomial has no weights")

@@ -56,8 +56,9 @@ def run_cli(argv, capsys):
 def test_golden_json_outputs(name, capsys):
     code, out, _ = run_cli(GOLDEN_COMMANDS[name], capsys)
     assert code == EXPECTED_EXIT.get(name, 0)
-    payload = json.loads(out)
-    assert payload == json.loads((GOLDEN / name).read_text())
+    golden = (GOLDEN / name).read_text()
+    assert json.loads(out) == json.loads(golden)
+    assert out == golden  # byte for byte: number form, key order and indentation too
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS), ids=lambda n: n.split(".")[0])

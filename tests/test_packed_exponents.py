@@ -190,6 +190,18 @@ def test_the_largest_entry_that_fits_completes():
     assert sb.leading_terms == ((0, (0, 1)),)
 
 
+def test_the_residue_table_guard_fires_on_a_shifted_tail():
+    # x + y^max has lead x and tail y^max; the residue row of x*y shifts that
+    # tail to y^(max + 1), which does not fit.  That term lies past the cut of
+    # the staircase {1, y, y^2}, so its row would be zero, but the guard
+    # checks the shift before it looks the term up.
+    sb = standard_basis([parse_poly(f"x+y^{ENTRY_MAX}", V2), parse_poly("y^3", V2)], NEGDEGREVLEX)
+    stair = staircase(sb)
+    assert [e for _, e in stair.standard_monomials] == [(0, 0), (0, 1), (0, 2)]
+    with pytest.raises(ExponentOverflow, match="does not fit"):
+        stair.residue({(0, (1, 1)): 1})
+
+
 def test_a_shift_past_the_field_raises_before_it_wraps():
     # the S-vector of x^max and x + x^2 (lead x in a local order) shifts the
     # tail x^2 by x^(max - 1): the entry max + 1 must not wrap into the guard

@@ -144,6 +144,20 @@ def test_weights_inconsistent_system():
     assert find_weights(parse_poly("x^4+y^3+z^3+x*y*z", V3)) is None
 
 
+def test_weights_with_a_negative_entry_are_none():
+    # x^2 + x^3*y forces w_x = 1/2 and w_y = -1/2: the solution is re-checked
+    # and then refused for its nonpositive weight
+    assert find_weights(parse_poly("x^2+x^3*y", V2)) is None
+
+
+def test_weights_pinned_at_half_miss_a_positive_solution():
+    # w_x + 2*w_y = 1 leaves w_y free; pinned at 1/2 it gives w_x = 0, so
+    # None, although weights (2, 1, 2) of degree 4 make x*y^2+z^2 homogeneous
+    f = parse_poly("x*y^2+z^2", V3)
+    assert find_weights(f) is None
+    assert {sum(w * e for w, e in zip((2, 1, 2), expo)) for expo in f.terms} == {4}
+
+
 def test_weights_normalization_is_primitive():
     w = find_weights(parse_poly("x^4+y^2+z^2", V3))
     assert w == WeightData((1, 2, 2), 4)

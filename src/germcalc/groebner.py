@@ -5,15 +5,13 @@ a term map from (component, exponent tuple) to a nonzero rational.  Ideals are t
 case.  The machinery is shared:
 
 * inside the engine every exponent is one packed int (``germcalc.packed``):
-  each entry has a fixed-width field whose top bit is a guard, the first
-  entry in the most significant field, so ints compare like lex tuples, a
-  shift is one addition, a quotient one subtraction, divisibility one mask
-  test and an lcm a few bit operations (Monagan and Pearce, JSC 2011).
-  Exponent tuples exist only at the public boundary: packed on the way
-  in, unpacked for bases, relations, normal forms and residue tables on
-  the way out.  An entry that would not fit its field raises
-  ``ExponentOverflow`` (a ValueError) before any arithmetic, so nothing
-  wraps into a guard bit;
+  a guarded field per entry, so a shift is one addition, divisibility one
+  mask test and an lcm a few bit operations (Monagan and Pearce, JSC
+  2011), under order fields that make (component, packed) tuples compare
+  as the engine's order, so each lead is a plain ``max`` (Bachmann and
+  Schoenemann, ISSAC 1998).  Exponent tuples exist only at the public
+  boundary.  An entry that would not fit its field raises
+  ``ExponentOverflow`` (a ValueError) before any arithmetic;
 * reductions and S-vectors work on primitive integer rows, fraction-free
   (``_primitive``, ``_eliminate``; Bareiss's one-step integer-preserving
   elimination, with the content removed every few steps as SINGULAR does);
@@ -31,15 +29,11 @@ case.  The machinery is shared:
   (smallest lcm degree first, ties by the packed lcm, then by the pair's
   indices, in a heap of keys computed once per pair), with Gebauer and
   Moeller's pair update (``_walk_pairs``);
-* each term's order key is computed from the unpacked term once per
-  public call: ``_engine_input`` memoizes the key for ``standard_basis``
-  and ``syzygies`` (the completion and its certificate share that memo)
-  and ``normal_form`` memoizes its own; no memo outlives its call;
 * both reach the loop through ``_engine_input``, the one place where the
-  completion tells local from global orders: for local orderings it
-  degree-homogenizes the input and keys it by the induced global order
-  (Lazard's method), which keeps tails division-reduced throughout; the
-  slack entry is dropped afterwards;
+  completion tells local from global orders: it picks the packing, and
+  for local orderings it degree-homogenizes the input under the induced
+  global order (Lazard's method), which keeps tails division-reduced
+  throughout; the slack entry is dropped afterwards;
 * a divisor search scans leads in order with one mask test per lead
   (``_divisors``); the full reductions of a completion, of its
   certificate and of a global ``normal_form`` each go through one memo on
@@ -64,7 +58,7 @@ Syzygies are collected the Schreyer way: the generators are embedded with
 bookkeeping components under an elimination order and completed by the
 same engine on the same reducers, whose bookkeeping part
 (``_Reducer.book``, empty for a standard basis) holds no lead and is never
-keyed: each reduction step carries it along in the remainder
+compared: each reduction step carries it along in the remainder
 (``_eliminate``).  A remainder whose real part died is a relation, one
 syzygy in input coordinates.  The engine hands it over as the integer row
 it is; ``_relations`` makes each one rational, once, on input slots and
@@ -93,14 +87,13 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .orders import MonomialOrder
 from .packed import (
-    FIELD,
-    ExponentOverflow,
     PackedTerm,
     PackedTerms,
     Packing,
     Row,
     _divisors,
     _eliminate,
+    _engine_packing,
     _first_divisor,
     _primitive,
     _rational,
@@ -117,9 +110,6 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-KeyFn = Callable[[ModTerm], object]
-
-
 _CONTENT_EVERY = 8  # reduction steps between two content removals
 
 
@@ -127,7 +117,6 @@ def _nf_global(
     h: Row,
     pool: Sequence[_Reducer],
     first: Callable[[PackedTerm], int | None],
-    keyfn: KeyFn,
     pk: Packing,
     book: Row | None = None,
 ) -> tuple[Row, Fraction]:
@@ -148,7 +137,7 @@ def _nf_global(
     remainder: Row = {} if book is None else book
     scale, mult, steps = _ONE, 1, 0
     while h:
-        lt = max(h, key=keyfn)
+        lt = max(h)
         k = first(lt)
         if k is None:
             remainder[lt] = h.pop(lt)
@@ -165,7 +154,9 @@ def _ecart(terms: Row, lead: PackedTerm, degree: Callable[[int], int]) -> int:
     return max(degree(e) for _, e in terms) - degree(lead[1])
 
 
-def _nf_mora(h: Row, pool: Sequence[_Reducer], keyfn: KeyFn, pk: Packing) -> tuple[Row, Fraction]:
+def _nf_mora(
+    h: Row, pool: Sequence[_Reducer], keyfn: Callable[[PackedTerm], object], pk: Packing
+) -> tuple[Row, Fraction]:
     """Mora weak normal form for local orderings, fraction-free, and its scale.
 
     Reduces the leading term only, choosing the first divisor of minimal
@@ -215,7 +206,7 @@ def _spoly_terms(f: _Reducer, g: _Reducer, lcm: int, guard: int) -> tuple[Row, R
     return out, book, Fraction(f.coeff // e * g.coeff)
 
 
-def spoly(f: VectorPoly, g: VectorPoly, keyfn: KeyFn) -> VectorPoly:
+def spoly(f: VectorPoly, g: VectorPoly, keyfn: Callable[[ModTerm], object]) -> VectorPoly:
     """S-vector; the leading components must agree."""
     pk = packing(len(f.ring))
     key = pk.keyed(keyfn)
@@ -308,6 +299,7 @@ def _walk_pairs(
     component 0, need their coprime pairs.  Pending pairs pop smallest key
     first (lcm degree, packed lcm, i, j), each to ``reduce(i, j, lcm)``,
     which returns the reducer of a remainder that joins the basis, or None.
+    Pairs read the leads' exponent fields; ``reduce`` gets a lifted lcm.
 
     Soundness.  Say S(i, j), with lcm m, has a representation when it is
     sum a_l g_l over the final elements with every lead of a_l g_l below m.
@@ -332,35 +324,39 @@ def _walk_pairs(
     standard-basis property (Buchberger's criterion).
     """
     ideal = not any(r.book or any(comp for comp, _ in r.terms) for r in basis)
+    low = pk.low
+    exponents = [(comp, e & low) for comp, e in leads]
     pending: list[PairKey] = []
 
     def join(t: int):
-        kept = _criterion_b(pending, leads, t, pk)
+        kept = _criterion_b(pending, exponents, t, pk)
         if len(kept) < len(pending):
             heapify(kept)
             pending[:] = kept
-        for key in _new_pairs(leads, t, ideal, pk):
+        for key in _new_pairs(exponents, t, ideal, pk):
             heappush(pending, key)
 
     for t in range(len(basis)):
         join(t)
     while pending:
         _, lcm, i, j = heappop(pending)
-        new = reduce(i, j, lcm)
+        new = reduce(i, j, pk.lift(lcm))
         if new is not None:
             basis.append(new)
             leads.append(new.lead)
+            exponents.append((new.lead[0], new.lead[1] & low))
             join(len(basis) - 1)
 
 
 def _std_engine(
-    seeds: Sequence[PackedTerms], keyfn: KeyFn, pk: Packing, split: int | None = None
+    seeds: Sequence[PackedTerms], pk: Packing, split: int | None = None
 ) -> tuple[list[_Reducer], list[tuple[Row, Fraction]]]:
     """Buchberger completion under Gebauer and Moeller's pair update (``_walk_pairs``).
 
-    ``seeds`` and ``keyfn`` are on packed terms; the caller memoizes
-    ``keyfn`` (``_engine_input`` does, once per public call).  Returns the
-    completed basis, as primitive integer rows, and the relations.  Every
+    ``seeds`` are on ``pk``, whose order fields decide the order
+    (``_engine_input``), so each lead is the plain ``max`` of a row's
+    (component, packed) terms.  Returns the completed basis, as primitive
+    integer rows, and the relations.  Every
     S-vector is reduced by ``_nf_global`` through one divisor memo
     (``_first_divisor``) on the one leads list of the completion, which
     ``_walk_pairs`` keeps in step with the basis.
@@ -371,7 +367,7 @@ def _std_engine(
     and Moeller, JSC 1988).
 
     With ``split``, the seeds are Schreyer rows: their terms in components
-    >= ``split`` are the bookkeeping part (``_Reducer.book``), never keyed.
+    >= ``split`` are the bookkeeping part (``_Reducer.book``), never compared.
     A remainder with a real term joins the basis; a nonzero one without is
     a relation, which reduces nothing and forms no pairs.  It is returned
     as it came, a primitive integer row on packed terms with its scale:
@@ -384,7 +380,7 @@ def _std_engine(
 
     def reducer(row: Row) -> _Reducer:
         real = row if split is None else [t for t in row if t[0] < split]
-        return _reducer(max(real, key=keyfn), row, pk, split)
+        return _reducer(max(real), row, pk, split)
 
     basis = [reducer(_primitive(t)[0]) for t in seeds]
     leads = [r.lead for r in basis]
@@ -392,7 +388,7 @@ def _std_engine(
 
     def reduce(i: int, j: int, lcm: int) -> _Reducer | None:
         s, book, s_scale = _spoly_terms(basis[i], basis[j], lcm, guard)
-        h, h_scale = _nf_global(s, basis, first, keyfn, pk, book)
+        h, h_scale = _nf_global(s, basis, first, pk, book)
         if not h:
             return None
         if split is None or any(comp < split for comp, _ in h):
@@ -426,7 +422,7 @@ def _minimal(leads: Sequence[PackedTerm], pk: Packing, order: MonomialOrder) -> 
     return sorted(kept, key=lambda i: key(leads[i]))
 
 
-def _verify_complete(basis: Sequence[_Reducer], keyfn: KeyFn, pk: Packing):
+def _verify_complete(basis: Sequence[_Reducer], pk: Packing):
     """Re-check the Buchberger criterion on the completed generator set.
 
     The elements join ``_walk_pairs`` one at a time, in order, under the
@@ -449,7 +445,7 @@ def _verify_complete(basis: Sequence[_Reducer], keyfn: KeyFn, pk: Packing):
 
     def reduce(i: int, j: int, lcm: int) -> None:
         s = _spoly_terms(basis[i], basis[j], lcm, pk.guard)[0]
-        if _nf_global(s, basis, first, keyfn, pk)[0]:
+        if _nf_global(s, basis, first, pk)[0]:
             raise RuntimeError(
                 f"completion check failed: S-vector of generators {i},{j} has nonzero normal form"
             )
@@ -505,34 +501,26 @@ def _homogenize_terms(terms: Terms) -> Terms:
 
 def _engine_input(
     vecs: Sequence[VectorPoly], order: MonomialOrder
-) -> tuple[list[PackedTerms], KeyFn, Packing, int]:
-    """Packed seeds, packed term key, packing and number of slack entries for completing ``vecs``.
+) -> tuple[list[PackedTerms], Packing, int]:
+    """Packed seeds, packing and number of slack entries for completing ``vecs``.
 
-    The key is memoized: one key per term for the call that completes
-    ``vecs``, shared by the completion and its certificate, and dropped with
-    the call.  The one place where the completion tells local from global orders.  A
-    global order gets the inputs as given, under its own key; a local order
-    gets their degree-homogenizations (Lazard's method), keyed by component,
-    then total degree, then the local order on the rest.  Reduction then
-    needs no local units, which sidesteps the tail blow-up Mora's
-    intermediate pool can suffer on position-over-term module orders.
-    The slack entry is the first, so it takes the most significant field.
+    The one place where the completion tells local from global orders.  A
+    global order gets the inputs as given; a local order gets their
+    degree-homogenizations (Lazard's method), ordered by component, then
+    total degree, then the local order on the rest.  Reduction then needs
+    no local units, which sidesteps the tail blow-up Mora's intermediate
+    pool can suffer on position-over-term module orders.  The slack entry
+    is the first, so it takes the most significant exponent field.  The
+    packing's order fields decide the order (``_engine_packing``).
     ValueError when a weighted order has not one weight per ring variable.
     """
     nvars = len(vecs[0].ring)
     if order.weights is not None and len(order.weights) != nvars:
         raise ValueError(f"{len(order.weights)} order weights for a ring of {nvars} variables")
-    if order.is_global():
-        pk = packing(nvars)
-        return [pk.pack_terms(v.terms) for v in vecs], cache(pk.keyed(order.module_key)), pk, 0
-    skey = order.sort_key
-
-    def key(term: ModTerm):
-        comp, ext = term
-        return (comp, sum(ext), skey(ext[1:]))
-
-    pk = packing(nvars + 1)
-    return [pk.pack_terms(_homogenize_terms(v.terms)) for v in vecs], cache(pk.keyed(key)), pk, 1
+    pk = _engine_packing(order, nvars)
+    pad = pk.size - nvars
+    terms = [_homogenize_terms(v.terms) if pad else v.terms for v in vecs]
+    return [pk.pack_terms(t) for t in terms], pk, pad
 
 
 def standard_basis(
@@ -540,7 +528,7 @@ def standard_basis(
 ) -> StandardBasis:
     """Complete the generators to a standard (Groebner) basis.
 
-    One path for every order: the seeds and key from ``_engine_input``
+    One path for every order: the seeds and packing from ``_engine_input``
     (which homogenizes for a local order) are completed, the completion is
     certified and minimalized on its leads (``_minimal``), and the kept
     integer rows are made monic rational ones, slack entries dropped.  Output is
@@ -548,21 +536,21 @@ def standard_basis(
     generators sorted by leading term.  With ``verify`` (the default) the
     Buchberger criterion is re-checked on the final set.
 
-    Dropping the slack entry masks off the most significant field, and it
-    keeps every lead: a completed row of a local order is homogeneous, so
-    its terms in one component differ only in the dehomogenized part the
-    local order compares.
+    Dropping the order fields and the slack entry masks off the most
+    significant fields, and it keeps every lead: a completed row of a local
+    order is homogeneous, so its terms in one component differ only in the
+    dehomogenized part the local order compares.
     """
     vecs = [v for v in _as_vectors(gens) if not v.is_zero()]
     if not vecs:
         raise ValueError("all generators are zero")
     ring, ncomp = vecs[0].ring, vecs[0].ncomp
-    seeds, engine_key, pk, _ = _engine_input(vecs, order)
-    completed, _ = _std_engine(seeds, engine_key, pk)
+    seeds, pk, _ = _engine_input(vecs, order)
+    completed, _ = _std_engine(seeds, pk)
     if verify:
-        _verify_complete(completed, engine_key, pk)
+        _verify_complete(completed, pk)
     out = packing(len(ring))
-    low = (1 << (FIELD * out.size)) - 1  # every field but the slack entry's
+    low = out.low  # every exponent field but the slack entry's
     leads = [(comp, e & low) for comp, e in (r.lead for r in completed)]
     kept = _minimal(leads, out, order)
     monic = [
@@ -585,18 +573,18 @@ def normal_form(p: VectorPoly | Polynomial, basis: StandardBasis) -> VectorPoly:
     v = VectorPoly.from_poly(p) if isinstance(p, Polynomial) else p
     if v.ring != basis.ring or v.ncomp != basis.ncomp:
         raise ValueError("ring or component mismatch with basis")
-    pk = packing(len(v.ring))
+    order = basis.order
+    pk = packing(len(v.ring)) if order.is_local() else _engine_packing(order, len(v.ring))
     row, scale = _primitive(pk.pack_terms(v.terms))
     pool = [
         _reducer((lead[0], pk.pack(lead[1])), _primitive(pk.pack_terms(g.terms))[0], pk)
         for g, lead in zip(basis.generators, basis.leading_terms)
     ]
-    key = cache(pk.keyed(basis.order.module_key))
-    if basis.order.is_local():
-        h, h_scale = _nf_mora(row, pool, key, pk)
+    if order.is_local():
+        h, h_scale = _nf_mora(row, pool, cache(pk.keyed(order.module_key)), pk)
     else:
         first = _first_divisor([r.lead for r in pool], pk.guard)
-        h, h_scale = _nf_global(row, pool, first, key, pk)
+        h, h_scale = _nf_global(row, pool, first, pk)
     return VectorPoly(v.ring, v.ncomp, pk.unpack_terms(_rational(h, scale * h_scale)))
 
 
@@ -624,24 +612,30 @@ class Staircase:
         unit vector, any other term to minus the shifted tail of the first
         generator (monic) whose lead divides it.  The fill runs on packed
         terms, each tail packed and negated once; the table it returns is
-        keyed by exponent tuples.
+        keyed by exponent tuples.  A shifted tail term past the cut is zero and
+        is skipped by its degree; one below it is a smaller table term, packed
+        already, so no shift here overflows.
         """
         if not self.finite:
             raise ValueError("quotient is not finite dimensional")
         basis, order = self.basis, self.basis.order
         if not order.is_local():
             raise ValueError("residues need a local degree-compatible order")
-        cut = 1 + max((order.degree(e) for _, e in self.standard_monomials), default=-1)
-        below = [e for e in product(range(cut), repeat=len(basis.ring)) if order.degree(e) < cut]
+        degree = order.degree
+        cut = 1 + max((degree(e) for _, e in self.standard_monomials), default=-1)
+        box = product(range(cut), repeat=len(basis.ring))
+        below = {e: d for e in box if (d := degree(e)) < cut}  # each term's degree
         terms = sorted(((c, e) for c in range(basis.ncomp) for e in below), key=order.module_key)
         pk = packing(len(basis.ring))
         positions = {(c, pk.pack(e)): i for i, (c, e) in enumerate(self.standard_monomials)}
         guard = pk.guard
-        leads = [(comp, pk.pack(e)) for comp, e in basis.leading_terms]
-        tails = []
+        leads, tails = [], []
         for g, lead in zip(basis.generators, basis.leading_terms):
-            tail = {(comp, pk.pack(e)): -c for (comp, e), c in g.terms.items() if (comp, e) != lead}
-            tails.append((tail, pk.top(tail)))
+            leads.append((lead[0], pk.pack(lead[1])))
+            tail = [
+                ((c, pk.pack(e)), degree(e), -a) for (c, e), a in g.terms.items() if (c, e) != lead
+            ]
+            tails.append((degree(lead[1]), tail))
         rows: dict[PackedTerm, dict[int, Fraction]] = {}
         for comp, expo in terms:
             term = (comp, pk.pack(expo))
@@ -649,16 +643,14 @@ class Staircase:
                 rows[term] = {positions[term]: _ONE}
                 continue
             k = next(_divisors(leads, term, guard))
-            tail, top = tails[k]
-            shift = term[1] - leads[k][1]
-            if (top + shift) & guard:
-                raise ExponentOverflow()
+            lead_degree, tail = tails[k]
+            shift, room = term[1] - leads[k][1], cut - below[expo] + lead_degree
             row: dict[int, Fraction] = {}
-            # each tail term is smaller than the lead: its row is known, or
-            # it lies beyond the cut and is zero
-            for (tcomp, texpo), c in tail.items():
-                for j, a in rows.get((tcomp, texpo + shift), {}).items():
-                    row[j] = row.get(j, _ZERO) + c * a
+            # a tail term of degree d lands below the cut exactly when d < room
+            for (tcomp, texpo), d, c in tail:
+                if d < room:
+                    for j, a in rows[(tcomp, texpo + shift)].items():
+                        row[j] = row.get(j, _ZERO) + c * a
             rows[term] = {j: a for j, a in row.items() if a}
         return pk.unpack_terms(rows)
 
@@ -684,25 +676,35 @@ class Staircase:
 
 
 def staircase(basis: StandardBasis) -> Staircase:
-    """Quotient staircase; finiteness decided by the pure-power criterion."""
+    """Quotient staircase; finiteness decided by the pure-power criterion.
+
+    Standard monomials are closed under division, so they grow from 1 one
+    variable at a time: each m found is extended by x_i, x_i^2, ... up to the
+    first non-standard one.  Each extension fits, below a pure-power lead.
+    """
     nvars = len(basis.ring)
+    if not all(
+        any(c == comp and not any(e[:i] + e[i + 1 :]) for c, e in basis.leading_terms)
+        for comp in range(basis.ncomp)
+        for i in range(nvars)
+    ):
+        return Staircase((), False, basis)
     pk = packing(nvars)
     leads = [(comp, pk.pack(e)) for comp, e in basis.leading_terms]
+
+    def standard(term: PackedTerm) -> bool:
+        return next(_divisors(leads, term, pk.guard), None) is None
+
     found: list[ModTerm] = []
     for comp in range(basis.ncomp):
-        bounds = []
-        for i in range(nvars):
-            pure = [
-                e[i]
-                for c, e in basis.leading_terms
-                if c == comp and all(e[j] == 0 for j in range(nvars) if j != i)
-            ]
-            if not pure:
-                return Staircase((), False, basis)
-            bounds.append(min(pure))
-        for expo in product(*(range(b) for b in bounds)):
-            if next(_divisors(leads, (comp, pk.pack(expo)), pk.guard), None) is None:
-                found.append((comp, expo))
+        stair = [0] if standard((comp, 0)) else []
+        for unit in pk.units:
+            for x in stair[:]:
+                x += unit
+                while standard((comp, x)):
+                    stair.append(x)
+                    x += unit
+        found += [(comp, pk.unpack(x)) for x in stair]
     found.sort(key=lambda t: (sum(t[1]), t[0], t[1]))
     return Staircase(tuple(found), True, basis)
 
@@ -728,10 +730,10 @@ def _relations(vecs: Sequence[VectorPoly], order: MonomialOrder) -> Iterator[Ter
     if any(v.is_zero() for v in vecs):
         raise ValueError("zero generator has no meaningful syzygies")
     r = vecs[0].ncomp
-    seeds, key, pk, pad = _engine_input(vecs, order)
+    seeds, pk, pad = _engine_input(vecs, order)
     # the packed exponent 0 is the constant term
     extended = [{**terms, (r + i, 0): _ONE} for i, terms in enumerate(seeds)]
-    _, relations = _std_engine(extended, key, pk, r)
+    _, relations = _std_engine(extended, pk, r)
     for h, scale in relations:
         yield {(comp - r, pk.unpack(e)[pad:]): c / scale for (comp, e), c in h.items()}
 
@@ -746,7 +748,7 @@ def syzygies(gens: Sequence[VectorPoly | Polynomial], order: MonomialOrder) -> l
     bookkeeping part is one syzygy.  No lead is a bookkeeping term and every
     bookkeeping term sorts below every real one, so the order among them
     never matters: the engine holds them apart (``_Reducer.book``) and
-    never keys them.  The engine drops pairs by Gebauer and Moeller's
+    never compares them.  The engine drops pairs by Gebauer and Moeller's
     criteria B, F and M (``_walk_pairs``); the product criterion stays
     off, since the seeds have terms outside component 0.
 
@@ -761,7 +763,7 @@ def syzygies(gens: Sequence[VectorPoly | Polynomial], order: MonomialOrder) -> l
     generates the elements without real terms, which are the syzygies; that
     part lies in the submodule generated by R, so R generates the syzygies.
 
-    The seeds and the term key come from ``_engine_input``, as for
+    The seeds and the packing come from ``_engine_input``, as for
     ``standard_basis``: for a local target order the collection runs on the
     degree-homogenized inputs under the induced global order; setting the
     slack variable to 1 turns any homogeneous relation into a relation of

@@ -19,6 +19,20 @@ every field is a guard and is 0 in a packed exponent; entries go up to
 The field width is fixed here; an entry that does not fit raises
 ``ExponentOverflow``, a ValueError, before it is packed or shifted.
 
+A packing may put order fields above the exponent fields (``forms``), so
+that the packed ints compare as a term order does (Bachmann and
+Schoenemann, "Monomial representations for Groebner bases computations",
+ISSAC 1998).  Each order field holds a nonnegative integer linear form of
+the exponent, the first form most significant, and is wide enough for the
+form of any exponent whose entries fit; it has no guard bit.  The forms
+are linear, so a shift is still one addition, and monotone, so a divisor's
+forms never exceed the multiple's: the guard test above, on the exponent
+guards alone, stays exact (a borrow runs upward only, never into an
+exponent field), and so does the overflow test of a shift, which then
+fires on exactly the inputs it fires on without order fields.  ``lcm``,
+``top`` and ``degree`` read the exponent fields alone (``low``); ``lift``
+puts the order fields onto an exponent part.
+
 A row is a term map from (component, packed exponent) to an integer.  The
 row helpers below (a reducer with its lead data, the divisor lookup and its
 memo, the shifted subtraction, one elimination step, content removal,
@@ -39,8 +53,10 @@ from fractions import Fraction
 from functools import cache
 from itertools import islice
 from math import gcd, lcm
+from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
+from .orders import MonomialOrder
 from .poly import Exponent, Terms
 
 PackedTerm = tuple[int, int]  # (component, packed exponent)
@@ -61,22 +77,27 @@ class ExponentOverflow(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class Packing:
-    """Packed exponents with ``size`` entries; build one with ``packing(size)``."""
+    """Packed exponents with ``size`` entries, under order fields of ``forms``;
+    build one with ``packing(size, forms)``."""
 
     size: int
-    guard: int  # the guard bit of every field
-    pairs: int  # the low field of each pair of fields, for the degree
+    guard: int  # the guard bit of every exponent field
+    pairs: int  # the low field of each pair of exponent fields, for the degree
+    low: int  # every exponent field
+    forms: tuple[tuple[int, ...], ...]  # the order forms, most significant first
+    units: tuple[int, ...]  # the packed unit exponents: packing is linear
 
     def pack(self, expo: Exponent) -> int:
-        x = 0
-        for e in expo:
-            if e > ENTRY_MAX:
-                raise ExponentOverflow()
-            x = x << FIELD | e
-        return x
+        if max(expo, default=0) > ENTRY_MAX:
+            raise ExponentOverflow()
+        return sum(map(mul, expo, self.units))
 
     def unpack(self, x: int) -> Exponent:
         return tuple(x >> (FIELD * k) & ENTRY_MAX for k in range(self.size - 1, -1, -1))
+
+    def lift(self, x: int) -> int:
+        """The packed exponent whose exponent fields are those of x."""
+        return sum(map(mul, self.unpack(x), self.units))
 
     def pack_terms(self, terms: dict) -> dict:
         """A term map on (component, exponent tuple) keys, on packed keys."""
@@ -91,31 +112,59 @@ class Packing:
         return lambda term: key((term[0], unpack(term[1])))
 
     def lcm(self, a: int, b: int) -> int:
-        """The per-field maximum: a's field wherever a's entry is >= b's."""
+        """The per-field maximum of exponent parts: a's field wherever a's entry is >= b's."""
         g = self.guard
         ge = ((a | g) - b) & g
         return b ^ ((a ^ b) & (ge - (ge >> (FIELD - 1))))
 
     def top(self, terms: Iterable[PackedTerm]) -> int:
-        """The per-field maximum over the exponents of (component, packed) terms."""
-        t = 0
+        """The per-field maximum over the exponent parts of (component, packed) terms."""
+        t, low = 0, self.low
         for _, e in terms:
-            t = self.lcm(t, e)
+            t = self.lcm(t, e & low)
         return t
 
     def degree(self, x: int) -> int:
-        """The sum of the entries: adjacent fields added pairwise, then the
-        pair sums added by one remainder (2^(2 * FIELD) = 1 modulo _PAIR_MOD),
-        exact for fewer than 2^(FIELD + 1) entries."""
+        """The sum of the entries of an exponent part: adjacent fields added
+        pairwise, then the pair sums added by one remainder (2^(2 * FIELD) = 1
+        modulo _PAIR_MOD), exact for fewer than 2^(FIELD + 1) entries."""
         p = self.pairs
         return ((x & p) + (x >> FIELD & p)) % _PAIR_MOD
 
 
 @cache
-def packing(size: int) -> Packing:
+def packing(size: int, forms: tuple[tuple[int, ...], ...] = ()) -> Packing:
     guard = sum(1 << (FIELD * k + FIELD - 1) for k in range(size))
     pairs = sum(((1 << FIELD) - 1) << (2 * FIELD * k) for k in range((size + 1) // 2))
-    return Packing(size, guard, pairs)
+    units = [1 << FIELD * k for k in range(size - 1, -1, -1)]
+    offset = FIELD * size
+    for form in reversed(forms):
+        units = [u | c << offset for u, c in zip(units, form)]
+        offset += (sum(form) * ENTRY_MAX).bit_length()
+    return Packing(size, guard, pairs, (1 << FIELD * size) - 1, forms, tuple(units))
+
+
+def _engine_packing(order: MonomialOrder, nvars: int) -> Packing:
+    """The packing whose ints compare as the engine's order on ``nvars``
+    variables, with the slack entry of a local order in front.
+
+    Both orders start with the total degree and end with revlex, which at
+    equal total degree prefers the smaller last entry, then the smaller one
+    before it, and so on: that is the larger partial sum e_1 + ... + e_k
+    for k = size - 1 down to 1.  A local order puts W * total - w . rest
+    between them, W the largest of its weights w (all 1 for negdegrevlex):
+    at equal total it is larger exactly when the (weighted) degree of the
+    rest is smaller, and with the total and the other sums it fixes e_1, so
+    its revlex needs no k = 1.
+    """
+    pad = int(order.is_local())
+    size = nvars + pad
+    forms = tuple((1,) * k + (0,) * (size - k) for k in range(size - 1, pad, -1))
+    if pad:
+        w = order.weights or (1,) * nvars
+        top = max(w, default=1)
+        forms = ((top, *(top - x for x in w)), *forms)
+    return packing(size, ((1,) * size, *forms))
 
 
 # -- integer rows on packed terms -------------------------------------------------

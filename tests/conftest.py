@@ -274,14 +274,36 @@ def reference_walk(seeds, keyfn, split):
 # -- the engine's packed exponents, for tests that drive its internals ------------
 
 
-def engine_pool(term_maps, keyfn, size):
-    """The engine's reducers of tuple term maps, the key on packed terms and the packing."""
-    from germcalc.packed import _primitive, _reducer, packing
+def engine_key(order):
+    """The engine's term order as a tuple key, apart from its packing.
 
-    pk = packing(size)
-    key = pk.keyed(keyfn)
+    A global order is its own module key.  A local order is completed on
+    slack-padded terms (Lazard's method): component, then total degree,
+    then the local order on the exponent after the slack entry.
+    """
+    if order.is_global():
+        return order.module_key
+
+    def key(term):
+        comp, ext = term
+        return (comp, sum(ext), order.sort_key(ext[1:]))
+
+    return key
+
+
+def engine_pool(term_maps, keyfn, pk):
+    """The engine's reducers of tuple term maps on the packing ``pk``.
+
+    Each lead is the plain ``max`` of the packed terms, as in the engine,
+    and must be the largest term under the tuple key ``keyfn``.
+    """
+    from germcalc.packed import _primitive, _reducer
+
     rows = [_primitive(pk.pack_terms(t))[0] for t in term_maps]
-    return [_reducer(max(row, key=key), row, pk) for row in rows], key, pk
+    pool = [_reducer(max(row), row, pk) for row in rows]
+    key = pk.keyed(keyfn)
+    assert [red.lead for red in pool] == [max(row, key=key) for row in rows]
+    return pool
 
 
 def unpacked_lead(red, pk):

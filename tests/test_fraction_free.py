@@ -27,19 +27,28 @@ from germcalc import (
     syzygies,
 )
 from germcalc.groebner import _nf_global, _spoly_terms
-from germcalc.packed import _first_divisor, _primitive, _reducer, packing
-from conftest import CATALOG, cached_poly, engine_pool, full_division, monic_row, monic_spoly
+from germcalc.packed import _engine_packing, _first_divisor, _primitive, _reducer
+from conftest import (
+    CATALOG,
+    cached_poly,
+    engine_key,
+    engine_pool,
+    full_division,
+    monic_row,
+    monic_spoly,
+)
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
-
-def homogenized_negdegrevlex(term):
-    """Degree first, then the local order on the rest: the engine's key for local orders."""
-    comp, ext = term
-    return (comp, sum(ext), NEGDEGREVLEX.sort_key(ext[1:]))
+# the engine's orders: a global one on plain terms, a local one on
+# slack-padded terms, whose first entry is the slack
+ORDERS = {"degrevlex": DEGREVLEX, "homogenized": NEGDEGREVLEX}
 
 
-KEYS = {"degrevlex": DEGREVLEX.module_key, "homogenized": homogenized_negdegrevlex}
+def key_and_packing(label, size):
+    """The tuple key and the engine's packing of an order on terms with ``size`` entries."""
+    order = ORDERS[label]
+    return engine_key(order), _engine_packing(order, size - order.is_local())
 
 
 @st.composite
@@ -54,21 +63,21 @@ def reduction_cases(draw):
     h = draw(st.dictionaries(term, small, min_size=1, max_size=10))
     rational = st.builds(Fraction, small, st.integers(1, 4))
     pool = draw(st.lists(st.dictionaries(term, rational, min_size=1, max_size=4), min_size=1, max_size=4))
-    return draw(st.sampled_from(sorted(KEYS))), h, pool
+    return draw(st.sampled_from(sorted(ORDERS))), h, pool
 
 
 @PROPERTY
 @given(reduction_cases())
 def test_integer_rows_are_their_scale_times_the_rational_ones(case):
     label, h, seeds = case
-    key = KEYS[label]
+    key, pk = key_and_packing(label, len(next(iter(h))[1]))
     rows = [monic_row(t, key) for t in seeds]
-    pool, packed_key, pk = engine_pool(seeds, key, len(next(iter(h))[1]))
+    pool = engine_pool(seeds, key, pk)
     assert all(type(c) is int for red in pool for c in red.terms.values())
     assert not any(red.book for red in pool)
     # the full division of h by the pool
     first = _first_divisor([red.lead for red in pool], pk.guard)
-    remainder, scale = _nf_global(pk.pack_terms(h), pool, first, packed_key, pk)
+    remainder, scale = _nf_global(pk.pack_terms(h), pool, first, pk)
     assert type(scale) is Fraction and scale
     assert all(type(c) is int for c in remainder.values())
     expected = full_division(h, rows, key)
@@ -77,7 +86,7 @@ def test_integer_rows_are_their_scale_times_the_rational_ones(case):
     for i in range(len(pool)):
         for j in range(len(pool)):
             if pool[i].lead[0] == pool[j].lead[0]:
-                lcm = pk.lcm(pool[i].lead[1], pool[j].lead[1])
+                lcm = pk.lift(pk.lcm(pool[i].lead[1], pool[j].lead[1]))
                 s, book, scale = _spoly_terms(pool[i], pool[j], lcm, pk.guard)
                 assert type(scale) is Fraction and scale and not book
                 expected = monic_spoly(rows[i], rows[j])
@@ -103,7 +112,7 @@ def schreyer_cases(draw):
          (draw(st.integers(0, split - 1)), draw(expo)): draw(rational)}
         for _ in range(draw(st.integers(1, 4)))
     ]
-    return split, draw(st.sampled_from(sorted(KEYS))), h, pool
+    return split, draw(st.sampled_from(sorted(ORDERS))), h, pool
 
 
 @PROPERTY
@@ -113,23 +122,24 @@ def test_split_reduction_is_the_division_of_the_joined_row(case):
     # part in the remainder; the reference divides the joined row, with the
     # bookkeeping terms below every real one
     split, label, h, seeds = case
-    key = KEYS[label]
+    key, pk = key_and_packing(label, len(next(iter(h))[1]))
 
     def joined_key(term):
         return (term[0] < split, key(term))
 
     rows = [monic_row(t, joined_key) for t in seeds]
-    pk = packing(len(next(iter(h))[1]))
     packed_key = pk.keyed(key)
     primitive = [_primitive(pk.pack_terms(t))[0] for t in seeds]
-    pool = [_reducer(max((t for t in row if t[0] < split), key=packed_key), row, pk, split)
-            for row in primitive]
+    pool = [_reducer(max(t for t in row if t[0] < split), row, pk, split) for row in primitive]
+    assert [red.lead for red in pool] == [
+        max((t for t in row if t[0] < split), key=packed_key) for row in primitive
+    ]
     assert all(red.lead[0] < split and all(t[0] < split for t in red.terms) for red in pool)
     assert all(t[0] >= split for red in pool for t in red.book)
     real = {t: c for t, c in pk.pack_terms(h).items() if t[0] < split}
     book = {t: c for t, c in pk.pack_terms(h).items() if t[0] >= split}
     first = _first_divisor([red.lead for red in pool], pk.guard)
-    remainder, scale = _nf_global(real, pool, first, packed_key, pk, book)
+    remainder, scale = _nf_global(real, pool, first, pk, book)
     assert type(scale) is Fraction and scale
     expected = full_division(h, rows, joined_key)
     assert pk.unpack_terms(remainder) == {t: scale * c for t, c in expected.items()}
@@ -137,7 +147,7 @@ def test_split_reduction_is_the_division_of_the_joined_row(case):
     for i in range(len(pool)):
         for j in range(len(pool)):
             if pool[i].lead[0] == pool[j].lead[0]:
-                lcm = pk.lcm(pool[i].lead[1], pool[j].lead[1])
+                lcm = pk.lift(pk.lcm(pool[i].lead[1], pool[j].lead[1]))
                 s, book, scale = _spoly_terms(pool[i], pool[j], lcm, pk.guard)
                 s.update(book)
                 expected = monic_spoly(rows[i], rows[j])

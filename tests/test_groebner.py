@@ -5,6 +5,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import product
 from math import inf
 
 import pytest
@@ -25,11 +26,12 @@ from germcalc import (
 )
 from germcalc import groebner
 from germcalc.groebner import _check_syzygies, _homogenize_terms, _std_engine, _verify_complete
-from germcalc.packed import packing
+from germcalc.packed import _engine_packing
 from conftest import (
     CATALOG,
     cached_poly,
     cached_tjurina,
+    engine_key,
     engine_pool,
     monic_row,
     monic_spoly,
@@ -123,10 +125,11 @@ def test_completion_certificate_rejects_incomplete_set():
     # the S-polynomial y*(x^2-y) - x*(x*y) = -y^2 has no divisor among the leads
     gens = [parse_poly("x^2-y", V2), parse_poly("x*y", V2)]
     terms = [VectorPoly.from_poly(g).terms for g in gens]
-    pool, key, pk = engine_pool(terms, DEGREVLEX.module_key, 2)
+    pk = _engine_packing(DEGREVLEX, 2)
+    pool = engine_pool(terms, DEGREVLEX.module_key, pk)
     assert all(type(c) is int for r in pool for c in r.terms.values())
     with pytest.raises(RuntimeError):
-        _verify_complete(pool, key, pk)
+        _verify_complete(pool, pk)
 
 
 def test_completion_certificate_applies_no_product_criterion_to_modules():
@@ -136,11 +139,12 @@ def test_completion_certificate_applies_no_product_criterion_to_modules():
         VectorPoly.from_polys([parse_poly("1", V2), parse_poly("x", V2)]),
         VectorPoly.from_polys([parse_poly("0", V2), parse_poly("y", V2)]),
     ]
-    pool, key, pk = engine_pool([g.terms for g in gens], DEGREVLEX.module_key, 2)
+    pk = _engine_packing(DEGREVLEX, 2)
+    pool = engine_pool([g.terms for g in gens], DEGREVLEX.module_key, pk)
     assert [unpacked_lead(r, pk) for r in pool] == [(1, (1, 0)), (1, (0, 1))]
     assert all(type(c) is int for r in pool for c in r.terms.values())
     with pytest.raises(RuntimeError):
-        _verify_complete(pool, key, pk)
+        _verify_complete(pool, pk)
 
 
 def all_pairs_complete(pool, keyfn, pk):
@@ -160,40 +164,32 @@ def all_pairs_complete(pool, keyfn, pk):
     )
 
 
-def homogenized_key(order):
-    """Degree-then-local order on slack-padded terms, as in local completion."""
-
-    def key(term):
-        comp, ext = term
-        return (comp, sum(ext), order.sort_key(ext[1:]))
-
-    return key
-
-
 def completed_sets():
-    """(label, completed reducer set, key on tuples, key on packed terms, packing)
-    under local, global and module orders."""
+    """(label, completed reducer set, key on tuples, packing) under local,
+    global and module orders; every lead is the largest term under the key."""
 
-    def complete(seeds, keyfn, size):
-        pk = packing(size)
+    def complete(seeds, order, nvars):
+        pk = _engine_packing(order, nvars)
+        completed = _std_engine([pk.pack_terms(t) for t in seeds], pk)[0]
+        keyfn = engine_key(order)
         key = pk.keyed(keyfn)
-        return _std_engine([pk.pack_terms(t) for t in seeds], key, pk)[0], keyfn, key, pk
+        assert all(r.lead == max(r.terms, key=key) for r in completed)
+        return completed, keyfn, pk
 
-    hkey = homogenized_key(NEGDEGREVLEX)
     for germ in [g for g in CATALOG if g.tau <= 10]:
         f = cached_poly(germ.text, germ.vars)
         seeds = [_homogenize_terms(dict(VectorPoly.from_poly(g).terms)) for g in [f] + jacobian(f)]
-        yield germ.name, *complete(seeds, hkey, len(f.ring) + 1)
+        yield germ.name, *complete(seeds, NEGDEGREVLEX, len(f.ring))
     f = parse_poly("x^3+y^3+z^3+x*y*z", V3)
     seeds = [dict(VectorPoly.from_poly(g).terms) for g in jacobian(f)]
-    yield "degrevlex", *complete(seeds, DEGREVLEX.module_key, 3)
+    yield "degrevlex", *complete(seeds, DEGREVLEX, 3)
     eqs = [parse_poly("x^4+y^4+2*z^2", V3), parse_poly("2*z-x*y", V3)]
     zero = parse_poly("0", V3)
     gens = [VectorPoly.from_polys([g.partial_derivative(v) for g in eqs]) for v in V3]
     gens += [VectorPoly.from_polys([g, zero]) for g in eqs]
     gens += [VectorPoly.from_polys([zero, g]) for g in eqs]
     seeds = [_homogenize_terms(dict(g.terms)) for g in gens]
-    yield "icis", *complete(seeds, hkey, 4)
+    yield "icis", *complete(seeds, NEGDEGREVLEX, 3)
 
 
 def certificate_agrees_with_all_pairs():
@@ -201,14 +197,14 @@ def certificate_agrees_with_all_pairs():
     sets alike; the certificate must raise exactly on the incomplete ones."""
     rng = random.Random(4)
     raised = 0
-    for label, completed, keyfn, key, pk in completed_sets():
+    for label, completed, keyfn, pk in completed_sets():
         assert all_pairs_complete(completed, keyfn, pk), label
-        _verify_complete(completed, key, pk)
+        _verify_complete(completed, pk)
         for _ in range(6):
             gone = set(rng.sample(range(len(completed)), rng.randint(1, 3)))
             pool = [r for n, r in enumerate(completed) if n not in gone]
             try:
-                _verify_complete(pool, key, pk)
+                _verify_complete(pool, pk)
             except RuntimeError:
                 raised += 1
                 assert not all_pairs_complete(pool, keyfn, pk), (label, gone)
@@ -260,6 +256,69 @@ def test_pure_power_criterion_detects_infinite():
     sb = standard_basis([parse_poly("x^2*y", V2)], NEGDEGREVLEX)
     st = staircase(sb)
     assert not st.finite and st.dimension == inf
+
+
+def box_staircase(basis):
+    """Reference staircase: (standard monomials, finite) by testing every exponent
+    of the pure-power box of each component against every lead, on tuples."""
+    nvars, leads = len(basis.ring), basis.leading_terms
+    found = []
+    for comp in range(basis.ncomp):
+        bounds = []
+        for i in range(nvars):
+            pure = [e[i] for c, e in leads if c == comp and not any(e[:i] + e[i + 1 :])]
+            if not pure:
+                return (), False
+            bounds.append(min(pure))
+        for expo in product(*(range(b) for b in bounds)):
+            if not any(c == comp and all(a <= b for a, b in zip(e, expo)) for c, e in leads):
+                found.append((comp, expo))
+    return tuple(sorted(found, key=lambda t: (sum(t[1]), t[0], t[1]))), True
+
+
+def staircase_cases():
+    """(label, basis): Jacobian and Tjurina ideals of the catalog under a local
+    and a global order, one ICIS module, and random monomial submodules."""
+    for germ in CATALOG:
+        f = cached_poly(germ.text, germ.vars)
+        for order in (NEGDEGREVLEX, DEGREVLEX):
+            yield f"{germ.name} jacobian {order.kind}", standard_basis(jacobian(f), order)
+        yield f"{germ.name} tjurina", standard_basis([f] + jacobian(f), NEGDEGREVLEX)
+    eqs = [parse_poly("x^4+y^4+2*z^2", V3), parse_poly("2*z-x*y", V3)]
+    zero = parse_poly("0", V3)
+    gens = [VectorPoly.from_polys([g.partial_derivative(v) for g in eqs]) for v in V3]
+    gens += [VectorPoly.from_polys([g, zero]) for g in eqs]
+    gens += [VectorPoly.from_polys([zero, g]) for g in eqs]
+    yield "icis", standard_basis(gens, NEGDEGREVLEX)
+    rng = random.Random(7)
+    for n in range(60):
+        ring = ("x", "y", "z")[: rng.randint(1, 3)]
+        ncomp = rng.randint(1, 2)
+        terms = [
+            (rng.randrange(ncomp), tuple(rng.randint(0, 4) for _ in ring))
+            for _ in range(rng.randint(1, 6))
+        ]
+        # most sets get a pure power of every variable in every component
+        if rng.random() < 0.8:
+            terms += [
+                (c, tuple(rng.randint(1, 6) * (j == i) for j in range(len(ring))))
+                for c in range(ncomp)
+                for i in range(len(ring))
+            ]
+        gens = [VectorPoly(ring, ncomp, {t: 1}) for t in terms if any(t[1]) or rng.random() < 0.2]
+        if gens:
+            yield f"monomial {n}", standard_basis(gens, rng.choice([NEGDEGREVLEX, DEGREVLEX]))
+
+
+def test_staircase_agrees_with_the_pure_power_box():
+    finite = infinite = 0
+    for label, sb in staircase_cases():
+        st = staircase(sb)
+        assert (st.standard_monomials, st.finite) == box_staircase(sb), label
+        finite += st.finite
+        infinite += not st.finite
+    # both outcomes occur
+    assert finite > 60 and infinite
 
 
 # -- syzygies ---------------------------------------------------------------

@@ -2,16 +2,21 @@
 
 Every packed operation is checked against the plain tuple operation it
 stands for: shift, quotient, divisibility (through ``_divisors``), lcm,
-degree and the order of packed ints against lex tuple order.  The divisor
-memo of a completion (``_first_divisor``) must answer as a fresh scan of
-the leads at every step while they grow.  The overflow
-guard gets tests of its own: an entry one past the field raises
-``ExponentOverflow``, a ValueError, and the largest entry that fits still
-completes.
+degree and the order of packed ints against lex tuple order.  The
+engine's packing (``packed._engine_packing``) puts order fields above the
+exponent fields; under degrevlex, negdegrevlex and weighted orders its
+(component, packed) tuples must compare as the engine's tuple key
+(``conftest.engine_key``), pack linearly, keep the divisor test exact and
+pick the same lead with a plain ``max``, and broken copies of its order
+fields must fail that property.  The divisor memo of a completion
+(``_first_divisor``) must answer as a fresh scan of the leads at every step
+while they grow.  The overflow guard gets tests of its own: an entry one
+past the field raises ``ExponentOverflow``, a ValueError, and the largest
+entry that fits still completes.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from germcalc import (
@@ -22,11 +27,15 @@ from germcalc import (
     staircase,
     standard_basis,
     syzygies,
+    weighted_local,
 )
 from germcalc.groebner import _divisors
-from germcalc.packed import ENTRY_MAX, _first_divisor, packing
+from germcalc.packed import ENTRY_MAX, _engine_packing, _first_divisor, packing
+from conftest import engine_key
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+# a negative test needs the first failure only, unshrunk
+FIRST_FAILURE = settings(PROPERTY, report_multiple_bugs=False, phases=[Phase.generate])
 
 # small entries, and entries next to the largest a field holds
 entry = st.one_of(st.integers(0, 6), st.integers(ENTRY_MAX - 6, ENTRY_MAX))
@@ -100,6 +109,100 @@ def test_top_is_the_entrywise_maximum(exponents):
     pk = packing(3)
     terms = {(0, pk.pack(e)): 1 for e in exponents}
     assert pk.unpack(pk.top(terms)) == tuple(map(max, zip(*exponents)))
+
+
+# -- the engine's order fields ---------------------------------------------------------
+
+
+# small weights, and weights that widen the weighted order field
+weight = st.one_of(st.integers(1, 5), st.integers(1000, 1005))
+
+
+@st.composite
+def order_cases(draw):
+    """An order, its number of ring variables, two terms and a row of terms
+    on the engine's exponents (a local order's slack entry in front).
+
+    The second term is drawn freely, as a multiple of the first, or as a
+    permutation of it in its component, which has the same total degree; the
+    row mixes such permutations and free terms, so that ties in the leading
+    order fields are common.
+    """
+    n = draw(st.integers(1, 4))
+    order = draw(st.sampled_from([DEGREVLEX, NEGDEGREVLEX, None]))
+    if order is None:
+        order = weighted_local(draw(st.lists(weight, min_size=n, max_size=n)))
+    size = n + order.is_local()
+    term = st.tuples(st.integers(0, 1), st.lists(entry, min_size=size, max_size=size).map(tuple))
+    a = draw(term)
+    permuted = st.tuples(st.just(a[0]), st.permutations(a[1]).map(tuple))
+    how = draw(st.sampled_from(["free", "multiple", "permutation"]))
+    if how == "multiple":
+        step = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+        b = (a[0], tuple(min(x + d, ENTRY_MAX) for x, d in zip(a[1], step)))
+    else:
+        b = draw(term if how == "free" else permuted)
+    row = draw(st.lists(st.one_of(permuted, term), min_size=1, max_size=8))
+    return order, n, a, b, row
+
+
+def order_packing_agrees(make, case):
+    """Check the packing ``make(order, n)`` against the engine's tuple key on ``case``."""
+    order, n, (ca, a), (cb, b), row = case
+    pk = make(order, n)
+    key = engine_key(order)
+    pa, pb = pk.pack(a), pk.pack(b)
+    assert pk.unpack(pa) == a and pk.unpack(pb) == b
+    # int order is the engine's term order
+    assert ((ca, pa) < (cb, pb)) == (key((ca, a)) < key((cb, b)))
+    assert ((ca, pa) == (cb, pb)) == ((ca, a) == (cb, b))
+    packed_row = [(c, pk.pack(e)) for c, e in row]
+    assert max(packed_row) == max(packed_row, key=pk.keyed(key))
+    # packing is linear: a shift is one addition while every entry fits,
+    # and sets an exponent guard bit when one does not
+    total = tuple(x + y for x, y in zip(a, b))
+    if max(total) <= ENTRY_MAX:
+        assert pk.pack(total) == pa + pb
+    else:
+        assert (pa + pb) & pk.guard
+    # divisibility, through the one divisor search of the engine, and the quotient
+    divides = ca == cb and all(x <= y for x, y in zip(a, b))
+    assert list(_divisors([(ca, pa)], (cb, pb), pk.guard)) == ([0] if divides else [])
+    if divides:
+        assert pb - pa == pk.pack(tuple(y - x for x, y in zip(a, b)))
+    # the lcm of the exponent fields, lifted, is the packed lcm
+    lcm = pk.lift(pk.lcm(pa & pk.low, pb & pk.low))
+    assert lcm == pk.pack(tuple(max(x, y) for x, y in zip(a, b)))
+
+
+@PROPERTY
+@given(order_cases())
+def test_order_packing_compares_as_the_engine_key(case):
+    order_packing_agrees(_engine_packing, case)
+
+
+def reversed_partial_sums(order, nvars):
+    """A broken engine packing: its partial sums in reverse."""
+    pk = _engine_packing(order, nvars)
+    head = 1 + order.is_local()
+    return packing(pk.size, pk.forms[:head] + pk.forms[head:][::-1])
+
+
+def dropped_weighted_row(order, nvars):
+    """A broken engine packing: a local order without its weighted row."""
+    pk = _engine_packing(order, nvars)
+    return packing(pk.size, pk.forms[:1] + pk.forms[2:]) if order.is_local() else pk
+
+
+@pytest.mark.parametrize("broken", [reversed_partial_sums, dropped_weighted_row])
+def test_order_packing_property_catches_a_broken_order_field(broken):
+    @FIRST_FAILURE
+    @given(order_cases())
+    def check(case):
+        order_packing_agrees(broken, case)
+
+    with pytest.raises(AssertionError):
+        check()
 
 
 # -- the divisor memo -----------------------------------------------------------------
@@ -190,16 +293,18 @@ def test_the_largest_entry_that_fits_completes():
     assert sb.leading_terms == ((0, (0, 1)),)
 
 
-def test_the_residue_table_guard_fires_on_a_shifted_tail():
+def test_a_shifted_tail_past_the_cut_is_skipped_before_it_overflows():
     # x + y^max has lead x and tail y^max; the residue row of x*y shifts that
     # tail to y^(max + 1), which does not fit.  That term lies past the cut of
-    # the staircase {1, y, y^2}, so its row would be zero, but the guard
-    # checks the shift before it looks the term up.
+    # the staircase {1, y, y^2}, so it is zero and the table skips it by its
+    # degree before forming it: x*y lies in the ideal, whose y^3 makes x one
+    # of its elements.
     sb = standard_basis([parse_poly(f"x+y^{ENTRY_MAX}", V2), parse_poly("y^3", V2)], NEGDEGREVLEX)
     stair = staircase(sb)
     assert [e for _, e in stair.standard_monomials] == [(0, 0), (0, 1), (0, 2)]
-    with pytest.raises(ExponentOverflow, match="does not fit"):
-        stair.residue({(0, (1, 1)): 1})
+    assert stair.residue({(0, (1, 1)): 1}) == {}
+    assert stair.residue({(0, (1, 0)): 1}) == {}
+    assert stair.residue({(0, (0, 2)): 1}) == {2: 1}
 
 
 def test_a_shift_past_the_field_raises_before_it_wraps():

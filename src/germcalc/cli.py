@@ -239,9 +239,6 @@ def cmd_scan(args, out) -> int:
     print(" | ".join(h.ljust(12) for h in header), file=out)
     for item in payload["rows"]:
         pt = ",".join(f"{k}={v}" for k, v in item["point"].items())
-        if "error" in item:
-            print(f"{pt.ljust(12)} | error: {item['error']}", file=out)
-            continue
         cells = [
             pt,
             str(item.get("milnor_number", "-")),

@@ -18,7 +18,7 @@ case.  The machinery is shared:
   each returns the exact rational scale lambda by which its row differs
   from the one the monic rational computation gives, and monic rationals
   come back only at the exits: ``standard_basis`` divides each generator
-  by its lead once, after the certificate; ``_relations``, ``spoly`` and
+  by its lead once, after the certificate; ``syzygies``, ``spoly`` and
   ``normal_form`` divide by lambda.  A scale changes no support, so every
   lead, pair, criterion and zero test is that of the rational computation;
 * global orderings use the ordinary division algorithm (full reduction);
@@ -60,10 +60,10 @@ same engine on the same reducers, whose bookkeeping part
 (``_Reducer.book``, empty for a standard basis) holds no lead and is never
 compared: each reduction step carries it along in the remainder
 (``_eliminate``).  A remainder whose real part died is a relation, one
-syzygy in input coordinates.  The engine hands it over as the integer row
-it is; ``_relations`` makes each one rational, once, on input slots and
-exponent tuples, ``syzygies`` wraps, deduplicates and re-checks them
-exactly on integer rows, and ``modular`` reads the few it keeps.
+syzygy in input coordinates.  It stays the integer row it is, with its
+scale, through ``_relations``: ``syzygies`` divides each by its scale,
+wraps, deduplicates and re-checks them exactly on integer rows, and
+``modular`` divides only the few it keeps.
 
 A finite staircase of a local ordering is the one model of its quotient.
 For these degree-compatible orderings every term of (weighted) degree
@@ -81,7 +81,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from heapq import heapify, heappop, heappush
-from itertools import product
 from math import gcd, inf
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -604,6 +603,13 @@ class Staircase:
     def monomials_of_component(self, comp: int) -> list[Exponent]:
         return [e for c, e in self.standard_monomials if c == comp]
 
+    @property
+    def cut(self) -> int:
+        """One past the largest (weighted) degree of a standard monomial; for
+        a local order every term of degree ``cut`` or more is in the submodule."""
+        degree = self.basis.order.degree
+        return 1 + max((degree(e) for _, e in self.standard_monomials), default=-1)
+
     @cached_property
     def _rows(self) -> dict[ModTerm, dict[int, Fraction]]:
         """Residue coordinates of every term below the cut, by standard-monomial index.
@@ -612,19 +618,24 @@ class Staircase:
         unit vector, any other term to minus the shifted tail of the first
         generator (monic) whose lead divides it.  The fill runs on packed
         terms, each tail packed and negated once; the table it returns is
-        keyed by exponent tuples.  A shifted tail term past the cut is zero and
-        is skipped by its degree; one below it is a smaller table term, packed
-        already, so no shift here overflows.
+        keyed by exponent tuples.  The terms below the cut grow from 1 one
+        variable at a time, as the monomials of ``staircase`` do.  A shifted
+        tail term past the cut is zero and is skipped by its degree; one below
+        it is a smaller table term, packed already, so no shift here overflows.
         """
         if not self.finite:
             raise ValueError("quotient is not finite dimensional")
-        basis, order = self.basis, self.basis.order
+        basis, order, cut = self.basis, self.basis.order, self.cut
         if not order.is_local():
             raise ValueError("residues need a local degree-compatible order")
-        degree = order.degree
-        cut = 1 + max((degree(e) for _, e in self.standard_monomials), default=-1)
-        box = product(range(cut), repeat=len(basis.ring))
-        below = {e: d for e in box if (d := degree(e)) < cut}  # each term's degree
+        degree, n = order.degree, len(basis.ring)
+        below = {(0,) * n: 0} if cut else {}  # each term below the cut, with its degree
+        for i in range(n):
+            step = degree(tuple(int(k == i) for k in range(n)))
+            for e, d in list(below.items()):
+                while (d := d + step) < cut:
+                    e = (*e[:i], e[i] + 1, *e[i + 1 :])
+                    below[e] = d
         terms = sorted(((c, e) for c in range(basis.ncomp) for e in below), key=order.module_key)
         pk = packing(len(basis.ring))
         positions = {(c, pk.pack(e)): i for i, (c, e) in enumerate(self.standard_monomials)}
@@ -709,14 +720,14 @@ def staircase(basis: StandardBasis) -> Staircase:
     return Staircase(tuple(found), True, basis)
 
 
-def _relations(vecs: Sequence[VectorPoly], order: MonomialOrder) -> Iterator[Terms]:
+def _relations(vecs: Sequence[VectorPoly], order: MonomialOrder) -> Iterator[tuple[dict, Fraction]]:
     """The relations of the one Schreyer walk of ``syzygies``, unchecked.
 
-    Each is a nonzero term map on (input slot, exponent), possibly repeated:
-    ``syzygies`` wraps, deduplicates and checks them, and
-    ``modular._cofactor_generators`` reads the few it keeps and checks those.
-    Here each integer row of the engine becomes rational, once, with its
-    bookkeeping component r + i made slot i and its slack entry dropped.
+    Each, possibly repeated, is the engine's nonzero integer row, with its
+    bookkeeping component r + i made slot i and its slack entry dropped,
+    and its scale lambda: the relation is row / lambda.  ``syzygies``
+    divides every row, and ``modular._cofactor_generators`` only the few it
+    keeps.
 
     Dropping the slack entry sends no two terms of a relation to one key,
     so nothing merges or cancels: give component r + i the degree of the
@@ -735,7 +746,7 @@ def _relations(vecs: Sequence[VectorPoly], order: MonomialOrder) -> Iterator[Ter
     extended = [{**terms, (r + i, 0): _ONE} for i, terms in enumerate(seeds)]
     _, relations = _std_engine(extended, pk, r)
     for h, scale in relations:
-        yield {(comp - r, pk.unpack(e)[pad:]): c / scale for (comp, e), c in h.items()}
+        yield {(comp - r, pk.unpack(e)[pad:]): c for (comp, e), c in h.items()}, scale
 
 
 def syzygies(gens: Sequence[VectorPoly | Polynomial], order: MonomialOrder) -> list[VectorPoly]:
@@ -774,7 +785,8 @@ def syzygies(gens: Sequence[VectorPoly | Polynomial], order: MonomialOrder) -> l
     """
     vecs = _as_vectors(gens)
     ring = vecs[0].ring
-    out = list(dict.fromkeys(VectorPoly(ring, len(vecs), h) for h in _relations(vecs, order)))
+    rels = ({t: c / scale for t, c in row.items()} for row, scale in _relations(vecs, order))
+    out = list(dict.fromkeys(VectorPoly(ring, len(vecs), h) for h in rels))
     _check_syzygies(vecs, out)
     return out
 

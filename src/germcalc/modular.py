@@ -22,22 +22,28 @@ forms and logarithmic vector fields", 1980).  ``modular_tangent_space``
 uses the Euler field alone when f is quasi-homogeneous (its cofactor is the
 unit d).  Otherwise it reads only the cofactor slot of each relation of one
 Schreyer walk of (df, f) (``groebner._relations``, the walk behind
-``syzygies``) and keeps, lowest cofactor degree first, each relation whose
-cofactor residue in M (``milnor_algebra``) lies outside the span of the
-kept ones, until that span has dimension tau; RuntimeError if the span
-stays below tau, since a kernel from too few fields would come out too
-large.  Only the kept relations become fields: their coefficient
-polynomials are built and each goes through both checks, the tangency
-identity (``tangent_derivation``) and the exact syzygy check.  The kernel
-is a subspace and its reduced row echelon basis is unique, so it is the
-kernel of the full stack of generators, and so is the untwisted one.
+``syzygies``), as the integer row the walk gives, and keeps, lowest
+cofactor degree first, each relation whose cofactor residue in M
+(``milnor_algebra``) lies outside the span of the kept ones, until that
+span has dimension tau; no scale changes a span, and the shifts of a kept
+cofactor stop once it is full.  RuntimeError if the span stays below tau,
+since a kernel from too few fields would come out too large.  Only the
+kept relations are divided by their scales and become fields, and each
+goes through both checks: the tangency identity (``tangent_derivation``,
+on integer rows) and the exact syzygy check.  The kernel is a subspace and
+its reduced row echelon basis is unique, so it is the kernel of the full
+stack of generators, and so is the untwisted one.
 
 The action matrices are read off the staircase of the Tjurina algebra: the
 column of v on a basis monomial x^b is the term map sum_i b_i a_i x^(b - e_i),
 minus h_v x^b for the twisted action, and its residue (``Staircase.residue``)
-is a lookup in the staircase's table, in which terms past the cut vanish.
-Only the nonzero rows go, as sparse ``{column: entry}`` maps, into
-``linalg.kernel_basis``.
+is a lookup in the staircase's table, in which terms past the cut vanish;
+such terms are dropped before they are formed (``_action_rows``).
+``modular_tangent_space`` lets each field act as its primitive integer row:
+a positive multiple of a field scales its rows by the same factor, so the
+row spaces and kernels are those of the field.  ``action_matrix`` acts with
+the field as given, so its entries are exact.  Only the nonzero rows go, as
+sparse ``{column: entry}`` maps, into ``linalg.kernel_basis``.
 
 For homogeneous f the module also computes the first-order deformation
 count of the projective hypersurface (degree-m forms modulo the span of
@@ -57,6 +63,7 @@ from operator import add
 from . import linalg
 from .groebner import ModTerm, _check_syzygies, _relations, syzygies
 from .orders import NEGDEGREVLEX
+from .packed import Row, _primitive, _sub_scaled, packing
 from .poly import Exponent, Polynomial, VectorPoly
 from .singularity import (
     GermInput,
@@ -88,13 +95,49 @@ class Derivation:
 
 
 def tangent_derivation(f: Polynomial, coefficients, cofactor: Polynomial) -> Derivation:
-    """Build a Derivation, checking the tangency identity exactly."""
+    """Build a Derivation, checking the tangency identity exactly.
+
+    The identity is decided on integer rows (``_tangency_defect``).
+    ValueError when the parts are not all over the ring of f, and
+    ``ExponentOverflow`` (a ValueError) when an exponent of a product does
+    not fit a packed field.
+    """
     v = Derivation(tuple(coefficients), cofactor)
     if len(v.coefficients) != len(f.ring):
         raise ValueError("one coefficient per ring variable required")
-    if not (v.apply(f) - cofactor * f).is_zero():
+    if any(p.ring != f.ring for p in (*v.coefficients, cofactor)):
+        raise ValueError("coefficients, cofactor and polynomial from different rings")
+    if _tangency_defect(f, _primitive(_field_terms(v))[0]):
         raise ValueError("not tangent: sum a_i df/dx_i differs from cofactor * f")
     return v
+
+
+def _field_terms(v: Derivation) -> dict[ModTerm, Fraction]:
+    """The field as one term map on (slot, exponent): a_i in slot i, the cofactor in slot n."""
+    parts = (*v.coefficients, v.cofactor)
+    return {(i, e): c for i, p in enumerate(parts) for e, c in p.terms.items()}
+
+
+def _tangency_defect(f: Polynomial, field: dict[ModTerm, int]) -> Row:
+    """sum_i a_i df/dx_i - h f times a positive integer, as an integer row on packed terms.
+
+    ``field`` is an integer row of the field (``_field_terms``).  f is made
+    primitive and its partials are read off that row, so every product is
+    one of integers on packed exponents; the row is empty exactly when the
+    field is tangent.
+    """
+    pk = packing(len(f.ring))
+    f_row, _ = _primitive(f.terms)
+    parts = [
+        {(0, pk.pack(e) - unit): e[i] * c for e, c in f_row.items() if e[i]}
+        for i, unit in enumerate(pk.units)
+    ]
+    parts.append({(0, pk.pack(e)): -c for e, c in f_row.items()})
+    tops = [pk.top(part) for part in parts]
+    total: Row = {}
+    for (i, e), c in field.items():
+        _sub_scaled(total, parts[i], tops[i], pk.pack(e), -c, pk.guard)
+    return total
 
 
 @dataclass(frozen=True)
@@ -189,48 +232,51 @@ def _cofactor_generators(f: Polynomial, t1: GradedT1) -> list[Derivation]:
     For quasi-homogeneous f, the Euler field alone: its cofactor is the unit
     d.  Otherwise the relations of one Schreyer walk of the nonzero entries
     of (df, f) (``groebner._relations``) with a nonzero cofactor h, lowest
-    total degree of h first; only the cofactor slot of each is read, as a
-    plain term map.  The span holds the residues in the Milnor algebra M of
-    x^b h_k, over the Milnor basis monomials x^b and the cofactors h_k kept
-    so far, so it is the ideal they generate in M.  A relation is kept when
-    the residue of its h lies outside the span; the walk stops once the
+    total degree of h first; only the cofactor slot of each is read, as the
+    integer row the walk gives, a nonzero multiple of h.  The span holds the
+    residues in the Milnor algebra M of x^b h_k, over the Milnor basis
+    monomials x^b and the cofactors h_k kept so far, so it is the ideal they
+    generate in M; no scale changes it.  A relation is kept when the residue
+    of its h lies outside the span; the shifts and the walk stop once the
     span has dimension tau, which makes it all of Ann_M([f]), and
-    RuntimeError if the relations run out first.  Only kept relations
-    become fields, each checked twice: the tangency identity
-    (``tangent_derivation``) and the exact syzygy check.
+    RuntimeError if the relations run out first.  Only kept relations are
+    divided by their scales and become fields, each checked twice: the
+    tangency identity (``tangent_derivation``) and the exact syzygy check.
     """
     if t1.weight_data is not None:
         return [tangent_derivation(f, *_euler(f, t1.weight_data))]
-    ring = f.ring
+    ring, tau = f.ring, t1.tau
     milnor = milnor_algebra(f)
-    shifts = [e for _, e in milnor.standard_monomials]
+    shifts = [e for _, e in milnor.standard_monomials if any(e)]
     one = (0,) * len(ring)
 
-    def residue(h: dict[Exponent, Fraction], b: Exponent) -> dict[int, Fraction]:
+    def residue(h: dict[Exponent, int], b: Exponent) -> dict[int, Fraction]:
         return milnor.residue({(0, tuple(map(add, e, b))): c for e, c in h.items()})
 
     nonzero, vecs = _schreyer_input([f.partial_derivative(v) for v in ring] + [f])
     last = len(nonzero) - 1  # the slot of f
     candidates = []
-    for rel in _relations(vecs, NEGDEGREVLEX):
-        h = {e: -c for (slot, e), c in rel.items() if slot == last}
+    for row, scale in _relations(vecs, NEGDEGREVLEX):
+        h = {e: c for (slot, e), c in row.items() if slot == last}
         if h:
-            candidates.append((h, rel))
+            candidates.append((h, row, scale))
     candidates.sort(key=lambda c: min(map(sum, c[0])))
     span: dict[int, dict[int, Fraction]] = {}
     kept: list[Derivation] = []
     relations: list[VectorPoly] = []
-    for h, rel in candidates:
-        if len(span) == t1.tau:
+    for h, row, scale in candidates:
+        if len(span) == tau:
             break
         if linalg._insert(span, residue(h, one)):
-            relations.append(VectorPoly(ring, len(nonzero), rel))
+            relations.append(VectorPoly(ring, len(nonzero), {t: c / scale for t, c in row.items()}))
             kept.append(tangent_derivation(f, *_field(ring, nonzero, relations[-1])))
             for b in shifts:
+                if len(span) == tau:
+                    break
                 linalg._insert(span, residue(h, b))
-    if len(span) < t1.tau:
+    if len(span) < tau:
         raise RuntimeError(
-            f"cofactor fields span {len(span)} of the {t1.tau} dimensions of Ann_M([f])"
+            f"cofactor fields span {len(span)} of the {tau} dimensions of Ann_M([f])"
         )
     _check_syzygies(vecs, relations)
     return kept
@@ -239,36 +285,54 @@ def _cofactor_generators(f: Polynomial, t1: GradedT1) -> list[Derivation]:
 SparseRows = dict[int, dict[int, Fraction]]  # row index -> {column index: nonzero entry}
 
 
-def _action_rows(v: Derivation, t1: GradedT1) -> tuple[SparseRows, SparseRows]:
-    """Nonzero rows of the twisted and of the untwisted action of v on the T1 basis.
+def _action_rows(
+    field: dict[ModTerm, Fraction | int], t1: GradedT1
+) -> tuple[SparseRows, SparseRows]:
+    """Nonzero rows of the twisted and of the untwisted action of a field on the T1 basis.
 
-    Column j belongs to the basis monomial x^b.  Its untwisted entries are the
-    residue of the term map v(x^b) = sum_i sum b_i c x^(a + b - e_i), the
-    inner sum over the terms c x^a of the coefficient a_i of v; the twisted
-    column subtracts the residue of h_v x^b.  Both term maps are keyed by
-    module terms (0, exponent) and read off ``t1.stair.residue``, where a
-    term past the cut has residue zero, so no polynomial is formed.  Only
-    rows with a nonzero entry are kept: a zero row adds nothing to the row
-    space, so the kernel is unchanged.
+    ``field`` is a term map of the field (``_field_terms``), rational, or an
+    integer row that is a positive multiple of it, whose rows are the same
+    multiple.  Column j belongs to the basis monomial x^b.  Its untwisted
+    entries are the residue of the term map v(x^b) = sum_i sum b_i c
+    x^(a + b - e_i), the inner sum over the terms c x^a of the coefficient
+    a_i of v; the twisted column subtracts the residue of h_v x^b.  Both
+    term maps are keyed by module terms (0, exponent) and read off
+    ``t1.stair.residue``.  A term past the cut of the staircase has residue
+    zero, so a term of a_i with deg(a + b - e_i) >= cut, or of h_v with
+    deg(a + b) >= cut, is dropped before its key is formed, deg being the
+    degree of the staircase's order.  Only rows with a nonzero entry are
+    kept: a zero row adds nothing to the row space, so the kernel is
+    unchanged.
     """
-    fields = [(i, tuple(a.terms.items())) for i, a in enumerate(v.coefficients) if a.terms]
-    cofactor = tuple(v.cofactor.terms.items())
-    residue = t1.stair.residue
+    stair = t1.stair
+    degree, cut, n = stair.basis.order.degree, stair.cut, len(t1.ring)
+    parts: list[list] = [[] for _ in range(n + 1)]  # (degree, exponent, coefficient) by slot
+    for (i, a), c in field.items():
+        parts[i].append((degree(a), a, c))
+    for part in parts:
+        part.sort()
+
+    def image(i: int, b: Exponent) -> dict[ModTerm, Fraction | int]:
+        """x^b times the terms of slot i that land below the cut."""
+        room, out = cut - degree(b), {}
+        for d, a, c in parts[i]:
+            if d >= room:
+                break
+            out[(0, tuple(map(add, a, b)))] = c
+        return out
+
+    residue = stair.residue
     twisted: SparseRows = {}
     untwisted: SparseRows = {}
     for j, b in enumerate(t1.monomials):
-        image: dict[ModTerm, Fraction] = {}
-        for i, terms in fields:
-            bi = b[i]
-            if not bi:
-                continue
-            shift = b[:i] + (bi - 1,) + b[i + 1 :]
-            for a, c in terms:
-                e = (0, tuple(map(add, a, shift)))
-                image[e] = image.get(e, _ZERO) + bi * c
-        plain = residue(image)
+        applied: dict[ModTerm, Fraction | int] = {}
+        for i, bi in enumerate(b):
+            if bi:
+                for e, c in image(i, b[:i] + (bi - 1,) + b[i + 1 :]).items():
+                    applied[e] = applied.get(e, 0) + bi * c
+        plain = residue(applied)
         twist = dict(plain)
-        for k, c in residue({(0, tuple(map(add, g, b))): c for g, c in cofactor}).items():
+        for k, c in residue(image(n, b)).items():
             twist[k] = twist.get(k, _ZERO) - c
         for k, a in plain.items():
             untwisted.setdefault(k, {})[j] = a
@@ -286,7 +350,7 @@ def action_matrix(v: Derivation, t1: GradedT1, f: Polynomial) -> ActionMatrix:
     """Matrix of [g] -> [v(g) - h_v g] on the Tjurina algebra basis."""
     if t1.ring != f.ring:
         raise ValueError("basis and polynomial from different rings")
-    rows, _ = _action_rows(v, t1)
+    rows, _ = _action_rows(_field_terms(v), t1)
     entries = tuple(tuple(_dense(rows.get(k, {}), t1.tau)) for k in range(t1.tau))
     return ActionMatrix(entries=entries, basis=t1)
 
@@ -302,13 +366,14 @@ def modular_tangent_space(f: Polynomial) -> ModularTangent:
     quasi-homogeneous germ: every other tangent field acts, twisted or not,
     as an O-combination of theirs (Saito 1980; see the module docstring), so
     both kernels and their unique reduced row echelon bases are those of the
-    whole derivation module.
+    whole derivation module.  Each field acts as its primitive integer row,
+    a positive multiple of it, whose rows span what the field's rows span.
     """
     t1 = _isolated_t1(f, "modular tangent space")
     stacked: list[dict[int, Fraction]] = []
     stacked_untwisted: list[dict[int, Fraction]] = []
     for v in _cofactor_generators(f, t1):
-        twisted, untwisted = _action_rows(v, t1)
+        twisted, untwisted = _action_rows(_primitive(_field_terms(v))[0], t1)
         stacked.extend(twisted.values())
         stacked_untwisted.extend(untwisted.values())
     kernel = linalg.kernel_basis(stacked, ncols=t1.tau)

@@ -27,6 +27,9 @@ from germcalc import (
 from germcalc import groebner
 from germcalc.groebner import _check_syzygies, _homogenize_terms, _std_engine, _verify_complete
 from germcalc.packed import _engine_packing
+from germcalc.singularity import milnor_algebra
+from test_engine_outputs import icis_generators
+from test_relation_outputs import LADDER as RELATION_LADDER
 from conftest import (
     CATALOG,
     cached_poly,
@@ -711,6 +714,61 @@ def test_staircase_builds_its_residue_table_once():
     table = vars(st)["_rows"]
     again = quotient_coordinates(parse_poly("x*y*z", V3), st.basis, st)
     assert again == first and vars(st)["_rows"] is table
+
+
+def cube_table(stair):
+    """The residue table over every term of the cube range(cut)^n below the
+    cut, filled smallest term first on exponent tuples: a standard term is
+    its unit vector, any other minus the shifted tail of the first generator
+    whose lead divides it, a tail term past the cut being zero."""
+    sb, order = stair.basis, stair.basis.order
+    cut = 1 + max((order.degree(e) for _, e in stair.standard_monomials), default=-1)
+    below = [e for e in product(range(cut), repeat=len(sb.ring)) if order.degree(e) < cut]
+    positions = {term: i for i, term in enumerate(stair.standard_monomials)}
+    rows = {}
+    terms = sorted(((c, e) for c in range(sb.ncomp) for e in below), key=order.module_key)
+    for comp, expo in terms:
+        if (comp, expo) in positions:
+            rows[(comp, expo)] = {positions[(comp, expo)]: 1}
+            continue
+        g, lead = next(
+            (g, e)
+            for g, (c, e) in zip(sb.generators, sb.leading_terms)
+            if c == comp and all(x >= y for x, y in zip(expo, e))
+        )
+        shift = tuple(x - y for x, y in zip(expo, lead))
+        row = {}
+        for (c, e), a in g.terms.items():
+            term = (c, tuple(x + y for x, y in zip(e, shift)))
+            if term != (comp, expo):
+                for j, b in rows.get(term, {}).items():
+                    row[j] = row.get(j, 0) - a * b
+        rows[(comp, expo)] = {j: a for j, a in row.items() if a}
+    return rows
+
+
+TABLE_GERMS = [(g.name, g.text, g.vars) for g in CATALOG] + [
+    (name, text, V3) for name, text in RELATION_LADDER.items()
+]
+
+
+@pytest.mark.parametrize(
+    "text, vars", [(t, v) for _, t, v in TABLE_GERMS], ids=[n for n, _, _ in TABLE_GERMS]
+)
+def test_residue_table_grown_by_degree_equals_the_cube_fill(text, vars):
+    # the Tjurina and the Milnor algebra of the catalog and the ``modular`` ladder
+    f = cached_poly(text, vars)
+    for stair in cached_tjurina(text, vars)[1].stair, milnor_algebra(f):
+        assert stair._rows == cube_table(stair)
+
+
+def test_residue_table_grown_by_degree_equals_the_cube_fill_weighted_and_module():
+    f = parse_poly("x^6+y^3+z^2+x*y*z", V3)
+    for stair in (
+        staircase(standard_basis([f] + jacobian(f), weighted_local((1, 2, 3)))),
+        staircase(standard_basis(icis_generators(), NEGDEGREVLEX)),
+    ):
+        assert stair._rows == cube_table(stair)
 
 
 # -- residue table against Mora's weak normal form ----------------------------

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from germcalc import (
     GermInput,
@@ -22,8 +24,9 @@ from germcalc import (
     tjurina_number,
 )
 from germcalc import modular
-from germcalc.groebner import VectorPoly
+from germcalc.groebner import Staircase, VectorPoly
 from germcalc.modular import _action_rows, _dense, homogeneous_degree
+from germcalc.packed import _primitive
 from germcalc.poly import Polynomial
 from conftest import (
     CATALOG,
@@ -38,6 +41,8 @@ from conftest import (
 V2 = ("x", "y")
 V3 = ("x", "y", "z")
 V4 = ("x", "y", "z", "w")
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
 
 # -- derivations -------------------------------------------------------------
@@ -307,7 +312,7 @@ def test_untwisted_convention_flagged_only_when_dimension_changes():
 
 def _untwisted_matrix(v, t1):
     """Dense untwisted action matrix of v, from the sparse rows of the library."""
-    _, rows = _action_rows(v, t1)
+    _, rows = _action_rows(modular._field_terms(v), t1)
     return [_dense(rows.get(k, {}), t1.tau) for k in range(t1.tau)]
 
 
@@ -411,9 +416,9 @@ def _count_fields(monkeypatch):
         built.append(check(*args))
         return built[-1]
 
-    def counted_rows(v, t1):
-        acted.append(v)
-        return rows(v, t1)
+    def counted_rows(field, t1):
+        acted.append(field)
+        return rows(field, t1)
 
     monkeypatch.setattr(modular, "tangent_derivation", counted_check)
     monkeypatch.setattr(modular, "_action_rows", counted_rows)
@@ -429,15 +434,18 @@ def test_tangency_is_checked_on_every_used_field_and_no_other(monkeypatch, name,
     mt = modular_tangent_space(cached_poly(entry.text, entry.vars))
     assert mt.dimension == entry.modular_dim
     assert len(built) == kept
-    assert [id(v) for v in acted] == [id(v) for v in built]
+    # each field acts as its primitive integer row, a positive multiple of it
+    assert acted == [_primitive(modular._field_terms(v))[0] for v in built]
 
 
 def _relation_source(monkeypatch, edit):
-    """Let the modular path read ``edit`` of the list of its real relations."""
+    """Let the modular path read ``edit`` of the list of its real relations,
+    each handed to ``edit`` as rational and taken back as an integer row with its scale."""
     real = modular._relations
 
     def source(vecs, order):
-        yield from edit(list(real(vecs, order)))
+        rels = [{t: c / scale for t, c in row.items()} for row, scale in real(vecs, order)]
+        yield from map(_primitive, edit(rels))
 
     monkeypatch.setattr(modular, "_relations", source)
 
@@ -481,6 +489,147 @@ def test_cofactor_selection_must_span_the_whole_annihilator(monkeypatch):
     )
     with pytest.raises(RuntimeError, match="cofactor fields span"):
         modular_tangent_space(f)
+
+
+# -- integer rows through the modular path ----------------------------------------
+
+# two large germs that are not quasi-homogeneous: tau 44 and 49
+LARGE = [
+    ("a7b6c5", "x^7+y^6+z^5+x^2*y*z+x*y^3*z^2"),
+    ("a8b7c5", "x^8+y^7+z^5+x^2*y*z+x*y^3*z^2"),
+]
+INTEGER_PATH_GERMS = (
+    [(g.name, g.text, g.vars) for g in CATALOG]
+    + [(name, text, V3) for name, text in LADDER + LARGE]
+)
+
+
+def sparse(matrix):
+    """The nonzero rows of a dense matrix, as ``{row: {column: entry}}`` maps of nonzero entries."""
+    return {
+        k: {j: a for j, a in enumerate(row) if a} for k, row in enumerate(matrix) if any(row)
+    }
+
+
+def scaled(rows, scale):
+    return {k: {j: a * scale for j, a in row.items()} for k, row in rows.items()}
+
+
+def integer_rows_agree(fields, t1):
+    """Each field's primitive integer row gives the rows of polynomial
+    arithmetic (``_reference_matrices``) times its scale; return those
+    reference rows, twisted and untwisted, stacked."""
+    stacked, stacked_untwisted = [], []
+    for v in fields:
+        row, scale = _primitive(modular._field_terms(v))
+        twisted, untwisted = map(sparse, _reference_matrices(v, t1))
+        assert _action_rows(row, t1) == (scaled(twisted, scale), scaled(untwisted, scale))
+        stacked.extend(twisted.values())
+        stacked_untwisted.extend(untwisted.values())
+    return stacked, stacked_untwisted
+
+
+@pytest.mark.parametrize(
+    "text, vars",
+    [(t, v) for _, t, v in INTEGER_PATH_GERMS],
+    ids=[n for n, _, _ in INTEGER_PATH_GERMS],
+)
+def test_integer_rows_and_kernels_match_polynomial_arithmetic(text, vars):
+    f = cached_poly(text, vars)
+    tau, t1 = cached_tjurina(text, vars)
+    stacked, stacked_untwisted = integer_rows_agree(modular._cofactor_generators(f, t1), t1)
+    kernel = linalg.kernel_basis(stacked, ncols=tau)
+    mt = cached_modular(text, vars)
+    assert [list(vec) for vec in mt.kernel_basis] == kernel
+    untwisted_dim = len(linalg.kernel_basis(stacked_untwisted, ncols=tau))
+    assert mt.convention_sensitive == (untwisted_dim != len(kernel))
+
+
+@pytest.mark.parametrize("name", ["t433", "martin_t0"])
+def test_the_row_check_catches_a_cut_one_degree_too_low(monkeypatch, name):
+    entry = CATALOG_BY_NAME[name]
+    f = cached_poly(entry.text, entry.vars)
+    tau, t1 = cached_tjurina(entry.text, entry.vars)
+    fields = modular._cofactor_generators(f, t1)
+    integer_rows_agree(fields, t1)  # builds the residue table at the true cut
+    true_cut = Staircase.cut
+    monkeypatch.setattr(Staircase, "cut", property(lambda stair: true_cut.fget(stair) - 1))
+    with pytest.raises(AssertionError):
+        integer_rows_agree(fields, t1)
+
+
+FIELD_GERMS = ["t333_l1", "t433", "t642", "martin_t0", "fermat_3_2"]
+small_fraction = st.fractions(-9, 9, max_denominator=12).filter(bool)
+
+
+@st.composite
+def random_fields(draw):
+    """A catalog germ's Tjurina algebra and a field on its ring, tangent or not,
+    with terms on both sides of the cut."""
+    entry = CATALOG_BY_NAME[draw(st.sampled_from(FIELD_GERMS))]
+    n = len(entry.vars)
+    expo = st.tuples(*[st.integers(0, 4)] * n)
+    terms = draw(st.dictionaries(st.tuples(st.integers(0, n), expo), small_fraction, max_size=8))
+    parts = [
+        Polynomial(entry.vars, {e: c for (i, e), c in terms.items() if i == k})
+        for k in range(n + 1)
+    ]
+    return cached_tjurina(entry.text, entry.vars)[1], modular.Derivation(tuple(parts[:n]), parts[n])
+
+
+@PROPERTY
+@given(random_fields())
+def test_integer_rows_are_the_field_scale_times_the_rational_rows(case):
+    t1, v = case
+    integer_rows_agree([v], t1)
+
+
+def refuses_a_field_that_only_its_cofactor_makes_wrong():
+    # every coefficient is zero, so sum a_i df/dx_i = 0 while the cofactor gives f
+    f = parse_poly("x^2+y^3", V2)
+    zero = Polynomial.zero(V2)
+    with pytest.raises(ValueError, match="^not tangent: "):
+        tangent_derivation(f, (zero, zero), Polynomial.constant(V2, 1))
+
+
+def test_the_tangency_check_refuses_a_bare_cofactor():
+    refuses_a_field_that_only_its_cofactor_makes_wrong()
+
+
+def test_a_tangency_check_that_skips_the_cofactor_fails_the_negative_test(monkeypatch):
+    real = modular._tangency_defect
+
+    def without_cofactor(f, field):
+        return real(f, {(i, e): c for (i, e), c in field.items() if i < len(f.ring)})
+
+    monkeypatch.setattr(modular, "_tangency_defect", without_cofactor)
+    with pytest.raises(pytest.fail.Exception):
+        refuses_a_field_that_only_its_cofactor_makes_wrong()
+
+
+@pytest.mark.parametrize("name", ["t433", "t642", "martin_t14"])
+def test_integer_tangency_agrees_with_polynomial_arithmetic(name):
+    # every generator is tangent; each one with a term added to one part is not
+    entry = CATALOG_BY_NAME[name]
+    f = cached_poly(entry.text, entry.vars)
+    bump = Polynomial.monomial(entry.vars, (1,) * len(entry.vars), Fraction(2, 3))
+    for v in cached_derivations(entry.text, entry.vars):
+        parts = [*v.coefficients, v.cofactor]
+        for k in range(len(parts)):
+            bumped = parts[:k] + [parts[k] + bump] + parts[k + 1 :]
+            field = modular.Derivation(tuple(bumped[:-1]), bumped[-1])
+            assert field.apply(f) != field.cofactor * f
+            with pytest.raises(ValueError, match="^not tangent: "):
+                tangent_derivation(f, bumped[:-1], bumped[-1])
+
+
+def test_tangent_derivation_refuses_parts_over_another_ring():
+    f = parse_poly("x^2+y^2", V2)
+    x, zero = parse_poly("x", V3), Polynomial.zero(V2)
+    with pytest.raises(ValueError, match="^coefficients, cofactor and polynomial from different"):
+        tangent_derivation(f, [x, zero], zero)
+    with pytest.raises(ValueError, match="^coefficients, cofactor and polynomial from different"):
+        tangent_derivation(f, [zero, zero], Polynomial.zero(V3))
 
 
 # -- input checks and derived fields ----------------------------------------

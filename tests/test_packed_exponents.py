@@ -258,7 +258,7 @@ def memo_that_keeps_misses(leads, guard):
 
 
 def test_divisor_memo_property_catches_a_memo_that_keeps_misses():
-    @PROPERTY
+    @FIRST_FAILURE
     @given(growth_scripts())
     def check(script):
         memo_answers_as_a_scan(memo_that_keeps_misses, script)

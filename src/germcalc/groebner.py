@@ -605,8 +605,9 @@ class Staircase:
 
     @property
     def cut(self) -> int:
-        """One past the largest (weighted) degree of a standard monomial; for
-        a local order every term of degree ``cut`` or more is in the submodule."""
+        """One past the largest (weighted) degree of a standard monomial; if the
+        staircase is finite and of a local order, every term of degree ``cut``
+        or more is in the submodule."""
         degree = self.basis.order.degree
         return 1 + max((degree(e) for _, e in self.standard_monomials), default=-1)
 

@@ -90,6 +90,7 @@ from .packed import (
     PackedTerms,
     Packing,
     Row,
+    _combination,
     _divisors,
     _eliminate,
     _engine_packing,
@@ -806,10 +807,7 @@ def _check_syzygies(vecs: Sequence[VectorPoly], syzs: Iterable[VectorPoly]):
         weights, _ = _primitive(
             {(slot, pk.pack(e)): c / scales[slot] for (slot, e), c in syz.terms.items()}
         )
-        total: Row = {}
-        for (slot, expo), c in weights.items():
-            _sub_scaled(total, rows[slot], tops[slot], expo, -c, pk.guard)
-        if total:
+        if _combination(rows, tops, weights, pk.guard):
             raise RuntimeError("syzygy verification failed")
 
 

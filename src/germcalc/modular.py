@@ -63,7 +63,7 @@ from operator import add
 from . import linalg
 from .groebner import ModTerm, _check_syzygies, _relations, syzygies
 from .orders import NEGDEGREVLEX
-from .packed import Row, _primitive, _sub_scaled, packing
+from .packed import Row, _combination, _primitive, packing
 from .poly import Exponent, Polynomial, VectorPoly
 from .singularity import (
     GermInput,
@@ -102,14 +102,23 @@ def tangent_derivation(f: Polynomial, coefficients, cofactor: Polynomial) -> Der
     ``ExponentOverflow`` (a ValueError) when an exponent of a product does
     not fit a packed field.
     """
+    return _tangent_field(f, coefficients, cofactor)[0]
+
+
+def _tangent_field(
+    f: Polynomial, coefficients, cofactor: Polynomial
+) -> tuple[Derivation, dict[ModTerm, int]]:
+    """``tangent_derivation``, with the primitive integer row of the field
+    (``_field_terms``) that the check ran on."""
     v = Derivation(tuple(coefficients), cofactor)
     if len(v.coefficients) != len(f.ring):
         raise ValueError("one coefficient per ring variable required")
     if any(p.ring != f.ring for p in (*v.coefficients, cofactor)):
         raise ValueError("coefficients, cofactor and polynomial from different rings")
-    if _tangency_defect(f, _primitive(_field_terms(v))[0]):
+    row, _ = _primitive(_field_terms(v))
+    if _tangency_defect(f, row):
         raise ValueError("not tangent: sum a_i df/dx_i differs from cofactor * f")
-    return v
+    return v, row
 
 
 def _field_terms(v: Derivation) -> dict[ModTerm, Fraction]:
@@ -122,9 +131,10 @@ def _tangency_defect(f: Polynomial, field: dict[ModTerm, int]) -> Row:
     """sum_i a_i df/dx_i - h f times a positive integer, as an integer row on packed terms.
 
     ``field`` is an integer row of the field (``_field_terms``).  f is made
-    primitive and its partials are read off that row, so every product is
-    one of integers on packed exponents; the row is empty exactly when the
-    field is tangent.
+    primitive and its partials are read off that row, so the identity is
+    the syzygy (a_1, ..., a_n, h) of (df/dx_1, ..., df/dx_n, -f), checked
+    as ``groebner._check_syzygies`` checks one (``packed._combination``);
+    the row is empty exactly when the field is tangent.
     """
     pk = packing(len(f.ring))
     f_row, _ = _primitive(f.terms)
@@ -133,11 +143,8 @@ def _tangency_defect(f: Polynomial, field: dict[ModTerm, int]) -> Row:
         for i, unit in enumerate(pk.units)
     ]
     parts.append({(0, pk.pack(e)): -c for e, c in f_row.items()})
-    tops = [pk.top(part) for part in parts]
-    total: Row = {}
-    for (i, e), c in field.items():
-        _sub_scaled(total, parts[i], tops[i], pk.pack(e), -c, pk.guard)
-    return total
+    weights = {(i, pk.pack(e)): c for (i, e), c in field.items()}
+    return _combination(parts, [pk.top(part) for part in parts], weights, pk.guard)
 
 
 @dataclass(frozen=True)
@@ -226,8 +233,11 @@ def derivation_module(f: Polynomial) -> list[Derivation]:
     return list(dict.fromkeys(tangent_derivation(f, a, h) for a, h in fields))
 
 
-def _cofactor_generators(f: Polynomial, t1: GradedT1) -> list[Derivation]:
-    """Tangent fields whose cofactor classes generate Ann_M([f]) = (J : f)/J.
+def _cofactor_generators(
+    f: Polynomial, t1: GradedT1
+) -> list[tuple[Derivation, dict[ModTerm, int]]]:
+    """Tangent fields whose cofactor classes generate Ann_M([f]) = (J : f)/J,
+    each with its primitive integer row (``_tangent_field``).
 
     For quasi-homogeneous f, the Euler field alone: its cofactor is the unit
     d.  Otherwise the relations of one Schreyer walk of the nonzero entries
@@ -241,10 +251,10 @@ def _cofactor_generators(f: Polynomial, t1: GradedT1) -> list[Derivation]:
     span has dimension tau, which makes it all of Ann_M([f]), and
     RuntimeError if the relations run out first.  Only kept relations are
     divided by their scales and become fields, each checked twice: the
-    tangency identity (``tangent_derivation``) and the exact syzygy check.
+    tangency identity (``_tangent_field``) and the exact syzygy check.
     """
     if t1.weight_data is not None:
-        return [tangent_derivation(f, *_euler(f, t1.weight_data))]
+        return [_tangent_field(f, *_euler(f, t1.weight_data))]
     ring, tau = f.ring, t1.tau
     milnor = milnor_algebra(f)
     shifts = [e for _, e in milnor.standard_monomials if any(e)]
@@ -262,14 +272,14 @@ def _cofactor_generators(f: Polynomial, t1: GradedT1) -> list[Derivation]:
             candidates.append((h, row, scale))
     candidates.sort(key=lambda c: min(map(sum, c[0])))
     span: dict[int, dict[int, Fraction]] = {}
-    kept: list[Derivation] = []
+    kept: list[tuple[Derivation, dict[ModTerm, int]]] = []
     relations: list[VectorPoly] = []
     for h, row, scale in candidates:
         if len(span) == tau:
             break
         if linalg._insert(span, residue(h, one)):
             relations.append(VectorPoly(ring, len(nonzero), {t: c / scale for t, c in row.items()}))
-            kept.append(tangent_derivation(f, *_field(ring, nonzero, relations[-1])))
+            kept.append(_tangent_field(f, *_field(ring, nonzero, relations[-1])))
             for b in shifts:
                 if len(span) == tau:
                     break
@@ -366,14 +376,15 @@ def modular_tangent_space(f: Polynomial) -> ModularTangent:
     quasi-homogeneous germ: every other tangent field acts, twisted or not,
     as an O-combination of theirs (Saito 1980; see the module docstring), so
     both kernels and their unique reduced row echelon bases are those of the
-    whole derivation module.  Each field acts as its primitive integer row,
-    a positive multiple of it, whose rows span what the field's rows span.
+    whole derivation module.  Each field acts as the primitive integer row
+    its tangency check ran on, a positive multiple of it, whose rows span
+    what the field's rows span.
     """
     t1 = _isolated_t1(f, "modular tangent space")
     stacked: list[dict[int, Fraction]] = []
     stacked_untwisted: list[dict[int, Fraction]] = []
-    for v in _cofactor_generators(f, t1):
-        twisted, untwisted = _action_rows(_primitive(_field_terms(v))[0], t1)
+    for _, row in _cofactor_generators(f, t1):
+        twisted, untwisted = _action_rows(row, t1)
         stacked.extend(twisted.values())
         stacked_untwisted.extend(untwisted.values())
     kernel = linalg.kernel_basis(stacked, ncols=t1.tau)

@@ -35,9 +35,9 @@ puts the order fields onto an exponent part.
 
 A row is a term map from (component, packed exponent) to an integer.  The
 row helpers below (a reducer with its lead data, the divisor lookup and its
-memo, the shifted subtraction, one elimination step, content removal,
-primitive rows) are private to the engine and live here, apart from its
-algorithms.
+memo, the shifted subtraction and integer combinations of rows, one
+elimination step, content removal, primitive rows) are private to the
+package and live here, apart from the engine's algorithms.
 
 The reducer of a Schreyer row keeps its bookkeeping part, the terms in
 components >= the split, as a second integer row (``book``, empty for
@@ -186,6 +186,19 @@ def _sub_scaled(target: Row, source: Row, top: int, shift: int, factor: int, gua
             target[key] = new
         else:
             target.pop(key, None)
+
+
+def _combination(rows: Sequence[Row], tops: Sequence[int], weights: Row, guard: int) -> Row:
+    """sum of c * x^m * rows[slot] over the terms c x^m at (slot, m) of ``weights``.
+
+    ``tops[slot]`` is the per-field maximum of the exponents of rows[slot]
+    (``Packing.top``); ExponentOverflow when a product does not fit.  The
+    syzygy check and the tangency check each test this row for emptiness.
+    """
+    total: Row = {}
+    for (slot, shift), c in weights.items():
+        _sub_scaled(total, rows[slot], tops[slot], shift, -c, guard)
+    return total
 
 
 @dataclass(frozen=True, slots=True)

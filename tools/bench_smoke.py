@@ -7,13 +7,11 @@ exits nonzero or prints no result, or a result has ``correct`` false.  The
 times are not checked: one short run on a shared runner says nothing about
 speed, only that every job still runs and gives the expected values.
 
-Usage, from anywhere: ``python tools/bench_smoke.py [--seed N]`` (seed 1 by
-default).
+Every run uses seed 1.  Usage, from anywhere: ``python tools/bench_smoke.py``.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import subprocess
 import sys
@@ -22,10 +20,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_workload(name: str, seed: int) -> str | None:
+def run_workload(name: str) -> str | None:
     """One short run of workload ``name``; a description of what went wrong, or None."""
     command = [sys.executable, "perfbench/run.py", "--workload", name,
-               "--seed", str(seed), "--seconds", "1"]
+               "--seed", "1", "--seconds", "1"]
     proc = subprocess.run(command, cwd=ROOT, capture_output=True, text=True)
     sys.stdout.write(proc.stdout)
     sys.stderr.write(proc.stderr)
@@ -41,16 +39,13 @@ def run_workload(name: str, seed: int) -> str | None:
     return None
 
 
-def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, default=1)
-    args = parser.parse_args(argv)
+def main() -> int:
     problems = []
     if subprocess.run([sys.executable, "perfbench/selfcheck.py"], cwd=ROOT).returncode != 0:
         problems.append("perfbench/selfcheck.py failed")
     workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
     for name in workloads:
-        problem = run_workload(name, args.seed)
+        problem = run_workload(name)
         if problem:
             problems.append(f"workload {name}: {problem}")
     for problem in problems:
@@ -62,4 +57,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

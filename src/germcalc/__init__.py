@@ -1,10 +1,10 @@
 """Exact invariants of isolated singularities at the origin.
 
-Local standard bases (Mora) and Groebner bases drive Milnor and Tjurina
-numbers, weight gradings, tangent vector fields with their twisted action
-on the Tjurina algebra, the first-order modular tangent space, projective
-hypersurface comparisons, and parameterized family scans.  All arithmetic
-is exact over the rationals.
+Local standard bases (Buchberger on Lazard-homogenized input) and Groebner
+bases drive Milnor and Tjurina numbers, weight gradings, tangent vector
+fields with their twisted action on the Tjurina algebra, the first-order
+modular tangent space, projective hypersurface comparisons, and
+parameterized family scans.  All arithmetic is exact over the rationals.
 """
 
 from .family import FamilySpec, ScanReport, ScanRow, catalog, evaluate, scan

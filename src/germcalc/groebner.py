@@ -21,9 +21,8 @@ case.  The machinery is shared:
   by its lead once, after the certificate; ``syzygies``, ``spoly`` and
   ``normal_form`` divide by lambda.  A scale changes no support, so every
   lead, pair, criterion and zero test is that of the rational computation;
-* global orderings use the ordinary division algorithm (full reduction);
-  local orderings use Mora's weak normal form with the ecart-minimizing
-  reduction strategy, allowing intermediate results as reducers;
+* a global ``normal_form`` is the ordinary division algorithm (full
+  reduction); a local one reads the residue off the staircase (below);
 * one completion loop, ``_std_engine``, serves standard bases and
   syzygies: Buchberger's loop under the normal pair-selection strategy
   (smallest lcm degree first, ties by the packed lcm, then by the pair's
@@ -72,14 +71,15 @@ the finitely many terms below that cut: the staircase writes it down once,
 on first use, term by term from the smallest up, and ``Staircase.residue``
 and ``Staircase.coordinates`` are a sparse lookup in it (the FGLM view of
 a zero-dimensional quotient).  ``quotient_coordinates`` is the checked
-entry point on polynomials and vectors.
+entry point on polynomials and vectors, and a local ``normal_form`` is the
+residue written back over the standard monomials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd, inf
 from typing import Callable, Iterable, Iterator, Sequence
@@ -148,44 +148,6 @@ def _nf_global(
             scale *= Fraction(mult, _remove_content(h, remainder))
             mult = 1
     return remainder, scale * mult
-
-
-def _ecart(terms: Row, lead: PackedTerm, degree: Callable[[int], int]) -> int:
-    return max(degree(e) for _, e in terms) - degree(lead[1])
-
-
-def _nf_mora(
-    h: Row, pool: Sequence[_Reducer], keyfn: Callable[[PackedTerm], object], pk: Packing
-) -> tuple[Row, Fraction]:
-    """Mora weak normal form for local orderings, fraction-free, and its scale.
-
-    Reduces the leading term only, choosing the first divisor of minimal
-    ecart (largest total degree minus the degree of the lead); when every
-    divisor has larger ecart than the current remainder, the remainder joins
-    the pool (the implicit local unit, and the reason the loop terminates).
-    An ecart is computed only when compared: a pool row's once, on first
-    use, the remainder's (never negative) only against a positive one.  The
-    scale is as in ``_nf_global``.
-    """
-    guard, degree = pk.guard, pk.degree
-    pool, leads = list(pool), [r.lead for r in pool]
-    ecart = cache(lambda k: _ecart(pool[k].terms, pool[k].lead, degree))
-    h = dict(h)
-    scale, steps = _ONE, 0
-    while h:
-        lt = max(h, key=keyfn)
-        k = min(_divisors(leads, lt, guard), key=ecart, default=None)
-        if k is None:
-            break
-        red = pool[k]
-        if ecart(k) > 0 and ecart(k) > _ecart(h, lt, degree):
-            pool.append(_reducer(lt, _primitive(h)[0], pk))
-            leads.append(lt)
-        scale *= _eliminate(h, lt, red, {}, guard)
-        steps += 1
-        if not steps % _CONTENT_EVERY:
-            scale /= _remove_content(h, {})
-    return h, scale
 
 
 def _spoly_terms(f: _Reducer, g: _Reducer, lcm: int, guard: int) -> tuple[Row, Row, Fraction]:
@@ -565,26 +527,30 @@ def standard_basis(
 
 
 def normal_form(p: VectorPoly | Polynomial, basis: StandardBasis) -> VectorPoly:
-    """Fully reduced remainder (global) or Mora weak normal form (local).
+    """Fully reduced remainder (global) or residue representative (local).
 
-    Zero exactly when p lies in the ideal/submodule (over the local ring
-    for local orderings).
+    Under a local order the result is sum_j r_j x^(b_j) over the standard
+    monomials b_j, where r is ``staircase(basis).residue(p)``: p minus it
+    lies in the submodule over the local ring, and standard monomials are
+    independent modulo it.  Either way the result is zero exactly when p
+    lies in the ideal/submodule, and it is its own normal form.  ValueError
+    for a local order whose staircase is infinite.
     """
     v = VectorPoly.from_poly(p) if isinstance(p, Polynomial) else p
     if v.ring != basis.ring or v.ncomp != basis.ncomp:
         raise ValueError("ring or component mismatch with basis")
-    order = basis.order
-    pk = packing(len(v.ring)) if order.is_local() else _engine_packing(order, len(v.ring))
+    if basis.order.is_local():
+        stair = staircase(basis)
+        terms = {stair.standard_monomials[j]: a for j, a in stair.residue(v.terms).items()}
+        return VectorPoly(v.ring, v.ncomp, terms)
+    pk = _engine_packing(basis.order, len(v.ring))
     row, scale = _primitive(pk.pack_terms(v.terms))
     pool = [
         _reducer((lead[0], pk.pack(lead[1])), _primitive(pk.pack_terms(g.terms))[0], pk)
         for g, lead in zip(basis.generators, basis.leading_terms)
     ]
-    if order.is_local():
-        h, h_scale = _nf_mora(row, pool, cache(pk.keyed(order.module_key)), pk)
-    else:
-        first = _first_divisor([r.lead for r in pool], pk.guard)
-        h, h_scale = _nf_global(row, pool, first, pk)
+    first = _first_divisor([r.lead for r in pool], pk.guard)
+    h, h_scale = _nf_global(row, pool, first, pk)
     return VectorPoly(v.ring, v.ncomp, pk.unpack_terms(_rational(h, scale * h_scale)))
 
 

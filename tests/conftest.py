@@ -10,11 +10,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
+from typing import Callable, Sequence
 
 import pytest
 
-from germcalc import GermInput, parse_poly
+from germcalc import GermInput, Polynomial, VectorPoly, parse_poly
+from germcalc.packed import (
+    PackedTerm,
+    Packing,
+    Row,
+    _divisors,
+    _eliminate,
+    _primitive,
+    _rational,
+    _Reducer,
+    _reducer,
+    _remove_content,
+    packing,
+)
 
 V2 = ("x", "y")
 V3 = ("x", "y", "z")
@@ -308,3 +322,73 @@ def engine_pool(term_maps, keyfn, pk):
 
 def unpacked_lead(red, pk):
     return red.lead[0], pk.unpack(red.lead[1])
+
+
+# -- Mora's weak normal form, the reference for local membership -------------
+#
+# The tangent-cone algorithm (Greuel and Pfister, A Singular Introduction to
+# Commutative Algebra, 1.7), on the engine's integer rows.  The library
+# reads a local normal form off the staircase's residue table instead, and
+# refuses an infinite staircase; this decides membership in any submodule
+# of a local order, for example a syzygy module, and is the independent
+# answer the residue table is checked against.  It can stall on a minimal
+# local basis (the Jacobian basis of x^7+y^5+z^4+x^2*y*z+x*y^3*z^2), so
+# keep it to small inputs.
+
+_ONE = Fraction(1)
+_CONTENT_EVERY = 8  # reduction steps between two content removals
+
+
+def _ecart(terms: Row, lead: PackedTerm, degree: Callable[[int], int]) -> int:
+    return max(degree(e) for _, e in terms) - degree(lead[1])
+
+
+def _nf_mora(
+    h: Row, pool: Sequence[_Reducer], keyfn: Callable[[PackedTerm], object], pk: Packing
+) -> tuple[Row, Fraction]:
+    """Mora weak normal form for local orderings, fraction-free, and its scale.
+
+    Reduces the leading term only, choosing the first divisor of minimal
+    ecart (largest total degree minus the degree of the lead); when every
+    divisor has larger ecart than the current remainder, the remainder joins
+    the pool (the implicit local unit, and the reason the loop terminates).
+    An ecart is computed only when compared: a pool row's once, on first
+    use, the remainder's (never negative) only against a positive one.  The
+    scale is as in ``germcalc.groebner._nf_global``.
+    """
+    guard, degree = pk.guard, pk.degree
+    pool, leads = list(pool), [r.lead for r in pool]
+    ecart = cache(lambda k: _ecart(pool[k].terms, pool[k].lead, degree))
+    h = dict(h)
+    scale, steps = _ONE, 0
+    while h:
+        lt = max(h, key=keyfn)
+        k = min(_divisors(leads, lt, guard), key=ecart, default=None)
+        if k is None:
+            break
+        red = pool[k]
+        if ecart(k) > 0 and ecart(k) > _ecart(h, lt, degree):
+            pool.append(_reducer(lt, _primitive(h)[0], pk))
+            leads.append(lt)
+        scale *= _eliminate(h, lt, red, {}, guard)
+        steps += 1
+        if not steps % _CONTENT_EVERY:
+            scale /= _remove_content(h, {})
+    return h, scale
+
+
+def mora_normal_form(p, sb):
+    """Mora weak normal form of p against a standard basis of a local order.
+
+    Zero exactly when p lies in the ideal/submodule over the local ring.
+    """
+    v = VectorPoly.from_poly(p) if isinstance(p, Polynomial) else p
+    assert sb.order.is_local() and (v.ring, v.ncomp) == (sb.ring, sb.ncomp)
+    pk = packing(len(v.ring))
+    row, scale = _primitive(pk.pack_terms(v.terms))
+    pool = [
+        _reducer((lead[0], pk.pack(lead[1])), _primitive(pk.pack_terms(g.terms))[0], pk)
+        for g, lead in zip(sb.generators, sb.leading_terms)
+    ]
+    h, h_scale = _nf_mora(row, pool, cache(pk.keyed(sb.order.module_key)), pk)
+    return VectorPoly(v.ring, v.ncomp, pk.unpack_terms(_rational(h, scale * h_scale)))

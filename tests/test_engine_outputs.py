@@ -29,7 +29,7 @@ from germcalc import (
     syzygies,
 )
 
-from conftest import CATALOG, cached_poly
+from conftest import CATALOG, cached_poly, mora_normal_form
 
 RECORDED = Path(__file__).resolve().parent / "data" / "engine_outputs.json"
 ORDERS = {"negdegrevlex": NEGDEGREVLEX, "degrevlex": DEGREVLEX}
@@ -105,9 +105,11 @@ def test_schreyer_syzygies_generate_the_recorded_module(name):
     ]
     after = syzygies(schreyer_seeds(), order)
     # mutual reduction: each set lies in the module the other generates
+    # a syzygy module has infinite codimension: a local order needs Mora
+    nf = mora_normal_form if order.is_local() else normal_form
     for gens, others in ((after, before), (before, after)):
         sb = standard_basis(gens, order)
-        assert all(normal_form(s, sb).is_zero() for s in others)
+        assert all(nf(s, sb).is_zero() for s in others)
 
 
 def one_case_a_line(table):

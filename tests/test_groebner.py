@@ -13,6 +13,7 @@ import pytest
 from germcalc import (
     DEGREVLEX,
     NEGDEGREVLEX,
+    Polynomial,
     VectorPoly,
     normal_form,
     parse_poly,
@@ -38,6 +39,7 @@ from conftest import (
     engine_pool,
     monic_row,
     monic_spoly,
+    mora_normal_form,
     pair_key,
     top_reduce,
     unpacked_lead,
@@ -84,6 +86,40 @@ def test_nf_idempotent_on_catalog():
         once = normal_form(p, sb)
         again = normal_form(once, sb)
         assert once == again
+
+
+def test_local_nf_refuses_an_infinite_staircase():
+    # (x) has infinite codimension in O over (x, y): no residue table
+    sb = standard_basis([parse_poly("x", V2)], NEGDEGREVLEX)
+    with pytest.raises(ValueError, match="not finite dimensional"):
+        normal_form(parse_poly("x*y", V2), sb)
+
+
+MU35 = "x^7+y^5+z^4+x^2*y*z+x*y^3*z^2"
+
+
+def test_local_nf_of_every_s_vector_of_a_minimal_jacobian_basis(monkeypatch):
+    # Mora's weak normal form stalled on 8 of these 21 S-vectors, with
+    # coefficients doubling in bit length; the residue table eliminates
+    # nothing, so a limit on eliminations fails a stall without a hang
+    sb = standard_basis(jacobian(parse_poly(MU35, V3)), NEGDEGREVLEX)
+    assert len(sb.generators) == 7
+    calls = 0
+    eliminate = groebner._eliminate
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        if calls > 1000:
+            raise RuntimeError("more than 1000 eliminations")
+        return eliminate(*args)
+
+    monkeypatch.setattr(groebner, "_eliminate", counted)
+    gens = sb.generators
+    pairs = [(i, j) for j in range(len(gens)) for i in range(j)]
+    assert len(pairs) == 21
+    for i, j in pairs:
+        assert normal_form(spoly(gens[i], gens[j], sb.order.module_key), sb).is_zero(), (i, j)
 
 
 def test_nf_ring_mismatch():
@@ -492,8 +528,10 @@ def syzygies_generate_all_pairs_syzygies(gens, order):
     reference = all_pairs_syzygies(gens, order)
     assert reference
     sb = standard_basis(syzygies(gens, order), order)
+    # a syzygy module has infinite codimension: a local order needs Mora
+    nf = mora_normal_form if order.is_local() else normal_form
     for s in reference:
-        assert normal_form(s, sb).is_zero(), s
+        assert nf(s, sb).is_zero(), s
 
 
 # -- the shared skip rule --------------------------------------------------
@@ -797,7 +835,7 @@ def assert_coordinates_match_mora(sb, st, rng, rounds=6):
         rest = dict(p.terms)
         for term, c in zip(st.standard_monomials, coords):
             rest[term] = rest.get(term, 0) - c
-        assert normal_form(VectorPoly(sb.ring, sb.ncomp, rest), sb).is_zero()
+        assert mora_normal_form(VectorPoly(sb.ring, sb.ncomp, rest), sb).is_zero()
 
 
 @pytest.mark.parametrize(
@@ -806,7 +844,20 @@ def assert_coordinates_match_mora(sb, st, rng, rounds=6):
 def test_residue_table_against_mora_normal_form(germ):
     tau, t1 = cached_tjurina(germ.text, germ.vars)
     rng = random.Random(germ.name)
-    assert_coordinates_match_mora(t1.stair.basis, t1.stair, rng)
+    sb = t1.stair.basis
+    assert_coordinates_match_mora(sb, t1.stair, rng)
+    # a random O-combination of the generators, and one off it by a random
+    # nonzero combination of standard monomials
+    inside = sum(
+        (random_vector(rng, sb.ring, 1, 3).component(0) * g.component(0) for g in sb.generators),
+        Polynomial.zero(sb.ring),
+    )
+    picked = rng.sample(t1.stair.standard_monomials, min(2, tau))
+    outside = inside + Polynomial(sb.ring, {e: rng.randint(1, 9) for _, e in picked})
+    for p, member in ((inside, True), (outside, False)):
+        nf = normal_form(p, sb)
+        assert nf.is_zero() == mora_normal_form(p, sb).is_zero() == member
+        assert normal_form(nf, sb) == nf
     for _ in range(3):
         p = random_vector(rng, t1.ring, 1, 6).component(0)
         assert t1.coordinates(p) == quotient_coordinates(p, t1.stair.basis, t1.stair)

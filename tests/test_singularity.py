@@ -19,6 +19,7 @@ from germcalc import (
     parse_poly,
     tjurina_number,
 )
+from germcalc import singularity
 from conftest import CATALOG, cached_poly, cached_tjurina, dense_rref
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -148,6 +149,15 @@ def test_weights_with_a_negative_entry_are_none():
     # x^2 + x^3*y forces w_x = 1/2 and w_y = -1/2: the solution is re-checked
     # and then refused for its nonpositive weight
     assert find_weights(parse_poly("x^2+x^3*y", V2)) is None
+
+
+def test_weights_re_check_refuses_a_wrong_kernel(monkeypatch):
+    # a kernel whose d = 1 vector gives positive weights that do not make
+    # x^3+y^3 homogeneous: the re-check on every exponent must refuse them
+    monkeypatch.setattr(
+        singularity.linalg, "kernel_basis", lambda rows: [[Fraction(1, 2), Fraction(1, 3), 1]]
+    )
+    assert find_weights(parse_poly("x^3+y^3", V2)) is None
 
 
 def test_weights_pinned_at_half_miss_a_positive_solution():

@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 import pytest
 
 from germcalc import GermInput, Polynomial, VectorPoly, parse_poly
+from germcalc.groebner import _CONTENT_EVERY, _ONE
 from germcalc.packed import (
     PackedTerm,
     Packing,
@@ -334,9 +335,6 @@ def unpacked_lead(red, pk):
 # answer the residue table is checked against.  It can stall on a minimal
 # local basis (the Jacobian basis of x^7+y^5+z^4+x^2*y*z+x*y^3*z^2), so
 # keep it to small inputs.
-
-_ONE = Fraction(1)
-_CONTENT_EVERY = 8  # reduction steps between two content removals
 
 
 def _ecart(terms: Row, lead: PackedTerm, degree: Callable[[int], int]) -> int:

@@ -21,6 +21,7 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TIER1_ARGS = ["-q", "--continue-on-collection-errors"]  # run from ROOT with src on the path
 EXPECTED = {
     "tests.test_acceptance::test_criterion_6_milnor_jump_as_stated",
     "tests.test_acceptance::test_criterion_7_icis_as_stated",
@@ -43,8 +44,7 @@ def main(argv: list[str]) -> int:
     env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
     with tempfile.TemporaryDirectory() as tmp:
         junit = Path(tmp) / "tier1.xml"
-        command = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
-                   f"--junitxml={junit}", *argv]
+        command = [sys.executable, "-m", "pytest", *TIER1_ARGS, f"--junitxml={junit}", *argv]
         code = subprocess.run(command, cwd=ROOT, env=env).returncode
         if code not in (0, 1) or not junit.exists():
             print(f"tier1 gate: pytest stopped with exit code {code}", file=sys.stderr)

@@ -1,9 +1,9 @@
 """List the lines of ``src/germcalc`` that the Tier-1 suite never runs.
 
-Runs the Tier-1 command (``pytest -q --continue-on-collection-errors``,
-with ``src`` first on the path) in this process under a ``sys.settrace``
-line tracer that traces only frames whose code lies in ``src/germcalc``;
-every other frame runs untraced.  An executable line is one that the
+Runs the Tier-1 command (``pytest`` with ``tier1_gate.TIER1_ARGS``, from
+the repository root with ``src`` first on the path) in this process under
+a ``sys.settrace`` line tracer that traces only frames whose code lies in
+``src/germcalc``; every other frame runs untraced.  An executable line is one that the
 compiled module attributes an instruction to.  Each executable line that
 no test ran is printed as ``module:line`` with its source, and every
 ``raise`` among them is marked: a guard no test fires is a guard no test
@@ -15,19 +15,18 @@ when pytest itself could not run (an exit code other than 0 or 1).  The
 traced suite takes 2.5 to 3.5 times as long as the untraced one.  The
 standard library is enough (``coverage`` is not a dependency).
 
-Usage, from anywhere: ``python tools/unreached.py [extra pytest arguments]``.
+Usage, from anywhere: ``python tools/unreached.py``.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-from pathlib import Path
 from types import CodeType
 
 import pytest
+from tier1_gate import ROOT, TIER1_ARGS
 
-ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "germcalc"
 
 
@@ -40,7 +39,7 @@ def executable_lines(code: CodeType) -> set[int]:
     return lines
 
 
-def traced_run(argv: list[str]) -> tuple[int, set[tuple[str, int]]]:
+def traced_run() -> tuple[int, set[tuple[str, int]]]:
     """Pytest's exit code and the (file, line) pairs run in the package."""
     prefix = str(PACKAGE) + os.sep
     ours: dict[str, bool] = {}
@@ -61,14 +60,14 @@ def traced_run(argv: list[str]) -> tuple[int, set[tuple[str, int]]]:
     os.chdir(ROOT)
     sys.settrace(call)
     try:
-        code = pytest.main(["-q", "--continue-on-collection-errors", *argv])
+        code = pytest.main(TIER1_ARGS)
     finally:
         sys.settrace(None)
     return int(code), {(os.path.realpath(name), line) for name, line in hits}
 
 
-def main(argv: list[str]) -> int:
-    code, hits = traced_run(argv)
+def main() -> int:
+    code, hits = traced_run()
     if code not in (0, 1):
         print(f"unreached: pytest stopped with exit code {code}", file=sys.stderr)
         return 1
@@ -87,4 +86,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

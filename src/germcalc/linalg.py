@@ -4,12 +4,13 @@ Row reduction is one sparse incremental echelon form, ``_echelon``: rows
 come in one at a time, dense lists or sparse ``{column: value}`` maps, and
 each is reduced against the pivot rows kept so far, which stay fully
 reduced (a 1 at the pivot, 0 at every other pivot column).  ``rank`` and
-``kernel_basis`` both read from it, and ``_insert``, its one step, lets a
-caller grow a span row by row.  The reduced row echelon form of a row space
-is unique, so the result does not depend on the order in which rows
-arrive; pivots are the leading columns, so ranks and kernel bases are
-reproducible.  Dense matrices are lists of equal-length lists of
-``Fraction``.
+``kernel_basis`` both read from it and are always given the width
+``ncols``, against which every row, dense or sparse, is checked.
+``_insert``, the one step, lets a caller grow a span row by row.  The
+reduced row echelon form of a row space is unique, so the result does not
+depend on the order in which rows arrive; pivots are the leading columns,
+so ranks and kernel bases are reproducible.  Dense matrices are lists of
+equal-length lists of ``Fraction``.
 """
 
 from __future__ import annotations
@@ -86,27 +87,17 @@ def _subtract(target: dict[int, Fraction], a: Fraction, source: dict[int, Fracti
             del target[k]
 
 
-def _width(rows: Sequence[Row], ncols: int | None) -> int:
-    if ncols is not None:
-        return ncols
-    if not rows:
-        raise ValueError("empty matrix needs an explicit column count")
-    if isinstance(rows[0], Mapping):
-        raise ValueError("sparse rows need an explicit column count")
-    return len(rows[0])
+def rank(rows: Iterable[Row], ncols: int) -> int:
+    """Dimension of the span of the rows, each dense or sparse over ``ncols`` columns."""
+    return len(_echelon(rows, ncols))
 
 
-def rank(rows: Matrix) -> int:
-    return len(_echelon(rows, _width(rows, None))) if rows else 0
-
-
-def kernel_basis(rows: Sequence[Row], ncols: int | None = None) -> list[list[Fraction]]:
+def kernel_basis(rows: Iterable[Row], ncols: int) -> list[list[Fraction]]:
     """Basis of the right kernel {v : A v = 0}, one vector per free column.
 
     Rows may be dense lists of length ``ncols`` or sparse ``{column: value}``
-    maps (then ``ncols`` is required); ValueError if a row does not fit.
+    maps; ValueError if a row does not fit.
     """
-    ncols = _width(rows, ncols)
     pivots = _echelon(rows, ncols)
     basis = {c: [_ZERO] * ncols for c in range(ncols) if c not in pivots}
     for c, v in basis.items():
@@ -118,8 +109,6 @@ def kernel_basis(rows: Sequence[Row], ncols: int | None = None) -> list[list[Fra
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if not a or not b:
-        return []
     inner = len(b)
     return [
         [sum((row[k] * b[k][j] for k in range(inner)), _ZERO) for j in range(len(b[0]))]

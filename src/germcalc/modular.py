@@ -43,7 +43,9 @@ such terms are dropped before they are formed (``_action_rows``).
 a positive multiple of a field scales its rows by the same factor, so the
 row spaces and kernels are those of the field.  ``action_matrix`` acts with
 the field as given, so its entries are exact.  Only the nonzero rows go, as
-sparse ``{column: entry}`` maps, into ``linalg.kernel_basis``.
+sparse ``{column: entry}`` maps over tau columns, into ``linalg``: the
+twisted rows into ``kernel_basis``, the untwisted ones into ``rank``, whose
+codimension tau - rank is the untwisted kernel's dimension.
 
 For homogeneous f the module also computes the first-order deformation
 count of the projective hypersurface (degree-m forms modulo the span of
@@ -371,7 +373,8 @@ def modular_tangent_space(f: Polynomial) -> ModularTangent:
     The kernel is computed in T1 coordinates (for a miniversal deformation
     the Kodaira-Spencer identification of the base tangent space with T1 is
     the identity).  ``convention_sensitive`` reports whether the untwisted
-    action (no cofactor correction) would give a different dimension.  Only
+    action (no cofactor correction) would give a different dimension, read
+    as tau minus the rank of the untwisted rows, with no kernel built.  Only
     the fields of ``_cofactor_generators`` act, the Euler field alone for a
     quasi-homogeneous germ: every other tangent field acts, twisted or not,
     as an O-combination of theirs (Saito 1980; see the module docstring), so
@@ -387,8 +390,8 @@ def modular_tangent_space(f: Polynomial) -> ModularTangent:
         twisted, untwisted = _action_rows(row, t1)
         stacked.extend(twisted.values())
         stacked_untwisted.extend(untwisted.values())
-    kernel = linalg.kernel_basis(stacked, ncols=t1.tau)
-    alt_dim = len(linalg.kernel_basis(stacked_untwisted, ncols=t1.tau))
+    kernel = linalg.kernel_basis(stacked, t1.tau)
+    alt_dim = t1.tau - linalg.rank(stacked_untwisted, t1.tau)
     return ModularTangent(
         kernel_basis=tuple(tuple(v) for v in kernel),
         t1=t1,
@@ -425,13 +428,8 @@ def projective_t1_dimension(f: Polynomial) -> int:
     for zi in ring:
         for zj in ring:
             p = Polynomial.variable(ring, zi) * f.partial_derivative(zj)
-            if p.is_zero():
-                continue
-            row = [Fraction(0)] * len(monos)
-            for expo, coeff in p.iter_terms():
-                row[index[expo]] = coeff
-            rows.append(row)
-    return len(monos) - (linalg.rank(rows) if rows else 0)
+            rows.append({index[e]: c for e, c in p.iter_terms()})
+    return len(monos) - linalg.rank(rows, len(monos))
 
 
 def projective_closed_form(nvars: int, m: int) -> int:

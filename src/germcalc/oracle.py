@@ -1,4 +1,4 @@
-"""Brute-force local quotient dimension by truncated dense linear algebra.
+"""Brute-force local quotient dimension by truncated linear algebra.
 
 Independent cross-check for the standard-basis pipeline: the dimension of
 O/(g_1, ..., g_k) at the origin equals the codimension of the span of all
@@ -12,8 +12,6 @@ multiplies, truncates and row-reduces.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from . import linalg
 from .poly import Exponent, Polynomial
@@ -49,20 +47,14 @@ def truncated_quotient_dimension(gens: list[Polynomial], degree_bound: int) -> i
     nvars = len(ring)
     monos = monomials_below(nvars, degree_bound)
     index = {m: i for i, m in enumerate(monos)}
-    rows: list[list[Fraction]] = []
-    zero = Fraction(0)
+    rows = []
     for g in gens:
         room = degree_bound - g.order_at_origin()
         for m in monomials_below(nvars, max(room, 0)):
-            row = [zero] * len(monos)
-            nonzero = False
+            row = {}
             for expo, coeff in g.iter_terms():
                 shifted = tuple(a + b for a, b in zip(expo, m))
                 if sum(shifted) < degree_bound:
-                    row[index[shifted]] += coeff
-                    nonzero = True
-            if nonzero:
-                rows.append(row)
-    if not rows:
-        return len(monos)
-    return len(monos) - linalg.rank(rows)
+                    row[index[shifted]] = coeff
+            rows.append(row)
+    return len(monos) - linalg.rank(rows, len(monos))

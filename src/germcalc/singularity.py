@@ -174,7 +174,7 @@ def find_weights(f: Polynomial) -> WeightData | None:
         raise ValueError("zero polynomial has no weights")
     exponents = sorted(f.terms)
     nvars = len(f.ring)
-    kernel = linalg.kernel_basis([list(expo) + [-1] for expo in exponents])
+    kernel = linalg.kernel_basis([list(expo) + [-1] for expo in exponents], nvars + 1)
     scaled = [v for v in kernel if v[nvars]]
     if not scaled:
         return None  # inconsistent: the support forces d = 0

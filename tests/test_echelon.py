@@ -51,8 +51,8 @@ def mixed(draw):
 def test_rank_and_free_columns_match_the_dense_sweep(case):
     ncols, rows = case
     _, pivots = dense_rref(rows)
-    assert linalg.rank(rows) == len(pivots)
-    kernel = linalg.kernel_basis(rows, ncols=ncols)
+    assert linalg.rank(rows, ncols) == len(pivots)
+    kernel = linalg.kernel_basis(rows, ncols)
     # a kernel vector's last nonzero entry is the 1 at its free column
     free = [max(c for c, a in enumerate(v) if a) for v in kernel]
     assert free == [c for c in range(ncols) if c not in pivots]
@@ -63,8 +63,9 @@ def test_rank_and_free_columns_match_the_dense_sweep(case):
 @given(mixed())
 def test_kernel_of_dense_and_sparse_rows_matches_the_dense_sweep(case):
     ncols, rows, given_rows = case
-    kernel = linalg.kernel_basis(given_rows, ncols=ncols)
+    kernel = linalg.kernel_basis(given_rows, ncols)
     assert kernel == dense_kernel(rows, ncols)
+    assert linalg.rank(given_rows, ncols) == len(dense_rref(rows)[1]) == ncols - len(kernel)
     for v in kernel:
         assert all(sum(a * b for a, b in zip(r, v)) == 0 for r in rows)
 
@@ -75,7 +76,7 @@ def test_kernel_ignores_row_order(case, rng):
     ncols, _, given_rows = case
     shuffled = list(given_rows)
     rng.shuffle(shuffled)
-    assert linalg.kernel_basis(shuffled, ncols=ncols) == linalg.kernel_basis(given_rows, ncols=ncols)
+    assert linalg.kernel_basis(shuffled, ncols) == linalg.kernel_basis(given_rows, ncols)
 
 
 @PROPERTY
@@ -87,6 +88,6 @@ def test_kernel_ignores_appended_combinations(case, data):
         weights = data.draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
         extra.append([sum((w * r[c] for w, r in zip(weights, rows)), Fraction(0))
                       for c in range(ncols)])
-    base = linalg.kernel_basis(given_rows, ncols=ncols)
-    assert linalg.kernel_basis(given_rows + extra, ncols=ncols) == base
-    assert linalg.kernel_basis(extra + given_rows, ncols=ncols) == base
+    base = linalg.kernel_basis(given_rows, ncols)
+    assert linalg.kernel_basis(given_rows + extra, ncols) == base
+    assert linalg.kernel_basis(extra + given_rows, ncols) == base

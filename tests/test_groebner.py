@@ -288,7 +288,7 @@ def test_t333_jacobian_staircase_dimension_eight():
             [f"{v}^{e}" for v, e in zip(V3, expo) if e] or ["1"]), V3), sb, st)
         for expo in box
     ]
-    assert linalg.rank(rows) == 8
+    assert linalg.rank(rows, 8) == 8
 
 
 def test_pure_power_criterion_detects_infinite():

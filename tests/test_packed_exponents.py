@@ -23,6 +23,7 @@ from germcalc import (
     DEGREVLEX,
     NEGDEGREVLEX,
     ExponentOverflow,
+    normal_form,
     parse_poly,
     staircase,
     standard_basis,
@@ -298,13 +299,15 @@ def test_a_shifted_tail_past_the_cut_is_skipped_before_it_overflows():
     # tail to y^(max + 1), which does not fit.  That term lies past the cut of
     # the staircase {1, y, y^2}, so it is zero and the table skips it by its
     # degree before forming it: x*y lies in the ideal, whose y^3 makes x one
-    # of its elements.
+    # of its elements.  So do x^2 and x*y^2, and a local normal form, which
+    # reads the same table, keeps only the y of x*y + x^2 + y.
     sb = standard_basis([parse_poly(f"x+y^{ENTRY_MAX}", V2), parse_poly("y^3", V2)], NEGDEGREVLEX)
     stair = staircase(sb)
     assert [e for _, e in stair.standard_monomials] == [(0, 0), (0, 1), (0, 2)]
-    assert stair.residue({(0, (1, 1)): 1}) == {}
-    assert stair.residue({(0, (1, 0)): 1}) == {}
+    for expo in [(1, 1), (1, 0), (2, 0), (1, 2)]:
+        assert stair.residue({(0, expo): 1}) == {}
     assert stair.residue({(0, (0, 2)): 1}) == {2: 1}
+    assert normal_form(parse_poly("x*y+x^2+y", V2), sb).to_polys() == [parse_poly("y", V2)]
 
 
 def test_a_shift_past_the_field_raises_before_it_wraps():

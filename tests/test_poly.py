@@ -27,9 +27,12 @@ def rng():
 def test_zero_and_constants():
     z = Polynomial.zero(V2)
     assert z.is_zero() and str(z) == "0"
+    assert z.order_at_origin() == 0 and not z
     c = Polynomial.constant(V2, Fraction(-3, 2))
-    assert c.constant_term() == Fraction(-3, 2)
+    assert c.constant_term() == Fraction(-3, 2) and c
     assert (c + (-c)).is_zero()
+    # neither carrier equals a value of another type, nor the other carrier
+    assert z != 0 and VectorPoly.from_polys([z]) != z
 
 
 def test_ring_axioms_on_random_polys(rng):

@@ -155,7 +155,8 @@ def test_weights_re_check_refuses_a_wrong_kernel(monkeypatch):
     # a kernel whose d = 1 vector gives positive weights that do not make
     # x^3+y^3 homogeneous: the re-check on every exponent must refuse them
     monkeypatch.setattr(
-        singularity.linalg, "kernel_basis", lambda rows: [[Fraction(1, 2), Fraction(1, 3), 1]]
+        singularity.linalg, "kernel_basis",
+        lambda rows, ncols: [[Fraction(1, 2), Fraction(1, 3), 1]],
     )
     assert find_weights(parse_poly("x^3+y^3", V2)) is None
 

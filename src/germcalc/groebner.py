@@ -34,11 +34,12 @@ case.  The machinery is shared:
   global order (Lazard's method), which keeps tails division-reduced
   throughout; the slack entry is dropped afterwards;
 * a divisor search scans leads in order with one mask test per lead
-  (``_divisors``); the full reductions of a completion, of its
-  certificate and of a global ``normal_form`` each go through one memo on
-  one leads list (``_first_divisor``): the basis only grows, so a term's
-  first dividing lead is found once, and a miss is rescanned only over
-  the leads appended since;
+  (``_divisors``); the pair walk (``_walk_pairs``) forms and reduces
+  every S-vector of a completion and of its certificate through the one
+  memo it keeps on its own leads list (``_first_divisor``), and a global
+  ``normal_form`` builds one on its pool: the leads only grow, so a
+  term's first dividing lead is found once, and a miss is rescanned only
+  over the leads appended since;
 * pairs are dropped as each element joins (Gebauer and Moeller, JSC
   1988): pending pairs by criterion B, the element's new pairs by
   criteria F and M, then coprime pairs by the product criterion, which
@@ -243,15 +244,14 @@ def _new_pairs(leads: Sequence[PackedTerm], t: int, ideal: bool, pk: Packing) ->
 
 def _walk_pairs(
     basis: list[_Reducer],
-    leads: list[PackedTerm],
-    reduce: Callable[[int, int, int], _Reducer | None],
+    judge: Callable[[int, int, Row, Fraction, Fraction], _Reducer | None],
     pk: Packing,
 ):
-    """Reduce the S-vector of every pair of ``basis`` that no criterion drops.
+    """Reduce the S-vector of every pair of ``basis`` that no criterion drops,
+    and hand each remainder to ``judge``.
 
-    ``leads`` are the leads of ``basis``; both grow here, in step.  The
-    elements join one at a time, first the given ones, then each new one,
-    by Gebauer and Moeller's pair update ("On an installation of
+    The elements join one at a time, first the given ones, then each new
+    one, by Gebauer and Moeller's pair update ("On an installation of
     Buchberger's algorithm", JSC 1988): a joining element first drops the
     pending pairs it covers (``_criterion_b``), then adds those of its own
     pairs that criteria F and M and the product criterion keep
@@ -259,19 +259,26 @@ def _walk_pairs(
     of the starting set lies in component 0, as decided here from the data:
     modules and Schreyer rows, whose bookkeeping part lies outside
     component 0, need their coprime pairs.  Pending pairs pop smallest key
-    first (lcm degree, packed lcm, i, j), each to ``reduce(i, j, lcm)``,
-    which returns the reducer of a remainder that joins the basis, or None.
-    Pairs read the leads' exponent fields; ``reduce`` gets a lifted lcm.
+    first (lcm degree, packed lcm, i, j).  Each popped pair's S-vector
+    (``_spoly_terms``, at the lifted lcm) is reduced by ``_nf_global``, its
+    bookkeeping part carried along, and ``judge(i, j, remainder, s_scale,
+    h_scale)`` gets the remainder with the scales of the S-vector and of the
+    reduction; it returns the reducer of a remainder that joins ``basis``,
+    or None.  Pairs read the leads' exponent fields.  The walk owns the
+    leads list and its divisor memo (``_first_divisor``) on the lifted
+    leads: both only grow, in step with ``basis``, which is what the memo
+    needs.
 
     Soundness.  Say S(i, j), with lcm m, has a representation when it is
     sum a_l g_l over the final elements with every lead of a_l g_l below m.
-    A pair handed to ``reduce`` has one: its remainder is zero, an element
-    that joined or (in the Schreyer walk) a relation, with lead below m.
-    A coprime pair of an ideal has one (Buchberger's first criterion).  If
-    lead k divides m and S(i, k) and S(k, j) have representations, so does
-    S(i, j): it is a monomial combination of the two whose multipliers keep
-    every lead below m (the chain criterion).  Every dropped pair has one
-    by induction on (degree of m, larger index, dropped by F):
+    A pair handed to ``judge`` has one when ``judge`` accepts it: its
+    remainder is zero, an element that joined or (in the Schreyer walk) a
+    relation, with lead below m.  A coprime pair of an ideal has one
+    (Buchberger's first criterion).  If lead k divides m and S(i, k) and
+    S(k, j) have representations, so does S(i, j): it is a monomial
+    combination of the two whose multipliers keep every lead below m (the
+    chain criterion).  Every dropped pair has one by induction on (degree
+    of m, larger index, dropped by F):
 
     * B dropped (i, j) as t joined: lcm(i, t) and lcm(j, t) properly divide
       m, so have smaller degrees; chain through t;
@@ -286,7 +293,9 @@ def _walk_pairs(
     standard-basis property (Buchberger's criterion).
     """
     ideal = not any(r.book or any(comp for comp, _ in r.terms) for r in basis)
-    low = pk.low
+    low, guard = pk.low, pk.guard
+    leads = [r.lead for r in basis]
+    first = _first_divisor(leads, guard)
     exponents = [(comp, e & low) for comp, e in leads]
     pending: list[PairKey] = []
 
@@ -302,7 +311,9 @@ def _walk_pairs(
         join(t)
     while pending:
         _, lcm, i, j = heappop(pending)
-        new = reduce(i, j, pk.lift(lcm))
+        s, book, s_scale = _spoly_terms(basis[i], basis[j], pk.lift(lcm), guard)
+        h, h_scale = _nf_global(s, basis, first, pk, book)
+        new = judge(i, j, h, s_scale, h_scale)
         if new is not None:
             basis.append(new)
             leads.append(new.lead)
@@ -318,10 +329,8 @@ def _std_engine(
     ``seeds`` are on ``pk``, whose order fields decide the order
     (``_engine_input``), so each lead is the plain ``max`` of a row's
     (component, packed) terms.  Returns the completed basis, as primitive
-    integer rows, and the relations.  Every
-    S-vector is reduced by ``_nf_global`` through one divisor memo
-    (``_first_divisor``) on the one leads list of the completion, which
-    ``_walk_pairs`` keeps in step with the basis.
+    integer rows, and the relations.  The walk forms and reduces every
+    S-vector; the engine only judges each remainder.
 
     Soundness: the walk ends, since each joining lead lies outside the
     monomial submodule of the earlier ones (Dickson's lemma), and then the
@@ -332,25 +341,19 @@ def _std_engine(
     >= ``split`` are the bookkeeping part (``_Reducer.book``), never compared.
     A remainder with a real term joins the basis; a nonzero one without is
     a relation, which reduces nothing and forms no pairs.  It is returned
-    as it came, a primitive integer row on packed terms with its scale:
+    as it came, a primitive integer row on packed terms with its scale
+    (the product of the S-vector's and the reduction's, formed only here):
     row / scale is the remainder of the monic rational rows, and
     ``_relations`` divides it out.  Plain seeds have no bookkeeping part,
     so no relations.
     """
-    guard = pk.guard
     relations: list[tuple[Row, Fraction]] = []
 
     def reducer(row: Row) -> _Reducer:
         real = row if split is None else [t for t in row if t[0] < split]
         return _reducer(max(real), row, pk, split)
 
-    basis = [reducer(_primitive(t)[0]) for t in seeds]
-    leads = [r.lead for r in basis]
-    first = _first_divisor(leads, guard)
-
-    def reduce(i: int, j: int, lcm: int) -> _Reducer | None:
-        s, book, s_scale = _spoly_terms(basis[i], basis[j], lcm, guard)
-        h, h_scale = _nf_global(s, basis, first, pk, book)
+    def judge(i: int, j: int, h: Row, s_scale: Fraction, h_scale: Fraction) -> _Reducer | None:
         if not h:
             return None
         if split is None or any(comp < split for comp, _ in h):
@@ -358,7 +361,8 @@ def _std_engine(
         relations.append((h, s_scale * h_scale))
         return None
 
-    _walk_pairs(basis, leads, reduce, pk)
+    basis = [reducer(_primitive(t)[0]) for t in seeds]
+    _walk_pairs(basis, judge, pk)
     return basis, relations
 
 
@@ -389,11 +393,11 @@ def _verify_complete(basis: Sequence[_Reducer], pk: Packing):
 
     The elements join ``_walk_pairs`` one at a time, in order, under the
     same Gebauer-Moeller update as the completion, with a divisor memo of
-    their own, and every S-vector it hands over must reduce to zero.  Then
-    no element joins, and by the soundness argument of ``_walk_pairs``
-    (Gebauer and Moeller, JSC 1988) every pair has a representation below
-    its lcm, which is the standard-basis property; a minimal subset with
-    the same leading terms inherits it.
+    their own, and the judge raises RuntimeError on any S-vector whose
+    remainder is nonzero.  Then no element joins, and by the soundness
+    argument of ``_walk_pairs`` (Gebauer and Moeller, JSC 1988) every pair
+    has a representation below its lcm, which is the standard-basis
+    property; a minimal subset with the same leading terms inherits it.
 
     The skip rule itself is not re-checked: the certificate walks the pairs
     with the same ``_walk_pairs`` as the engine, so a fault in that rule
@@ -401,19 +405,14 @@ def _verify_complete(basis: Sequence[_Reducer], pk: Packing):
     on broken copies of criteria B and F) and the test-local reference walk
     of the rule catch such a fault.
     """
-    basis = list(basis)
-    leads = [r.lead for r in basis]
-    first = _first_divisor(leads, pk.guard)
 
-    def reduce(i: int, j: int, lcm: int) -> None:
-        s = _spoly_terms(basis[i], basis[j], lcm, pk.guard)[0]
-        if _nf_global(s, basis, first, pk)[0]:
+    def judge(i: int, j: int, h: Row, *_) -> None:
+        if h:
             raise RuntimeError(
                 f"completion check failed: S-vector of generators {i},{j} has nonzero normal form"
             )
-        return None
 
-    _walk_pairs(basis, leads, reduce, pk)
+    _walk_pairs(list(basis), judge, pk)
 
 
 @dataclass(frozen=True)

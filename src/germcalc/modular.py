@@ -113,14 +113,20 @@ def _tangent_field(
     """``tangent_derivation``, with the primitive integer row of the field
     (``_field_terms``) that the check ran on."""
     v = Derivation(tuple(coefficients), cofactor)
-    if len(v.coefficients) != len(f.ring):
-        raise ValueError("one coefficient per ring variable required")
-    if any(p.ring != f.ring for p in (*v.coefficients, cofactor)):
-        raise ValueError("coefficients, cofactor and polynomial from different rings")
+    _check_field_ring(v, f.ring)
     row, _ = _primitive(_field_terms(v))
     if _tangency_defect(f, row):
         raise ValueError("not tangent: sum a_i df/dx_i differs from cofactor * f")
     return v, row
+
+
+def _check_field_ring(v: Derivation, ring: tuple[str, ...]):
+    """ValueError unless the field has one coefficient per variable of ``ring``
+    and its coefficients and cofactor are all over ``ring``."""
+    if len(v.coefficients) != len(ring):
+        raise ValueError("one coefficient per ring variable required")
+    if any(p.ring != ring for p in (*v.coefficients, v.cofactor)):
+        raise ValueError("coefficients, cofactor and polynomial from different rings")
 
 
 def _field_terms(v: Derivation) -> dict[ModTerm, Fraction]:
@@ -359,9 +365,14 @@ def _dense(row: dict[int, Fraction], ncols: int) -> list[Fraction]:
 
 
 def action_matrix(v: Derivation, t1: GradedT1, f: Polynomial) -> ActionMatrix:
-    """Matrix of [g] -> [v(g) - h_v g] on the Tjurina algebra basis."""
+    """Matrix of [g] -> [v(g) - h_v g] on the Tjurina algebra basis.
+
+    ValueError when ``t1`` and f, or the field and f, are over different
+    rings, or when the field has not one coefficient per variable.
+    """
     if t1.ring != f.ring:
         raise ValueError("basis and polynomial from different rings")
+    _check_field_ring(v, f.ring)
     rows, _ = _action_rows(_field_terms(v), t1)
     entries = tuple(tuple(_dense(rows.get(k, {}), t1.tau)) for k in range(t1.tau))
     return ActionMatrix(entries=entries, basis=t1)
@@ -444,12 +455,16 @@ def embedding_check(f: Polynomial, t1: GradedT1) -> bool:
     Both sides are computed independently: a rank computation on degree-m
     forms versus the graded slice of the local Tjurina algebra at weights
     (1, ..., 1), where the weight of a monomial is its total degree.
-    Requires at least four variables.
+    Requires at least four variables, and ``t1`` must be the Tjurina algebra
+    of f (``tjurina_algebra``, cached, so the comparison costs nothing after
+    ``germcalc projective`` computed it); otherwise ValueError.
     """
     m = homogeneous_degree(f)
     if len(f.ring) < 4:
         raise ValueError("projective comparison needs at least 4 variables")
     if t1.ring != f.ring:
         raise ValueError("basis and polynomial from different rings")
+    if t1 != tjurina_algebra(f)[1]:
+        raise ValueError("basis is not the Tjurina algebra of the polynomial")
     piece = [e for e in t1.monomials if sum(e) == m]
     return projective_t1_dimension(f) == len(piece)

@@ -214,11 +214,9 @@ def icis_tjurina(germ: GermInput) -> int | float:
     k, ring = germ.k, germ.ring
     if k > len(ring):
         raise ValueError("more equations than variables")
-    gens: list[VectorPoly] = []
-    for var in ring:
-        column = [f.partial_derivative(var) for f in germ.equations]
-        if any(not p.is_zero() for p in column):
-            gens.append(VectorPoly.from_polys(column))
+    gens = [
+        VectorPoly.from_polys([f.partial_derivative(var) for f in germ.equations]) for var in ring
+    ]
     zero = Polynomial.zero(ring)
     for f in germ.equations:
         for slot in range(k):

@@ -650,6 +650,33 @@ def test_action_matrix_and_embedding_check_reject_another_ring():
         embedding_check(f, t1)
 
 
+def test_action_matrix_rejects_a_field_over_another_ring():
+    # the Euler field of x^2+y^3 over (x, y) once came back as a zero matrix
+    # on the T1 of a germ over (x, y, z)
+    g = parse_poly("x^2+y^3", V2)
+    euler = tangent_derivation(
+        g, [parse_poly("3*x", V2), parse_poly("2*y", V2)], parse_poly("6", V2)
+    )
+    f = parse_poly("x^3+y^3+z^3+x*y*z", V3)
+    _, t1 = cached_tjurina("x^3+y^3+z^3+x*y*z", V3)
+    assert t1.tau == 8
+    with pytest.raises(ValueError, match="^one coefficient per ring variable required$"):
+        action_matrix(euler, t1, f)
+    lifted = modular.Derivation(
+        (parse_poly("3*x", V3), parse_poly("2*y", V3), parse_poly("0", V2)), parse_poly("6", V3)
+    )
+    with pytest.raises(ValueError, match="^coefficients, cofactor and polynomial from different"):
+        action_matrix(lifted, t1, f)
+
+
+def test_embedding_check_accepts_only_the_tjurina_algebra_of_f():
+    f = parse_poly("x^4+y^4+z^4+w^4", V4)
+    assert embedding_check(f, cached_tjurina("x^4+y^4+z^4+w^4", V4)[1])
+    _, other = cached_tjurina("x^3+y^3+z^3+w^3", V4)
+    with pytest.raises(ValueError, match="^basis is not the Tjurina algebra of the polynomial$"):
+        embedding_check(f, other)
+
+
 def test_zero_polynomial_has_no_homogeneous_degree():
     with pytest.raises(ValueError, match="^zero polynomial is not homogeneous of a degree$"):
         homogeneous_degree(Polynomial.zero(V2))

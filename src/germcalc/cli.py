@@ -2,10 +2,11 @@
 
 Subcommands: ``invariants`` (single germ report), ``scan`` (family sweep),
 ``projective`` (homogeneous comparison), ``oracle-dim`` (brute-force
-quotient dimension; the only place a degree bound exists).  Output is a
-human table by default or machine JSON with ``--format json``; JSON holds
-dimensions as integers, infinite ones as the string "infinite", and exact
-rationals as strings.
+quotient dimension; the only place a degree bound exists).  Each
+subcommand returns its JSON payload, the lines of its table and its exit
+code; ``main`` alone writes the result, the human table by default or
+machine JSON with ``--format json``.  JSON holds dimensions as integers,
+infinite ones as the string "infinite", and exact rationals as strings.
 
 Exit codes: 0 success, 1 user/input error, 2 mathematically degenerate
 input (non-isolated singularity; the report is still emitted).
@@ -19,10 +20,9 @@ import sys
 from fractions import Fraction
 from math import inf
 
-from .family import CATALOG_NAMES, catalog, scan
+from .family import CATALOG_NAMES, _hypersurface_invariants, catalog, scan
 from .modular import (
     homogeneous_degree,
-    modular_tangent_space,
     projective_closed_form,
     projective_t1_dimension,
     embedding_check,
@@ -30,7 +30,7 @@ from .modular import (
 from .oracle import truncated_quotient_dimension
 from .parse import ParseError, parse_poly
 from .poly import Polynomial, format_monomial
-from .singularity import GermInput, find_weights, milnor_number, tjurina_algebra
+from .singularity import tjurina_algebra
 
 DEFAULT_VARS = ("x", "y", "z")
 
@@ -43,11 +43,6 @@ def _dim(value):
     if value == inf:
         return "infinite"
     return int(value)
-
-
-def _write_json(payload: dict, out):
-    json.dump(payload, out, indent=2)
-    out.write("\n")
 
 
 def _parse_vars(text: str | None) -> tuple[str, ...] | None:
@@ -70,9 +65,7 @@ def _parse_input_poly(text: str, vars_opt: str | None) -> Polynomial:
 
 
 def invariants_report(f: Polynomial) -> dict:
-    mu = milnor_number(GermInput((f,)))
-    tau, t1 = tjurina_algebra(f)
-    wdata = find_weights(f) if t1 is None else t1.weight_data
+    mu, tau, t1, wdata, mt = _hypersurface_invariants(f)
     report: dict = {
         "input": str(f),
         "variables": list(f.ring),
@@ -86,7 +79,6 @@ def invariants_report(f: Polynomial) -> dict:
         report["t1_basis"] = [format_monomial(f.ring, e) for e in t1.monomials]
         if t1.weights is not None:
             report["t1_weights"] = list(t1.weights)
-        mt = modular_tangent_space(f)
         report["modular_tangent_dimension"] = mt.dimension
         report["modular_kernel_basis"] = [[str(c) for c in vec] for vec in mt.kernel_basis]
         if mt.convention_sensitive:
@@ -98,41 +90,37 @@ def invariants_report(f: Polynomial) -> dict:
     return report
 
 
-def _print_invariants_table(report: dict, out):
-    print(f"input: {report['input']}", file=out)
-    print(f"variables: {', '.join(report['variables'])}", file=out)
-    print(f"milnor number: {report['milnor_number']}", file=out)
-    print(f"tjurina number: {report['tjurina_number']}", file=out)
+def _invariants_table(report: dict) -> list[str]:
+    lines = [
+        f"input: {report['input']}",
+        f"variables: {', '.join(report['variables'])}",
+        f"milnor number: {report['milnor_number']}",
+        f"tjurina number: {report['tjurina_number']}",
+    ]
     if "weights" in report:
         w = ", ".join(str(v) for v in report["weights"])
-        print(f"weights: ({w})  degree: {report['weight_degree']}", file=out)
+        lines.append(f"weights: ({w})  degree: {report['weight_degree']}")
     else:
-        print("weights: none found (not quasi-homogeneous in these coordinates)", file=out)
+        lines.append("weights: none found (not quasi-homogeneous in these coordinates)")
     if "t1_basis" in report:
+        pieces = report["t1_basis"]
         if "t1_weights" in report:
-            pieces = [
-                f"{m} ({w})" for m, w in zip(report["t1_basis"], report["t1_weights"])
-            ]
-        else:
-            pieces = report["t1_basis"]
-        print(f"T1 basis: {', '.join(pieces) if pieces else '(empty)'}", file=out)
-        print(f"modular tangent dimension: {report['modular_tangent_dimension']}", file=out)
+            pieces = [f"{m} ({w})" for m, w in zip(pieces, report["t1_weights"])]
+        lines.append(f"T1 basis: {', '.join(pieces) if pieces else '(empty)'}")
+        lines.append(f"modular tangent dimension: {report['modular_tangent_dimension']}")
         for vec in report["modular_kernel_basis"]:
             combo = " + ".join(
                 f"{c}*[{m}]" for c, m in zip(vec, report["t1_basis"]) if c != "0"
             )
-            print(f"  kernel vector: {combo}", file=out)
+            lines.append(f"  kernel vector: {combo}")
     if report["flags"]["non_isolated"]:
-        print("flag: non-isolated singularity", file=out)
+        lines.append("flag: non-isolated singularity")
+    return lines
 
 
-def cmd_invariants(args, out) -> int:
+def cmd_invariants(args) -> tuple[dict, list[str], int]:
     report = invariants_report(_parse_input_poly(args.poly, args.vars))
-    if args.format == "json":
-        _write_json(report, out)
-    else:
-        _print_invariants_table(report, out)
-    return 2 if report["flags"]["non_isolated"] else 0
+    return report, _invariants_table(report), 2 if report["flags"]["non_isolated"] else 0
 
 
 def _expand_zero_list(text: str) -> list[str]:
@@ -223,20 +211,17 @@ def scan_report_dict(spec, report, defaults_applied) -> dict:
     return out
 
 
-def cmd_scan(args, out) -> int:
+def cmd_scan(args) -> tuple[dict, list[str], int]:
     spec = catalog(args.family)
     points, defaults_applied = _scan_points(spec, args)
     report = scan(spec, points, with_modular=not args.no_modular)
     payload = scan_report_dict(spec, report, defaults_applied)
-    if args.format == "json":
-        _write_json(payload, out)
-        return 0
-    print(f"family: {spec.name}  ({spec.description})", file=out)
+    lines = [f"family: {spec.name}  ({spec.description})"]
     if defaults_applied:
         fixed = ", ".join(f"{k}={v}" for k, v in sorted(defaults_applied.items()))
-        print(f"fixed parameters: {fixed}", file=out)
+        lines.append(f"fixed parameters: {fixed}")
     header = ["point", "mu", "tau", "modular", "weights", "flags"]
-    print(" | ".join(h.ljust(12) for h in header), file=out)
+    lines.append(" | ".join(h.ljust(12) for h in header))
     for item in payload["rows"]:
         pt = ",".join(f"{k}={v}" for k, v in item["point"].items())
         cells = [
@@ -247,21 +232,21 @@ def cmd_scan(args, out) -> int:
             "yes" if item.get("weights_found") else "no",
             "non-isolated" if item.get("non_isolated") else "",
         ]
-        print(" | ".join(c.ljust(12) for c in cells), file=out)
+        lines.append(" | ".join(c.ljust(12) for c in cells))
     if "modal_tjurina" in payload:
-        print(f"modal tjurina number: {payload['modal_tjurina']}", file=out)
+        lines.append(f"modal tjurina number: {payload['modal_tjurina']}")
     if payload["jump_indices"]:
         pts = ", ".join(
             ",".join(f"{k}={v}" for k, v in payload["rows"][i]["point"].items())
             for i in payload["jump_indices"]
         )
-        print(f"tjurina jumps at: {pts}", file=out)
+        lines.append(f"tjurina jumps at: {pts}")
     else:
-        print("no tjurina jumps among sampled points", file=out)
-    return 0
+        lines.append("no tjurina jumps among sampled points")
+    return payload, lines, 0
 
 
-def cmd_projective(args, out) -> int:
+def cmd_projective(args) -> tuple[dict, list[str], int]:
     f = _parse_input_poly(args.poly, args.vars)
     m = homogeneous_degree(f)
     dim = projective_t1_dimension(f)
@@ -277,20 +262,19 @@ def cmd_projective(args, out) -> int:
     if len(f.ring) >= 4:
         _, t1 = tjurina_algebra(f)
         payload["embedding_check"] = embedding_check(f, t1)
-    if args.format == "json":
-        _write_json(payload, out)
-        return 0
-    print(f"input: {payload['input']}", file=out)
-    print(f"degree: {m} in {len(f.ring)} variables", file=out)
-    print(f"projective T1 dimension: {dim}", file=out)
-    print(f"closed form: {closed} ({'matches' if closed == dim else 'does not apply'})", file=out)
+    lines = [
+        f"input: {payload['input']}",
+        f"degree: {m} in {len(f.ring)} variables",
+        f"projective T1 dimension: {dim}",
+        f"closed form: {closed} ({'matches' if closed == dim else 'does not apply'})",
+    ]
     if "embedding_check" in payload:
         verdict = "equal" if payload["embedding_check"] else "DIFFERENT"
-        print(f"embedding comparison with weight-{m} piece of the cone: {verdict}", file=out)
-    return 0
+        lines.append(f"embedding comparison with weight-{m} piece of the cone: {verdict}")
+    return payload, lines, 0
 
 
-def cmd_oracle_dim(args, out) -> int:
+def cmd_oracle_dim(args) -> tuple[dict, list[str], int]:
     names = _parse_vars(args.vars) or DEFAULT_VARS
     gens = []
     for chunk in args.gens.split(";"):
@@ -308,14 +292,8 @@ def cmd_oracle_dim(args, out) -> int:
         "degree_bound": args.degree_bound,
         "dimension": dim,
     }
-    if args.format == "json":
-        _write_json(payload, out)
-    else:
-        print(
-            f"dimension of O/(generators) truncated at degree {args.degree_bound}: {dim}",
-            file=out,
-        )
-    return 0
+    table = [f"dimension of O/(generators) truncated at degree {args.degree_bound}: {dim}"]
+    return payload, table, 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -370,10 +348,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args, sys.stdout)
+        payload, table, code = args.run(args)
     except (CliError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(json.dumps(payload, indent=2) if args.format == "json" else "\n".join(table))
+    return code
 
 
 if __name__ == "__main__":

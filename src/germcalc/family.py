@@ -198,6 +198,22 @@ class ScanReport:
         return tuple(i for i, r in enumerate(self.rows) if r.error is None and r.tau != modal)
 
 
+def _hypersurface_invariants(f: Polynomial, with_modular: bool = True):
+    """mu, tau, the Tjurina algebra, the weights and the modular tangent space of f.
+
+    The one per-germ computation behind a scan row and the CLI report.  The
+    Tjurina algebra and the modular space are None for a non-isolated germ,
+    whose weights come from ``find_weights``; an isolated germ's weights are
+    those its Tjurina algebra found.  The modular space is computed only
+    ``with_modular``.
+    """
+    mu = milnor_number(GermInput((f,)))
+    tau, t1 = tjurina_algebra(f)
+    wdata = find_weights(f) if t1 is None else t1.weight_data
+    mt = modular_tangent_space(f) if with_modular and t1 is not None else None
+    return mu, tau, t1, wdata, mt
+
+
 def scan(
     spec: FamilySpec,
     points: Sequence[Mapping[str, Fraction | int | str]],
@@ -221,13 +237,8 @@ def scan(
             rows.append(ScanRow(clean, None, None, None, False, error=str(exc)))
             continue
         if germ.k == 1:
-            f = germ.equations[0]
-            mu = milnor_number(germ)
-            tau, t1 = tjurina_algebra(f)
-            wdata = find_weights(f) if t1 is None else t1.weight_data
-            modular_dim = None
-            if with_modular and t1 is not None:
-                modular_dim = modular_tangent_space(f).dimension
+            mu, tau, _, wdata, mt = _hypersurface_invariants(germ.equations[0], with_modular)
+            modular_dim = None if mt is None else mt.dimension
             rows.append(ScanRow(clean, mu, tau, modular_dim, wdata is not None))
         else:
             rows.append(ScanRow(clean, None, icis_tjurina(germ), None, False))

@@ -111,22 +111,20 @@ def _tangent_field(
     f: Polynomial, coefficients, cofactor: Polynomial
 ) -> tuple[Derivation, dict[ModTerm, int]]:
     """``tangent_derivation``, with the primitive integer row of the field
-    (``_field_terms``) that the check ran on."""
+    (``_field_terms``) that the check ran on.
+
+    ValueError unless the field has one coefficient per variable of f, its
+    coefficients and cofactor are all over the ring of f, and it is tangent.
+    """
     v = Derivation(tuple(coefficients), cofactor)
-    _check_field_ring(v, f.ring)
+    if len(v.coefficients) != len(f.ring):
+        raise ValueError("one coefficient per ring variable required")
+    if any(p.ring != f.ring for p in (*v.coefficients, cofactor)):
+        raise ValueError("coefficients, cofactor and polynomial from different rings")
     row, _ = _primitive(_field_terms(v))
     if _tangency_defect(f, row):
         raise ValueError("not tangent: sum a_i df/dx_i differs from cofactor * f")
     return v, row
-
-
-def _check_field_ring(v: Derivation, ring: tuple[str, ...]):
-    """ValueError unless the field has one coefficient per variable of ``ring``
-    and its coefficients and cofactor are all over ``ring``."""
-    if len(v.coefficients) != len(ring):
-        raise ValueError("one coefficient per ring variable required")
-    if any(p.ring != ring for p in (*v.coefficients, v.cofactor)):
-        raise ValueError("coefficients, cofactor and polynomial from different rings")
 
 
 def _field_terms(v: Derivation) -> dict[ModTerm, Fraction]:
@@ -368,11 +366,13 @@ def action_matrix(v: Derivation, t1: GradedT1, f: Polynomial) -> ActionMatrix:
     """Matrix of [g] -> [v(g) - h_v g] on the Tjurina algebra basis.
 
     ValueError when ``t1`` and f, or the field and f, are over different
-    rings, or when the field has not one coefficient per variable.
+    rings, when the field has not one coefficient per variable, or when it
+    is not tangent to f (``_tangent_field``): the twisted action is defined
+    on T1 only for tangent fields.
     """
     if t1.ring != f.ring:
         raise ValueError("basis and polynomial from different rings")
-    _check_field_ring(v, f.ring)
+    _tangent_field(f, v.coefficients, v.cofactor)
     rows, _ = _action_rows(_field_terms(v), t1)
     entries = tuple(tuple(_dense(rows.get(k, {}), t1.tau)) for k in range(t1.tau))
     return ActionMatrix(entries=entries, basis=t1)

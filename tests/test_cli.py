@@ -3,8 +3,10 @@ and schema validation."""
 
 import json
 import os
+import runpy
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -310,13 +312,13 @@ def test_standard_basis_to_dict_matches_its_schema_definition(build, components,
     assert json.loads(json.dumps(payload)) == payload
 
 
-def test_console_script_entry_point():
+def test_console_script_entry_point(monkeypatch, capsys):
     # the child imports the package this suite imported, installed or not
+    argv = ["invariants", "--poly", "x^4+y^2+z^2", "--format", "json"]
     source = str(Path(germcalc.__file__).parents[1])
     path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-m", "germcalc.cli", "invariants", "--poly", "x^4+y^2+z^2",
-         "--format", "json"],
+        [sys.executable, "-m", "germcalc.cli", *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
@@ -324,6 +326,15 @@ def test_console_script_entry_point():
     assert result.returncode == 0
     payload = json.loads(result.stdout)
     assert payload["tjurina_number"] == 3
+    # the same run in this process, so a line tracer sees the __main__ guard;
+    # runpy warns that germcalc.cli is already imported
+    monkeypatch.setattr(sys, "argv", ["germcalc", *argv])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_module("germcalc.cli", run_name="__main__")
+    assert exit_info.value.code == 0
+    assert json.loads(capsys.readouterr().out) == payload
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ from math import inf
 import pytest
 
 from germcalc import FamilySpec, ScanReport, ScanRow, catalog, evaluate, parse_poly, scan
-from germcalc.cli import scan_report_dict
+from germcalc.cli import invariants_report, scan_report_dict
 
 V2 = ("x", "y")
 V3 = ("x", "y", "z")
@@ -250,3 +250,21 @@ def test_scan_report_reads_modal_tau_and_jumps_off_its_rows(taus, modal, jumps):
     report = ScanReport("rows", rows)
     assert (report.modal_tau, report.jump_indices) == (modal, jumps)
     assert [row.non_isolated for row in rows] == [t == inf for t in taus]
+
+
+@pytest.mark.parametrize(
+    "family, values, non_isolated",
+    [("tpqr:4,3,3", (1, 2), [False, False]), ("tpqr:3,3,3", (0, 1, -3), [False, False, True])],
+    ids=["not-quasi-homogeneous", "with-non-isolated"],
+)
+def test_scan_rows_agree_with_the_invariants_report(family, values, non_isolated):
+    spec = catalog(family)
+    points = [{"lambda": v} for v in values]
+    rows = scan_report_dict(spec, scan(spec, points), {})["rows"]
+    assert [row["non_isolated"] for row in rows] == non_isolated
+    for point, row in zip(points, rows):
+        report = invariants_report(evaluate(spec, point).equations[0])
+        for key in ("milnor_number", "tjurina_number", "modular_tangent_dimension"):
+            assert row.get(key) == report.get(key)
+        assert row["weights_found"] == (not report["flags"]["not_quasi_homogeneous"])
+        assert row["non_isolated"] == report["flags"]["non_isolated"]

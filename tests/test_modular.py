@@ -669,6 +669,18 @@ def test_action_matrix_rejects_a_field_over_another_ring():
         action_matrix(lifted, t1, f)
 
 
+def test_action_matrix_rejects_a_field_that_is_not_tangent():
+    # d/dx with cofactor 0 over the ring of f once came back as an 8x8
+    # matrix with 2 nonzero entries; the twisted action needs a tangent field
+    f = parse_poly("x^3+y^3+z^3+x*y*z", V3)
+    _, t1 = cached_tjurina("x^3+y^3+z^3+x*y*z", V3)
+    d_dx = modular.Derivation(
+        (parse_poly("1", V3), parse_poly("0", V3), parse_poly("0", V3)), parse_poly("0", V3)
+    )
+    with pytest.raises(ValueError, match="^not tangent: "):
+        action_matrix(d_dx, t1, f)
+
+
 def test_embedding_check_accepts_only_the_tjurina_algebra_of_f():
     f = parse_poly("x^4+y^4+z^4+w^4", V4)
     assert embedding_check(f, cached_tjurina("x^4+y^4+z^4+w^4", V4)[1])

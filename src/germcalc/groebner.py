@@ -589,6 +589,8 @@ class Staircase:
         variable at a time, as the monomials of ``staircase`` do.  A shifted
         tail term past the cut is zero and is skipped by its degree; one below
         it is a smaller table term, packed already, so no shift here overflows.
+        A generator with a tail term above its lead (a hand-built basis) finds
+        that term's row missing: ValueError naming the generator.
         """
         if not self.finite:
             raise ValueError("quotient is not finite dimensional")
@@ -625,10 +627,13 @@ class Staircase:
             shift, room = term[1] - leads[k][1], cut - below[expo] + lead_degree
             row: dict[int, Fraction] = {}
             # a tail term of degree d lands below the cut exactly when d < room
-            for (tcomp, texpo), d, c in tail:
-                if d < room:
-                    for j, a in rows[(tcomp, texpo + shift)].items():
-                        row[j] = row.get(j, _ZERO) + c * a
+            try:
+                for (tcomp, texpo), d, c in tail:
+                    if d < room:
+                        for j, a in rows[(tcomp, texpo + shift)].items():
+                            row[j] = row.get(j, _ZERO) + c * a
+            except KeyError:
+                raise ValueError(f"tail term above the lead of {basis.generators[k]}") from None
             rows[term] = {j: a for j, a in row.items() if a}
         return pk.unpack_terms(rows)
 

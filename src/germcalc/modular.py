@@ -72,6 +72,7 @@ from .singularity import (
     GradedT1,
     NonIsolatedError,
     WeightData,
+    _shifted_residue,
     milnor_algebra,
     milnor_number,
     tjurina_algebra,
@@ -265,10 +266,6 @@ def _cofactor_generators(
     milnor = milnor_algebra(f)
     shifts = [e for _, e in milnor.standard_monomials if any(e)]
     one = (0,) * len(ring)
-
-    def residue(h: dict[Exponent, int], b: Exponent) -> dict[int, Fraction]:
-        return milnor.residue({(0, tuple(map(add, e, b))): c for e, c in h.items()})
-
     nonzero, vecs = _schreyer_input([f.partial_derivative(v) for v in ring] + [f])
     last = len(nonzero) - 1  # the slot of f
     candidates = []
@@ -283,13 +280,13 @@ def _cofactor_generators(
     for h, row, scale in candidates:
         if len(span) == tau:
             break
-        if linalg._insert(span, residue(h, one)):
+        if linalg._insert(span, _shifted_residue(milnor, h, one)):
             relations.append(VectorPoly(ring, len(nonzero), {t: c / scale for t, c in row.items()}))
             kept.append(_tangent_field(f, *_field(ring, nonzero, relations[-1])))
             for b in shifts:
                 if len(span) == tau:
                     break
-                linalg._insert(span, residue(h, b))
+                linalg._insert(span, _shifted_residue(milnor, h, b))
     if len(span) < tau:
         raise RuntimeError(
             f"cofactor fields span {len(span)} of the {tau} dimensions of Ann_M([f])"

@@ -12,6 +12,20 @@ and ``tjurina_algebra`` each keep the last one asked for.
 and ``GradedT1.stair`` its staircase, which holds the standard basis, reads
 residue coordinates off its own table and gives the monomial basis and tau.
 
+A germ runs one completion, that of the Milnor algebra M = O/J, J = (df).
+The Tjurina algebra T1 = O/(f, J) is M/[f]M, and [f]M is spanned by the
+residues [x^b f] over the Milnor monomials x^b, so T1 is read off M's
+residue table by linear algebra (the FGLM view of a zero-dimensional
+quotient: Faugere, Gianni, Lazard and Mora, JSC 1993).  With the columns in
+decreasing local order, the pivots of those residues are exactly the
+leading monomials of (f) + J that are standard for J: an element g of
+(f) + J whose lead x^a lies outside L(J) differs from its residue r by an
+element of J, and if r had another lead, so would g minus r, outside L(J).
+So the Milnor generators and one monic element per pivot form a standard
+basis of (f) + J (``_tjurina_staircase``), with the staircase, the residue
+table and the monomial basis the completion of (f, df) would give; the
+Milnor basis carries the certificate, and the echelon is exact arithmetic.
+
 Non-isolated singularities are reported with ``math.inf``, never with a
 degree cutoff: finiteness detection is the exact pure-power criterion of
 the staircase.
@@ -23,9 +37,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, inf, lcm
+from operator import add
 
 from . import linalg
-from .groebner import Staircase, VectorPoly, staircase, standard_basis
+from .groebner import StandardBasis, Staircase, VectorPoly, staircase, standard_basis
 from .orders import NEGDEGREVLEX
 from .poly import Exponent, Polynomial
 
@@ -141,13 +156,51 @@ def tjurina_number(germ: GermInput) -> tuple[int | float, GradedT1 | None]:
 
     Returns (inf, None) for a non-isolated singularity.  When the germ is
     quasi-homogeneous in the given coordinates, each basis monomial carries
-    its weight.
+    its weight.  The quotient is read off the Milnor algebra M
+    (``milnor_algebra``), with no completion of its own: mu is finite
+    exactly when tau is; with weights, f lies in the Jacobian ideal (Euler's
+    identity), so T1 is M itself; otherwise its standard basis extends M's
+    by the pivots of [f]M (``_tjurina_staircase``).
     """
     f = _hypersurface(germ)
-    st = staircase(standard_basis([f] + _jacobian(f), NEGDEGREVLEX))
-    if not st.finite:
+    milnor = milnor_algebra(f)
+    if not milnor.finite:
         return INFINITE, None
-    return st.dimension, GradedT1(weight_data=find_weights(f), stair=st)
+    wdata = find_weights(f)
+    st = milnor if wdata is not None else _tjurina_staircase(f, milnor)
+    return st.dimension, GradedT1(weight_data=wdata, stair=st)
+
+
+def _shifted_residue(
+    stair: Staircase, h: dict[Exponent, Fraction | int], b: Exponent
+) -> dict[int, Fraction]:
+    """Residue coordinates of x^b h in the quotient of ``stair``, by standard-monomial index."""
+    return stair.residue({(0, tuple(map(add, e, b))): c for e, c in h.items()})
+
+
+def _tjurina_staircase(f: Polynomial, milnor: Staircase) -> Staircase:
+    """Staircase of (f) + J from the finite Milnor staircase of J.
+
+    The residues [x^b f] over the Milnor monomials go into one echelon
+    (``linalg._insert``) whose column 0 is the largest Milnor monomial in the
+    local order, so each pivot row is monic at its lead and its tail lies on
+    smaller non-pivot monomials.  Each pivot row x^(a_p) + sum_k t_k x^(a_k)
+    joins the Milnor generators; by the pivot claim of the module docstring
+    the result is a standard basis of (f) + J.
+    """
+    sb, monomials = milnor.basis, [e for _, e in milnor.standard_monomials]
+    ordered = sorted(monomials, key=sb.order.sort_key, reverse=True)  # column 0 the largest
+    column = {e: c for c, e in enumerate(ordered)}
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for b in monomials:
+        residue = _shifted_residue(milnor, f.terms, b)
+        linalg._insert(pivots, {column[monomials[j]]: a for j, a in residue.items()})
+    leads = tuple((0, ordered[p]) for p in pivots)
+    extra = tuple(
+        VectorPoly(f.ring, 1, {lead: 1, **{(0, ordered[k]): t for k, t in tail.items()}})
+        for lead, tail in zip(leads, pivots.values())
+    )
+    return staircase(StandardBasis(sb.generators + extra, sb.order, sb.leading_terms + leads))
 
 
 @lru_cache(maxsize=1)

@@ -16,7 +16,8 @@ from typing import Callable, Sequence
 import pytest
 
 from germcalc import GermInput, Polynomial, VectorPoly, parse_poly
-from germcalc.groebner import _CONTENT_EVERY, _ONE
+from germcalc.groebner import _CONTENT_EVERY, _ONE, staircase, standard_basis
+from germcalc.orders import NEGDEGREVLEX
 from germcalc.packed import (
     PackedTerm,
     Packing,
@@ -390,3 +391,17 @@ def mora_normal_form(p, sb):
     ]
     h, h_scale = _nf_mora(row, pool, cache(pk.keyed(sb.order.module_key)), pk)
     return VectorPoly(v.ring, v.ncomp, pk.unpack_terms(_rational(h, scale * h_scale)))
+
+
+# -- the Tjurina algebra by its own completion ----------------------------------
+#
+# The library reads the Tjurina algebra off the Milnor algebra (the echelon
+# of the residues [x^b f]); this completes (f, df) as the library once did,
+# certificate included, and is the independent answer it is checked against.
+
+
+def tjurina_reference(f):
+    """Staircase of the completed local standard basis of (f, df)."""
+    return staircase(
+        standard_basis([f] + [f.partial_derivative(v) for v in f.ring], NEGDEGREVLEX)
+    )

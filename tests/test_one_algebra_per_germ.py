@@ -68,15 +68,35 @@ def calls(monkeypatch):
 )
 def test_invariants_report_builds_one_algebra_per_germ(calls, text, vars):
     invariants_report(parse_poly(text, vars))
-    assert len(calls["standard_basis"]) == 2  # mu and tau
+    assert len(calls["standard_basis"]) == 1  # mu; tau is read off the Milnor algebra
     assert len(calls["find_weights"]) == 1
+
+
+@pytest.mark.parametrize(
+    "text, vars, pivots",
+    [("x^3+y^3+z^3+x*y*z", V3, None), ("x^6+y^2+z^2", V3, None), ("x^4+y^3+z^3+x*y*z", V3, 1)],
+    ids=["t333_l1", "a5", "t433"],
+)
+def test_tjurina_algebra_is_read_off_the_milnor_algebra(calls, text, vars, pivots):
+    # a quasi-homogeneous germ's T1 is its Milnor algebra, table and all;
+    # any other germ's basis extends the Milnor basis by one element per pivot
+    f = parse_poly(text, vars)
+    _, t1 = tjurina_algebra(f)
+    milnor = milnor_algebra(f)
+    if pivots is None:
+        assert t1.stair is milnor
+    else:
+        gens = t1.stair.basis.generators
+        assert gens[: len(milnor.basis.generators)] == milnor.basis.generators
+        assert len(gens) == len(milnor.basis.generators) + pivots
+    assert len(calls["standard_basis"]) == 1
 
 
 def test_each_scan_row_builds_one_algebra(calls):
     report = scan(catalog("tpqr:3,3,3"), [{"lambda": v} for v in (0, 1, -3)])
     assert [row.non_isolated for row in report.rows] == [False, False, True]
     assert [row.modular_dim for row in report.rows] == [1, 1, None]
-    assert len(calls["standard_basis"]) == 2 * 3
+    assert len(calls["standard_basis"]) == 3
     assert len(calls["find_weights"]) == len(set(calls["find_weights"])) == 3
 
 
@@ -84,20 +104,20 @@ def test_each_non_quasi_homogeneous_scan_row_builds_one_algebra(calls):
     # the modular stage of these rows reads the Milnor algebra that mu built
     report = scan(catalog("tpqr:4,3,3"), [{"lambda": v} for v in (1, 2)])
     assert [(row.mu, row.tau, row.weights_found) for row in report.rows] == [(9, 8, False)] * 2
-    assert len(calls["standard_basis"]) == 2 * 2
+    assert len(calls["standard_basis"]) == 2
     assert len(calls["_relations"]) == 2
 
 
 @pytest.mark.parametrize(
     "text, vars, walks, bases",
-    [("x^3+y^3+z^3+x*y*z", V3, 0, 1), ("x^6+y^2+z^2", V3, 0, 1), ("x^4+y^3+z^3+x*y*z", V3, 1, 2)],
+    [("x^3+y^3+z^3+x*y*z", V3, 0, 1), ("x^6+y^2+z^2", V3, 0, 1), ("x^4+y^3+z^3+x*y*z", V3, 1, 1)],
     ids=["t333_l1", "a5", "t433"],
 )
 def test_bare_modular_tangent_space_needs_syzygies_only_without_weights(
     calls, text, vars, walks, bases
 ):
     # a quasi-homogeneous germ uses its Euler field alone; any other germ
-    # needs one relation walk and its Milnor algebra besides T1
+    # needs one relation walk; T1 of either is read off the Milnor algebra
     modular_tangent_space(parse_poly(text, vars))
     assert len(calls["_relations"]) == walks
     assert len(calls["standard_basis"]) == bases
@@ -109,7 +129,7 @@ def test_projective_command_ranks_the_forms_once(calls, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out.endswith("weight-4 piece of the cone: equal\n")
     assert len(calls["rank"]) == 1
-    assert len(calls["standard_basis"]) == 2  # mu and tau
+    assert len(calls["standard_basis"]) == 1  # mu; tau is read off the Milnor algebra
 
 
 def test_back_to_back_germs_get_their_own_milnor_algebra():

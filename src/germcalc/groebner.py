@@ -68,10 +68,11 @@ wraps, deduplicates and re-checks them exactly on integer rows, and
 A finite staircase of a local ordering is the one model of its quotient.
 For these degree-compatible orderings every term of (weighted) degree
 beyond the staircase lies in the ideal, so the quotient map is linear on
-the finitely many terms below that cut: the staircase writes it down once,
-on first use, term by term from the smallest up, and ``Staircase.residue``
-and ``Staircase.coordinates`` are a sparse lookup in it (the FGLM view of
-a zero-dimensional quotient).  ``quotient_coordinates`` is the checked
+the finitely many terms below that cut (the FGLM view of a
+zero-dimensional quotient).  The staircase keeps that map as a memo of
+residue rows, filled on demand: ``Staircase.residue`` computes the row of
+a term it has not seen, and every row that row rests on, once, and reads
+a row it has seen in one lookup.  ``quotient_coordinates`` is the checked
 entry point on polynomials and vectors, and a local ``normal_form`` is the
 residue written back over the standard monomials.
 """
@@ -83,6 +84,7 @@ from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd, inf
+from operator import add, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .orders import MonomialOrder
@@ -569,7 +571,7 @@ class Staircase:
     def monomials_of_component(self, comp: int) -> list[Exponent]:
         return [e for c, e in self.standard_monomials if c == comp]
 
-    @property
+    @cached_property
     def cut(self) -> int:
         """One past the largest (weighted) degree of a standard monomial; if the
         staircase is finite and of a local order, every term of degree ``cut``
@@ -578,75 +580,87 @@ class Staircase:
         return 1 + max((degree(e) for _, e in self.standard_monomials), default=-1)
 
     @cached_property
-    def _rows(self) -> dict[ModTerm, dict[int, Fraction]]:
-        """Residue coordinates of every term below the cut, by standard-monomial index.
+    def _memo(self) -> tuple[dict[ModTerm, dict[int, Fraction]], Callable]:
+        """The residue rows filled so far, keyed by term, and the fill of a missing row.
 
-        Rows are filled smallest term first: a standard term maps to its
-        unit vector, any other term to minus the shifted tail of the first
-        generator (monic) whose lead divides it.  The fill runs on packed
-        terms, each tail packed and negated once; the table it returns is
-        keyed by exponent tuples.  The terms below the cut grow from 1 one
-        variable at a time, as the monomials of ``staircase`` do.  A shifted
-        tail term past the cut is zero and is skipped by its degree; one below
-        it is a smaller table term, packed already, so no shift here overflows.
-        A generator with a tail term above its lead (a hand-built basis) finds
-        that term's row missing: ValueError naming the generator.
+        A row holds the nonzero residue coordinates of its term by
+        standard-monomial index.  The rows start as the unit vectors of the
+        standard monomials.  ``fill`` returns the row of a term the rows
+        lack, filling every row it reaches.  A term past the cut lies in the
+        submodule: its row is zero and not kept.  Any other term is minus
+        the shifted tail of the first generator (monic) whose lead divides
+        it, a tail term past the cut being zero and skipped by its degree.
+        Each shifted tail term is smaller than the term, so the rows reached
+        are finitely many; an explicit stack fills each once all its inputs
+        exist.  ``fill`` raises ValueError for a term of the wrong arity, a
+        component out of range or a negative exponent.
+
+        ValueError for an infinite staircase or a global order, and for a
+        generator (of a hand-built basis) with a tail term above its lead:
+        the descent from a term to the shifted tail of its lead would not end.
         """
         if not self.finite:
             raise ValueError("quotient is not finite dimensional")
-        basis, order, cut = self.basis, self.basis.order, self.cut
-        if not order.is_local():
+        basis, cut = self.basis, self.cut
+        if not basis.order.is_local():
             raise ValueError("residues need a local degree-compatible order")
-        degree, n = order.degree, len(basis.ring)
-        below = {(0,) * n: 0} if cut else {}  # each term below the cut, with its degree
-        for i in range(n):
-            step = degree(tuple(int(k == i) for k in range(n)))
-            for e, d in list(below.items()):
-                while (d := d + step) < cut:
-                    e = (*e[:i], e[i] + 1, *e[i + 1 :])
-                    below[e] = d
-        terms = sorted(((c, e) for c in range(basis.ncomp) for e in below), key=order.module_key)
-        pk = packing(len(basis.ring))
-        positions = {(c, pk.pack(e)): i for i, (c, e) in enumerate(self.standard_monomials)}
-        guard = pk.guard
-        leads, tails = [], []
+        degree, key, pk = basis.order.degree, basis.order.module_key, packing(len(basis.ring))
+        leads, reducers = [], []
         for g, lead in zip(basis.generators, basis.leading_terms):
+            tail = [(t, degree(t[1]), -a) for t, a in g.terms.items() if t != lead]
+            if any(key(t) > key(lead) for t, _, _ in tail):
+                raise ValueError(f"tail term above the lead of {g}")
             leads.append((lead[0], pk.pack(lead[1])))
-            tail = [
-                ((c, pk.pack(e)), degree(e), -a) for (c, e), a in g.terms.items() if (c, e) != lead
-            ]
-            tails.append((degree(lead[1]), tail))
-        rows: dict[PackedTerm, dict[int, Fraction]] = {}
-        for comp, expo in terms:
-            term = (comp, pk.pack(expo))
-            if term in positions:
-                rows[term] = {positions[term]: _ONE}
-                continue
-            k = next(_divisors(leads, term, guard))
-            lead_degree, tail = tails[k]
-            shift, room = term[1] - leads[k][1], cut - below[expo] + lead_degree
-            row: dict[int, Fraction] = {}
-            # a tail term of degree d lands below the cut exactly when d < room
-            try:
-                for (tcomp, texpo), d, c in tail:
-                    if d < room:
-                        for j, a in rows[(tcomp, texpo + shift)].items():
-                            row[j] = row.get(j, _ZERO) + c * a
-            except KeyError:
-                raise ValueError(f"tail term above the lead of {basis.generators[k]}") from None
-            rows[term] = {j: a for j, a in row.items() if a}
-        return pk.unpack_terms(rows)
+            reducers.append((lead[1], degree(lead[1]), tail))
+        rows = {term: {j: _ONE} for j, term in enumerate(self.standard_monomials)}
+
+        def fill(term: ModTerm) -> dict[int, Fraction]:
+            comp, expo = term
+            if len(expo) != pk.size or not 0 <= comp < basis.ncomp or min(expo) < 0:
+                raise ValueError(f"{term} is not a term of O^{basis.ncomp} over {basis.ring}")
+            if degree(expo) >= cut:
+                return {}
+            stack: list[tuple[ModTerm, list | None]] = [(term, None)]
+            while stack:
+                (c, e), inputs = stack.pop()
+                if inputs is None:
+                    if (c, e) in rows:
+                        continue
+                    k = next(_divisors(leads, (c, pk.pack(e)), pk.guard))
+                    lead, lead_degree, tail = reducers[k]
+                    shift = tuple(map(sub, e, lead))
+                    # a tail term of degree d lands below the cut exactly when d < room
+                    room = cut - degree(e) + lead_degree
+                    inputs = [
+                        ((s, tuple(map(add, x, shift))), a) for (s, x), d, a in tail if d < room
+                    ]
+                    missing = [(s, None) for s, _ in inputs if s not in rows]
+                    if missing:
+                        stack += [((c, e), inputs), *missing]
+                        continue
+                row: dict[int, Fraction] = {}
+                for s, a in inputs:
+                    for j, b in rows[s].items():
+                        row[j] = row.get(j, _ZERO) + a * b
+                rows[c, e] = {j: b for j, b in row.items() if b}
+            return rows[term]
+
+        return rows, fill
 
     def residue(self, terms: Terms) -> dict[int, Fraction]:
         """Nonzero coordinates of the residue of a term map, by standard-monomial index.
 
-        A term past the cut lies in the submodule and contributes nothing.
-        ValueError for an infinite staircase or a global order.
+        The row of a term is one lookup once filled (``_memo``).  A term past
+        the cut lies in the submodule and contributes nothing.  ValueError
+        for an infinite staircase or a global order, and for a malformed term.
         """
-        rows = self._rows
+        rows, fill = self._memo
         out: dict[int, Fraction] = {}
         for term, c in terms.items():
-            for j, a in rows.get(term, {}).items():
+            row = rows.get(term)
+            if row is None:
+                row = fill(term)
+            for j, a in row.items():
                 out[j] = out.get(j, _ZERO) + c * a
         return {j: a for j, a in out.items() if a}
 

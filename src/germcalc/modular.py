@@ -37,7 +37,7 @@ stack of generators, and so is the untwisted one.
 The action matrices are read off the staircase of the Tjurina algebra: the
 column of v on a basis monomial x^b is the term map sum_i b_i a_i x^(b - e_i),
 minus h_v x^b for the twisted action, and its residue (``Staircase.residue``)
-is a lookup in the staircase's table, in which terms past the cut vanish;
+is a lookup in the staircase's residue rows, in which terms past the cut vanish;
 such terms are dropped before they are formed (``_action_rows``).
 ``modular_tangent_space`` lets each field act as its primitive integer row:
 a positive multiple of a field scales its rows by the same factor, so the

@@ -10,20 +10,21 @@ Each germ's Milnor and Tjurina algebras are built once: ``milnor_algebra``
 and ``tjurina_algebra`` each keep the last one asked for.
 ``GradedT1.weight_data`` holds the weights found with the Tjurina algebra,
 and ``GradedT1.stair`` its staircase, which holds the standard basis, reads
-residue coordinates off its own table and gives the monomial basis and tau.
+residue coordinates off its own residue rows (each filled once, when a
+residue first reaches it) and gives the monomial basis and tau.
 
 A germ runs one completion, that of the Milnor algebra M = O/J, J = (df).
 The Tjurina algebra T1 = O/(f, J) is M/[f]M, and [f]M is spanned by the
 residues [x^b f] over the Milnor monomials x^b, so T1 is read off M's
-residue table by linear algebra (the FGLM view of a zero-dimensional
+residues by linear algebra (the FGLM view of a zero-dimensional
 quotient: Faugere, Gianni, Lazard and Mora, JSC 1993).  With the columns in
 decreasing local order, the pivots of those residues are exactly the
 leading monomials of (f) + J that are standard for J: an element g of
 (f) + J whose lead x^a lies outside L(J) differs from its residue r by an
 element of J, and if r had another lead, so would g minus r, outside L(J).
 So the Milnor generators and one monic element per pivot form a standard
-basis of (f) + J (``_tjurina_staircase``), with the staircase, the residue
-table and the monomial basis the completion of (f, df) would give; the
+basis of (f) + J (``_tjurina_staircase``), with the staircase, the
+residues and the monomial basis the completion of (f, df) would give; the
 Milnor basis carries the certificate, and the echelon is exact arithmetic.
 
 Non-isolated singularities are reported with ``math.inf``, never with a

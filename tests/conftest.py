@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
+from itertools import product
 from typing import Callable, Sequence
 
 import pytest
@@ -405,3 +406,13 @@ def tjurina_reference(f):
     return staircase(
         standard_basis([f] + [f.partial_derivative(v) for v in f.ring], NEGDEGREVLEX)
     )
+
+
+def residue_table(stair):
+    """The residue of every term below the cut, each asked of ``Staircase.residue``
+    on its own: the whole table, whichever rows the staircase fills on demand.
+    The terms are those of the cube range(cut)^n whose degree is below the cut."""
+    sb, order = stair.basis, stair.basis.order
+    cut = 1 + max((order.degree(e) for _, e in stair.standard_monomials), default=-1)
+    below = [e for e in product(range(cut), repeat=len(sb.ring)) if order.degree(e) < cut]
+    return {(c, e): stair.residue({(c, e): 1}) for c in range(sb.ncomp) for e in below}

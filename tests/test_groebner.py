@@ -1,7 +1,9 @@
 """Normal forms, standard bases, staircases, syzygies, and the
 brute-force oracle cross-check."""
 
+import inspect
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -26,7 +28,13 @@ from germcalc import (
     weighted_local,
 )
 from germcalc import groebner
-from germcalc.groebner import _check_syzygies, _homogenize_terms, _std_engine, _verify_complete
+from germcalc.groebner import (
+    StandardBasis,
+    _check_syzygies,
+    _homogenize_terms,
+    _std_engine,
+    _verify_complete,
+)
 from germcalc.packed import _engine_packing
 from germcalc.singularity import milnor_algebra
 from test_engine_outputs import icis_generators
@@ -41,6 +49,7 @@ from conftest import (
     monic_spoly,
     mora_normal_form,
     pair_key,
+    residue_table,
     top_reduce,
     unpacked_lead,
 )
@@ -745,13 +754,92 @@ def test_quotient_coordinates_staircase_of_another_basis_rejected():
 
 
 def test_staircase_builds_its_residue_table_once():
+    # each row is filled once: a repeated residue fills no new row
     f = parse_poly("x^4+y^4+z^2+x*y*z", V3)
     st = staircase(standard_basis([f] + jacobian(f), NEGDEGREVLEX))
-    assert "_rows" not in vars(st)  # built on first use only
+    assert "_memo" not in vars(st)  # set up on first use only
     first = st.coordinates({(0, (1, 1, 1)): 1})
-    table = vars(st)["_rows"]
+    table = st._memo[0]
+    filled = dict(table)
     again = quotient_coordinates(parse_poly("x*y*z", V3), st.basis, st)
-    assert again == first and vars(st)["_rows"] is table
+    assert again == first and st._memo[0] is table
+    assert table.keys() == filled.keys()
+    assert all(table[t] is row for t, row in filled.items())
+
+
+def reached(stair, term):
+    """The terms below the cut whose rows the residue of ``term`` needs: the
+    term and, for a non-standard one, those of the shifted tail of the first
+    generator whose lead divides it, on exponent tuples."""
+    sb, order = stair.basis, stair.basis.order
+    cut = 1 + max(order.degree(e) for _, e in stair.standard_monomials)
+    seen, todo = set(), [term]
+    while todo:
+        comp, expo = todo.pop()
+        if (comp, expo) in seen or order.degree(expo) >= cut:
+            continue
+        seen.add((comp, expo))
+        if (comp, expo) in stair.standard_monomials:
+            continue
+        g, (_, lead) = next(
+            (g, (c, e))
+            for g, (c, e) in zip(sb.generators, sb.leading_terms)
+            if c == comp and all(x >= y for x, y in zip(expo, e))
+        )
+        shift = tuple(x - y for x, y in zip(expo, lead))
+        todo += [(c, tuple(x + y for x, y in zip(e, shift))) for c, e in g.terms]
+    return seen
+
+
+@pytest.mark.parametrize(
+    "text, vars, expo",
+    [
+        ("x^5+y^5+z^5+w^5+x*y*z*w", ("x", "y", "z", "w"), (3, 2, 0, 1)),
+        ("x^7+y^6+z^5+x^2*y*z+x*y^3*z^2", V3, (4, 1, 2)),
+        ("x^9+y^7+x^3*y^3+x^5*y^2", V2, (6, 3)),
+    ],
+    ids=["quintic4", "a7b6c5", "curve33"],
+)
+def test_one_residue_fills_only_the_rows_it_reaches(text, vars, expo):
+    stair = milnor_algebra(parse_poly(text, vars))
+    stair = staircase(stair.basis)  # a fresh table
+    start = set(stair._memo[0])
+    stair.residue({(0, expo): 1})
+    filled = set(stair._memo[0]) - start
+    reach = reached(stair, (0, expo))
+    assert filled == reach - set(stair.standard_monomials)
+    assert (0, expo) in filled and len(filled) < len(residue_table(staircase(stair.basis))) / 4
+
+
+def test_a_deep_chain_fills_under_a_tight_recursion_limit():
+    # lead x of x - y sends x^k y^(n-1-k) to x^(k-1) y^(n-k): the row of
+    # x^(n-1) rests on a chain of n - 1 rows, far deeper than the limit
+    n = 1500
+    sb = StandardBasis(
+        tuple(VectorPoly.from_poly(parse_poly(t, V2)) for t in ("x-y", f"y^{n}")),
+        NEGDEGREVLEX,
+        ((0, (1, 0)), (0, (0, n))),
+    )
+    stair = staircase(sb)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 40)
+    try:
+        row = stair.residue({(0, (n - 1, 0)): 1})
+    finally:
+        sys.setrecursionlimit(limit)
+    assert row == {n - 1: 1}
+    assert len(stair._memo[0]) == n + (n - 1)  # the standard monomials and the chain
+
+
+@pytest.mark.parametrize(
+    "term", [(0, (1, 1)), (1, (1, 0, 0)), (0, (1, -1, 0))], ids=["arity", "component", "negative"]
+)
+def test_a_malformed_term_is_refused(term):
+    stair = milnor_algebra(parse_poly("x^3+y^4+z^5", V3))
+    with pytest.raises(ValueError, match="is not a term of O"):
+        stair.residue({term: 1})
+    with pytest.raises(ValueError, match="is not a term of O"):
+        stair.coordinates({(0, (0, 0, 0)): 1, term: 1})
 
 
 def cube_table(stair):
@@ -797,7 +885,7 @@ def test_residue_table_grown_by_degree_equals_the_cube_fill(text, vars):
     # the Tjurina and the Milnor algebra of the catalog and the ``modular`` ladder
     f = cached_poly(text, vars)
     for stair in cached_tjurina(text, vars)[1].stair, milnor_algebra(f):
-        assert stair._rows == cube_table(stair)
+        assert residue_table(stair) == cube_table(stair)
 
 
 def test_residue_table_grown_by_degree_equals_the_cube_fill_weighted_and_module():
@@ -806,7 +894,7 @@ def test_residue_table_grown_by_degree_equals_the_cube_fill_weighted_and_module(
         staircase(standard_basis([f] + jacobian(f), weighted_local((1, 2, 3)))),
         staircase(standard_basis(icis_generators(), NEGDEGREVLEX)),
     ):
-        assert stair._rows == cube_table(stair)
+        assert residue_table(stair) == cube_table(stair)
 
 
 # -- residue table against Mora's weak normal form ----------------------------

@@ -549,9 +549,9 @@ def test_the_row_check_catches_a_cut_one_degree_too_low(monkeypatch, name):
     f = cached_poly(entry.text, entry.vars)
     tau, t1 = cached_tjurina(entry.text, entry.vars)
     fields = [v for v, _ in modular._cofactor_generators(f, t1)]
-    integer_rows_agree(fields, t1)  # builds the residue table at the true cut
+    integer_rows_agree(fields, t1)  # fills the rows it needs at the true cut
     true_cut = Staircase.cut
-    monkeypatch.setattr(Staircase, "cut", property(lambda stair: true_cut.fget(stair) - 1))
+    monkeypatch.setattr(Staircase, "cut", property(lambda stair: true_cut.func(stair) - 1))
     with pytest.raises(AssertionError):
         integer_rows_agree(fields, t1)
 

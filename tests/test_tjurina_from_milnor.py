@@ -16,7 +16,7 @@ import pytest
 
 from germcalc import GermInput, linalg, parse_poly, singularity, tjurina_number
 from germcalc.singularity import milnor_algebra
-from conftest import CATALOG, V2, V3, tjurina_reference
+from conftest import CATALOG, V2, V3, residue_table, tjurina_reference
 
 V4 = ("x", "y", "z", "w")
 
@@ -52,7 +52,7 @@ def assert_matches_reference(f):
         assert not ref.finite
         return
     assert t1.stair.standard_monomials == ref.standard_monomials
-    assert t1.stair._rows == ref._rows
+    assert residue_table(t1.stair) == residue_table(ref)
 
 
 @pytest.mark.parametrize("name, text, vars", GERMS, ids=[g[0] for g in GERMS])
@@ -84,7 +84,7 @@ def test_an_echelon_pivoted_at_the_wrong_end_is_refused(monkeypatch):
     monkeypatch.setattr(linalg, "_insert", _insert_at_the_wrong_end)
     stair = singularity._tjurina_staircase(f, milnor)
     with pytest.raises(ValueError, match="tail term above the lead of "):
-        stair._rows
+        stair.residue({})
 
 
 def test_an_echelon_that_loses_a_pivot_row_fails_the_reference(monkeypatch):

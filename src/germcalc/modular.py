@@ -39,18 +39,26 @@ column of v on a basis monomial x^b is the term map sum_i b_i a_i x^(b - e_i),
 minus h_v x^b for the twisted action, and its residue (``Staircase.residue``)
 is a lookup in the staircase's residue rows, in which terms past the cut vanish;
 such terms are dropped before they are formed (``_action_rows``).
-``modular_tangent_space`` lets each field act as its primitive integer row:
-a positive multiple of a field scales its rows by the same factor, so the
-row spaces and kernels are those of the field.  ``action_matrix`` acts with
-the field as given, so its entries are exact.  Only the nonzero rows go, as
+``modular_tangent_space`` lets each field act as its primitive integer row
+(``_primitive`` of ``_field_terms``): a positive multiple of a field scales
+its rows by the same factor, so the row spaces and kernels are those of the
+field.  ``action_matrix`` acts with the field as given, so its entries are
+exact.  Only the nonzero rows go, as
 sparse ``{column: entry}`` maps over tau columns, into ``linalg``: the
 twisted rows into ``kernel_basis``, the untwisted ones into ``rank``, whose
 codimension tau - rank is the untwisted kernel's dimension.
 
+Every call concerns one germ f, and each precondition has one gate.
+``_isolated_t1`` hands out f's cached Tjurina algebra to all four entry
+points: NonIsolatedError when f is not isolated, and, for an algebra passed
+in (``action_matrix``, ``embedding_check``), ValueError unless it is f's
+own.  ``tangent_derivation`` is the one check of a field: one coefficient
+per variable, every part over f's ring, and tangency.
+
 For homogeneous f the module also computes the first-order deformation
 count of the projective hypersurface (degree-m forms modulo the span of
-z_i df/dz_j) and compares it with the weight-m graded piece of the cone
-germ's Tjurina algebra.
+z_i df/dz_j, ``oracle.codimension``) and compares it with the weight-m
+graded piece of the cone germ's Tjurina algebra.
 """
 
 from __future__ import annotations
@@ -64,6 +72,7 @@ from operator import add
 
 from . import linalg
 from .groebner import ModTerm, _check_syzygies, _relations, syzygies
+from .oracle import codimension
 from .orders import NEGDEGREVLEX
 from .packed import Row, _combination, _primitive, packing
 from .poly import Exponent, Polynomial, VectorPoly
@@ -100,32 +109,20 @@ class Derivation:
 def tangent_derivation(f: Polynomial, coefficients, cofactor: Polynomial) -> Derivation:
     """Build a Derivation, checking the tangency identity exactly.
 
-    The identity is decided on integer rows (``_tangency_defect``).
-    ValueError when the parts are not all over the ring of f, and
-    ``ExponentOverflow`` (a ValueError) when an exponent of a product does
-    not fit a packed field.
-    """
-    return _tangent_field(f, coefficients, cofactor)[0]
-
-
-def _tangent_field(
-    f: Polynomial, coefficients, cofactor: Polynomial
-) -> tuple[Derivation, dict[ModTerm, int]]:
-    """``tangent_derivation``, with the primitive integer row of the field
-    (``_field_terms``) that the check ran on.
-
-    ValueError unless the field has one coefficient per variable of f, its
-    coefficients and cofactor are all over the ring of f, and it is tangent.
+    The identity is decided on the field's primitive integer row
+    (``_field_terms``, ``_tangency_defect``).  ValueError unless the field
+    has one coefficient per variable of f, its coefficients and cofactor
+    are all over the ring of f, and it is tangent; ``ExponentOverflow`` (a
+    ValueError) when an exponent of a product does not fit a packed field.
     """
     v = Derivation(tuple(coefficients), cofactor)
     if len(v.coefficients) != len(f.ring):
         raise ValueError("one coefficient per ring variable required")
     if any(p.ring != f.ring for p in (*v.coefficients, cofactor)):
         raise ValueError("coefficients, cofactor and polynomial from different rings")
-    row, _ = _primitive(_field_terms(v))
-    if _tangency_defect(f, row):
+    if _tangency_defect(f, _primitive(_field_terms(v))[0]):
         raise ValueError("not tangent: sum a_i df/dx_i differs from cofactor * f")
-    return v, row
+    return v
 
 
 def _field_terms(v: Derivation) -> dict[ModTerm, Fraction]:
@@ -178,9 +175,18 @@ class ModularTangent:
         return len(self.kernel_basis)
 
 
-def _isolated_t1(f: Polynomial, what: str) -> GradedT1:
-    """The Tjurina algebra of f; NonIsolatedError naming ``what`` when it is infinite."""
+def _isolated_t1(f: Polynomial, what: str, given: GradedT1 | None = None) -> GradedT1:
+    """The Tjurina algebra of f (``tjurina_algebra``, cached), the one gate of every entry point.
+
+    With no algebra given, NonIsolatedError naming ``what`` when it is
+    infinite.  A given algebra must be f's own: ValueError when it is over
+    another ring, or is not the Tjurina algebra of f.
+    """
+    if given is not None and given.ring != f.ring:
+        raise ValueError("basis and polynomial from different rings")
     _, t1 = tjurina_algebra(f)
+    if given is not None and given != t1:
+        raise ValueError("basis is not the Tjurina algebra of the polynomial")
     if t1 is None:
         raise NonIsolatedError(f"{what} needs an isolated singularity")
     return t1
@@ -240,11 +246,8 @@ def derivation_module(f: Polynomial) -> list[Derivation]:
     return list(dict.fromkeys(tangent_derivation(f, a, h) for a, h in fields))
 
 
-def _cofactor_generators(
-    f: Polynomial, t1: GradedT1
-) -> list[tuple[Derivation, dict[ModTerm, int]]]:
-    """Tangent fields whose cofactor classes generate Ann_M([f]) = (J : f)/J,
-    each with its primitive integer row (``_tangent_field``).
+def _cofactor_generators(f: Polynomial, t1: GradedT1) -> list[Derivation]:
+    """Tangent fields whose cofactor classes generate Ann_M([f]) = (J : f)/J.
 
     For quasi-homogeneous f, the Euler field alone: its cofactor is the unit
     d.  Otherwise the relations of one Schreyer walk of the nonzero entries
@@ -258,10 +261,10 @@ def _cofactor_generators(
     span has dimension tau, which makes it all of Ann_M([f]), and
     RuntimeError if the relations run out first.  Only kept relations are
     divided by their scales and become fields, each checked twice: the
-    tangency identity (``_tangent_field``) and the exact syzygy check.
+    tangency identity (``tangent_derivation``) and the exact syzygy check.
     """
     if t1.weight_data is not None:
-        return [_tangent_field(f, *_euler(f, t1.weight_data))]
+        return [tangent_derivation(f, *_euler(f, t1.weight_data))]
     ring, tau = f.ring, t1.tau
     milnor = milnor_algebra(f)
     shifts = [e for _, e in milnor.standard_monomials if any(e)]
@@ -275,14 +278,14 @@ def _cofactor_generators(
             candidates.append((h, row, scale))
     candidates.sort(key=lambda c: min(map(sum, c[0])))
     span: dict[int, dict[int, Fraction]] = {}
-    kept: list[tuple[Derivation, dict[ModTerm, int]]] = []
+    kept: list[Derivation] = []
     relations: list[VectorPoly] = []
     for h, row, scale in candidates:
         if len(span) == tau:
             break
         if linalg._insert(span, _shifted_residue(milnor, h, one)):
             relations.append(VectorPoly(ring, len(nonzero), {t: c / scale for t, c in row.items()}))
-            kept.append(_tangent_field(f, *_field(ring, nonzero, relations[-1])))
+            kept.append(tangent_derivation(f, *_field(ring, nonzero, relations[-1])))
             for b in shifts:
                 if len(span) == tau:
                     break
@@ -362,14 +365,12 @@ def _dense(row: dict[int, Fraction], ncols: int) -> list[Fraction]:
 def action_matrix(v: Derivation, t1: GradedT1, f: Polynomial) -> ActionMatrix:
     """Matrix of [g] -> [v(g) - h_v g] on the Tjurina algebra basis.
 
-    ValueError when ``t1`` and f, or the field and f, are over different
-    rings, when the field has not one coefficient per variable, or when it
-    is not tangent to f (``_tangent_field``): the twisted action is defined
-    on T1 only for tangent fields.
+    ValueError unless ``t1`` is the Tjurina algebra of f (``_isolated_t1``)
+    and the field passes ``tangent_derivation``: the twisted action is
+    defined on T1 only for tangent fields.
     """
-    if t1.ring != f.ring:
-        raise ValueError("basis and polynomial from different rings")
-    _tangent_field(f, v.coefficients, v.cofactor)
+    _isolated_t1(f, "action matrix", t1)
+    tangent_derivation(f, v.coefficients, v.cofactor)
     rows, _ = _action_rows(_field_terms(v), t1)
     entries = tuple(tuple(_dense(rows.get(k, {}), t1.tau)) for k in range(t1.tau))
     return ActionMatrix(entries=entries, basis=t1)
@@ -387,15 +388,14 @@ def modular_tangent_space(f: Polynomial) -> ModularTangent:
     quasi-homogeneous germ: every other tangent field acts, twisted or not,
     as an O-combination of theirs (Saito 1980; see the module docstring), so
     both kernels and their unique reduced row echelon bases are those of the
-    whole derivation module.  Each field acts as the primitive integer row
-    its tangency check ran on, a positive multiple of it, whose rows span
-    what the field's rows span.
+    whole derivation module.  Each field acts as its primitive integer row,
+    a positive multiple of it, whose rows span what the field's rows span.
     """
     t1 = _isolated_t1(f, "modular tangent space")
     stacked: list[dict[int, Fraction]] = []
     stacked_untwisted: list[dict[int, Fraction]] = []
-    for _, row in _cofactor_generators(f, t1):
-        twisted, untwisted = _action_rows(row, t1)
+    for v in _cofactor_generators(f, t1):
+        twisted, untwisted = _action_rows(_primitive(_field_terms(v))[0], t1)
         stacked.extend(twisted.values())
         stacked_untwisted.extend(untwisted.values())
     kernel = linalg.kernel_basis(stacked, t1.tau)
@@ -431,13 +431,8 @@ def projective_t1_dimension(f: Polynomial) -> int:
         raise ValueError("projective hypersurface V(f) is singular")
     ring = f.ring
     monos = [e for e in product(range(m + 1), repeat=len(ring)) if sum(e) == m]
-    index = {e: i for i, e in enumerate(monos)}
-    rows = []
-    for zi in ring:
-        for zj in ring:
-            p = Polynomial.variable(ring, zi) * f.partial_derivative(zj)
-            rows.append({index[e]: c for e, c in p.iter_terms()})
-    return len(monos) - linalg.rank(rows, len(monos))
+    partials = [f.partial_derivative(z) for z in ring]
+    return codimension([Polynomial.variable(ring, z) * d for z in ring for d in partials], monos)
 
 
 def projective_closed_form(nvars: int, m: int) -> int:
@@ -453,15 +448,12 @@ def embedding_check(f: Polynomial, t1: GradedT1) -> bool:
     forms versus the graded slice of the local Tjurina algebra at weights
     (1, ..., 1), where the weight of a monomial is its total degree.
     Requires at least four variables, and ``t1`` must be the Tjurina algebra
-    of f (``tjurina_algebra``, cached, so the comparison costs nothing after
+    of f (``_isolated_t1``; cached, so the comparison costs nothing after
     ``germcalc projective`` computed it); otherwise ValueError.
     """
     m = homogeneous_degree(f)
     if len(f.ring) < 4:
         raise ValueError("projective comparison needs at least 4 variables")
-    if t1.ring != f.ring:
-        raise ValueError("basis and polynomial from different rings")
-    if t1 != tjurina_algebra(f)[1]:
-        raise ValueError("basis is not the Tjurina algebra of the polynomial")
+    _isolated_t1(f, "embedding check", t1)
     piece = [e for e in t1.monomials if sum(e) == m]
     return projective_t1_dimension(f) == len(piece)

@@ -7,32 +7,33 @@ below a bound D, provided every monomial of degree >= D already lies in the
 ideal (for a zero-dimensional ideal, D = 1 + the largest degree of a
 monomial outside the leading ideal always works).
 
+Both this count and the projective T1 count of ``modular`` (degree-m forms
+modulo the z_i df/dz_j) are one count, ``codimension``: the dimension of a
+span of monomials modulo some polynomials, each cut to those monomials.
+
 This module deliberately knows nothing about standard bases; it only
 multiplies, truncates and row-reduces.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+from itertools import product
+
 from . import linalg
 from .poly import Exponent, Polynomial
 
 
 def monomials_below(nvars: int, bound: int) -> list[Exponent]:
-    """All exponent tuples of total degree strictly below the bound."""
-    out: list[Exponent] = []
+    """All exponent tuples of total degree strictly below the bound, in lexicographic order."""
+    return [e for e in product(range(bound), repeat=nvars) if sum(e) < bound]
 
-    def rec(prefix: list[int], remaining: int, k: int):
-        if k == nvars:
-            out.append(tuple(prefix))
-            return
-        for e in range(remaining + 1):
-            prefix.append(e)
-            rec(prefix, remaining - e, k + 1)
-            prefix.pop()
 
-    if bound > 0:
-        rec([], bound - 1, 0)
-    return out
+def codimension(polys: Iterable[Polynomial], monos: list[Exponent]) -> int:
+    """dim of the span of ``monos`` modulo the polys, each cut to those monomials."""
+    index = {m: i for i, m in enumerate(monos)}
+    rows = [{index[e]: c for e, c in p.iter_terms() if e in index} for p in polys]
+    return len(monos) - linalg.rank(rows, len(monos))
 
 
 def truncated_quotient_dimension(gens: list[Polynomial], degree_bound: int) -> int:
@@ -45,16 +46,9 @@ def truncated_quotient_dimension(gens: list[Polynomial], degree_bound: int) -> i
         if g.ring != ring:
             raise ValueError("generators from different rings")
     nvars = len(ring)
-    monos = monomials_below(nvars, degree_bound)
-    index = {m: i for i, m in enumerate(monos)}
-    rows = []
-    for g in gens:
-        room = degree_bound - g.order_at_origin()
-        for m in monomials_below(nvars, max(room, 0)):
-            row = {}
-            for expo, coeff in g.iter_terms():
-                shifted = tuple(a + b for a, b in zip(expo, m))
-                if sum(shifted) < degree_bound:
-                    row[index[shifted]] = coeff
-            rows.append(row)
-    return len(monos) - linalg.rank(rows, len(monos))
+    multiples = (
+        g * Polynomial.monomial(ring, m)
+        for g in gens
+        for m in monomials_below(nvars, degree_bound - g.order_at_origin())
+    )
+    return codimension(multiples, monomials_below(nvars, degree_bound))

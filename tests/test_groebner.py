@@ -35,6 +35,7 @@ from germcalc.groebner import (
     _std_engine,
     _verify_complete,
 )
+from germcalc.oracle import monomials_below
 from germcalc.packed import _engine_packing
 from germcalc.singularity import milnor_algebra
 from test_engine_outputs import icis_generators
@@ -994,6 +995,30 @@ def test_quotient_coordinates_rejects_another_ring():
 def test_syzygies_reject_a_zero_generator():
     with pytest.raises(ValueError, match="^zero generator has no meaningful syzygies$"):
         syzygies([parse_poly("x", V2), parse_poly("0", V2)], NEGDEGREVLEX)
+
+
+def recursive_monomials_below(nvars, bound):
+    """The recursive enumeration ``monomials_below`` replaced, kept as its reference."""
+    out = []
+
+    def rec(prefix, remaining, k):
+        if k == nvars:
+            out.append(tuple(prefix))
+            return
+        for e in range(remaining + 1):
+            prefix.append(e)
+            rec(prefix, remaining - e, k + 1)
+            prefix.pop()
+
+    if bound > 0:
+        rec([], bound - 1, 0)
+    return out
+
+
+@pytest.mark.parametrize("nvars", range(5))
+def test_monomials_below_lists_the_recursive_enumeration_in_its_order(nvars):
+    for bound in range(-1, 8):
+        assert monomials_below(nvars, bound) == recursive_monomials_below(nvars, bound)
 
 
 def test_oracle_rejects_zero_and_mixed_generators():

@@ -433,20 +433,20 @@ def test_modular_kernel_matches_kernel_of_full_dense_stack(text, vars):
 
 
 def _count_fields(monkeypatch):
-    """Fields checked for tangency (``_tangent_field``) and fields whose action rows are taken."""
+    """Fields checked for tangency (``tangent_derivation``) and fields whose action rows are taken."""
     built, acted = [], []
-    check, rows = modular._tangent_field, modular._action_rows
+    check, rows = modular.tangent_derivation, modular._action_rows
 
     def counted_check(*args):
         field = check(*args)
-        built.append(field[0])
+        built.append(field)
         return field
 
     def counted_rows(field, t1):
         acted.append(field)
         return rows(field, t1)
 
-    monkeypatch.setattr(modular, "_tangent_field", counted_check)
+    monkeypatch.setattr(modular, "tangent_derivation", counted_check)
     monkeypatch.setattr(modular, "_action_rows", counted_rows)
     return built, acted
 
@@ -534,7 +534,7 @@ def test_kept_fields_give_rows_and_kernels_of_polynomial_arithmetic_on_large_ger
     # several seconds per germ in polynomial arithmetic
     f = cached_poly(text, V3)
     tau, t1 = cached_tjurina(text, V3)
-    fields = [v for v, _ in modular._cofactor_generators(f, t1)]
+    fields = modular._cofactor_generators(f, t1)
     stacked, stacked_untwisted = integer_rows_agree(fields, t1)
     kernel = dense_kernel(stacked, tau)
     mt = cached_modular(text, V3)
@@ -548,7 +548,7 @@ def test_the_row_check_catches_a_cut_one_degree_too_low(monkeypatch, name):
     entry = CATALOG_BY_NAME[name]
     f = cached_poly(entry.text, entry.vars)
     tau, t1 = cached_tjurina(entry.text, entry.vars)
-    fields = [v for v, _ in modular._cofactor_generators(f, t1)]
+    fields = modular._cofactor_generators(f, t1)
     integer_rows_agree(fields, t1)  # fills the rows it needs at the true cut
     true_cut = Staircase.cut
     monkeypatch.setattr(Staircase, "cut", property(lambda stair: true_cut.func(stair) - 1))
@@ -687,6 +687,29 @@ def test_embedding_check_accepts_only_the_tjurina_algebra_of_f():
     _, other = cached_tjurina("x^3+y^3+z^3+w^3", V4)
     with pytest.raises(ValueError, match="^basis is not the Tjurina algebra of the polynomial$"):
         embedding_check(f, other)
+
+
+def test_action_matrix_accepts_only_the_tjurina_algebra_of_f():
+    # a field of x^3+y^3+z^3+x*y*z on the T1 of x^4+y^3+z^3+x*y*z, over the
+    # same ring, once came back as an 8x8 matrix with 7 nonzero entries
+    f = parse_poly("x^3+y^3+z^3+x*y*z", V3)
+    v = cached_derivations("x^3+y^3+z^3+x*y*z", V3)[0]
+    _, other = cached_tjurina("x^4+y^3+z^3+x*y*z", V3)
+    with pytest.raises(ValueError, match="^basis is not the Tjurina algebra of the polynomial$"):
+        action_matrix(v, other, f)
+
+
+def test_a_given_algebra_is_not_the_tjurina_algebra_of_a_non_isolated_germ():
+    # f = x^4+y^4+z^4 is singular along the w-axis; a given algebra over its
+    # ring fails the algebra check, before any NonIsolatedError
+    _, t1 = cached_tjurina("x^4+y^4+z^4+w^4", V4)
+    f = parse_poly("x^4+y^4+z^4", V4)
+    zero = Polynomial.zero(V4)
+    v = tangent_derivation(f, [zero] * 4, zero)
+    for check in (lambda: action_matrix(v, t1, f), lambda: embedding_check(f, t1)):
+        with pytest.raises(ValueError, match="^basis is not the Tjurina algebra") as raised:
+            check()
+        assert not isinstance(raised.value, NonIsolatedError)
 
 
 def test_zero_polynomial_has_no_homogeneous_degree():

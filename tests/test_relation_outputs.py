@@ -77,7 +77,7 @@ def syzygy_outputs(gens, order):
 
 def cofactor_outputs(name):
     f = germ(name)
-    return [field_outputs(v) for v, _ in _cofactor_generators(f, tjurina_algebra(f)[1])]
+    return [field_outputs(v) for v in _cofactor_generators(f, tjurina_algebra(f)[1])]
 
 
 def derivation_outputs(name):

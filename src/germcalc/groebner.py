@@ -60,10 +60,11 @@ same engine on the same reducers, whose bookkeeping part
 (``_Reducer.book``, empty for a standard basis) holds no lead and is never
 compared: each reduction step carries it along in the remainder
 (``_eliminate``).  A remainder whose real part died is a relation, one
-syzygy in input coordinates.  It stays the integer row it is, with its
-scale, through ``_relations``: ``syzygies`` divides each by its scale,
-wraps, deduplicates and re-checks them exactly on integer rows, and
-``modular`` divides only the few it keeps.
+syzygy in input coordinates.  It stays the packed integer row it is,
+with its scale, through ``_relations``: ``syzygies`` unpacks and divides
+each by its scale, wraps, deduplicates and re-checks them exactly on
+integer rows, and ``modular`` unpacks the cofactor slot of each and
+divides only the few it keeps.
 
 A finite staircase of a local ordering is the one model of its quotient.
 For these degree-compatible orderings every term of (weighted) degree
@@ -85,7 +86,7 @@ from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd, inf
 from operator import add, sub
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .orders import MonomialOrder
 from .packed import (
@@ -706,14 +707,17 @@ def staircase(basis: StandardBasis) -> Staircase:
     return Staircase(tuple(found), True, basis)
 
 
-def _relations(vecs: Sequence[VectorPoly], order: MonomialOrder) -> Iterator[tuple[dict, Fraction]]:
-    """The relations of the one Schreyer walk of ``syzygies``, unchecked.
+def _relations(vecs: Sequence[VectorPoly], order: MonomialOrder) -> tuple[list, Callable]:
+    """The relations of the one Schreyer walk of ``syzygies``, unchecked, and their unpack.
 
-    Each, possibly repeated, is the engine's nonzero integer row, with its
-    bookkeeping component r + i made slot i and its slack entry dropped,
-    and its scale lambda: the relation is row / lambda.  ``syzygies``
-    divides every row, and ``modular._cofactor_generators`` only the few it
-    keeps.
+    Each relation, possibly repeated, is the engine's nonzero integer row
+    on packed terms, with its scale lambda: the relation is row / lambda.
+    ``unpack(row)`` gives the terms of a row keyed (slot i, exponent tuple),
+    its bookkeeping component r + i made slot i and its slack entry
+    dropped; ``unpack(row, i)`` gives slot i alone, keyed by exponent tuple.
+    Nothing is unpacked here: ``syzygies`` unpacks every row, and
+    ``modular._cofactor_generators`` the cofactor slot of each and the
+    whole row only of the few it keeps.
 
     Dropping the slack entry sends no two terms of a relation to one key,
     so nothing merges or cancels: give component r + i the degree of the
@@ -731,8 +735,13 @@ def _relations(vecs: Sequence[VectorPoly], order: MonomialOrder) -> Iterator[tup
     # the packed exponent 0 is the constant term
     extended = [{**terms, (r + i, 0): _ONE} for i, terms in enumerate(seeds)]
     _, relations = _std_engine(extended, pk, r)
-    for h, scale in relations:
-        yield {(comp - r, pk.unpack(e)[pad:]): c for (comp, e), c in h.items()}, scale
+
+    def unpack(row: Row, slot: int | None = None) -> dict:
+        if slot is not None:
+            return {pk.unpack(e)[pad:]: c for (comp, e), c in row.items() if comp == r + slot}
+        return {(comp - r, pk.unpack(e)[pad:]): c for (comp, e), c in row.items()}
+
+    return relations, unpack
 
 
 def syzygies(gens: Sequence[VectorPoly | Polynomial], order: MonomialOrder) -> list[VectorPoly]:
@@ -771,7 +780,8 @@ def syzygies(gens: Sequence[VectorPoly | Polynomial], order: MonomialOrder) -> l
     """
     vecs = _as_vectors(gens)
     ring = vecs[0].ring
-    rels = ({t: c / scale for t, c in row.items()} for row, scale in _relations(vecs, order))
+    relations, unpack = _relations(vecs, order)
+    rels = ({t: c / scale for t, c in unpack(row).items()} for row, scale in relations)
     out = list(dict.fromkeys(VectorPoly(ring, len(vecs), h) for h in rels))
     _check_syzygies(vecs, out)
     return out

@@ -22,17 +22,18 @@ forms and logarithmic vector fields", 1980).  ``modular_tangent_space``
 uses the Euler field alone when f is quasi-homogeneous (its cofactor is the
 unit d).  Otherwise it reads only the cofactor slot of each relation of one
 Schreyer walk of (df, f) (``groebner._relations``, the walk behind
-``syzygies``), as the integer row the walk gives, and keeps, lowest
-cofactor degree first, each relation whose cofactor residue in M
+``syzygies``), unpacked from the integer row the walk gives, and keeps,
+lowest cofactor degree first, each relation whose cofactor residue in M
 (``milnor_algebra``) lies outside the span of the kept ones, until that
 span has dimension tau; no scale changes a span, and the shifts of a kept
 cofactor stop once it is full.  RuntimeError if the span stays below tau,
 since a kernel from too few fields would come out too large.  Only the
-kept relations are divided by their scales and become fields, and each
-goes through both checks: the tangency identity (``tangent_derivation``,
-on integer rows) and the exact syzygy check.  The kernel is a subspace and
-its reduced row echelon basis is unique, so it is the kernel of the full
-stack of generators, and so is the untwisted one.
+kept relations are unpacked whole, divided by their scales and become
+fields, and each goes through both checks: the tangency identity
+(``tangent_derivation``, on integer rows) and the exact syzygy check.
+The kernel is a subspace and its reduced row echelon basis is unique, so
+it is the kernel of the full stack of generators, and so is the untwisted
+one.
 
 The action matrices are read off the staircase of the Tjurina algebra: the
 column of v on a basis monomial x^b is the term map sum_i b_i a_i x^(b - e_i),
@@ -252,16 +253,17 @@ def _cofactor_generators(f: Polynomial, t1: GradedT1) -> list[Derivation]:
     For quasi-homogeneous f, the Euler field alone: its cofactor is the unit
     d.  Otherwise the relations of one Schreyer walk of the nonzero entries
     of (df, f) (``groebner._relations``) with a nonzero cofactor h, lowest
-    total degree of h first; only the cofactor slot of each is read, as the
-    integer row the walk gives, a nonzero multiple of h.  The span holds the
-    residues in the Milnor algebra M of x^b h_k, over the Milnor basis
-    monomials x^b and the cofactors h_k kept so far, so it is the ideal they
-    generate in M; no scale changes it.  A relation is kept when the residue
-    of its h lies outside the span; the shifts and the walk stop once the
-    span has dimension tau, which makes it all of Ann_M([f]), and
-    RuntimeError if the relations run out first.  Only kept relations are
-    divided by their scales and become fields, each checked twice: the
-    tangency identity (``tangent_derivation``) and the exact syzygy check.
+    total degree of h first; only the cofactor slot of each is unpacked
+    from the packed integer row the walk gives, a nonzero multiple of h.
+    The span holds the residues in the Milnor algebra M of x^b h_k, over
+    the Milnor basis monomials x^b and the cofactors h_k kept so far, so it
+    is the ideal they generate in M; no scale changes it.  A relation is
+    kept when the residue of its h lies outside the span; the shifts and
+    the walk stop once the span has dimension tau, which makes it all of
+    Ann_M([f]), and RuntimeError if the relations run out first.  Only kept
+    relations are unpacked whole, divided by their scales and become
+    fields, each checked twice: the tangency identity
+    (``tangent_derivation``) and the exact syzygy check.
     """
     if t1.weight_data is not None:
         return [tangent_derivation(f, *_euler(f, t1.weight_data))]
@@ -271,11 +273,8 @@ def _cofactor_generators(f: Polynomial, t1: GradedT1) -> list[Derivation]:
     one = (0,) * len(ring)
     nonzero, vecs = _schreyer_input([f.partial_derivative(v) for v in ring] + [f])
     last = len(nonzero) - 1  # the slot of f
-    candidates = []
-    for row, scale in _relations(vecs, NEGDEGREVLEX):
-        h = {e: c for (slot, e), c in row.items() if slot == last}
-        if h:
-            candidates.append((h, row, scale))
+    rows, unpack = _relations(vecs, NEGDEGREVLEX)
+    candidates = [(h, row, scale) for row, scale in rows if (h := unpack(row, last))]
     candidates.sort(key=lambda c: min(map(sum, c[0])))
     span: dict[int, dict[int, Fraction]] = {}
     kept: list[Derivation] = []
@@ -284,7 +283,8 @@ def _cofactor_generators(f: Polynomial, t1: GradedT1) -> list[Derivation]:
         if len(span) == tau:
             break
         if linalg._insert(span, _shifted_residue(milnor, h, one)):
-            relations.append(VectorPoly(ring, len(nonzero), {t: c / scale for t, c in row.items()}))
+            terms = {t: c / scale for t, c in unpack(row).items()}
+            relations.append(VectorPoly(ring, len(nonzero), terms))
             kept.append(tangent_derivation(f, *_field(ring, nonzero, relations[-1])))
             for b in shifts:
                 if len(span) == tau:

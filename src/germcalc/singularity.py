@@ -15,17 +15,44 @@ residue first reaches it) and gives the monomial basis and tau.
 
 A germ runs one completion, that of the Milnor algebra M = O/J, J = (df).
 The Tjurina algebra T1 = O/(f, J) is M/[f]M, and [f]M is spanned by the
-residues [x^b f] over the Milnor monomials x^b, so T1 is read off M's
-residues by linear algebra (the FGLM view of a zero-dimensional
-quotient: Faugere, Gianni, Lazard and Mora, JSC 1993).  With the columns in
-decreasing local order, the pivots of those residues are exactly the
-leading monomials of (f) + J that are standard for J: an element g of
-(f) + J whose lead x^a lies outside L(J) differs from its residue r by an
-element of J, and if r had another lead, so would g minus r, outside L(J).
-So the Milnor generators and one monic element per pivot form a standard
-basis of (f) + J (``_tjurina_staircase``), with the staircase, the
-residues and the monomial basis the completion of (f, df) would give; the
-Milnor basis carries the certificate, and the echelon is exact arithmetic.
+residues [x^b f], so T1 is read off M's residues by linear algebra (the
+FGLM view of a zero-dimensional quotient: Faugere, Gianni, Lazard and
+Mora, JSC 1993).  ``_tjurina_staircase`` forms only the residues that
+can add to the span, by a multiplication closure, and reads T1's
+staircase off the pivots.
+
+The closure.  Exponents b leave a heap in increasing DEGREVLEX order, a
+global order, so every divisor of b leaves before it.  Call b dead when
+[x^b f] lies in the span of the [x^c f] with c before b, live otherwise.
+If b is dead, [x^b f] = sum l_c [x^c f], and multiplying by x^a in M
+gives [x^(b+a) f] = sum l_c [x^(c+a) f], each c + a before b + a since a
+monomial order is multiplicative: the multiples of a dead exponent are
+dead, and the live set is closed under division.  So the walk forms
+[x^b f], and puts it into one echelon (``linalg._insert``), only when
+every parent b - e_i is live; b is live when its residue is independent
+of the echelon, and then its children join the heap.  By induction in
+the order, the echelon spans all earlier [x^c f] when b leaves: a c
+that was formed is in it, and one that was not has a dead parent or was
+never pushed, so it is dead and its residue lies in the span before it.
+The live residues therefore span [f]M, and the reduced row echelon form
+of a span is unique, so the pivots and all that is read off them are
+those of the residues of every Milnor monomial.  The walk ends: a term
+whose degree reaches the cut of M's staircase lies in J, so
+``_shifted_residue`` drops it before forming its key, and [x^b f] = 0, a
+dead b, once deg b reaches the cut.  Each child joins the heap once,
+from the first of its live parents to leave it.
+
+The staircase.  With the columns in decreasing local order, the pivots
+are exactly the leading monomials of (f) + J that are standard for J: an
+element g of (f) + J whose lead x^a lies outside L(J) differs from its
+residue r by an element of J, and if r had another lead, so would g
+minus r, outside L(J).  So the Milnor generators and one monic element
+per pivot form a standard basis of (f) + J, and T1's standard monomials
+are M's minus the pivot leads, read off with no regrowth of the
+staircase; its residues and monomial basis are those the completion of
+(f, df) would give.  With no pivot, [f] = 0 and T1 is M, table and all.
+The Milnor basis carries the certificate, and the echelon is exact
+arithmetic.
 
 Non-isolated singularities are reported with ``math.inf``, never with a
 degree cutoff: finiteness detection is the exact pure-power criterion of
@@ -37,12 +64,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from heapq import heappop, heappush
 from math import gcd, inf, lcm
-from operator import add
+from operator import add, sub
 
 from . import linalg
 from .groebner import StandardBasis, Staircase, VectorPoly, staircase, standard_basis
-from .orders import NEGDEGREVLEX
+from .orders import DEGREVLEX, NEGDEGREVLEX
 from .poly import Exponent, Polynomial
 
 INFINITE = inf  # marker for non-isolated singularities
@@ -159,49 +187,73 @@ def tjurina_number(germ: GermInput) -> tuple[int | float, GradedT1 | None]:
     quasi-homogeneous in the given coordinates, each basis monomial carries
     its weight.  The quotient is read off the Milnor algebra M
     (``milnor_algebra``), with no completion of its own: mu is finite
-    exactly when tau is; with weights, f lies in the Jacobian ideal (Euler's
-    identity), so T1 is M itself; otherwise its standard basis extends M's
-    by the pivots of [f]M (``_tjurina_staircase``).
+    exactly when tau is, and T1's staircase is M's minus the pivots of
+    [f]M (``_tjurina_staircase``), M's itself when [f] = 0.  The weights
+    only grade it.
     """
     f = _hypersurface(germ)
     milnor = milnor_algebra(f)
     if not milnor.finite:
         return INFINITE, None
-    wdata = find_weights(f)
-    st = milnor if wdata is not None else _tjurina_staircase(f, milnor)
-    return st.dimension, GradedT1(weight_data=wdata, stair=st)
+    st = _tjurina_staircase(f, milnor)
+    return st.dimension, GradedT1(weight_data=find_weights(f), stair=st)
 
 
 def _shifted_residue(
     stair: Staircase, h: dict[Exponent, Fraction | int], b: Exponent
 ) -> dict[int, Fraction]:
-    """Residue coordinates of x^b h in the quotient of ``stair``, by standard-monomial index."""
-    return stair.residue({(0, tuple(map(add, e, b))): c for e, c in h.items()})
+    """Residue coordinates of x^b h in the quotient of ``stair``, by standard-monomial index.
+
+    A term of x^b h whose degree reaches ``stair.cut`` lies in the submodule,
+    so it is dropped before its key is formed.
+    """
+    degree = stair.basis.order.degree
+    room = stair.cut - degree(b)
+    return stair.residue({(0, tuple(map(add, e, b))): c for e, c in h.items() if degree(e) < room})
 
 
 def _tjurina_staircase(f: Polynomial, milnor: Staircase) -> Staircase:
     """Staircase of (f) + J from the finite Milnor staircase of J.
 
-    The residues [x^b f] over the Milnor monomials go into one echelon
-    (``linalg._insert``) whose column 0 is the largest Milnor monomial in the
-    local order, so each pivot row is monic at its lead and its tail lies on
-    smaller non-pivot monomials.  Each pivot row x^(a_p) + sum_k t_k x^(a_k)
-    joins the Milnor generators; by the pivot claim of the module docstring
-    the result is a standard basis of (f) + J.
+    The multiplication closure of the module docstring: exponents b leave a
+    heap in increasing DEGREVLEX order, starting at 0, and [x^b f] is formed
+    only when every parent b - e_i is live.  It goes into one echelon
+    (``linalg._insert``) whose column 0 is the largest Milnor monomial in
+    the local order; b is live when it adds a pivot, and then its children
+    b + e_i that have not yet joined the heap join it.  Each pivot row is
+    monic at its lead, with its tail on smaller non-pivot monomials, and
+    joins the Milnor generators in column order; by the pivot claim the
+    result is a standard basis of (f) + J, whose standard monomials are M's
+    minus the pivot leads, in M's order.  With no pivot ([f] = 0) it is
+    ``milnor`` itself.
     """
     sb, monomials = milnor.basis, [e for _, e in milnor.standard_monomials]
     ordered = sorted(monomials, key=sb.order.sort_key, reverse=True)  # column 0 the largest
     column = {e: c for c, e in enumerate(ordered)}
-    pivots: dict[int, dict[int, Fraction]] = {}
-    for b in monomials:
+    zero = (0,) * len(f.ring)
+    units = [zero[:i] + (1,) + zero[i + 1 :] for i in range(len(zero))]
+    heap, pushed, live, pivots = [(DEGREVLEX.sort_key(zero), zero)], {zero}, set(), {}
+    while heap:
+        _, b = heappop(heap)
+        if any(e and tuple(map(sub, b, u)) not in live for e, u in zip(b, units)):
+            continue  # a dead parent: [x^b f] lies in the span already
         residue = _shifted_residue(milnor, f.terms, b)
-        linalg._insert(pivots, {column[monomials[j]]: a for j, a in residue.items()})
-    leads = tuple((0, ordered[p]) for p in pivots)
+        if linalg._insert(pivots, {column[monomials[j]]: a for j, a in residue.items()}):
+            live.add(b)
+            for child in {tuple(map(add, b, u)) for u in units} - pushed:
+                pushed.add(child)
+                heappush(heap, (DEGREVLEX.sort_key(child), child))
+    if not pivots:
+        return milnor
+    rows = sorted(pivots.items())  # column order
+    leads = tuple((0, ordered[p]) for p, _ in rows)
     extra = tuple(
         VectorPoly(f.ring, 1, {lead: 1, **{(0, ordered[k]): t for k, t in tail.items()}})
-        for lead, tail in zip(leads, pivots.values())
+        for lead, (_, tail) in zip(leads, rows)
     )
-    return staircase(StandardBasis(sb.generators + extra, sb.order, sb.leading_terms + leads))
+    basis = StandardBasis(sb.generators + extra, sb.order, sb.leading_terms + leads)
+    kept = tuple(t for t in milnor.standard_monomials if column[t[1]] not in pivots)
+    return Staircase(kept, True, basis)
 
 
 @lru_cache(maxsize=1)

@@ -12,12 +12,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import product
+from operator import add
 from typing import Callable, Sequence
 
 import pytest
 
-from germcalc import GermInput, Polynomial, VectorPoly, parse_poly
-from germcalc.groebner import _CONTENT_EVERY, _ONE, staircase, standard_basis
+from germcalc import GermInput, Polynomial, VectorPoly, linalg, parse_poly
+from germcalc.groebner import _CONTENT_EVERY, _ONE, StandardBasis, staircase, standard_basis
 from germcalc.orders import NEGDEGREVLEX
 from germcalc.packed import (
     PackedTerm,
@@ -406,6 +407,29 @@ def tjurina_reference(f):
     return staircase(
         standard_basis([f] + [f.partial_derivative(v) for v in f.ring], NEGDEGREVLEX)
     )
+
+
+def tjurina_echelon_reference(f, milnor):
+    """Staircase of (f) + J from the finite Milnor staircase of J, by the loop
+    over every Milnor monomial: each residue [x^b f] goes into one echelon
+    whose column 0 is the largest Milnor monomial in the local order, each
+    pivot row joins the Milnor generators in column order, and the staircase
+    is grown afresh from the leads (``staircase``)."""
+    sb, monomials = milnor.basis, [e for _, e in milnor.standard_monomials]
+    ordered = sorted(monomials, key=sb.order.sort_key, reverse=True)
+    column = {e: c for c, e in enumerate(ordered)}
+    pivots = {}
+    for b in monomials:
+        shifted = {(0, tuple(map(add, e, b))): c for e, c in f.terms.items()}
+        residue = milnor.residue(shifted)
+        linalg._insert(pivots, {column[monomials[j]]: a for j, a in residue.items()})
+    rows = sorted(pivots.items())
+    leads = tuple((0, ordered[p]) for p, _ in rows)
+    extra = tuple(
+        VectorPoly(f.ring, 1, {lead: 1, **{(0, ordered[k]): t for k, t in tail.items()}})
+        for lead, (_, tail) in zip(leads, rows)
+    )
+    return staircase(StandardBasis(sb.generators + extra, sb.order, sb.leading_terms + leads))
 
 
 def residue_table(stair):

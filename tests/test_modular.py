@@ -466,12 +466,18 @@ def test_tangency_is_checked_on_every_used_field_and_no_other(monkeypatch, name,
 
 def _relation_source(monkeypatch, edit):
     """Let the modular path read ``edit`` of the list of its real relations,
-    each handed to ``edit`` as rational and taken back as an integer row with its scale."""
+    each handed to ``edit`` as rational and taken back as an integer row with
+    its scale; the rows come back unpacked, so their unpack only selects a slot."""
     real = modular._relations
 
     def source(vecs, order):
-        rels = [{t: c / scale for t, c in row.items()} for row, scale in real(vecs, order)]
-        yield from map(_primitive, edit(rels))
+        rows, unpack = real(vecs, order)
+        rels = [{t: c / scale for t, c in unpack(row).items()} for row, scale in rows]
+
+        def select(row, slot=None):
+            return row if slot is None else {e: c for (s, e), c in row.items() if s == slot}
+
+        return list(map(_primitive, edit(rels))), select
 
     monkeypatch.setattr(modular, "_relations", source)
 

@@ -8,15 +8,26 @@ catalog, on the germs of the ``std-ideal`` and ``modular`` benchmark ladders
 (``perfbench/workloads.py``), on x^a+y^b+z^c+x^2*y*z+x*y^3*z^2 at (7,6,5)
 and (8,7,5), on the example-9 fiber and on the non-isolated x^2*y.  An
 echelon pivoted at the wrong end, or one that loses a pivot row, fails.
+
+The multiplication closure of ``_tjurina_staircase`` must give the same
+pivot rows, staircase and residue table as the loop over every Milnor
+monomial (``tjurina_echelon_reference``, ``conftest``), without growing the
+staircase again, on the same germs and (9,8,6).  A closure that expands
+only the x-children, or pops in the local order, changes tau there; one
+that drops the parent check stays exact, and only the count of residues
+formed shows it.  A shifted residue asks ``Staircase.residue`` for no
+term past the cut.
 """
 
 from fractions import Fraction
+from operator import add
 
 import pytest
 
 from germcalc import GermInput, linalg, parse_poly, singularity, tjurina_number
+from germcalc.groebner import Staircase
 from germcalc.singularity import milnor_algebra
-from conftest import CATALOG, V2, V3, residue_table, tjurina_reference
+from conftest import CATALOG, V2, V3, residue_table, tjurina_echelon_reference, tjurina_reference
 
 V4 = ("x", "y", "z", "w")
 
@@ -58,6 +69,66 @@ def assert_matches_reference(f):
 @pytest.mark.parametrize("name, text, vars", GERMS, ids=[g[0] for g in GERMS])
 def test_tjurina_algebra_matches_its_own_completion(name, text, vars):
     assert_matches_reference(parse_poly(text, vars))
+
+
+CLOSURE_GERMS = [g for g in GERMS if g[0] != "non-isolated"] + [
+    ("a9b8c6", "x^9+y^8+z^6+x^2*y*z+x*y^3*z^2", V3),
+]
+
+
+def _regrow(basis):
+    raise AssertionError("T1's staircase was grown again from its leads")
+
+
+@pytest.mark.parametrize("name, text, vars", CLOSURE_GERMS, ids=[g[0] for g in CLOSURE_GERMS])
+def test_the_closure_gives_the_echelon_of_every_milnor_monomial(monkeypatch, name, text, vars):
+    f = parse_poly(text, vars)
+    milnor = milnor_algebra(f)
+    ref = tjurina_echelon_reference(f, milnor)
+    monkeypatch.setattr(singularity, "staircase", _regrow)
+    stair = singularity._tjurina_staircase(f, milnor)
+    assert stair.basis == ref.basis  # the same pivot rows, in column order
+    assert stair.standard_monomials == ref.standard_monomials
+    assert residue_table(stair) == residue_table(ref)
+    if stair.basis == milnor.basis:  # [f] = 0 in M: no pivot
+        assert stair is milnor
+
+
+@pytest.mark.parametrize("name, bound", [("mu35", 6), ("quintic4", 40), ("curve33", 6)])
+def test_the_closure_forms_a_residue_only_where_every_parent_is_live(monkeypatch, name, bound):
+    # dropping the parent check leaves the span, and so every output, as it
+    # was; only the number of residues formed shows it (10, 68 and 8 here)
+    _, text, vars = next(g for g in LADDERS if g[0] == name)
+    f = parse_poly(text, vars)
+    milnor = milnor_algebra(f)
+    formed = []
+    shifted_residue = singularity._shifted_residue
+
+    def counted(stair, h, b):
+        formed.append(b)
+        return shifted_residue(stair, h, b)
+
+    monkeypatch.setattr(singularity, "_shifted_residue", counted)
+    singularity._tjurina_staircase(f, milnor)
+    assert len(formed) == len(set(formed)) <= bound
+
+
+def test_a_shifted_residue_asks_for_no_term_past_the_cut(monkeypatch):
+    # a term of x^b f whose degree reaches the cut lies in J: it is dropped
+    # before its key is formed, and the residue is the one of every term
+    f = parse_poly("x^5+y^5+z^5+w^5+x*y*z*w", V4)
+    milnor = milnor_algebra(f)
+    residue, asked = Staircase.residue, []
+
+    def spied(stair, terms):
+        asked.extend(terms)
+        return residue(stair, terms)
+
+    monkeypatch.setattr(Staircase, "residue", spied)
+    for _, b in milnor.standard_monomials:
+        whole = {(0, tuple(map(add, e, b))): c for e, c in f.terms.items()}
+        assert singularity._shifted_residue(milnor, f.terms, b) == residue(milnor, whole)
+    assert max(sum(e) for _, e in asked) == milnor.cut - 1
 
 
 def _insert_at_the_wrong_end(pivots, row):

@@ -4,13 +4,14 @@ Elements of a free module O^k are held as ``VectorPoly`` (``germcalc.poly``):
 a term map from (component, exponent tuple) to a nonzero rational.  Ideals are the k = 1
 case.  The machinery is shared:
 
-* inside the engine every exponent is one packed int (``germcalc.packed``):
-  a guarded field per entry, so a shift is one addition, divisibility one
-  mask test and an lcm a few bit operations (Monagan and Pearce, JSC
-  2011), under order fields that make (component, packed) tuples compare
-  as the engine's order, so each lead is a plain ``max`` (Bachmann and
-  Schoenemann, ISSAC 1998).  Exponent tuples exist only at the public
-  boundary.  An entry that would not fit its field raises
+* inside the engine every term is one packed int (``germcalc.packed``):
+  a guarded field per exponent entry, so a shift is one addition,
+  divisibility one mask test and an lcm a few bit operations (Monagan and
+  Pearce, JSC 2011), under order fields and with the component on top, so
+  that the ints compare as the engine's order and each lead is a plain
+  ``max`` (Bachmann and Schoenemann, ISSAC 1998); the one divisor mask
+  compares the components too.  (component, exponent tuple) pairs exist
+  only at the public boundary.  An entry that would not fit its field raises
   ``ExponentOverflow`` (a ValueError) before any arithmetic;
 * reductions and S-vectors work on primitive integer rows, fraction-free
   (``_primitive``, ``_eliminate``; Bareiss's one-step integer-preserving
@@ -156,19 +157,21 @@ def _nf_global(
 
 def _spoly_terms(f: _Reducer, g: _Reducer, lcm: int, guard: int) -> tuple[Row, Row, Fraction]:
     """Fraction-free S-vector, as its real and bookkeeping parts, and its scale;
-    ``lcm`` is that of the two lead exponents.
+    ``lcm`` is the packed term of the lcm of the two leads.
 
     The row (c_g/e) x^a f - (c_f/e) x^b g, with e = gcd(c_f, c_g), is
     c_f c_g / e times x^a f / c_f - x^b g / c_g, the S-vector of the monic rows.
     """
     e = gcd(f.coeff, g.coeff)
-    a, b = lcm - f.lead[1], lcm - g.lead[1]
+    a, b = lcm - f.lead, lcm - g.lead
     out: Row = {}
     book: Row = {}
     _sub_scaled(out, f.terms, f.top, a, -(g.coeff // e), guard)
     _sub_scaled(out, g.terms, g.top, b, f.coeff // e, guard)
-    _sub_scaled(book, f.book, f.book_top, a, -(g.coeff // e), guard)
-    _sub_scaled(book, g.book, g.book_top, b, f.coeff // e, guard)
+    if f.book:
+        _sub_scaled(book, f.book, f.book_top, a, -(g.coeff // e), guard)
+    if g.book:
+        _sub_scaled(book, g.book, g.book_top, b, f.coeff // e, guard)
     return out, book, Fraction(f.coeff // e * g.coeff)
 
 
@@ -178,9 +181,9 @@ def spoly(f: VectorPoly, g: VectorPoly, keyfn: Callable[[ModTerm], object]) -> V
     key = pk.keyed(keyfn)
     rows = [_primitive(pk.pack_terms(v.terms))[0] for v in (f, g)]
     rf, rg = (_reducer(max(row, key=key), row, pk) for row in rows)
-    if rf.lead[0] != rg.lead[0]:
+    if rf.lead >> pk.cshift != rg.lead >> pk.cshift:
         raise ValueError("S-vector needs matching leading components")
-    s, _, scale = _spoly_terms(rf, rg, pk.lcm(rf.lead[1], rg.lead[1]), pk.guard)
+    s, _, scale = _spoly_terms(rf, rg, pk.lcm(rf.lead, rg.lead), pk.guard)
     return VectorPoly(f.ring, f.ncomp, pk.unpack_terms(_rational(s, scale)))
 
 
@@ -194,17 +197,18 @@ def _criterion_b(
 
     It drops a pair (i, j) of t's component when lead t divides its lcm m
     and neither lcm(i, t) nor lcm(j, t) equals m: both are then proper
-    divisors of m.
+    divisors of m.  ``leads`` hold the component and exponent fields of the
+    leads; a pair key holds the exponent fields of its lcm.
     """
-    comp, lt = leads[t]
-    guard, lcm = pk.guard, pk.lcm
+    cshift, guard, lcm = pk.cshift, pk.guard, pk.lcm
+    comp, lt = leads[t] >> cshift, leads[t] & pk.low
     return [
         key
         for key in pending
         if ((key[1] | guard) - lt) & guard != guard
-        or leads[key[2]][0] != comp
-        or lcm(leads[key[2]][1], lt) == key[1]
-        or lcm(leads[key[3]][1], lt) == key[1]
+        or leads[key[2]] >> cshift != comp
+        or lcm(leads[key[2]], lt) == key[1]
+        or lcm(leads[key[3]], lt) == key[1]
     ]
 
 
@@ -216,16 +220,17 @@ def _new_pairs(leads: Sequence[PackedTerm], t: int, ideal: bool, pk: Packing) ->
     Only then, when ``ideal``, the product criterion drops every lcm of a
     coprime pair, with each pair that shares it: a coprime pair still
     blocks its equal and multiple lcms first (Becker and Weispfenning's
-    UPDATE).
+    UPDATE).  ``leads`` are as for ``_criterion_b``; with ``ideal`` every
+    component is 0.
     """
-    comp, lt = leads[t]
-    guard = pk.guard
+    cshift, guard, lcm = pk.cshift, pk.guard, pk.lcm
+    comp, lt = leads[t] >> cshift, leads[t] & pk.low
     first: dict[int, int] = {}  # each lcm, with the first i that has it
     coprime: set[int] = set()
     for i in range(t):
-        lcomp, le = leads[i]
-        if lcomp == comp:
-            m = pk.lcm(le, lt)
+        le = leads[i]
+        if le >> cshift == comp:
+            m = lcm(le, lt)
             first.setdefault(m, i)
             if ideal and m == le + lt:
                 coprime.add(m)
@@ -259,7 +264,8 @@ def _walk_pairs(
     pending pairs it covers (``_criterion_b``), then adds those of its own
     pairs that criteria F and M and the product criterion keep
     (``_new_pairs``).  The product criterion applies only when every term
-    of the starting set lies in component 0, as decided here from the data:
+    of the starting set lies in component 0, as decided here from the data
+    (a lead is its row's largest term, so it has the largest component):
     modules and Schreyer rows, whose bookkeeping part lies outside
     component 0, need their coprime pairs.  Pending pairs pop smallest key
     first (lcm degree, packed lcm, i, j).  Each popped pair's S-vector
@@ -295,11 +301,12 @@ def _walk_pairs(
     later one joined, so every pair has a representation: the
     standard-basis property (Buchberger's criterion).
     """
-    ideal = not any(r.book or any(comp for comp, _ in r.terms) for r in basis)
-    low, guard = pk.low, pk.guard
+    ideal = not any(r.book or r.lead >> pk.cshift for r in basis)
+    guard, comps = pk.guard, -1 << pk.cshift
+    keep = pk.low | comps  # the component and exponent fields
     leads = [r.lead for r in basis]
-    first = _first_divisor(leads, guard)
-    exponents = [(comp, e & low) for comp, e in leads]
+    first = _first_divisor(leads, pk)
+    exponents = [lead & keep for lead in leads]
     pending: list[PairKey] = []
 
     def join(t: int):
@@ -314,13 +321,14 @@ def _walk_pairs(
         join(t)
     while pending:
         _, lcm, i, j = heappop(pending)
-        s, book, s_scale = _spoly_terms(basis[i], basis[j], pk.lift(lcm), guard)
+        lcm = pk.lift(lcm | exponents[i] & comps)
+        s, book, s_scale = _spoly_terms(basis[i], basis[j], lcm, guard)
         h, h_scale = _nf_global(s, basis, first, pk, book)
         new = judge(i, j, h, s_scale, h_scale)
         if new is not None:
             basis.append(new)
             leads.append(new.lead)
-            exponents.append((new.lead[0], new.lead[1] & low))
+            exponents.append(new.lead & keep)
             join(len(basis) - 1)
 
 
@@ -331,7 +339,7 @@ def _std_engine(
 
     ``seeds`` are on ``pk``, whose order fields decide the order
     (``_engine_input``), so each lead is the plain ``max`` of a row's
-    (component, packed) terms.  Returns the completed basis, as primitive
+    packed terms.  Returns the completed basis, as primitive
     integer rows, and the relations.  The walk forms and reduces every
     S-vector; the engine only judges each remainder.
 
@@ -341,7 +349,8 @@ def _std_engine(
     and Moeller, JSC 1988).
 
     With ``split``, the seeds are Schreyer rows: their terms in components
-    >= ``split`` are the bookkeeping part (``_Reducer.book``), never compared.
+    >= ``split``, the packed terms from ``split << cshift`` up, are the
+    bookkeeping part (``_Reducer.book``), never compared.
     A remainder with a real term joins the basis; a nonzero one without is
     a relation, which reduces nothing and forms no pairs.  It is returned
     as it came, a primitive integer row on packed terms with its scale
@@ -351,15 +360,16 @@ def _std_engine(
     so no relations.
     """
     relations: list[tuple[Row, Fraction]] = []
+    cut = None if split is None else split << pk.cshift
 
     def reducer(row: Row) -> _Reducer:
-        real = row if split is None else [t for t in row if t[0] < split]
-        return _reducer(max(real), row, pk, split)
+        real = row if cut is None else [t for t in row if t < cut]
+        return _reducer(max(real), row, pk, cut)
 
     def judge(i: int, j: int, h: Row, s_scale: Fraction, h_scale: Fraction) -> _Reducer | None:
         if not h:
             return None
-        if split is None or any(comp < split for comp, _ in h):
+        if cut is None or min(h) < cut:
             return reducer(_primitive(h)[0])
         relations.append((h, s_scale * h_scale))
         return None
@@ -380,12 +390,12 @@ def _minimal(leads: Sequence[PackedTerm], pk: Packing, order: MonomialOrder) -> 
     key = pk.keyed(order.module_key)
 
     def visit(i: int):
-        return order.degree(pk.unpack(leads[i][1])), key(leads[i])
+        return order.degree(pk.unpack(leads[i])), key(leads[i])
 
     kept: list[int] = []
     kept_leads: list[PackedTerm] = []
     for i in sorted(range(len(leads)), key=visit):
-        if next(_divisors(kept_leads, leads[i], pk.guard), None) is None:
+        if next(_divisors(kept_leads, leads[i], pk), None) is None:
             kept.append(i)
             kept_leads.append(leads[i])
     return sorted(kept, key=lambda i: key(leads[i]))
@@ -514,17 +524,17 @@ def standard_basis(
     if verify:
         _verify_complete(completed, pk)
     out = packing(len(ring))
-    low = out.low  # every exponent field but the slack entry's
-    leads = [(comp, e & low) for comp, e in (r.lead for r in completed)]
+    cshift, low = pk.cshift, out.low  # low: every exponent field but the slack entry's
+    leads = [r.lead >> cshift << out.cshift | r.lead & low for r in completed]
     kept = _minimal(leads, out, order)
     monic = [
-        {(comp, out.unpack(e & low)): Fraction(c, r.coeff) for (comp, e), c in r.terms.items()}
+        {(t >> cshift, out.unpack(t)): Fraction(c, r.coeff) for t, c in r.terms.items()}
         for r in (completed[i] for i in kept)
     ]
     return StandardBasis(
         generators=tuple(VectorPoly(ring, ncomp, terms) for terms in monic),
         order=order,
-        leading_terms=tuple((leads[i][0], out.unpack(leads[i][1])) for i in kept),
+        leading_terms=tuple(out.unpack_term(leads[i]) for i in kept),
     )
 
 
@@ -548,10 +558,10 @@ def normal_form(p: VectorPoly | Polynomial, basis: StandardBasis) -> VectorPoly:
     pk = _engine_packing(basis.order, len(v.ring))
     row, scale = _primitive(pk.pack_terms(v.terms))
     pool = [
-        _reducer((lead[0], pk.pack(lead[1])), _primitive(pk.pack_terms(g.terms))[0], pk)
+        _reducer(pk.pack_term(lead), _primitive(pk.pack_terms(g.terms))[0], pk)
         for g, lead in zip(basis.generators, basis.leading_terms)
     ]
-    first = _first_divisor([r.lead for r in pool], pk.guard)
+    first = _first_divisor([r.lead for r in pool], pk)
     h, h_scale = _nf_global(row, pool, first, pk)
     return VectorPoly(v.ring, v.ncomp, pk.unpack_terms(_rational(h, scale * h_scale)))
 
@@ -611,7 +621,7 @@ class Staircase:
             tail = [(t, degree(t[1]), -a) for t, a in g.terms.items() if t != lead]
             if any(key(t) > key(lead) for t, _, _ in tail):
                 raise ValueError(f"tail term above the lead of {g}")
-            leads.append((lead[0], pk.pack(lead[1])))
+            leads.append(pk.pack_term(lead))
             reducers.append((lead[1], degree(lead[1]), tail))
         rows = {term: {j: _ONE} for j, term in enumerate(self.standard_monomials)}
 
@@ -627,7 +637,7 @@ class Staircase:
                 if inputs is None:
                     if (c, e) in rows:
                         continue
-                    k = next(_divisors(leads, (c, pk.pack(e)), pk.guard))
+                    k = next(_divisors(leads, pk.pack_term((c, e)), pk))
                     lead, lead_degree, tail = reducers[k]
                     shift = tuple(map(sub, e, lead))
                     # a tail term of degree d lands below the cut exactly when d < room
@@ -688,21 +698,22 @@ def staircase(basis: StandardBasis) -> Staircase:
     ):
         return Staircase((), False, basis)
     pk = packing(nvars)
-    leads = [(comp, pk.pack(e)) for comp, e in basis.leading_terms]
+    leads = [pk.pack_term(t) for t in basis.leading_terms]
 
     def standard(term: PackedTerm) -> bool:
-        return next(_divisors(leads, term, pk.guard), None) is None
+        return next(_divisors(leads, term, pk), None) is None
 
     found: list[ModTerm] = []
     for comp in range(basis.ncomp):
-        stair = [0] if standard((comp, 0)) else []
+        one = comp << pk.cshift
+        stair = [one] if standard(one) else []
         for unit in pk.units:
             for x in stair[:]:
                 x += unit
-                while standard((comp, x)):
+                while standard(x):
                     stair.append(x)
                     x += unit
-        found += [(comp, pk.unpack(x)) for x in stair]
+        found += [pk.unpack_term(x) for x in stair]
     found.sort(key=lambda t: (sum(t[1]), t[0], t[1]))
     return Staircase(tuple(found), True, basis)
 
@@ -733,13 +744,13 @@ def _relations(vecs: Sequence[VectorPoly], order: MonomialOrder) -> tuple[list, 
     r = vecs[0].ncomp
     seeds, pk, pad = _engine_input(vecs, order)
     # the packed exponent 0 is the constant term
-    extended = [{**terms, (r + i, 0): _ONE} for i, terms in enumerate(seeds)]
+    extended = [{**terms, (r + i) << pk.cshift: _ONE} for i, terms in enumerate(seeds)]
     _, relations = _std_engine(extended, pk, r)
 
     def unpack(row: Row, slot: int | None = None) -> dict:
         if slot is not None:
-            return {pk.unpack(e)[pad:]: c for (comp, e), c in row.items() if comp == r + slot}
-        return {(comp - r, pk.unpack(e)[pad:]): c for (comp, e), c in row.items()}
+            return {pk.unpack(t)[pad:]: c for t, c in row.items() if t >> pk.cshift == r + slot}
+        return {((t >> pk.cshift) - r, pk.unpack(t)[pad:]): c for t, c in row.items()}
 
     return relations, unpack
 
@@ -799,9 +810,9 @@ def _check_syzygies(vecs: Sequence[VectorPoly], syzs: Iterable[VectorPoly]):
     tops = [pk.top(row) for row in rows]
     for syz in syzs:
         weights, _ = _primitive(
-            {(slot, pk.pack(e)): c / scales[slot] for (slot, e), c in syz.terms.items()}
+            {pk.pack_term(t): c / scales[t[0]] for t, c in syz.terms.items()}
         )
-        if _combination(rows, tops, weights, pk.guard):
+        if _combination(rows, tops, weights, pk):
             raise RuntimeError("syzygy verification failed")
 
 

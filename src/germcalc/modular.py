@@ -72,7 +72,7 @@ from math import comb
 from operator import add
 
 from . import linalg
-from .groebner import ModTerm, _check_syzygies, _relations, syzygies
+from .groebner import ModTerm, _check_syzygies, _relations
 from .oracle import codimension
 from .orders import NEGDEGREVLEX
 from .packed import Row, _combination, _primitive, packing
@@ -144,12 +144,12 @@ def _tangency_defect(f: Polynomial, field: dict[ModTerm, int]) -> Row:
     pk = packing(len(f.ring))
     f_row, _ = _primitive(f.terms)
     parts = [
-        {(0, pk.pack(e) - unit): e[i] * c for e, c in f_row.items() if e[i]}
+        {pk.pack(e) - unit: e[i] * c for e, c in f_row.items() if e[i]}
         for i, unit in enumerate(pk.units)
     ]
-    parts.append({(0, pk.pack(e)): -c for e, c in f_row.items()})
-    weights = {(i, pk.pack(e)): c for (i, e), c in field.items()}
-    return _combination(parts, [pk.top(part) for part in parts], weights, pk.guard)
+    parts.append({pk.pack(e): -c for e, c in f_row.items()})
+    weights = pk.pack_terms(field)
+    return _combination(parts, [pk.top(part) for part in parts], weights, pk)
 
 
 @dataclass(frozen=True)
@@ -221,8 +221,12 @@ def derivation_module(f: Polynomial) -> list[Derivation]:
     of (df, f), plus the coordinate field d_i (cofactor 0) for each partial
     d_i f that vanishes identically, are augmented with every Hamiltonian
     pair (d_j f) d_i - (d_i f) d_j (cofactor 0) and, when weights exist,
-    the Euler field sum w_i x_i d_i (cofactor d).  Each is checked for
-    tangency (``tangent_derivation``); repeats are dropped, the first kept.
+    the Euler field sum w_i x_i d_i (cofactor d).  The syzygies are those
+    ``syzygies`` returns, in its order: the relations of its Schreyer walk
+    (``groebner._relations``), each unpacked and divided by its scale,
+    repeats dropped, the first kept.  Each field is checked once, for
+    tangency (``tangent_derivation``), which for a syzygy field is the
+    syzygy identity itself; repeats are dropped, the first kept.
     """
     wdata = _isolated_t1(f, "derivation module").weight_data
     ring = f.ring
@@ -230,7 +234,10 @@ def derivation_module(f: Polynomial) -> list[Derivation]:
     partials = [f.partial_derivative(v) for v in ring]
     nonzero, vecs = _schreyer_input(partials + [f])
     zero = Polynomial.zero(ring)
-    fields = [_field(ring, nonzero, s) for s in syzygies(vecs, NEGDEGREVLEX)]
+    rows, unpack = _relations(vecs, NEGDEGREVLEX)
+    rels = ({t: c / scale for t, c in unpack(row).items()} for row, scale in rows)
+    syzs = dict.fromkeys(VectorPoly(ring, len(nonzero), h) for h in rels)
+    fields = [_field(ring, nonzero, s) for s in syzs]
     for i in range(n):
         if partials[i].is_zero():
             fields.append(([Polynomial.constant(ring, int(j == i)) for j in range(n)], zero))

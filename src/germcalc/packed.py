@@ -31,13 +31,30 @@ guards alone, stays exact (a borrow runs upward only, never into an
 exponent field), and so does the overflow test of a shift, which then
 fires on exactly the inputs it fires on without order fields.  ``lcm``,
 ``top`` and ``degree`` read the exponent fields alone (``low``); ``lift``
-puts the order fields onto an exponent part.
+puts the order fields onto the component and exponent fields of x.
 
-A row is a term map from (component, packed exponent) to an integer.  The
-row helpers below (a reducer with its lead data, the divisor lookup and its
-memo, the shifted subtraction and integer combinations of rows, one
-elimination step, content removal, primitive rows) are private to the
-package and live here, apart from the engine's algorithms.
+A packed term is one int, ``component << cshift | packed exponent``: the
+component sits just above the last order field, at bit ``cshift``.  It is
+the most significant part, so the ints compare position-over-term (the
+higher component is greater), a lead is still a plain ``max`` and a shift
+is still one addition.  One mask test decides divisibility, component
+included: lead divides term exactly when ``((term | guard) - lead) & gmask
+== guard``, with ``gmask = guard | -(1 << cshift)``.  It is exact for three
+reasons.  The exponent guards stop every borrow inside the exponent fields,
+so the guards alone decide the exponents.  A lead whose exponent divides
+has no larger order field, the forms being monotone, so nothing borrows
+into the component bits, which then hold the difference of the components.
+A negative difference has infinitely many high one bits, so it fails the
+test.  Components therefore need no width limit, and there is no new
+overflow case.
+
+A row is a term map from packed terms to integers.  The row helpers below
+(a reducer with its lead data, the divisor lookup and its memo, the shifted
+subtraction and integer combinations of rows, one elimination step, content
+removal, primitive rows) are private to the package and live here, apart
+from the engine's algorithms.  (component, exponent tuple) pairs exist only
+at the boundary: ``pack_term``, ``pack_terms``, ``unpack_term``,
+``unpack_terms`` and ``keyed``.
 
 The reducer of a Schreyer row keeps its bookkeeping part, the terms in
 components >= the split, as a second integer row (``book``, empty for
@@ -51,15 +68,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import islice
 from math import gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .orders import MonomialOrder
-from .poly import Exponent, Terms
+from .poly import Exponent, ModTerm, Terms
 
-PackedTerm = tuple[int, int]  # (component, packed exponent)
+PackedTerm = int  # component << cshift | packed exponent
 Row = dict[PackedTerm, int]  # an integer row: the working representation of the completion
 PackedTerms = dict[PackedTerm, Fraction]  # a rational term map on packed terms
 
@@ -77,8 +93,9 @@ class ExponentOverflow(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class Packing:
-    """Packed exponents with ``size`` entries, under order fields of ``forms``;
-    build one with ``packing(size, forms)``."""
+    """Packed exponents with ``size`` entries, under order fields of ``forms``,
+    and packed terms with the component above them; build one with
+    ``packing(size, forms)``."""
 
     size: int
     guard: int  # the guard bit of every exponent field
@@ -86,6 +103,8 @@ class Packing:
     low: int  # every exponent field
     forms: tuple[tuple[int, ...], ...]  # the order forms, most significant first
     units: tuple[int, ...]  # the packed unit exponents: packing is linear
+    cshift: int  # the offset of the component, just above the last order field
+    gmask: int  # guard | -(1 << cshift): what the divisor test compares
 
     def pack(self, expo: Exponent) -> int:
         if max(expo, default=0) > ENTRY_MAX:
@@ -93,36 +112,44 @@ class Packing:
         return sum(map(mul, expo, self.units))
 
     def unpack(self, x: int) -> Exponent:
+        """The exponent fields of a packed exponent or term."""
         return tuple(x >> (FIELD * k) & ENTRY_MAX for k in range(self.size - 1, -1, -1))
 
+    def pack_term(self, term: ModTerm) -> PackedTerm:
+        return term[0] << self.cshift | self.pack(term[1])
+
+    def unpack_term(self, t: PackedTerm) -> ModTerm:
+        return t >> self.cshift, self.unpack(t)
+
     def lift(self, x: int) -> int:
-        """The packed exponent whose exponent fields are those of x."""
-        return sum(map(mul, self.unpack(x), self.units))
+        """The packed term whose component and exponent fields are those of x."""
+        return x >> self.cshift << self.cshift | sum(map(mul, self.unpack(x), self.units))
 
     def pack_terms(self, terms: dict) -> dict:
-        """A term map on (component, exponent tuple) keys, on packed keys."""
-        return {(comp, self.pack(e)): c for (comp, e), c in terms.items()}
+        """A term map on (component, exponent tuple) keys, on packed terms."""
+        return {self.pack_term(t): c for t, c in terms.items()}
 
     def unpack_terms(self, terms: dict) -> dict:
-        return {(comp, self.unpack(e)): c for (comp, e), c in terms.items()}
+        return {self.unpack_term(t): c for t, c in terms.items()}
 
     def keyed(self, key: Callable) -> Callable:
         """``key`` of (component, exponent tuple) terms, on packed terms."""
-        unpack = self.unpack
-        return lambda term: key((term[0], unpack(term[1])))
+        unpack_term = self.unpack_term
+        return lambda t: key(unpack_term(t))
 
     def lcm(self, a: int, b: int) -> int:
-        """The per-field maximum of exponent parts: a's field wherever a's entry is >= b's."""
+        """The per-field maximum of exponent parts: a's field wherever a's entry
+        is >= b's; every other bit is b's."""
         g = self.guard
         ge = ((a | g) - b) & g
         return b ^ ((a ^ b) & (ge - (ge >> (FIELD - 1))))
 
     def top(self, terms: Iterable[PackedTerm]) -> int:
-        """The per-field maximum over the exponent parts of (component, packed) terms."""
-        t, low = 0, self.low
-        for _, e in terms:
-            t = self.lcm(t, e & low)
-        return t
+        """The per-field maximum over the exponent parts of packed terms."""
+        top, low = 0, self.low
+        for t in terms:
+            top = self.lcm(top, t & low)
+        return top
 
     def degree(self, x: int) -> int:
         """The sum of the entries of an exponent part: adjacent fields added
@@ -141,7 +168,8 @@ def packing(size: int, forms: tuple[tuple[int, ...], ...] = ()) -> Packing:
     for form in reversed(forms):
         units = [u | c << offset for u, c in zip(units, form)]
         offset += (sum(form) * ENTRY_MAX).bit_length()
-    return Packing(size, guard, pairs, (1 << FIELD * size) - 1, forms, tuple(units))
+    low = (1 << FIELD * size) - 1
+    return Packing(size, guard, pairs, low, forms, tuple(units), offset, guard | -1 << offset)
 
 
 def _engine_packing(order: MonomialOrder, nvars: int) -> Packing:
@@ -179,8 +207,8 @@ def _sub_scaled(target: Row, source: Row, top: int, shift: int, factor: int, gua
     """
     if (top + shift) & guard:
         raise ExponentOverflow()
-    for (comp, expo), coeff in source.items():
-        key = (comp, expo + shift)
+    for key, coeff in source.items():
+        key += shift
         new = target.get(key, 0) - factor * coeff
         if new:
             target[key] = new
@@ -188,16 +216,17 @@ def _sub_scaled(target: Row, source: Row, top: int, shift: int, factor: int, gua
             target.pop(key, None)
 
 
-def _combination(rows: Sequence[Row], tops: Sequence[int], weights: Row, guard: int) -> Row:
-    """sum of c * x^m * rows[slot] over the terms c x^m at (slot, m) of ``weights``.
+def _combination(rows: Sequence[Row], tops: Sequence[int], weights: Row, pk: Packing) -> Row:
+    """sum of c * x^m * rows[slot] over the terms c x^m in component slot of ``weights``.
 
     ``tops[slot]`` is the per-field maximum of the exponents of rows[slot]
     (``Packing.top``); ExponentOverflow when a product does not fit.  The
     syzygy check and the tangency check each test this row for emptiness.
     """
     total: Row = {}
-    for (slot, shift), c in weights.items():
-        _sub_scaled(total, rows[slot], tops[slot], shift, -c, guard)
+    for w, c in weights.items():
+        slot = w >> pk.cshift
+        _sub_scaled(total, rows[slot], tops[slot], w - (slot << pk.cshift), -c, pk.guard)
     return total
 
 
@@ -221,49 +250,54 @@ class _Reducer:
     book_top: int
 
 
-def _reducer(lead: PackedTerm, row: Row, pk: Packing, split: int | None = None) -> _Reducer:
-    """The reducer of a primitive integer row with lead ``lead``; with
-    ``split``, its terms in components >= split are the bookkeeping part."""
+def _reducer(lead: PackedTerm, row: Row, pk: Packing, cut: int | None = None) -> _Reducer:
+    """The reducer of a primitive integer row with lead ``lead``; with ``cut``,
+    the packed term ``split << cshift``, its terms in components >= split
+    are the bookkeeping part."""
     book: Row = {}
-    if split is not None:
-        book = {t: c for t, c in row.items() if t[0] >= split}
-        row = {t: c for t, c in row.items() if t[0] < split}
+    if cut is not None:
+        book = {t: c for t, c in row.items() if t >= cut}
+        row = {t: c for t, c in row.items() if t < cut}
     return _Reducer(lead, row[lead], row, pk.top(row), book, pk.top(book))
 
 
-def _divisors(
-    leads: Sequence[PackedTerm], term: PackedTerm, guard: int, start: int = 0
-) -> Iterator[int]:
-    """Indices, in order, of the leads from index ``start`` on that divide ``term``.
+def _divisors(leads: Sequence[PackedTerm], term: PackedTerm, pk: Packing) -> Iterator[int]:
+    """Indices, in order, of the leads that divide ``term``, components included.
 
-    One mask test per lead: with the guard bits set in the term, no field
-    borrows when a dividing lead is subtracted, so every guard bit stays.
+    One mask test per lead (see the module docstring): with the guard bits
+    set in the term, no field borrows when a dividing lead is subtracted, so
+    every guard bit stays and the component bits cancel.
     """
-    comp, expo = term
-    expo |= guard
-    for k, (lcomp, lexpo) in enumerate(islice(leads, start, None), start):
-        if (expo - lexpo) & guard == guard and lcomp == comp:
+    guard, gmask = pk.guard, pk.gmask
+    term |= guard
+    for k, lead in enumerate(leads):
+        if (term - lead) & gmask == guard:
             yield k
 
 
-def _first_divisor(leads: list[PackedTerm], guard: int) -> Callable[[PackedTerm], int | None]:
-    """The lookup ``next(_divisors(leads, term, guard), None)``, memoized per term.
+def _first_divisor(leads: list[PackedTerm], pk: Packing) -> Callable[[PackedTerm], int | None]:
+    """The lookup ``next(_divisors(leads, term, pk), None)``, memoized per term.
 
     ``leads`` may grow, by appends only, between lookups.  A hit then stays
     the first dividing lead for good, since no lead ever appears before it.
     A miss is stored as the complement ``~n`` of the number n of leads it
     scanned (so every miss is negative), and the next lookup of that term
-    scans only the leads appended since.
+    scans only the leads appended since, in a plain loop.
     """
+    guard, gmask = pk.guard, pk.gmask
     memo: dict[PackedTerm, int] = {}
 
     def first(term: PackedTerm) -> int | None:
-        k = memo.get(term, -1)
-        if k >= 0:
-            return k
-        k = next(_divisors(leads, term, guard, ~k), None)
-        memo[term] = ~len(leads) if k is None else k
-        return k
+        seen = memo.get(term, -1)
+        if seen >= 0:
+            return seen
+        top = term | guard
+        for k in range(~seen, len(leads)):
+            if (top - leads[k]) & gmask == guard:
+                memo[term] = k
+                return k
+        memo[term] = ~len(leads)
+        return None
 
     return first
 
@@ -285,7 +319,7 @@ def _eliminate(h: Row, lt: PackedTerm, red: _Reducer, rest: Row, guard: int) -> 
             h[t] *= d
         for t in rest:
             rest[t] *= d
-    shift, factor = lt[1] - red.lead[1], c // g
+    shift, factor = lt - red.lead, c // g
     _sub_scaled(h, red.terms, red.top, shift, factor, guard)
     if red.book:
         _sub_scaled(rest, red.book, red.book_top, shift, factor, guard)

@@ -325,7 +325,7 @@ def engine_pool(term_maps, keyfn, pk):
 
 
 def unpacked_lead(red, pk):
-    return red.lead[0], pk.unpack(red.lead[1])
+    return pk.unpack_term(red.lead)
 
 
 # -- Mora's weak normal form, the reference for local membership -------------
@@ -340,8 +340,9 @@ def unpacked_lead(red, pk):
 # keep it to small inputs.
 
 
-def _ecart(terms: Row, lead: PackedTerm, degree: Callable[[int], int]) -> int:
-    return max(degree(e) for _, e in terms) - degree(lead[1])
+def _ecart(terms: Row, lead: PackedTerm, pk: Packing) -> int:
+    low, degree = pk.low, pk.degree
+    return max(degree(t & low) for t in terms) - degree(lead & low)
 
 
 def _nf_mora(
@@ -357,21 +358,20 @@ def _nf_mora(
     use, the remainder's (never negative) only against a positive one.  The
     scale is as in ``germcalc.groebner._nf_global``.
     """
-    guard, degree = pk.guard, pk.degree
     pool, leads = list(pool), [r.lead for r in pool]
-    ecart = cache(lambda k: _ecart(pool[k].terms, pool[k].lead, degree))
+    ecart = cache(lambda k: _ecart(pool[k].terms, pool[k].lead, pk))
     h = dict(h)
     scale, steps = _ONE, 0
     while h:
         lt = max(h, key=keyfn)
-        k = min(_divisors(leads, lt, guard), key=ecart, default=None)
+        k = min(_divisors(leads, lt, pk), key=ecart, default=None)
         if k is None:
             break
         red = pool[k]
-        if ecart(k) > 0 and ecart(k) > _ecart(h, lt, degree):
+        if ecart(k) > 0 and ecart(k) > _ecart(h, lt, pk):
             pool.append(_reducer(lt, _primitive(h)[0], pk))
             leads.append(lt)
-        scale *= _eliminate(h, lt, red, {}, guard)
+        scale *= _eliminate(h, lt, red, {}, pk.guard)
         steps += 1
         if not steps % _CONTENT_EVERY:
             scale /= _remove_content(h, {})
@@ -388,7 +388,7 @@ def mora_normal_form(p, sb):
     pk = packing(len(v.ring))
     row, scale = _primitive(pk.pack_terms(v.terms))
     pool = [
-        _reducer((lead[0], pk.pack(lead[1])), _primitive(pk.pack_terms(g.terms))[0], pk)
+        _reducer(pk.pack_term(lead), _primitive(pk.pack_terms(g.terms))[0], pk)
         for g, lead in zip(sb.generators, sb.leading_terms)
     ]
     h, h_scale = _nf_mora(row, pool, cache(pk.keyed(sb.order.module_key)), pk)

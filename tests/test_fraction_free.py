@@ -76,7 +76,7 @@ def test_integer_rows_are_their_scale_times_the_rational_ones(case):
     assert all(type(c) is int for red in pool for c in red.terms.values())
     assert not any(red.book for red in pool)
     # the full division of h by the pool
-    first = _first_divisor([red.lead for red in pool], pk.guard)
+    first = _first_divisor([red.lead for red in pool], pk)
     remainder, scale = _nf_global(pk.pack_terms(h), pool, first, pk)
     assert type(scale) is Fraction and scale
     assert all(type(c) is int for c in remainder.values())
@@ -85,8 +85,8 @@ def test_integer_rows_are_their_scale_times_the_rational_ones(case):
     # the S-vector of every pair whose leads share a component
     for i in range(len(pool)):
         for j in range(len(pool)):
-            if pool[i].lead[0] == pool[j].lead[0]:
-                lcm = pk.lift(pk.lcm(pool[i].lead[1], pool[j].lead[1]))
+            if pool[i].lead >> pk.cshift == pool[j].lead >> pk.cshift:
+                lcm = pk.lift(pk.lcm(pool[i].lead, pool[j].lead))
                 s, book, scale = _spoly_terms(pool[i], pool[j], lcm, pk.guard)
                 assert type(scale) is Fraction and scale and not book
                 expected = monic_spoly(rows[i], rows[j])
@@ -130,15 +130,17 @@ def test_split_reduction_is_the_division_of_the_joined_row(case):
     rows = [monic_row(t, joined_key) for t in seeds]
     packed_key = pk.keyed(key)
     primitive = [_primitive(pk.pack_terms(t))[0] for t in seeds]
-    pool = [_reducer(max(t for t in row if t[0] < split), row, pk, split) for row in primitive]
+    cut = split << pk.cshift  # the first packed term of component split
+    pool = [_reducer(max(t for t in row if t < cut), row, pk, cut) for row in primitive]
     assert [red.lead for red in pool] == [
-        max((t for t in row if t[0] < split), key=packed_key) for row in primitive
+        max((t for t in row if t >> pk.cshift < split), key=packed_key) for row in primitive
     ]
-    assert all(red.lead[0] < split and all(t[0] < split for t in red.terms) for red in pool)
-    assert all(t[0] >= split for red in pool for t in red.book)
-    real = {t: c for t, c in pk.pack_terms(h).items() if t[0] < split}
-    book = {t: c for t, c in pk.pack_terms(h).items() if t[0] >= split}
-    first = _first_divisor([red.lead for red in pool], pk.guard)
+    assert all(red.lead >> pk.cshift < split for red in pool)
+    assert all(t >> pk.cshift < split for red in pool for t in red.terms)
+    assert all(t >> pk.cshift >= split for red in pool for t in red.book)
+    real = {t: c for t, c in pk.pack_terms(h).items() if t >> pk.cshift < split}
+    book = {t: c for t, c in pk.pack_terms(h).items() if t >> pk.cshift >= split}
+    first = _first_divisor([red.lead for red in pool], pk)
     remainder, scale = _nf_global(real, pool, first, pk, book)
     assert type(scale) is Fraction and scale
     expected = full_division(h, rows, joined_key)
@@ -146,8 +148,8 @@ def test_split_reduction_is_the_division_of_the_joined_row(case):
     # the S-vector of every pair whose leads share a component, both parts
     for i in range(len(pool)):
         for j in range(len(pool)):
-            if pool[i].lead[0] == pool[j].lead[0]:
-                lcm = pk.lift(pk.lcm(pool[i].lead[1], pool[j].lead[1]))
+            if pool[i].lead >> pk.cshift == pool[j].lead >> pk.cshift:
+                lcm = pk.lift(pk.lcm(pool[i].lead, pool[j].lead))
                 s, book, scale = _spoly_terms(pool[i], pool[j], lcm, pk.guard)
                 s.update(book)
                 expected = monic_spoly(rows[i], rows[j])

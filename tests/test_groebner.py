@@ -554,11 +554,11 @@ def syzygies_generate_all_pairs_syzygies(gens, order):
 def criterion_b_without_lcm_conditions(pending, leads, t, pk):
     """Criterion B that drops every pending pair whose lcm lead t divides,
     also when lcm(i, t) or lcm(j, t) equals it."""
-    comp, lt = leads[t]
+    comp, lt = leads[t] >> pk.cshift, leads[t] & pk.low
     guard = pk.guard
     return [
         key for key in pending
-        if leads[key[2]][0] != comp or ((key[1] | guard) - lt) & guard != guard
+        if leads[key[2]] >> pk.cshift != comp or ((key[1] | guard) - lt) & guard != guard
     ]
 
 
@@ -568,8 +568,8 @@ REAL_NEW_PAIRS = groebner._new_pairs
 def new_pairs_without_tie_keeper(leads, t, ideal, pk):
     """Criteria F and M that drop each kept pair whose lcm another new pair shares:
     of equal lcms none is kept."""
-    comp, lt = leads[t]
-    lcms = [pk.lcm(le, lt) for c, le in leads[:t] if c == comp]
+    comp, lt = leads[t] >> pk.cshift, leads[t] & pk.low
+    lcms = [pk.lcm(le, lt) for le in leads[:t] if le >> pk.cshift == comp]
     return [key for key in REAL_NEW_PAIRS(leads, t, ideal, pk) if lcms.count(key[1]) == 1]
 
 

@@ -500,6 +500,22 @@ def test_modular_tangent_space_rejects_a_field_that_is_not_tangent(monkeypatch):
         modular_tangent_space(f)
 
 
+def test_derivation_module_rejects_a_syzygy_field_that_is_not_tangent(monkeypatch):
+    # the tangency check is the one check of a syzygy field: the first
+    # relation with x^7 added to its d/dx coefficient must not pass
+    entry = CATALOG_BY_NAME["t433"]
+    f = cached_poly(entry.text, entry.vars)
+
+    def perturbed(rels):
+        rel = dict(rels[0])
+        rel[(0, (7, 0, 0))] = rel.get((0, (7, 0, 0)), 0) + 1
+        return [rel, *rels[1:]]
+
+    _relation_source(monkeypatch, perturbed)
+    with pytest.raises(ValueError, match="not tangent"):
+        modular.derivation_module(f)
+
+
 def test_cofactor_selection_must_span_the_whole_annihilator(monkeypatch):
     # the kept relations are the ones the exact syzygy check receives; with
     # them gone, the other relations span less than tau, and a kernel from

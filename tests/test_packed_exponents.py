@@ -2,10 +2,13 @@
 
 Every packed operation is checked against the plain tuple operation it
 stands for: shift, quotient, divisibility (through ``_divisors``), lcm,
-degree and the order of packed ints against lex tuple order.  The
-engine's packing (``packed._engine_packing``) puts order fields above the
-exponent fields; under degrevlex, negdegrevlex and weighted orders its
-(component, packed) tuples must compare as the engine's tuple key
+degree and the order of packed ints against lex tuple order.  A packed
+term carries its component above every other field; components are drawn
+up to above 2^17, since the component field has no width limit, and a
+divisor test whose mask lacks the component bits must fail the lookup
+property.  The engine's packing (``packed._engine_packing``) puts order
+fields above the exponent fields; under degrevlex, negdegrevlex and
+weighted orders its packed terms must compare as the engine's tuple key
 (``conftest.engine_key``), pack linearly, keep the divisor test exact and
 pick the same lead with a plain ``max``, and broken copies of its order
 fields must fail that property.  The divisor memo of a completion
@@ -14,6 +17,8 @@ while they grow.  The overflow guard gets tests of its own: an entry one
 past the field raises ``ExponentOverflow``, a ValueError, and the largest
 entry that fits still completes.
 """
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -40,6 +45,9 @@ FIRST_FAILURE = settings(PROPERTY, report_multiple_bugs=False, phases=[Phase.gen
 
 # small entries, and entries next to the largest a field holds
 entry = st.one_of(st.integers(0, 6), st.integers(ENTRY_MAX - 6, ENTRY_MAX))
+# small components, and components wider than any exponent field
+BIG = 1 << 17
+component = st.one_of(st.integers(0, 2), st.integers(BIG, BIG + 2))
 
 
 @st.composite
@@ -66,7 +74,7 @@ def test_packed_operations_match_the_tuple_ones(pair):
     assert pk.unpack(pk.lcm(pa, pb)) == tuple(max(x, y) for x, y in zip(a, b))
     # divisibility, through the one divisor search of the engine
     divides = all(x <= y for x, y in zip(a, b))
-    assert list(_divisors([(0, pa)], (0, pb), pk.guard)) == ([0] if divides else [])
+    assert list(_divisors([pa], pb, pk)) == ([0] if divides else [])
     if divides:
         assert pk.unpack(pb - pa) == tuple(y - x for x, y in zip(a, b))
     # a shift sets a guard bit exactly when an entry overflows its field
@@ -82,33 +90,55 @@ def test_packed_operations_match_the_tuple_ones(pair):
 def pools_and_terms(draw):
     n = draw(st.integers(1, 4))
     expo = st.lists(entry, min_size=n, max_size=n).map(tuple)
-    leads = draw(st.lists(st.tuples(st.integers(0, 2), expo), min_size=1, max_size=12))
+    leads = draw(st.lists(st.tuples(component, expo), min_size=1, max_size=12))
     # terms drawn as multiples of a pool lead, or freely
     if draw(st.booleans()):
         comp, base = draw(st.sampled_from(leads))
         step = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
         return leads, (comp, tuple(min(x + d, ENTRY_MAX) for x, d in zip(base, step)))
-    return leads, (draw(st.integers(0, 2)), draw(expo))
+    return leads, (draw(component), draw(expo))
+
+
+def lookup_agrees(make, case):
+    """The divisor lookup on the packing ``make(size)`` finds what a scan of the tuples finds."""
+    leads, (comp, expo) = case
+    pk = make(len(expo))
+    scan = [
+        k for k, (lcomp, lexpo) in enumerate(leads)
+        if lcomp == comp and all(x <= y for x, y in zip(lexpo, expo))
+    ]
+    assert list(_divisors(list(map(pk.pack_term, leads)), pk.pack_term((comp, expo)), pk)) == scan
 
 
 @PROPERTY
 @given(pools_and_terms())
 def test_lookup_finds_what_a_linear_scan_finds(case):
-    leads, (comp, expo) = case
-    pk = packing(len(expo))
-    packed_leads = [(lcomp, pk.pack(lexpo)) for lcomp, lexpo in leads]
-    scan = [
-        k for k, (lcomp, lexpo) in enumerate(leads)
-        if lcomp == comp and all(x <= y for x, y in zip(lexpo, expo))
-    ]
-    assert list(_divisors(packed_leads, (comp, pk.pack(expo)), pk.guard)) == scan
+    lookup_agrees(packing, case)
+
+
+def mask_without_component_bits(size):
+    """A broken packing: its divisor mask is the exponent guards alone."""
+    pk = packing(size)
+    return replace(pk, gmask=pk.guard)
+
+
+def test_lookup_property_catches_a_mask_without_component_bits():
+    # with that mask a lead of a higher component divides a term of a lower one
+    @FIRST_FAILURE
+    @given(pools_and_terms())
+    def check(case):
+        lookup_agrees(mask_without_component_bits, case)
+
+    with pytest.raises(AssertionError):
+        check()
 
 
 @PROPERTY
 @given(st.lists(st.lists(entry, min_size=3, max_size=3).map(tuple), min_size=1, max_size=6))
 def test_top_is_the_entrywise_maximum(exponents):
     pk = packing(3)
-    terms = {(0, pk.pack(e)): 1 for e in exponents}
+    # components of any size: top reads the exponent fields alone
+    terms = {pk.pack_term((k * BIG, e)): 1 for k, e in enumerate(exponents)}
     assert pk.unpack(pk.top(terms)) == tuple(map(max, zip(*exponents)))
 
 
@@ -134,7 +164,8 @@ def order_cases(draw):
     if order is None:
         order = weighted_local(draw(st.lists(weight, min_size=n, max_size=n)))
     size = n + order.is_local()
-    term = st.tuples(st.integers(0, 1), st.lists(entry, min_size=size, max_size=size).map(tuple))
+    comp = st.one_of(st.integers(0, 1), st.integers(BIG, BIG + 1))
+    term = st.tuples(comp, st.lists(entry, min_size=size, max_size=size).map(tuple))
     a = draw(term)
     permuted = st.tuples(st.just(a[0]), st.permutations(a[1]).map(tuple))
     how = draw(st.sampled_from(["free", "multiple", "permutation"]))
@@ -154,10 +185,12 @@ def order_packing_agrees(make, case):
     key = engine_key(order)
     pa, pb = pk.pack(a), pk.pack(b)
     assert pk.unpack(pa) == a and pk.unpack(pb) == b
+    ta, tb = pk.pack_term((ca, a)), pk.pack_term((cb, b))
+    assert pk.unpack_term(ta) == (ca, a) and pk.unpack_term(tb) == (cb, b)
     # int order is the engine's term order
-    assert ((ca, pa) < (cb, pb)) == (key((ca, a)) < key((cb, b)))
-    assert ((ca, pa) == (cb, pb)) == ((ca, a) == (cb, b))
-    packed_row = [(c, pk.pack(e)) for c, e in row]
+    assert (ta < tb) == (key((ca, a)) < key((cb, b)))
+    assert (ta == tb) == ((ca, a) == (cb, b))
+    packed_row = list(map(pk.pack_term, row))
     assert max(packed_row) == max(packed_row, key=pk.keyed(key))
     # packing is linear: a shift is one addition while every entry fits,
     # and sets an exponent guard bit when one does not
@@ -168,12 +201,12 @@ def order_packing_agrees(make, case):
         assert (pa + pb) & pk.guard
     # divisibility, through the one divisor search of the engine, and the quotient
     divides = ca == cb and all(x <= y for x, y in zip(a, b))
-    assert list(_divisors([(ca, pa)], (cb, pb), pk.guard)) == ([0] if divides else [])
+    assert list(_divisors([ta], tb, pk)) == ([0] if divides else [])
     if divides:
-        assert pb - pa == pk.pack(tuple(y - x for x, y in zip(a, b)))
-    # the lcm of the exponent fields, lifted, is the packed lcm
-    lcm = pk.lift(pk.lcm(pa & pk.low, pb & pk.low))
-    assert lcm == pk.pack(tuple(max(x, y) for x, y in zip(a, b)))
+        assert tb - ta == pk.pack(tuple(y - x for x, y in zip(a, b)))
+    # the lcm of the exponent fields, lifted, is the packed lcm, in b's component
+    lcm = pk.lift(pk.lcm(ta, tb))
+    assert lcm == pk.pack_term((cb, tuple(max(x, y) for x, y in zip(a, b))))
 
 
 @PROPERTY
@@ -226,18 +259,18 @@ def growth_scripts(draw):
 
 
 def memo_answers_as_a_scan(make, script):
-    """Run ``script`` on a memo built by ``make(leads, guard)``; every answer
+    """Run ``script`` on a memo built by ``make(leads, pk)``; every answer
     must be the first dividing lead a fresh scan finds."""
     n, steps = script
     pk = packing(n)
     leads = []
-    first = make(leads, pk.guard)
+    first = make(leads, pk)
     for step, (comp, expo) in steps:
-        term = (comp, pk.pack(tuple(expo)))
+        term = pk.pack_term((comp, tuple(expo)))
         if step == "append":
             leads.append(term)
         else:
-            assert first(term) == next(_divisors(leads, term, pk.guard), None)
+            assert first(term) == next(_divisors(leads, term, pk), None)
 
 
 @PROPERTY
@@ -246,13 +279,13 @@ def test_divisor_memo_answers_as_a_fresh_scan(script):
     memo_answers_as_a_scan(_first_divisor, script)
 
 
-def memo_that_keeps_misses(leads, guard):
+def memo_that_keeps_misses(leads, pk):
     """A broken memo: its first answer for a term, a miss included, is kept for good."""
     answers = {}
 
     def first(term):
         if term not in answers:
-            answers[term] = next(_divisors(leads, term, guard), None)
+            answers[term] = next(_divisors(leads, term, pk), None)
         return answers[term]
 
     return first

@@ -68,7 +68,7 @@ def record(monkeypatch, run):
 
 
 def unpacked(pairs, pk):
-    return [tuple((comp, pk.unpack(e)) for comp, e in pair) for pair in pairs]
+    return [tuple(map(pk.unpack_term, pair)) for pair in pairs]
 
 
 @pytest.mark.parametrize(

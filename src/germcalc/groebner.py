@@ -108,7 +108,7 @@ from .packed import (
     _sub_scaled,
     packing,
 )
-from .poly import Exponent, ModTerm, Polynomial, Terms, VectorPoly
+from .poly import ModTerm, Polynomial, Terms, VectorPoly
 
 
 _ZERO = Fraction(0)
@@ -578,9 +578,6 @@ class Staircase:
     def dimension(self) -> int | float:
         """The number of standard monomials; math.inf when not finite."""
         return len(self.standard_monomials) if self.finite else inf
-
-    def monomials_of_component(self, comp: int) -> list[Exponent]:
-        return [e for c, e in self.standard_monomials if c == comp]
 
     @cached_property
     def cut(self) -> int:

@@ -28,20 +28,20 @@ lowest cofactor degree first, each relation whose cofactor residue in M
 span has dimension tau; no scale changes a span, and the shifts of a kept
 cofactor stop once it is full.  RuntimeError if the span stays below tau,
 since a kernel from too few fields would come out too large.  Only the
-kept relations are unpacked whole, divided by their scales and become
-fields, and each goes through both checks: the tangency identity
-(``tangent_derivation``, on integer rows) and the exact syzygy check.
-The kernel is a subspace and its reduced row echelon basis is unique, so
-it is the kernel of the full stack of generators, and so is the untwisted
-one.
+kept relations are unpacked whole, each into the primitive integer row
+of its field, and each is certified once (``_tangent_row``): the
+tangency identity of a field (a, h) is the syzygy identity of (df, f) at
+(a, -h).  The kernel is a subspace and its reduced row echelon basis is
+unique, so it is the kernel of the full stack of generators, and so is
+the untwisted one.
 
 The action matrices are read off the staircase of the Tjurina algebra: the
 column of v on a basis monomial x^b is the term map sum_i b_i a_i x^(b - e_i),
 minus h_v x^b for the twisted action, and its residue (``Staircase.residue``)
 is a lookup in the staircase's residue rows, in which terms past the cut vanish;
 such terms are dropped before they are formed (``_action_rows``).
-``modular_tangent_space`` lets each field act as its primitive integer row
-(``_primitive`` of ``_field_terms``): a positive multiple of a field scales
+``modular_tangent_space`` lets each field act as the primitive integer row
+that ``_cofactor_generators`` returns: a positive multiple of a field scales
 its rows by the same factor, so the row spaces and kernels are those of the
 field.  ``action_matrix`` acts with the field as given, so its entries are
 exact.  Only the nonzero rows go, as
@@ -72,10 +72,10 @@ from math import comb
 from operator import add
 
 from . import linalg
-from .groebner import ModTerm, _check_syzygies, _relations
+from .groebner import ModTerm, _relations
 from .oracle import codimension
 from .orders import NEGDEGREVLEX
-from .packed import Row, _combination, _primitive, packing
+from .packed import _combination, _primitive, packing
 from .poly import Exponent, Polynomial, VectorPoly
 from .singularity import (
     GermInput,
@@ -111,9 +111,9 @@ def tangent_derivation(f: Polynomial, coefficients, cofactor: Polynomial) -> Der
     """Build a Derivation, checking the tangency identity exactly.
 
     The identity is decided on the field's primitive integer row
-    (``_field_terms``, ``_tangency_defect``).  ValueError unless the field
-    has one coefficient per variable of f, its coefficients and cofactor
-    are all over the ring of f, and it is tangent; ``ExponentOverflow`` (a
+    (``_field_terms``, ``_tangent_row``).  ValueError unless the field has
+    one coefficient per variable of f, its coefficients and cofactor are
+    all over the ring of f, and it is tangent; ``ExponentOverflow`` (a
     ValueError) when an exponent of a product does not fit a packed field.
     """
     v = Derivation(tuple(coefficients), cofactor)
@@ -121,8 +121,7 @@ def tangent_derivation(f: Polynomial, coefficients, cofactor: Polynomial) -> Der
         raise ValueError("one coefficient per ring variable required")
     if any(p.ring != f.ring for p in (*v.coefficients, cofactor)):
         raise ValueError("coefficients, cofactor and polynomial from different rings")
-    if _tangency_defect(f, _primitive(_field_terms(v))[0]):
-        raise ValueError("not tangent: sum a_i df/dx_i differs from cofactor * f")
+    _tangent_row(f, _field_terms(v))
     return v
 
 
@@ -132,15 +131,17 @@ def _field_terms(v: Derivation) -> dict[ModTerm, Fraction]:
     return {(i, e): c for i, p in enumerate(parts) for e, c in p.terms.items()}
 
 
-def _tangency_defect(f: Polynomial, field: dict[ModTerm, int]) -> Row:
-    """sum_i a_i df/dx_i - h f times a positive integer, as an integer row on packed terms.
+def _tangent_row(f: Polynomial, field: dict[ModTerm, Fraction]) -> dict[ModTerm, int]:
+    """The primitive integer row of the term map of a field, once it is checked tangent.
 
-    ``field`` is an integer row of the field (``_field_terms``).  f is made
-    primitive and its partials are read off that row, so the identity is
-    the syzygy (a_1, ..., a_n, h) of (df/dx_1, ..., df/dx_n, -f), checked
-    as ``groebner._check_syzygies`` checks one (``packed._combination``);
-    the row is empty exactly when the field is tangent.
+    ``field`` holds a_i in slot i and the cofactor h in slot n
+    (``_field_terms``).  f is made primitive and its partials are read off
+    that row, so the identity is the syzygy (a_1, ..., a_n, h) of
+    (df/dx_1, ..., df/dx_n, -f), checked as ``groebner._check_syzygies``
+    checks one (``packed._combination``): ValueError unless the row
+    sum_i a_i df/dx_i - h f, times a positive integer, is empty.
     """
+    row, _ = _primitive(field)
     pk = packing(len(f.ring))
     f_row, _ = _primitive(f.terms)
     parts = [
@@ -148,8 +149,9 @@ def _tangency_defect(f: Polynomial, field: dict[ModTerm, int]) -> Row:
         for i, unit in enumerate(pk.units)
     ]
     parts.append({pk.pack(e): -c for e, c in f_row.items()})
-    weights = pk.pack_terms(field)
-    return _combination(parts, [pk.top(part) for part in parts], weights, pk)
+    if _combination(parts, [pk.top(part) for part in parts], pk.pack_terms(row), pk):
+        raise ValueError("not tangent: sum a_i df/dx_i differs from cofactor * f")
+    return row
 
 
 @dataclass(frozen=True)
@@ -193,10 +195,10 @@ def _isolated_t1(f: Polynomial, what: str, given: GradedT1 | None = None) -> Gra
     return t1
 
 
-def _euler(f: Polynomial, wdata: WeightData) -> tuple[list[Polynomial], Polynomial]:
+def _euler(f: Polynomial, wdata: WeightData) -> tuple[tuple[Polynomial, ...], Polynomial]:
     """Coefficients and cofactor of the Euler field sum w_i x_i d_i, cofactor d."""
     ring = f.ring
-    coefficients = [Polynomial.variable(ring, v).scale(w) for v, w in zip(ring, wdata.weights)]
+    coefficients = tuple(Polynomial.variable(ring, v).scale(w) for v, w in zip(ring, wdata.weights))
     return coefficients, Polynomial.constant(ring, wdata.degree)
 
 
@@ -221,12 +223,13 @@ def derivation_module(f: Polynomial) -> list[Derivation]:
     of (df, f), plus the coordinate field d_i (cofactor 0) for each partial
     d_i f that vanishes identically, are augmented with every Hamiltonian
     pair (d_j f) d_i - (d_i f) d_j (cofactor 0) and, when weights exist,
-    the Euler field sum w_i x_i d_i (cofactor d).  The syzygies are those
-    ``syzygies`` returns, in its order: the relations of its Schreyer walk
-    (``groebner._relations``), each unpacked and divided by its scale,
-    repeats dropped, the first kept.  Each field is checked once, for
-    tangency (``tangent_derivation``), which for a syzygy field is the
-    syzygy identity itself; repeats are dropped, the first kept.
+    the Euler field sum w_i x_i d_i (cofactor d).  The syzygies are the
+    relations of the Schreyer walk of ``syzygies`` (``groebner._relations``),
+    in its order, each unpacked and divided by its scale.  Each field is
+    checked once, for tangency (``tangent_derivation``), which for a syzygy
+    field is the syzygy identity itself; repeats are dropped, the first
+    kept.  ``_field`` maps slots one to one, so these are also the repeats
+    that ``syzygies`` drops among the relations.
     """
     wdata = _isolated_t1(f, "derivation module").weight_data
     ring = f.ring
@@ -236,8 +239,7 @@ def derivation_module(f: Polynomial) -> list[Derivation]:
     zero = Polynomial.zero(ring)
     rows, unpack = _relations(vecs, NEGDEGREVLEX)
     rels = ({t: c / scale for t, c in unpack(row).items()} for row, scale in rows)
-    syzs = dict.fromkeys(VectorPoly(ring, len(nonzero), h) for h in rels)
-    fields = [_field(ring, nonzero, s) for s in syzs]
+    fields = [_field(ring, nonzero, VectorPoly(ring, len(nonzero), h)) for h in rels]
     for i in range(n):
         if partials[i].is_zero():
             fields.append(([Polynomial.constant(ring, int(j == i)) for j in range(n)], zero))
@@ -254,26 +256,30 @@ def derivation_module(f: Polynomial) -> list[Derivation]:
     return list(dict.fromkeys(tangent_derivation(f, a, h) for a, h in fields))
 
 
-def _cofactor_generators(f: Polynomial, t1: GradedT1) -> list[Derivation]:
-    """Tangent fields whose cofactor classes generate Ann_M([f]) = (J : f)/J.
+def _cofactor_generators(f: Polynomial, t1: GradedT1) -> list[dict[ModTerm, int]]:
+    """Tangent fields whose cofactor classes generate Ann_M([f]) = (J : f)/J, as integer rows.
 
-    For quasi-homogeneous f, the Euler field alone: its cofactor is the unit
-    d.  Otherwise the relations of one Schreyer walk of the nonzero entries
-    of (df, f) (``groebner._relations``) with a nonzero cofactor h, lowest
-    total degree of h first; only the cofactor slot of each is unpacked
-    from the packed integer row the walk gives, a nonzero multiple of h.
-    The span holds the residues in the Milnor algebra M of x^b h_k, over
-    the Milnor basis monomials x^b and the cofactors h_k kept so far, so it
-    is the ideal they generate in M; no scale changes it.  A relation is
-    kept when the residue of its h lies outside the span; the shifts and
-    the walk stop once the span has dimension tau, which makes it all of
-    Ann_M([f]), and RuntimeError if the relations run out first.  Only kept
-    relations are unpacked whole, divided by their scales and become
-    fields, each checked twice: the tangency identity
-    (``tangent_derivation``) and the exact syzygy check.
+    Each field comes as the primitive integer row of its term map
+    (``_tangent_row``: a_i in slot i, the cofactor in slot n), checked
+    tangent once.  For quasi-homogeneous f, the Euler field alone: its
+    cofactor is the unit d.  Otherwise the relations of one Schreyer walk
+    of the nonzero entries of (df, f) (``groebner._relations``) with a
+    nonzero cofactor h, lowest total degree of h first; only the cofactor
+    slot of each is unpacked from the packed integer row the walk gives, a
+    nonzero multiple of h.  The span holds the residues in the Milnor
+    algebra M of x^b h_k, over the Milnor basis monomials x^b and the
+    cofactors h_k kept so far, so it is the ideal they generate in M; no
+    scale changes it.  A relation is kept when the residue of its h lies
+    outside the span; the shifts and the walk stop once the span has
+    dimension tau, which makes it all of Ann_M([f]), and RuntimeError if
+    the relations run out first.  Only kept relations are unpacked whole:
+    slot s of the relation becomes slot ``nonzero[s]`` of the field, the
+    slot of f negated into the cofactor, all divided by the scale.  The
+    tangency identity of (a, h) is the syzygy identity of (df, f) at
+    (a, -h), so this one check is the exact syzygy check as well.
     """
     if t1.weight_data is not None:
-        return [tangent_derivation(f, *_euler(f, t1.weight_data))]
+        return [_tangent_row(f, _field_terms(Derivation(*_euler(f, t1.weight_data))))]
     ring, tau = f.ring, t1.tau
     milnor = milnor_algebra(f)
     shifts = [e for _, e in milnor.standard_monomials if any(e)]
@@ -284,15 +290,14 @@ def _cofactor_generators(f: Polynomial, t1: GradedT1) -> list[Derivation]:
     candidates = [(h, row, scale) for row, scale in rows if (h := unpack(row, last))]
     candidates.sort(key=lambda c: min(map(sum, c[0])))
     span: dict[int, dict[int, Fraction]] = {}
-    kept: list[Derivation] = []
-    relations: list[VectorPoly] = []
+    kept: list[dict[ModTerm, int]] = []
     for h, row, scale in candidates:
         if len(span) == tau:
             break
         if linalg._insert(span, _shifted_residue(milnor, h, one)):
-            terms = {t: c / scale for t, c in unpack(row).items()}
-            relations.append(VectorPoly(ring, len(nonzero), terms))
-            kept.append(tangent_derivation(f, *_field(ring, nonzero, relations[-1])))
+            terms = unpack(row).items()
+            field = {(nonzero[s], e): (-c if s == last else c) / scale for (s, e), c in terms}
+            kept.append(_tangent_row(f, field))
             for b in shifts:
                 if len(span) == tau:
                     break
@@ -301,7 +306,6 @@ def _cofactor_generators(f: Polynomial, t1: GradedT1) -> list[Derivation]:
         raise RuntimeError(
             f"cofactor fields span {len(span)} of the {tau} dimensions of Ann_M([f])"
         )
-    _check_syzygies(vecs, relations)
     return kept
 
 
@@ -395,14 +399,16 @@ def modular_tangent_space(f: Polynomial) -> ModularTangent:
     quasi-homogeneous germ: every other tangent field acts, twisted or not,
     as an O-combination of theirs (Saito 1980; see the module docstring), so
     both kernels and their unique reduced row echelon bases are those of the
-    whole derivation module.  Each field acts as its primitive integer row,
-    a positive multiple of it, whose rows span what the field's rows span.
+    whole derivation module.  Each field acts as the primitive integer row
+    that ``_cofactor_generators`` returns, certified tangent once, a
+    positive multiple of the field whose rows span what the field's rows
+    span.
     """
     t1 = _isolated_t1(f, "modular tangent space")
     stacked: list[dict[int, Fraction]] = []
     stacked_untwisted: list[dict[int, Fraction]] = []
-    for v in _cofactor_generators(f, t1):
-        twisted, untwisted = _action_rows(_primitive(_field_terms(v))[0], t1)
+    for row in _cofactor_generators(f, t1):
+        twisted, untwisted = _action_rows(row, t1)
         stacked.extend(twisted.values())
         stacked_untwisted.extend(untwisted.values())
     kernel = linalg.kernel_basis(stacked, t1.tau)

@@ -280,7 +280,6 @@ def test_one_variable_staircase():
     sb = standard_basis([parse_poly("x^4", V1)], NEGDEGREVLEX)
     st = staircase(sb)
     assert st.finite and st.dimension == 4
-    assert st.monomials_of_component(0) == [(0,), (1,), (2,), (3,)]
 
 
 def test_t333_jacobian_staircase_dimension_eight():

@@ -24,7 +24,7 @@ from germcalc import (
     tjurina_number,
 )
 from germcalc import modular
-from germcalc.groebner import Staircase, VectorPoly
+from germcalc.groebner import Staircase
 from germcalc.modular import _action_rows, _dense, homogeneous_degree
 from germcalc.packed import _primitive
 from germcalc.poly import Polynomial
@@ -357,6 +357,15 @@ def scaled(rows, scale):
     return {k: {j: a * scale for j, a in row.items()} for k, row in rows.items()}
 
 
+def field_of(ring, terms):
+    """The Derivation of a term map on (slot, exponent): a_i in slot i, the cofactor in slot n."""
+    n = len(ring)
+    parts = [
+        Polynomial(ring, {e: c for (i, e), c in terms.items() if i == k}) for k in range(n + 1)
+    ]
+    return modular.Derivation(tuple(parts[:n]), parts[n])
+
+
 def integer_rows_agree(fields, t1):
     """Each field's primitive integer row gives the rows of polynomial
     arithmetic (``_reference_matrices``) times its scale; return those
@@ -433,20 +442,20 @@ def test_modular_kernel_matches_kernel_of_full_dense_stack(text, vars):
 
 
 def _count_fields(monkeypatch):
-    """Fields checked for tangency (``tangent_derivation``) and fields whose action rows are taken."""
+    """Rows certified tangent (``_tangent_row``) and rows whose action rows are taken."""
     built, acted = [], []
-    check, rows = modular.tangent_derivation, modular._action_rows
+    check, rows = modular._tangent_row, modular._action_rows
 
-    def counted_check(*args):
-        field = check(*args)
-        built.append(field)
-        return field
+    def counted_check(f, field):
+        row = check(f, field)
+        built.append(row)
+        return row
 
     def counted_rows(field, t1):
         acted.append(field)
         return rows(field, t1)
 
-    monkeypatch.setattr(modular, "tangent_derivation", counted_check)
+    monkeypatch.setattr(modular, "_tangent_row", counted_check)
     monkeypatch.setattr(modular, "_action_rows", counted_rows)
     return built, acted
 
@@ -460,8 +469,8 @@ def test_tangency_is_checked_on_every_used_field_and_no_other(monkeypatch, name,
     mt = modular_tangent_space(cached_poly(entry.text, entry.vars))
     assert mt.dimension == entry.modular_dim
     assert len(built) == kept
-    # each field acts as its primitive integer row, a positive multiple of it
-    assert acted == [_primitive(modular._field_terms(v))[0] for v in built]
+    # each field acts as the integer row its one certificate returned
+    assert acted == built
 
 
 def _relation_source(monkeypatch, edit):
@@ -516,24 +525,24 @@ def test_derivation_module_rejects_a_syzygy_field_that_is_not_tangent(monkeypatc
         modular.derivation_module(f)
 
 
+def _row_of_relation(rel, n):
+    """The primitive integer row of the field of a relation of (df, f) with no zero partial."""
+    return _primitive({(i, e): -c if i == n else c for (i, e), c in rel.items()})[0]
+
+
 def test_cofactor_selection_must_span_the_whole_annihilator(monkeypatch):
-    # the kept relations are the ones the exact syzygy check receives; with
-    # them gone, the other relations span less than tau, and a kernel from
-    # their fields could come out too large, so the selection must raise
+    # with the relations of the kept rows gone, the other relations span
+    # less than tau, and a kernel from their fields could come out too
+    # large, so the selection must raise
     entry = CATALOG_BY_NAME["t433"]
     f = cached_poly(entry.text, entry.vars)
-    check, kept = modular._check_syzygies, []
-
-    def recorded(vecs, rels):
-        kept.extend(rels)
-        return check(vecs, rels)
-
-    monkeypatch.setattr(modular, "_check_syzygies", recorded)
+    tau, t1 = cached_tjurina(entry.text, entry.vars)
+    kept = modular._cofactor_generators(f, t1)
     assert modular_tangent_space(f).dimension == entry.modular_dim
     assert len(kept) == 3
-    ring, slots = f.ring, len(f.ring) + 1
+    n = len(f.ring)  # the slot of f: no partial of t433 vanishes
     _relation_source(
-        monkeypatch, lambda rels: [r for r in rels if VectorPoly(ring, slots, r) not in kept]
+        monkeypatch, lambda rels: [r for r in rels if _row_of_relation(r, n) not in kept]
     )
     with pytest.raises(RuntimeError, match="cofactor fields span"):
         modular_tangent_space(f)
@@ -556,7 +565,7 @@ def test_kept_fields_give_rows_and_kernels_of_polynomial_arithmetic_on_large_ger
     # several seconds per germ in polynomial arithmetic
     f = cached_poly(text, V3)
     tau, t1 = cached_tjurina(text, V3)
-    fields = modular._cofactor_generators(f, t1)
+    fields = [field_of(V3, row) for row in modular._cofactor_generators(f, t1)]
     stacked, stacked_untwisted = integer_rows_agree(fields, t1)
     kernel = dense_kernel(stacked, tau)
     mt = cached_modular(text, V3)
@@ -570,7 +579,7 @@ def test_the_row_check_catches_a_cut_one_degree_too_low(monkeypatch, name):
     entry = CATALOG_BY_NAME[name]
     f = cached_poly(entry.text, entry.vars)
     tau, t1 = cached_tjurina(entry.text, entry.vars)
-    fields = modular._cofactor_generators(f, t1)
+    fields = [field_of(entry.vars, row) for row in modular._cofactor_generators(f, t1)]
     integer_rows_agree(fields, t1)  # fills the rows it needs at the true cut
     true_cut = Staircase.cut
     monkeypatch.setattr(Staircase, "cut", property(lambda stair: true_cut.func(stair) - 1))
@@ -590,11 +599,7 @@ def random_fields(draw):
     n = len(entry.vars)
     expo = st.tuples(*[st.integers(0, 4)] * n)
     terms = draw(st.dictionaries(st.tuples(st.integers(0, n), expo), small_fraction, max_size=8))
-    parts = [
-        Polynomial(entry.vars, {e: c for (i, e), c in terms.items() if i == k})
-        for k in range(n + 1)
-    ]
-    return cached_tjurina(entry.text, entry.vars)[1], modular.Derivation(tuple(parts[:n]), parts[n])
+    return cached_tjurina(entry.text, entry.vars)[1], field_of(entry.vars, terms)
 
 
 @PROPERTY
@@ -617,12 +622,12 @@ def test_the_tangency_check_refuses_a_bare_cofactor():
 
 
 def test_a_tangency_check_that_skips_the_cofactor_fails_the_negative_test(monkeypatch):
-    real = modular._tangency_defect
+    real = modular._tangent_row
 
     def without_cofactor(f, field):
         return real(f, {(i, e): c for (i, e), c in field.items() if i < len(f.ring)})
 
-    monkeypatch.setattr(modular, "_tangency_defect", without_cofactor)
+    monkeypatch.setattr(modular, "_tangent_row", without_cofactor)
     with pytest.raises(pytest.fail.Exception):
         refuses_a_field_that_only_its_cofactor_makes_wrong()
 

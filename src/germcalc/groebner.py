@@ -62,10 +62,14 @@ same engine on the same reducers, whose bookkeeping part
 compared: each reduction step carries it along in the remainder
 (``_eliminate``).  A remainder whose real part died is a relation, one
 syzygy in input coordinates.  It stays the packed integer row it is,
-with its scale, through ``_relations``: ``syzygies`` unpacks and divides
-each by its scale, wraps, deduplicates and re-checks them exactly on
-integer rows, and ``modular`` unpacks the cofactor slot of each and
-divides only the few it keeps.
+with its scale, through ``_relations``, whose whole-row unpack is the one
+place where a relation is normalized: the primitive integer row on
+(slot, exponent) keys with a positive scale.  ``syzygies`` drops repeats
+on those integer keys (``_distinct``), re-checks each distinct relation
+exactly on its integer row and divides only the ones it returns by their
+scales; ``modular`` unpacks the cofactor slot of each relation and the
+whole row only of the few it keeps, and ``derivation_module`` treats its
+fields as ``syzygies`` treats relations.
 
 A finite staircase of a local ordering is the one model of its quotient.
 For these degree-compatible orderings every term of (weighted) degree
@@ -719,13 +723,18 @@ def _relations(vecs: Sequence[VectorPoly], order: MonomialOrder) -> tuple[list, 
     """The relations of the one Schreyer walk of ``syzygies``, unchecked, and their unpack.
 
     Each relation, possibly repeated, is the engine's nonzero integer row
-    on packed terms, with its scale lambda: the relation is row / lambda.
-    ``unpack(row)`` gives the terms of a row keyed (slot i, exponent tuple),
-    its bookkeeping component r + i made slot i and its slack entry
-    dropped; ``unpack(row, i)`` gives slot i alone, keyed by exponent tuple.
-    Nothing is unpacked here: ``syzygies`` unpacks every row, and
+    on packed terms with its scale lambda, of either sign: the relation is
+    row / lambda.  ``unpack(relation, i)`` gives slot i of the row alone,
+    keyed by exponent tuple, a nonzero multiple of that slot.
+    ``unpack(relation)`` is the one place where a relation is normalized:
+    it gives the primitive integer row keyed (slot i, exponent tuple), its
+    bookkeeping component r + i made slot i and its slack entry dropped,
+    with the positive scale by which it is a multiple of the relation
+    (``packed._primitive``'s convention), so that two relations are equal
+    exactly when their rows and scales are.  Nothing is unpacked here:
+    ``syzygies`` unpacks every relation whole, and
     ``modular._cofactor_generators`` the cofactor slot of each and the
-    whole row only of the few it keeps.
+    whole relation only of the few it keeps.
 
     Dropping the slack entry sends no two terms of a relation to one key,
     so nothing merges or cancels: give component r + i the degree of the
@@ -744,12 +753,27 @@ def _relations(vecs: Sequence[VectorPoly], order: MonomialOrder) -> tuple[list, 
     extended = [{**terms, (r + i) << pk.cshift: _ONE} for i, terms in enumerate(seeds)]
     _, relations = _std_engine(extended, pk, r)
 
-    def unpack(row: Row, slot: int | None = None) -> dict:
+    def unpack(relation: tuple[Row, Fraction], slot: int | None = None):
+        row, scale = relation
         if slot is not None:
             return {pk.unpack(t)[pad:]: c for t, c in row.items() if t >> pk.cshift == r + slot}
-        return {((t >> pk.cshift) - r, pk.unpack(t)[pad:]): c for t, c in row.items()}
+        g = gcd(*row.values()) if scale > 0 else -gcd(*row.values())
+        terms = {((t >> pk.cshift) - r, pk.unpack(t)[pad:]): c // g for t, c in row.items()}
+        return terms, scale / g
 
     return relations, unpack
+
+
+def _distinct(fields: Iterable[tuple[dict, Fraction]]) -> list[tuple[dict, Fraction]]:
+    """The (primitive integer row, positive scale) pairs without repeats, the first kept, in order.
+
+    Each pair stands for the rational map row / scale, and both parts are
+    unique to it, so two pairs are one map exactly when they are equal.
+    """
+    seen: dict = {}
+    for row, scale in fields:
+        seen.setdefault((frozenset(row.items()), scale), (row, scale))
+    return list(seen.values())
 
 
 def syzygies(gens: Sequence[VectorPoly | Polynomial], order: MonomialOrder) -> list[VectorPoly]:
@@ -783,32 +807,33 @@ def syzygies(gens: Sequence[VectorPoly | Polynomial], order: MonomialOrder) -> l
     slack variable to 1 turns any homogeneous relation into a relation of
     the original generators, and every polynomial relation arises that way.
     Relations are nonzero (``_relations``), but two homogeneous ones can
-    dehomogenize to the same vector: repeats are dropped, the first kept.
-    Each returned vector is verified exactly against the inputs.
+    dehomogenize to the same vector: repeats are dropped on the integer
+    rows and scales of ``_relations``, the first kept (``_distinct``).
+    Each distinct relation is verified exactly against the inputs, as an
+    integer row, and only then divided by its scale into a ``VectorPoly``.
     """
     vecs = _as_vectors(gens)
-    ring = vecs[0].ring
     relations, unpack = _relations(vecs, order)
-    rels = ({t: c / scale for t, c in unpack(row).items()} for row, scale in relations)
-    out = list(dict.fromkeys(VectorPoly(ring, len(vecs), h) for h in rels))
-    _check_syzygies(vecs, out)
-    return out
+    distinct = _distinct(map(unpack, relations))
+    _check_syzygies(vecs, [row for row, _ in distinct])
+    ring, k = vecs[0].ring, len(vecs)
+    return [VectorPoly(ring, k, {t: c / scale for t, c in row.items()}) for row, scale in distinct]
 
 
-def _check_syzygies(vecs: Sequence[VectorPoly], syzs: Iterable[VectorPoly]):
-    """Raise unless sum_i s_i * vecs[i] is exactly zero for every s in syzs.
+def _check_syzygies(vecs: Sequence[VectorPoly], syzs: Iterable[dict[ModTerm, Fraction | int]]):
+    """Raise unless sum_i s_i * vecs[i] is exactly zero for every term map s in syzs.
 
-    The sum runs over integer rows: vecs[i] is row_i / scale_i for its
-    primitive row, so the sum vanishes exactly when sum_i t_i * row_i does,
-    where t is s with slot i divided by scale_i, made primitive.
+    Each s is keyed (slot i, exponent tuple), and may be any nonzero
+    multiple of the syzygy, such as its primitive integer row.  The sum
+    runs over integer rows: vecs[i] is row_i / scale_i for its primitive
+    row, so the sum vanishes exactly when sum_i t_i * row_i does, where t
+    is s with slot i divided by scale_i, made primitive.
     """
     pk = packing(len(vecs[0].ring))
     rows, scales = zip(*(_primitive(pk.pack_terms(v.terms)) for v in vecs))
     tops = [pk.top(row) for row in rows]
     for syz in syzs:
-        weights, _ = _primitive(
-            {pk.pack_term(t): c / scales[t[0]] for t, c in syz.terms.items()}
-        )
+        weights, _ = _primitive({pk.pack_term(t): c / scales[t[0]] for t, c in syz.items()})
         if _combination(rows, tops, weights, pk):
             raise RuntimeError("syzygy verification failed")
 

@@ -4,7 +4,13 @@
 {f = 0} (each v = sum a_i d_i with v(f) = h f, the cofactor h recorded),
 obtained from the syzygies of (df_1, ..., df_n, f) plus the Hamiltonian
 pairs and, for quasi-homogeneous f, the Euler field of the weights kept on
-the germ's Tjurina algebra (``GradedT1.weight_data``).
+the germ's Tjurina algebra (``GradedT1.weight_data``).  Every field stays
+an integer row from the Schreyer walk to the exit: the primitive row of
+its term map (a_i in slot i, the cofactor in slot n) with a positive
+scale, a relation's as ``groebner._relations`` normalizes it with its
+slots mapped by ``_field_row``.  Repeats are dropped on those integer
+keys, each distinct row is certified once (``_tangent_row``), and only the
+returned rows become ``Derivation``s.
 
 Every tangent field acts on the Tjurina algebra T1 = O/(f, J) by the
 twisted action v.[g] = [v(g) - h g]; the common kernel of these
@@ -28,12 +34,12 @@ lowest cofactor degree first, each relation whose cofactor residue in M
 span has dimension tau; no scale changes a span, and the shifts of a kept
 cofactor stop once it is full.  RuntimeError if the span stays below tau,
 since a kernel from too few fields would come out too large.  Only the
-kept relations are unpacked whole, each into the primitive integer row
-of its field, and each is certified once (``_tangent_row``): the
-tangency identity of a field (a, h) is the syzygy identity of (df, f) at
-(a, -h).  The kernel is a subspace and its reduced row echelon basis is
-unique, so it is the kernel of the full stack of generators, and so is
-the untwisted one.
+kept relations are unpacked whole, each into its primitive integer row
+(``_relations``) and then into its field's (``_field_row``), and each is
+certified once (``_tangent_row``): the tangency identity of a field
+(a, h) is the syzygy identity of (df, f) at (a, -h).  The kernel is a
+subspace and its reduced row echelon basis is unique, so it is the
+kernel of the full stack of generators, and so is the untwisted one.
 
 The action matrices are read off the staircase of the Tjurina algebra: the
 column of v on a basis monomial x^b is the term map sum_i b_i a_i x^(b - e_i),
@@ -67,12 +73,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from math import comb
 from operator import add
 
 from . import linalg
-from .groebner import ModTerm, _relations
+from .groebner import ModTerm, _distinct, _relations
 from .oracle import codimension
 from .orders import NEGDEGREVLEX
 from .packed import _combination, _primitive, packing
@@ -111,17 +117,18 @@ def tangent_derivation(f: Polynomial, coefficients, cofactor: Polynomial) -> Der
     """Build a Derivation, checking the tangency identity exactly.
 
     The identity is decided on the field's primitive integer row
-    (``_field_terms``, ``_tangent_row``).  ValueError unless the field has
-    one coefficient per variable of f, its coefficients and cofactor are
-    all over the ring of f, and it is tangent; ``ExponentOverflow`` (a
-    ValueError) when an exponent of a product does not fit a packed field.
+    (``_field_terms``, ``packed._primitive``, ``_tangent_row``).  ValueError
+    unless the field has one coefficient per variable of f, its
+    coefficients and cofactor are all over the ring of f, and it is
+    tangent; ``ExponentOverflow`` (a ValueError) when an exponent of a
+    product does not fit a packed field.
     """
     v = Derivation(tuple(coefficients), cofactor)
     if len(v.coefficients) != len(f.ring):
         raise ValueError("one coefficient per ring variable required")
     if any(p.ring != f.ring for p in (*v.coefficients, cofactor)):
         raise ValueError("coefficients, cofactor and polynomial from different rings")
-    _tangent_row(f, _field_terms(v))
+    _tangent_row(f, _primitive(_field_terms(v))[0])
     return v
 
 
@@ -131,17 +138,18 @@ def _field_terms(v: Derivation) -> dict[ModTerm, Fraction]:
     return {(i, e): c for i, p in enumerate(parts) for e, c in p.terms.items()}
 
 
-def _tangent_row(f: Polynomial, field: dict[ModTerm, Fraction]) -> dict[ModTerm, int]:
-    """The primitive integer row of the term map of a field, once it is checked tangent.
+def _tangent_row(f: Polynomial, row: dict[ModTerm, int]) -> dict[ModTerm, int]:
+    """The integer row of a field, returned once it is checked tangent.
 
-    ``field`` holds a_i in slot i and the cofactor h in slot n
-    (``_field_terms``).  f is made primitive and its partials are read off
-    that row, so the identity is the syzygy (a_1, ..., a_n, h) of
+    ``row`` is the primitive integer row of the field's term map, a_i in
+    slot i and the cofactor h in slot n (``_field_terms``); every caller
+    hands one in, and the check itself holds for any nonzero integer
+    multiple.  f is made primitive and its partials are read off that row,
+    so the identity is the syzygy (a_1, ..., a_n, h) of
     (df/dx_1, ..., df/dx_n, -f), checked as ``groebner._check_syzygies``
     checks one (``packed._combination``): ValueError unless the row
     sum_i a_i df/dx_i - h f, times a positive integer, is empty.
     """
-    row, _ = _primitive(field)
     pk = packing(len(f.ring))
     f_row, _ = _primitive(f.terms)
     parts = [
@@ -195,11 +203,16 @@ def _isolated_t1(f: Polynomial, what: str, given: GradedT1 | None = None) -> Gra
     return t1
 
 
-def _euler(f: Polynomial, wdata: WeightData) -> tuple[tuple[Polynomial, ...], Polynomial]:
-    """Coefficients and cofactor of the Euler field sum w_i x_i d_i, cofactor d."""
-    ring = f.ring
-    coefficients = tuple(Polynomial.variable(ring, v).scale(w) for v, w in zip(ring, wdata.weights))
-    return coefficients, Polynomial.constant(ring, wdata.degree)
+def _euler(f: Polynomial, wdata: WeightData) -> dict[ModTerm, int]:
+    """The term map of the Euler field sum w_i x_i d_i, cofactor d (slot n).
+
+    The weights and the degree are coprime integers (``WeightData``), so
+    this is the field's primitive integer row.
+    """
+    n = len(f.ring)
+    terms = {(i, tuple(int(j == i) for j in range(n))): w for i, w in enumerate(wdata.weights)}
+    terms[(n, (0,) * n)] = wdata.degree
+    return terms
 
 
 def _schreyer_input(entries: list[Polynomial]) -> tuple[list[int], list[VectorPoly]]:
@@ -208,12 +221,23 @@ def _schreyer_input(entries: list[Polynomial]) -> tuple[list[int], list[VectorPo
     return nonzero, [VectorPoly.from_poly(entries[i]) for i in nonzero]
 
 
-def _field(ring, nonzero: list[int], syz: VectorPoly) -> tuple[list[Polynomial], Polynomial]:
-    """Coefficients and cofactor of the field of a syzygy of the entries at ``nonzero``."""
-    parts = [Polynomial.zero(ring)] * (len(ring) + 1)
-    for i, part in zip(nonzero, syz.to_polys()):
-        parts[i] = part
-    return parts[:-1], -parts[-1]
+def _field_row(nonzero: list[int], row: dict[ModTerm, int]) -> dict[ModTerm, int]:
+    """The row of the field of a relation row of the entries at ``nonzero``.
+
+    Slot s of the relation becomes slot ``nonzero[s]`` of the field, and
+    the slot of f, the last, is negated into the cofactor: a relation
+    sum a_i d_i f + c f = 0 is the field (a, -c).  Keys stay distinct and
+    the content is kept, so a primitive row gives a primitive row.
+    """
+    last = len(nonzero) - 1
+    return {(nonzero[s], e): -c if s == last else c for (s, e), c in row.items()}
+
+
+def _derivation(ring: tuple[str, ...], row: dict[ModTerm, int], scale: Fraction) -> Derivation:
+    """The Derivation row / scale of a field's row: a_i in slot i, the cofactor in slot n."""
+    slots = range(len(ring) + 1)
+    parts = [Polynomial(ring, {e: c / scale for (i, e), c in row.items() if i == k}) for k in slots]
+    return Derivation(tuple(parts[:-1]), parts[-1])
 
 
 def derivation_module(f: Polynomial) -> list[Derivation]:
@@ -225,35 +249,34 @@ def derivation_module(f: Polynomial) -> list[Derivation]:
     pair (d_j f) d_i - (d_i f) d_j (cofactor 0) and, when weights exist,
     the Euler field sum w_i x_i d_i (cofactor d).  The syzygies are the
     relations of the Schreyer walk of ``syzygies`` (``groebner._relations``),
-    in its order, each unpacked and divided by its scale.  Each field is
-    checked once, for tangency (``tangent_derivation``), which for a syzygy
-    field is the syzygy identity itself; repeats are dropped, the first
-    kept.  ``_field`` maps slots one to one, so these are also the repeats
-    that ``syzygies`` drops among the relations.
+    in its order.  Every field is built as its primitive integer row with
+    a positive scale: a relation as ``_relations`` normalizes it, its slots
+    mapped by ``_field_row``, and every other field by ``packed._primitive``.
+    Repeats are dropped on those integer keys, the first kept
+    (``groebner._distinct``); ``_field_row`` maps slots one to one, so these
+    are also the repeats that ``syzygies`` drops among the relations.  Each
+    distinct row is checked once, for tangency (``_tangent_row``), which
+    for a syzygy field is the syzygy identity itself, and only then divided
+    by its scale into a ``Derivation`` (``_derivation``); a repeat is never
+    checked or made rational.
     """
     wdata = _isolated_t1(f, "derivation module").weight_data
     ring = f.ring
     n = len(ring)
     partials = [f.partial_derivative(v) for v in ring]
     nonzero, vecs = _schreyer_input(partials + [f])
-    zero = Polynomial.zero(ring)
-    rows, unpack = _relations(vecs, NEGDEGREVLEX)
-    rels = ({t: c / scale for t, c in unpack(row).items()} for row, scale in rows)
-    fields = [_field(ring, nonzero, VectorPoly(ring, len(nonzero), h)) for h in rels]
-    for i in range(n):
-        if partials[i].is_zero():
-            fields.append(([Polynomial.constant(ring, int(j == i)) for j in range(n)], zero))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if partials[i].is_zero() and partials[j].is_zero():
-                continue
-            coeffs = [zero] * n
-            coeffs[i] = partials[j]
-            coeffs[j] = -partials[i]
-            fields.append((coeffs, zero))
+    rels, unpack = _relations(vecs, NEGDEGREVLEX)
+    fields = [(_field_row(nonzero, row), scale) for row, scale in map(unpack, rels)]
+    others = [{(i, (0,) * n): 1} for i in range(n) if partials[i].is_zero()]
+    for i, j in combinations(range(n), 2):
+        pair = {(i, e): c for e, c in partials[j].terms.items()}
+        pair.update(((j, e), -c) for e, c in partials[i].terms.items())
+        if pair:  # empty when both partials vanish
+            others.append(pair)
     if wdata is not None:
-        fields.append(_euler(f, wdata))
-    return list(dict.fromkeys(tangent_derivation(f, a, h) for a, h in fields))
+        others.append(_euler(f, wdata))
+    distinct = _distinct([*fields, *map(_primitive, others)])
+    return [_derivation(ring, _tangent_row(f, row), scale) for row, scale in distinct]
 
 
 def _cofactor_generators(f: Polynomial, t1: GradedT1) -> list[dict[ModTerm, int]]:
@@ -261,43 +284,41 @@ def _cofactor_generators(f: Polynomial, t1: GradedT1) -> list[dict[ModTerm, int]
 
     Each field comes as the primitive integer row of its term map
     (``_tangent_row``: a_i in slot i, the cofactor in slot n), checked
-    tangent once.  For quasi-homogeneous f, the Euler field alone: its
-    cofactor is the unit d.  Otherwise the relations of one Schreyer walk
-    of the nonzero entries of (df, f) (``groebner._relations``) with a
-    nonzero cofactor h, lowest total degree of h first; only the cofactor
-    slot of each is unpacked from the packed integer row the walk gives, a
-    nonzero multiple of h.  The span holds the residues in the Milnor
-    algebra M of x^b h_k, over the Milnor basis monomials x^b and the
-    cofactors h_k kept so far, so it is the ideal they generate in M; no
-    scale changes it.  A relation is kept when the residue of its h lies
+    tangent once.  For quasi-homogeneous f, the Euler field alone
+    (``_euler``): its cofactor is the unit d.  Otherwise the relations of
+    one Schreyer walk of the nonzero entries of (df, f)
+    (``groebner._relations``) with a nonzero cofactor h, lowest total
+    degree of h first; only the cofactor slot of each is unpacked from the
+    packed integer row the walk gives, a nonzero multiple of h.  The span
+    holds the residues in the Milnor algebra M of x^b h_k, over the Milnor
+    basis monomials x^b and the cofactors h_k kept so far, so it is the
+    ideal they generate in M; no scale changes it.  A relation is kept when the residue of its h lies
     outside the span; the shifts and the walk stop once the span has
     dimension tau, which makes it all of Ann_M([f]), and RuntimeError if
-    the relations run out first.  Only kept relations are unpacked whole:
-    slot s of the relation becomes slot ``nonzero[s]`` of the field, the
-    slot of f negated into the cofactor, all divided by the scale.  The
-    tangency identity of (a, h) is the syzygy identity of (df, f) at
-    (a, -h), so this one check is the exact syzygy check as well.
+    the relations run out first.  Only kept relations are unpacked whole,
+    into the primitive integer row ``_relations`` normalizes them to, and
+    mapped to their field's row by ``_field_row``; their scales are not
+    used.  The tangency identity of (a, h) is the syzygy identity of
+    (df, f) at (a, -h), so this one check is the exact syzygy check as well.
     """
     if t1.weight_data is not None:
-        return [_tangent_row(f, _field_terms(Derivation(*_euler(f, t1.weight_data))))]
+        return [_tangent_row(f, _euler(f, t1.weight_data))]
     ring, tau = f.ring, t1.tau
     milnor = milnor_algebra(f)
     shifts = [e for _, e in milnor.standard_monomials if any(e)]
     one = (0,) * len(ring)
     nonzero, vecs = _schreyer_input([f.partial_derivative(v) for v in ring] + [f])
     last = len(nonzero) - 1  # the slot of f
-    rows, unpack = _relations(vecs, NEGDEGREVLEX)
-    candidates = [(h, row, scale) for row, scale in rows if (h := unpack(row, last))]
+    rels, unpack = _relations(vecs, NEGDEGREVLEX)
+    candidates = [(h, rel) for rel in rels if (h := unpack(rel, last))]
     candidates.sort(key=lambda c: min(map(sum, c[0])))
     span: dict[int, dict[int, Fraction]] = {}
     kept: list[dict[ModTerm, int]] = []
-    for h, row, scale in candidates:
+    for h, rel in candidates:
         if len(span) == tau:
             break
         if linalg._insert(span, _shifted_residue(milnor, h, one)):
-            terms = unpack(row).items()
-            field = {(nonzero[s], e): (-c if s == last else c) / scale for (s, e), c in terms}
-            kept.append(_tangent_row(f, field))
+            kept.append(_tangent_row(f, _field_row(nonzero, unpack(rel)[0])))
             for b in shifts:
                 if len(span) == tau:
                     break

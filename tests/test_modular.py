@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from germcalc import (
+    NEGDEGREVLEX,
     GermInput,
     NonIsolatedError,
     action_matrix,
@@ -20,10 +21,11 @@ from germcalc import (
     parse_poly,
     projective_closed_form,
     projective_t1_dimension,
+    syzygies,
     tangent_derivation,
     tjurina_number,
 )
-from germcalc import modular
+from germcalc import groebner, modular
 from germcalc.groebner import Staircase
 from germcalc.modular import _action_rows, _dense, homogeneous_degree
 from germcalc.packed import _primitive
@@ -475,18 +477,20 @@ def test_tangency_is_checked_on_every_used_field_and_no_other(monkeypatch, name,
 
 def _relation_source(monkeypatch, edit):
     """Let the modular path read ``edit`` of the list of its real relations,
-    each handed to ``edit`` as rational and taken back as an integer row with
-    its scale; the rows come back unpacked, so their unpack only selects a slot."""
+    each handed to ``edit`` as rational and taken back as its primitive
+    integer row with its positive scale; the relations come back unpacked,
+    so their unpack only selects a slot."""
     real = modular._relations
 
     def source(vecs, order):
-        rows, unpack = real(vecs, order)
-        rels = [{t: c / scale for t, c in unpack(row).items()} for row, scale in rows]
+        rels, unpack = real(vecs, order)
+        rational = [{t: c / scale for t, c in row.items()} for row, scale in map(unpack, rels)]
 
-        def select(row, slot=None):
-            return row if slot is None else {e: c for (s, e), c in row.items() if s == slot}
+        def select(rel, slot=None):
+            row, _ = rel
+            return rel if slot is None else {e: c for (s, e), c in row.items() if s == slot}
 
-        return list(map(_primitive, edit(rels))), select
+        return list(map(_primitive, edit(rational))), select
 
     monkeypatch.setattr(modular, "_relations", source)
 
@@ -523,6 +527,44 @@ def test_derivation_module_rejects_a_syzygy_field_that_is_not_tangent(monkeypatc
     _relation_source(monkeypatch, perturbed)
     with pytest.raises(ValueError, match="not tangent"):
         modular.derivation_module(f)
+
+
+def _first_relation_repeated(monkeypatch):
+    """Let the walk give its first relation once as it is, once times the
+    slack variable, which dehomogenizes to the same relation, and once with
+    its scale doubled, which is half the relation, before the others."""
+    real = groebner._relations
+
+    def walk(vecs, order):
+        rels, unpack = real(vecs, order)
+        _, pk, pad = groebner._engine_input(vecs, order)
+        assert pad == 1  # a local order: the slack entry comes first
+        row, scale = rels[0]
+        slack = {t + pk.units[0]: c for t, c in row.items()}
+        return [rels[0], (slack, scale), (row, 2 * scale), *rels[1:]], unpack
+
+    monkeypatch.setattr(groebner, "_relations", walk)
+    monkeypatch.setattr(modular, "_relations", walk)
+
+
+def half(v):
+    parts = [a.scale(Fraction(1, 2)) for a in (*v.coefficients, v.cofactor)]
+    return modular.Derivation(tuple(parts[:-1]), parts[-1])
+
+
+def test_syzygies_keep_the_first_of_repeated_relations_and_not_a_multiple(monkeypatch):
+    f = cached_poly(CATALOG_BY_NAME["t433"].text, V3)
+    gens = [f.partial_derivative(v) for v in V3] + [f]
+    plain = syzygies(gens, NEGDEGREVLEX)
+    _first_relation_repeated(monkeypatch)
+    assert syzygies(gens, NEGDEGREVLEX) == [plain[0], plain[0].scale(Fraction(1, 2)), *plain[1:]]
+
+
+def test_derivation_module_keeps_the_first_of_repeated_fields_and_not_a_multiple(monkeypatch):
+    f = cached_poly(CATALOG_BY_NAME["t433"].text, V3)
+    plain = modular.derivation_module(f)
+    _first_relation_repeated(monkeypatch)
+    assert modular.derivation_module(f) == [plain[0], half(plain[0]), *plain[1:]]
 
 
 def _row_of_relation(rel, n):

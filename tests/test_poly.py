@@ -162,6 +162,13 @@ def test_vector_component_out_of_range():
         VectorPoly(V2, 2, {(2, (0, 0)): Fraction(1)})
 
 
+def test_equal_vectors_hash_alike():
+    # equal term maps built in another order are one set element
+    a = VectorPoly(V2, 2, {(0, (1, 0)): Fraction(1, 2), (1, (0, 2)): -1})
+    b = VectorPoly(V2, 2, {(1, (0, 2)): Fraction(-1), (0, (1, 0)): Fraction(1, 2)})
+    assert a == b and hash(a) == hash(b) and len({a, b, a.scale(2)}) == 2
+
+
 def test_from_polys_needs_one_ring():
     with pytest.raises(ValueError, match="^components from different rings$"):
         VectorPoly.from_polys([parse_poly("x", V2), parse_poly("x", V3)])

@@ -11,13 +11,13 @@ the ICIS module; the fields ``_cofactor_generators`` keeps, on the catalog
 germs that are not quasi-homogeneous and on the germs of the ``modular``
 benchmark ladder (``perfbench/workloads.py``); and ``derivation_module``,
 ``modular_tangent_space`` and ``find_weights`` on all of these germs.
-``_cofactor_generators`` returns primitive integer rows, compared with those
-of the recorded rational fields; the rows carry no scale, so a regeneration
-keeps that table as recorded.
+``_cofactor_generators`` returns primitive integer rows, and its table holds
+them as sorted (slot, exponent, integer) entries; it was converted once
+from the recorded rational fields (each made primitive, its scale dropped),
+and is regenerated from the code like the others.
 """
 
 import json
-from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
@@ -32,7 +32,6 @@ from germcalc import (
     syzygies,
 )
 from germcalc.modular import _cofactor_generators
-from germcalc.packed import _primitive
 from germcalc.singularity import tjurina_algebra
 
 from conftest import CATALOG, V3, cached_poly
@@ -80,16 +79,11 @@ def syzygy_outputs(gens, order):
     return [vector_terms(s) for s in syzygies(gens, order)]
 
 
-def cofactor_rows(name):
+def cofactor_outputs(name):
+    """The kept fields' integer rows: a_i in slot i, the cofactor in slot n."""
     f = germ(name)
-    return _cofactor_generators(f, tjurina_algebra(f)[1])
-
-
-def recorded_row(field):
-    """The primitive integer row of a recorded field: a_i in slot i, the cofactor in slot n."""
-    parts = [*field["coefficients"], field["cofactor"]]
-    terms = {(i, tuple(e)): Fraction(c) for i, p in enumerate(parts) for e, c in p}
-    return _primitive(terms)[0]
+    rows = _cofactor_generators(f, tjurina_algebra(f)[1])
+    return [sorted([s, list(e), c] for (s, e), c in row.items()) for row in rows]
 
 
 def derivation_outputs(name):
@@ -124,8 +118,7 @@ def test_syzygies_are_the_recorded_ones_in_order(gens, order, label):
 
 @pytest.mark.parametrize("name", COFACTOR_GERMS)
 def test_kept_cofactor_fields_are_the_recorded_ones(name):
-    # the kept fields come as integer rows, the recorded ones are rational
-    assert cofactor_rows(name) == [recorded_row(v) for v in recorded()["cofactor_fields"][name]]
+    assert cofactor_outputs(name) == recorded()["cofactor_fields"][name]
 
 
 @pytest.mark.parametrize("name", list(GERMS))
@@ -138,9 +131,7 @@ def test_derivations_modular_data_and_weights_are_the_recorded_ones(name):
 if __name__ == "__main__":
     tables = {
         "syzygies": {label: syzygy_outputs(g, o) for label, g, o in syzygy_cases()},
-        # the kept fields are integer rows, with no scale to rebuild the
-        # recorded rational fields, so their table is kept as recorded
-        "cofactor_fields": recorded()["cofactor_fields"],
+        "cofactor_fields": {name: cofactor_outputs(name) for name in COFACTOR_GERMS},
         "derivations": {name: derivation_outputs(name) for name in GERMS},
         "modular": {name: modular_outputs(name) for name in GERMS},
         "weights": {name: weight_outputs(name) for name in GERMS},

@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from math import inf
 
 from .family import CATALOG_NAMES, _hypersurface_invariants, catalog, scan
@@ -296,7 +297,9 @@ def cmd_oracle_dim(args) -> tuple[dict, list[str], int]:
     return payload, table, 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="germcalc",
         description="Exact invariants of isolated singularities at the origin.",

@@ -16,12 +16,13 @@ case.  The machinery is shared:
 * reductions and S-vectors work on primitive integer rows, fraction-free
   (``_primitive``, ``_eliminate``; Bareiss's one-step integer-preserving
   elimination, with the content removed every few steps as SINGULAR does);
-  each returns the exact rational scale lambda by which its row differs
-  from the one the monic rational computation gives, and monic rationals
-  come back only at the exits: ``standard_basis`` divides each generator
-  by its lead once, after the certificate; ``syzygies``, ``spoly`` and
-  ``normal_form`` divide by lambda.  A scale changes no support, so every
-  lead, pair, criterion and zero test is that of the rational computation;
+  each returns the exact rational scale lambda, as ints, by which its row
+  differs from the one the monic rational computation gives, and monic
+  rationals come back only at the exits: ``standard_basis`` divides each
+  generator by its lead once, after the certificate; ``syzygies``,
+  ``spoly`` and ``normal_form`` divide by lambda, a ``Fraction`` only
+  there and in a relation.  A scale changes no support, so every lead,
+  pair, criterion and zero test is that of the rational computation;
 * a global ``normal_form`` is the ordinary division algorithm (full
   reduction); a local one reads the residue off the staircase (below);
 * one completion loop, ``_std_engine``, serves standard bases and
@@ -128,15 +129,16 @@ def _nf_global(
     first: Callable[[PackedTerm], int | None],
     pk: Packing,
     book: Row | None = None,
-) -> tuple[Row, Fraction]:
-    """Full division remainder, fraction-free, and its scale.
+) -> tuple[Row, int, int]:
+    """Full division remainder, fraction-free, and its scale num / den.
 
     No remaining term is divisible by a pool lead.  ``first`` is the
     divisor lookup of the pool's leads (``_first_divisor``, one per pool):
     each step reduces by the first pool row whose lead divides.  The
-    remainder is scale times the one the rational division by the monic
-    pool rows leaves: each step scales by d/g (``_eliminate``) and each
-    content removal divides.  For a Schreyer row, ``book`` is its
+    remainder is num / den times the one the rational division by the
+    monic pool rows leaves: num is the product of the positive factors d/g
+    of the steps (``_eliminate``), den of the contents removed
+    (``_remove_content``), both ints.  For a Schreyer row, ``book`` is its
     bookkeeping part (taken over, not copied): it starts the remainder,
     takes the bookkeeping parts of the pool rows and is never scanned, and
     the remainder returned holds both parts.
@@ -144,24 +146,23 @@ def _nf_global(
     guard = pk.guard
     h = dict(h)
     remainder: Row = {} if book is None else book
-    scale, mult, steps = _ONE, 1, 0
+    num, den, steps = 1, 1, 0
     while h:
         lt = max(h)
         k = first(lt)
         if k is None:
             remainder[lt] = h.pop(lt)
             continue
-        mult *= _eliminate(h, lt, pool[k], remainder, guard)
+        num *= _eliminate(h, lt, pool[k], remainder, guard)
         steps += 1
         if not steps % _CONTENT_EVERY:
-            scale *= Fraction(mult, _remove_content(h, remainder))
-            mult = 1
-    return remainder, scale * mult
+            den *= _remove_content(h, remainder)
+    return remainder, num, den
 
 
-def _spoly_terms(f: _Reducer, g: _Reducer, lcm: int, guard: int) -> tuple[Row, Row, Fraction]:
-    """Fraction-free S-vector, as its real and bookkeeping parts, and its scale;
-    ``lcm`` is the packed term of the lcm of the two leads.
+def _spoly_terms(f: _Reducer, g: _Reducer, lcm: int, guard: int) -> tuple[Row, Row, int]:
+    """Fraction-free S-vector, as its real and bookkeeping parts, and its integer
+    scale; ``lcm`` is the packed term of the lcm of the two leads.
 
     The row (c_g/e) x^a f - (c_f/e) x^b g, with e = gcd(c_f, c_g), is
     c_f c_g / e times x^a f / c_f - x^b g / c_g, the S-vector of the monic rows.
@@ -176,7 +177,7 @@ def _spoly_terms(f: _Reducer, g: _Reducer, lcm: int, guard: int) -> tuple[Row, R
         _sub_scaled(book, f.book, f.book_top, a, -(g.coeff // e), guard)
     if g.book:
         _sub_scaled(book, g.book, g.book_top, b, f.coeff // e, guard)
-    return out, book, Fraction(f.coeff // e * g.coeff)
+    return out, book, f.coeff // e * g.coeff
 
 
 def spoly(f: VectorPoly, g: VectorPoly, keyfn: Callable[[ModTerm], object]) -> VectorPoly:
@@ -188,7 +189,7 @@ def spoly(f: VectorPoly, g: VectorPoly, keyfn: Callable[[ModTerm], object]) -> V
     if rf.lead >> pk.cshift != rg.lead >> pk.cshift:
         raise ValueError("S-vector needs matching leading components")
     s, _, scale = _spoly_terms(rf, rg, pk.lcm(rf.lead, rg.lead), pk.guard)
-    return VectorPoly(f.ring, f.ncomp, pk.unpack_terms(_rational(s, scale)))
+    return VectorPoly(f.ring, f.ncomp, pk.unpack_terms(_rational(s, Fraction(scale))))
 
 
 PairKey = tuple[int, int, int, int]  # (degree of the lcm, packed lcm, i, j)
@@ -256,7 +257,7 @@ def _new_pairs(leads: Sequence[PackedTerm], t: int, ideal: bool, pk: Packing) ->
 
 def _walk_pairs(
     basis: list[_Reducer],
-    judge: Callable[[int, int, Row, Fraction, Fraction], _Reducer | None],
+    judge: Callable[[int, int, Row, int, int, int], _Reducer | None],
     pk: Packing,
 ):
     """Reduce the S-vector of every pair of ``basis`` that no criterion drops,
@@ -274,13 +275,13 @@ def _walk_pairs(
     component 0, need their coprime pairs.  Pending pairs pop smallest key
     first (lcm degree, packed lcm, i, j).  Each popped pair's S-vector
     (``_spoly_terms``, at the lifted lcm) is reduced by ``_nf_global``, its
-    bookkeeping part carried along, and ``judge(i, j, remainder, s_scale,
-    h_scale)`` gets the remainder with the scales of the S-vector and of the
-    reduction; it returns the reducer of a remainder that joins ``basis``,
-    or None.  Pairs read the leads' exponent fields.  The walk owns the
-    leads list and its divisor memo (``_first_divisor``) on the lifted
-    leads: both only grow, in step with ``basis``, which is what the memo
-    needs.
+    bookkeeping part carried along, and ``judge(i, j, remainder, num, den,
+    s)`` gets the remainder with the integer scales num / den of the
+    reduction and s of the S-vector; it returns the reducer of a remainder
+    that joins ``basis``, or None.  Pairs read the leads' exponent fields.
+    The walk owns the leads list and its divisor memo (``_first_divisor``)
+    on the lifted leads: both only grow, in step with ``basis``, which is
+    what the memo needs.
 
     Soundness.  Say S(i, j), with lcm m, has a representation when it is
     sum a_l g_l over the final elements with every lead of a_l g_l below m.
@@ -326,9 +327,8 @@ def _walk_pairs(
     while pending:
         _, lcm, i, j = heappop(pending)
         lcm = pk.lift(lcm | exponents[i] & comps)
-        s, book, s_scale = _spoly_terms(basis[i], basis[j], lcm, guard)
-        h, h_scale = _nf_global(s, basis, first, pk, book)
-        new = judge(i, j, h, s_scale, h_scale)
+        s, book, scale = _spoly_terms(basis[i], basis[j], lcm, guard)
+        new = judge(i, j, *_nf_global(s, basis, first, pk, book), scale)
         if new is not None:
             basis.append(new)
             leads.append(new.lead)
@@ -354,14 +354,13 @@ def _std_engine(
 
     With ``split``, the seeds are Schreyer rows: their terms in components
     >= ``split``, the packed terms from ``split << cshift`` up, are the
-    bookkeeping part (``_Reducer.book``), never compared.
-    A remainder with a real term joins the basis; a nonzero one without is
-    a relation, which reduces nothing and forms no pairs.  It is returned
-    as it came, a primitive integer row on packed terms with its scale
-    (the product of the S-vector's and the reduction's, formed only here):
-    row / scale is the remainder of the monic rational rows, and
-    ``_relations`` divides it out.  Plain seeds have no bookkeeping part,
-    so no relations.
+    bookkeeping part (``_Reducer.book``), never compared.  A remainder
+    with a real term joins the basis, its content removed; a nonzero one
+    without is a relation, which reduces nothing and forms no pairs.  It is
+    returned as it came, an integer row on packed terms with its scale, the
+    one ``Fraction`` s * num / den of the judge (``_walk_pairs``): row /
+    scale is the remainder of the monic rational rows, and ``_relations``
+    divides it out.  Plain seeds have no bookkeeping part, so no relations.
     """
     relations: list[tuple[Row, Fraction]] = []
     cut = None if split is None else split << pk.cshift
@@ -370,12 +369,13 @@ def _std_engine(
         real = row if cut is None else [t for t in row if t < cut]
         return _reducer(max(real), row, pk, cut)
 
-    def judge(i: int, j: int, h: Row, s_scale: Fraction, h_scale: Fraction) -> _Reducer | None:
+    def judge(i: int, j: int, h: Row, num: int, den: int, s: int) -> _Reducer | None:
         if not h:
             return None
         if cut is None or min(h) < cut:
-            return reducer(_primitive(h)[0])
-        relations.append((h, s_scale * h_scale))
+            _remove_content(h, {})
+            return reducer(h)
+        relations.append((h, Fraction(s * num, den)))
         return None
 
     basis = [reducer(_primitive(t)[0]) for t in seeds]
@@ -566,8 +566,8 @@ def normal_form(p: VectorPoly | Polynomial, basis: StandardBasis) -> VectorPoly:
         for g, lead in zip(basis.generators, basis.leading_terms)
     ]
     first = _first_divisor([r.lead for r in pool], pk)
-    h, h_scale = _nf_global(row, pool, first, pk)
-    return VectorPoly(v.ring, v.ncomp, pk.unpack_terms(_rational(h, scale * h_scale)))
+    h, num, den = _nf_global(row, pool, first, pk)
+    return VectorPoly(v.ring, v.ncomp, pk.unpack_terms(_rational(h, scale * Fraction(num, den))))
 
 
 @dataclass(frozen=True)

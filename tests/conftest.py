@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import pytest
 
 from germcalc import GermInput, Polynomial, VectorPoly, linalg, parse_poly
-from germcalc.groebner import _CONTENT_EVERY, _ONE, StandardBasis, staircase, standard_basis
+from germcalc.groebner import _CONTENT_EVERY, StandardBasis, staircase, standard_basis
 from germcalc.orders import NEGDEGREVLEX
 from germcalc.packed import (
     PackedTerm,
@@ -229,7 +229,8 @@ def pair_key(leads, i, j):
 
 
 def reference_walk(seeds, keyfn, split):
-    """The lead pairs Buchberger's loop reduces, in order, under Gebauer and Moeller's update.
+    """The lead pairs Buchberger's loop reduces, in order, under Gebauer and Moeller's
+    update, and the remainders it sets aside.
 
     A test-local copy of the engine's walk on exponent tuples and monic
     rational rows, written after Becker and Weispfenning's UPDATE
@@ -243,7 +244,7 @@ def reference_walk(seeds, keyfn, split):
     its lcm m and neither lcm(i, t) nor lcm(j, t) equals m.  Pending pairs
     are reduced smallest ``pair_key`` first.  A nonzero remainder whose
     lead lies below component ``split`` joins; one at or above it is set
-    aside, as the engine sets aside a relation.
+    aside, as the engine sets aside a relation, and returned in order.
     """
     basis = [monic_row(t, keyfn) for t in seeds if t]
     ideal = all(comp == 0 for _, terms in basis for comp, _ in terms)
@@ -277,7 +278,7 @@ def reference_walk(seeds, keyfn, split):
 
     for lead_t, _ in basis:
         join(lead_t)
-    reduced = []
+    reduced, relations = [], []
     while pending:
         i, j = min(pending, key=lambda pair: pair_key(leads, *pair))
         pending.remove((i, j))
@@ -286,7 +287,9 @@ def reference_walk(seeds, keyfn, split):
         if h and max(h, key=keyfn)[0] < split:
             basis.append(monic_row(h, keyfn))
             join(basis[-1][0])
-    return reduced
+        elif h:
+            relations.append(h)
+    return reduced, relations
 
 
 # -- the engine's packed exponents, for tests that drive its internals ------------
@@ -347,8 +350,8 @@ def _ecart(terms: Row, lead: PackedTerm, pk: Packing) -> int:
 
 def _nf_mora(
     h: Row, pool: Sequence[_Reducer], keyfn: Callable[[PackedTerm], object], pk: Packing
-) -> tuple[Row, Fraction]:
-    """Mora weak normal form for local orderings, fraction-free, and its scale.
+) -> tuple[Row, int, int]:
+    """Mora weak normal form for local orderings, fraction-free, and its scale num / den.
 
     Reduces the leading term only, choosing the first divisor of minimal
     ecart (largest total degree minus the degree of the lead); when every
@@ -356,12 +359,13 @@ def _nf_mora(
     the pool (the implicit local unit, and the reason the loop terminates).
     An ecart is computed only when compared: a pool row's once, on first
     use, the remainder's (never negative) only against a positive one.  The
-    scale is as in ``germcalc.groebner._nf_global``.
+    scale is as in ``germcalc.groebner._nf_global``: num the product of the
+    elimination factors, den of the contents removed, both ints.
     """
     pool, leads = list(pool), [r.lead for r in pool]
     ecart = cache(lambda k: _ecart(pool[k].terms, pool[k].lead, pk))
     h = dict(h)
-    scale, steps = _ONE, 0
+    num, den, steps = 1, 1, 0
     while h:
         lt = max(h, key=keyfn)
         k = min(_divisors(leads, lt, pk), key=ecart, default=None)
@@ -371,11 +375,11 @@ def _nf_mora(
         if ecart(k) > 0 and ecart(k) > _ecart(h, lt, pk):
             pool.append(_reducer(lt, _primitive(h)[0], pk))
             leads.append(lt)
-        scale *= _eliminate(h, lt, red, {}, pk.guard)
+        num *= _eliminate(h, lt, red, {}, pk.guard)
         steps += 1
         if not steps % _CONTENT_EVERY:
-            scale /= _remove_content(h, {})
-    return h, scale
+            den *= _remove_content(h, {})
+    return h, num, den
 
 
 def mora_normal_form(p, sb):
@@ -391,8 +395,8 @@ def mora_normal_form(p, sb):
         _reducer(pk.pack_term(lead), _primitive(pk.pack_terms(g.terms))[0], pk)
         for g, lead in zip(sb.generators, sb.leading_terms)
     ]
-    h, h_scale = _nf_mora(row, pool, cache(pk.keyed(sb.order.module_key)), pk)
-    return VectorPoly(v.ring, v.ncomp, pk.unpack_terms(_rational(h, scale * h_scale)))
+    h, num, den = _nf_mora(row, pool, cache(pk.keyed(sb.order.module_key)), pk)
+    return VectorPoly(v.ring, v.ncomp, pk.unpack_terms(_rational(h, scale * Fraction(num, den))))
 
 
 # -- the Tjurina algebra by its own completion ----------------------------------

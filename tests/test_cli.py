@@ -249,6 +249,19 @@ def test_oracle_dim_requires_bound(capsys):
         main(["oracle-dim", "--gens", "x^2"])
 
 
+def test_argument_error_leaves_the_parser_for_the_next_call(capsys):
+    # the parser is built once per process, so an in-process caller that hits
+    # an argument error gets the same parser back, unchanged
+    with pytest.raises(SystemExit) as exit_info:
+        main(["invariants", "--format", "yaml", "--poly", "x^2"])
+    assert exit_info.value.code == 2
+    capsys.readouterr()
+    name = "invariants_t333.json"
+    code, out, _ = run_cli(GOLDEN_COMMANDS[name], capsys)
+    assert code == 0
+    assert out == (GOLDEN / name).read_text()
+
+
 def test_oracle_dim_table(capsys):
     code, out, _ = run_cli(
         ["oracle-dim", "--gens", "x^2;y^3", "--vars", "x,y", "--degree-bound", "4"],

@@ -4,7 +4,8 @@ Property tests: the integer reduction and the integer S-vector equal their
 exact scale times a rational reference built from monic rows apart from
 the engine (``conftest``); so do the reduction and S-vector of Schreyer
 rows, whose bookkeeping part rides apart from the real one, against the
-joined rows.  Exactness guard: every coefficient the engine
+joined rows.  Inside the engine a scale is made of ints: a reduction's is
+num / den with a positive den, an S-vector's one int.  Exactness guard: every coefficient the engine
 hands out is a ``Fraction``, never a float from dividing one integer by
 another.
 """
@@ -77,18 +78,18 @@ def test_integer_rows_are_their_scale_times_the_rational_ones(case):
     assert not any(red.book for red in pool)
     # the full division of h by the pool
     first = _first_divisor([red.lead for red in pool], pk)
-    remainder, scale = _nf_global(pk.pack_terms(h), pool, first, pk)
-    assert type(scale) is Fraction and scale
+    remainder, num, den = _nf_global(pk.pack_terms(h), pool, first, pk)
+    assert type(num) is int and type(den) is int and num and den > 0
     assert all(type(c) is int for c in remainder.values())
     expected = full_division(h, rows, key)
-    assert pk.unpack_terms(remainder) == {t: scale * c for t, c in expected.items()}
+    assert pk.unpack_terms(remainder) == {t: Fraction(num, den) * c for t, c in expected.items()}
     # the S-vector of every pair whose leads share a component
     for i in range(len(pool)):
         for j in range(len(pool)):
             if pool[i].lead >> pk.cshift == pool[j].lead >> pk.cshift:
                 lcm = pk.lift(pk.lcm(pool[i].lead, pool[j].lead))
                 s, book, scale = _spoly_terms(pool[i], pool[j], lcm, pk.guard)
-                assert type(scale) is Fraction and scale and not book
+                assert type(scale) is int and scale and not book
                 expected = monic_spoly(rows[i], rows[j])
                 assert pk.unpack_terms(s) == {t: scale * c for t, c in expected.items()}
 
@@ -141,16 +142,17 @@ def test_split_reduction_is_the_division_of_the_joined_row(case):
     real = {t: c for t, c in pk.pack_terms(h).items() if t >> pk.cshift < split}
     book = {t: c for t, c in pk.pack_terms(h).items() if t >> pk.cshift >= split}
     first = _first_divisor([red.lead for red in pool], pk)
-    remainder, scale = _nf_global(real, pool, first, pk, book)
-    assert type(scale) is Fraction and scale
+    remainder, num, den = _nf_global(real, pool, first, pk, book)
+    assert type(num) is int and type(den) is int and num and den > 0
     expected = full_division(h, rows, joined_key)
-    assert pk.unpack_terms(remainder) == {t: scale * c for t, c in expected.items()}
+    assert pk.unpack_terms(remainder) == {t: Fraction(num, den) * c for t, c in expected.items()}
     # the S-vector of every pair whose leads share a component, both parts
     for i in range(len(pool)):
         for j in range(len(pool)):
             if pool[i].lead >> pk.cshift == pool[j].lead >> pk.cshift:
                 lcm = pk.lift(pk.lcm(pool[i].lead, pool[j].lead))
                 s, book, scale = _spoly_terms(pool[i], pool[j], lcm, pk.guard)
+                assert type(scale) is int and scale
                 s.update(book)
                 expected = monic_spoly(rows[i], rows[j])
                 assert pk.unpack_terms(s) == {t: scale * c for t, c in expected.items()}

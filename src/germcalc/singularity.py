@@ -41,6 +41,10 @@ whose degree reaches the cut of M's staircase lies in J, so
 ``_shifted_residue`` drops it before forming its key, and [x^b f] = 0, a
 dead b, once deg b reaches the cut.  Each child joins the heap once,
 from the first of its live parents to leave it.
+Only [f] reads the terms of f; any other [x^b f] is the residue of
+x_i sum r_j m_j, r the kept residue of the live parent b - e_i, i the
+first nonzero entry of b: if x^(b - e_i) f - sum r_j m_j lies in J, so
+does x_i times it.
 
 The staircase.  With the columns in decreasing local order, the pivots
 are exactly the leading monomials of (f) + J that are standard for J: an
@@ -217,7 +221,8 @@ def _tjurina_staircase(f: Polynomial, milnor: Staircase) -> Staircase:
 
     The multiplication closure of the module docstring: exponents b leave a
     heap in increasing DEGREVLEX order, starting at 0, and [x^b f] is formed
-    only when every parent b - e_i is live.  It goes into one echelon
+    only when every parent b - e_i is live, [f] from f's terms and any
+    other as x_i times the kept residue of b - e_i.  It goes into one echelon
     (``linalg._insert``) whose column 0 is the largest Milnor monomial in
     the local order; b is live when it adds a pivot, and then its children
     b + e_i that have not yet joined the heap join it.  Each pivot row is
@@ -232,14 +237,16 @@ def _tjurina_staircase(f: Polynomial, milnor: Staircase) -> Staircase:
     column = {e: c for c, e in enumerate(ordered)}
     zero = (0,) * len(f.ring)
     units = [zero[:i] + (1,) + zero[i + 1 :] for i in range(len(zero))]
-    heap, pushed, live, pivots = [(DEGREVLEX.sort_key(zero), zero)], {zero}, set(), {}
+    heap, pushed, live, pivots = [(DEGREVLEX.sort_key(zero), zero)], {zero}, {}, {}
     while heap:
         _, b = heappop(heap)
         if any(e and tuple(map(sub, b, u)) not in live for e, u in zip(b, units)):
             continue  # a dead parent: [x^b f] lies in the span already
-        residue = _shifted_residue(milnor, f.terms, b)
-        if linalg._insert(pivots, {column[monomials[j]]: a for j, a in residue.items()}):
-            live.add(b)
+        u = next((u for e, u in zip(b, units) if e), None)  # e_i, i the first nonzero entry of b
+        h = live[tuple(map(sub, b, u))] if u else f.terms  # [x^b f] = x_i [x^(b - e_i) f]
+        residue = {monomials[j]: a for j, a in _shifted_residue(milnor, h, u or zero).items()}
+        if linalg._insert(pivots, {column[e]: a for e, a in residue.items()}):
+            live[b] = residue
             for child in {tuple(map(add, b, u)) for u in units} - pushed:
                 pushed.add(child)
                 heappush(heap, (DEGREVLEX.sort_key(child), child))

@@ -15,8 +15,9 @@ monomial (``tjurina_echelon_reference``, ``conftest``), without growing the
 staircase again, on the same germs and (9,8,6).  A closure that expands
 only the x-children, or pops in the local order, changes tau there; one
 that drops the parent check stays exact, and only the count of residues
-formed shows it.  A shifted residue asks ``Staircase.residue`` for no
-term past the cut.
+formed shows it.  Each residue past [f] is x_i times its parent's, so
+the closure fills few Milnor rows, and a count bounds them.  A shifted
+residue asks ``Staircase.residue`` for no term past the cut.
 """
 
 from fractions import Fraction
@@ -97,20 +98,39 @@ def test_the_closure_gives_the_echelon_of_every_milnor_monomial(monkeypatch, nam
 @pytest.mark.parametrize("name, bound", [("mu35", 6), ("quintic4", 40), ("curve33", 6)])
 def test_the_closure_forms_a_residue_only_where_every_parent_is_live(monkeypatch, name, bound):
     # dropping the parent check leaves the span, and so every output, as it
-    # was; only the number of residues formed shows it (10, 68 and 8 here)
+    # was; only the number of residues formed shows it (10, 68 and 8 here).
+    # A residue is formed for the exponent b last popped off the heap.
     _, text, vars = next(g for g in LADDERS if g[0] == name)
     f = parse_poly(text, vars)
     milnor = milnor_algebra(f)
-    formed = []
-    shifted_residue = singularity._shifted_residue
+    popped, formed = [], []
+    heappop, shifted_residue = singularity.heappop, singularity._shifted_residue
+
+    def popping(heap):
+        popped.append(heappop(heap)[1])
+        return None, popped[-1]
 
     def counted(stair, h, b):
-        formed.append(b)
+        formed.append(popped[-1])
         return shifted_residue(stair, h, b)
 
+    monkeypatch.setattr(singularity, "heappop", popping)
     monkeypatch.setattr(singularity, "_shifted_residue", counted)
     singularity._tjurina_staircase(f, milnor)
     assert len(formed) == len(set(formed)) <= bound
+
+
+@pytest.mark.parametrize("name, bound", [("mu35", 12), ("quintic4", 54), ("curve33", 16)])
+def test_the_closure_fills_only_the_milnor_rows_of_a_parent_times_x_i(name, bound):
+    # [x^b f] is x_i times the stored residue of its parent b - e_i, so the
+    # closure asks the Milnor table for x_i m_j, not for every term of x^b f
+    # (35, 208 and 45 rows filled here when each residue was formed afresh)
+    _, text, vars = next(g for g in LADDERS if g[0] == name)
+    f = parse_poly(text, vars)
+    milnor = milnor_algebra.__wrapped__(f)  # a fresh table, no row filled yet
+    singularity._tjurina_staircase(f, milnor)
+    rows, _ = milnor._memo
+    assert len(rows) - len(milnor.standard_monomials) <= bound
 
 
 def test_a_shifted_residue_asks_for_no_term_past_the_cut(monkeypatch):
